@@ -933,9 +933,9 @@ fn e14(rep: &mut Report) {
     // demand space alive — a repeated source is a pure read, and each
     // new edge flows through the seeded semi-naive continuation (the
     // E12 machinery applied to the E13 pipeline). Cold: the identical
-    // stream with `demand_retention` off — every query clears the
-    // demand space and re-derives its source's whole cone, which is
-    // what every query paid before this PR. Both sides must stay
+    // stream with every demand space cleared before each query
+    // (`Engine::clear_demand_spaces`) — every query re-derives its
+    // source's whole cone from its seed. Both sides must stay
     // fallback-free and answer row-for-row like a materialized model
     // maintained incrementally alongside. Timing is engine-level
     // (interned rows, no Value marshalling) and median-of-3.
@@ -987,7 +987,6 @@ fn e14(rep: &mut Report) {
     let run_stream = |retention: bool| {
         let cfg = EvalConfig {
             set_universe: SetUniverse::Reject,
-            demand_retention: retention,
             ..EvalConfig::default()
         };
         let d = db_cfg(&src, Dialect::Elps, cfg);
@@ -1005,6 +1004,9 @@ fn e14(rep: &mut Report) {
         let mut raw: Vec<lps_engine::RowSet> = Vec::with_capacity(k);
         for i in 0..k {
             let engine = session.engine_mut();
+            if !retention {
+                engine.clear_demand_spaces();
+            }
             let ans = engine
                 .query(t, &[Some(ids[sources[i]]), None])
                 .expect("point query");
@@ -1079,7 +1081,7 @@ fn e14(rep: &mut Report) {
     );
     assert_eq!(
         cold_stats.demand_continuations, 0,
-        "cold: retention off never continues"
+        "cold: cleared spaces never continue"
     );
     assert_eq!(
         cold_stats.magic_facts_seeded, k,

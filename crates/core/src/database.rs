@@ -6,7 +6,7 @@ use lps_syntax::{parse_program, Clause, HeadArg, HeadAtom, Item, Program, Span, 
 
 use crate::dialect::Dialect;
 use crate::error::CoreError;
-use crate::lower::load_program_sorted;
+use crate::lower::{load_program_sorted, register_pred};
 use crate::sorts::{infer_sorts, SortTable};
 use crate::transform::magic::{QueryAnswers, QueryAnswersRef};
 use crate::transform::positive::normalize_program;
@@ -168,6 +168,46 @@ fn value_to_term(v: &Value) -> Term {
     }
 }
 
+/// Convert a ground surface term to a [`Value`] (`None` for variables
+/// and arithmetic).
+pub(crate) fn term_to_value(t: &Term) -> Option<Value> {
+    match t {
+        Term::Var(..) | Term::BinOp(..) => None,
+        Term::Const(c, _) => Some(Value::atom(c.clone())),
+        Term::Int(i, _) => Some(Value::int(*i)),
+        Term::App(f, args, _) => {
+            let vals: Option<Vec<_>> = args.iter().map(term_to_value).collect();
+            Some(Value::app(f.clone(), vals?))
+        }
+        Term::SetLit(elems, _) => {
+            let vals: Option<Vec<_>> = elems.iter().map(term_to_value).collect();
+            Some(Value::set(vals?))
+        }
+    }
+}
+
+/// The `(pred, args)` pairs of a program made only of ground fact
+/// clauses, ready for [`Model::add_fact`]; `None` when any item is a
+/// rule, a declaration, or a fact with variables or a grouping head.
+pub fn ground_facts(program: &Program) -> Option<Vec<(String, Vec<Value>)>> {
+    let mut out = Vec::new();
+    for item in &program.items {
+        let Item::Clause(Clause {
+            head, body: None, ..
+        }) = item
+        else {
+            return None;
+        };
+        let mut args = Vec::with_capacity(head.args.len());
+        for arg in &head.args {
+            let HeadArg::Term(t) = arg else { return None };
+            args.push(term_to_value(t)?);
+        }
+        out.push((head.pred.clone(), args));
+    }
+    Some(out)
+}
+
 /// The least (stratified-perfect) model of a database: queryable, and
 /// *maintainable* — it owns the engine session, so facts added after
 /// evaluation are folded in by [`Model::update`] via the engine's
@@ -206,7 +246,7 @@ impl Model {
     /// the fly. Note this bypasses dialect validation — the fact is
     /// ground by construction, which every dialect admits.
     pub fn add_fact(&mut self, pred: &str, args: &[Value]) -> Result<(), CoreError> {
-        let id = self.engine.pred(pred, args.len());
+        let id = register_pred(&mut self.engine, pred, args.len(), Span::default())?;
         self.engine.fact_values(id, args)?;
         Ok(())
     }
@@ -275,7 +315,7 @@ impl Model {
         pred: &str,
         args: &[Option<Value>],
     ) -> Result<QueryAnswersRef<'_>, CoreError> {
-        let id = self.engine.pred(pred, args.len());
+        let id = register_pred(&mut self.engine, pred, args.len(), Span::default())?;
         let interned: Vec<Option<lps_term::TermId>> = args
             .iter()
             .map(|a| a.as_ref().map(|v| v.intern(self.engine.store_mut())))
@@ -294,7 +334,7 @@ impl Model {
     /// [`Model::query`] with the same shape reuses it (`:explain` in
     /// `lpsi`).
     pub fn explain(&mut self, pred: &str, args: &[Option<Value>]) -> Result<String, CoreError> {
-        let id = self.engine.pred(pred, args.len());
+        let id = register_pred(&mut self.engine, pred, args.len(), Span::default())?;
         let interned: Vec<Option<lps_term::TermId>> = args
             .iter()
             .map(|a| a.as_ref().map(|v| v.intern(self.engine.store_mut())))

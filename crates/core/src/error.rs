@@ -39,6 +39,15 @@ impl CoreError {
         }
     }
 
+    /// Render for a user who typed `src`: syntax errors get a source
+    /// excerpt and caret line, everything else its message.
+    pub fn render(&self, src: &str) -> String {
+        match self {
+            CoreError::Syntax(e) => e.render(src),
+            other => other.to_string(),
+        }
+    }
+
     /// Convenience constructor for sort errors.
     pub fn sort(span: Span, message: impl Into<String>) -> Self {
         CoreError::Sort {

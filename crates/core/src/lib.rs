@@ -48,10 +48,10 @@ pub mod sorts;
 pub mod transform;
 pub mod validate;
 
-pub use database::{Database, Model};
+pub use database::{ground_facts, Database, Model};
 pub use dialect::Dialect;
 pub use error::CoreError;
 pub use lps_engine::QueryPath;
 pub use lps_term::Value;
 pub use serve::{Client, Server};
-pub use transform::magic::{QueryAnswers, QueryAnswersRef};
+pub use transform::magic::{classify_goal, Goal, QueryAnswers, QueryAnswersRef};

@@ -10,12 +10,36 @@
 use std::collections::HashMap;
 
 use lps_engine::pattern::{Pattern, VarId};
-use lps_engine::{BodyLit, Builtin, Engine, GroupSpec, QuantGroup, Rule};
-use lps_syntax::{ArithOp, Clause, CmpOp, Formula, HeadArg, Literal, Program, Term};
+use lps_engine::{BodyLit, Builtin, Engine, GroupSpec, PredId, QuantGroup, Rule, MAX_ARITY};
+use lps_syntax::{ArithOp, Clause, CmpOp, Formula, HeadArg, Literal, Program, Span, Term};
 
 use crate::error::CoreError;
 use crate::sorts::SortTable;
 use crate::validate::is_special_pred;
+
+/// Reject predicates wider than [`MAX_ARITY`] — the widest relation a
+/// column mask can index — with an error at `span` instead of a panic
+/// deep in the engine.
+pub(crate) fn check_arity(name: &str, arity: usize, span: Span) -> Result<(), CoreError> {
+    if arity > MAX_ARITY {
+        return Err(CoreError::invalid(
+            span,
+            format!("`{name}` has {arity} arguments; at most {MAX_ARITY} are supported"),
+        ));
+    }
+    Ok(())
+}
+
+/// Register `name/arity` with `engine` after [`check_arity`].
+pub(crate) fn register_pred(
+    engine: &mut Engine,
+    name: &str,
+    arity: usize,
+    span: Span,
+) -> Result<PredId, CoreError> {
+    check_arity(name, arity, span)?;
+    Ok(engine.pred(name, arity))
+}
 
 /// Lower a normalized program into `engine`, registering predicates
 /// and adding rules/facts.
@@ -35,7 +59,7 @@ pub fn load_program_sorted(
     sorts: Option<&SortTable>,
 ) -> Result<(), CoreError> {
     for decl in program.decls() {
-        engine.pred(&decl.name, decl.sorts.len());
+        register_pred(engine, &decl.name, decl.sorts.len(), decl.span)?;
     }
     for clause in program.clauses() {
         let rule = lower_clause_sorted(engine, clause, sorts)?;
@@ -236,7 +260,7 @@ impl Lowering<'_> {
                     }
                     lits.push(BodyLit::Builtin(b, ps));
                 } else {
-                    let pred = self.engine.pred(name, args.len());
+                    let pred = register_pred(self.engine, name, args.len(), *span)?;
                     lits.push(if negated {
                         BodyLit::Neg(pred, ps)
                     } else {
@@ -319,7 +343,12 @@ pub fn lower_clause_sorted(
             }
         }
     }
-    let head = lw.engine.pred(&clause.head.pred, clause.head.args.len());
+    let head = register_pred(
+        lw.engine,
+        &clause.head.pred,
+        clause.head.args.len(),
+        clause.head.span,
+    )?;
 
     // Body.
     let mut outer: Vec<BodyLit> = Vec::new();

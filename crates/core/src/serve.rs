@@ -53,11 +53,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lps_engine::{SnapshotPublisher, SnapshotReader};
-use lps_syntax::{parse_program, Clause, Formula, HeadArg, Item, Literal, Term};
+use lps_syntax::parse_program;
 use lps_term::{TermId, TermStore, Value};
 
-use crate::database::{Database, Model};
+use crate::database::{ground_facts, Database, Model};
 use crate::error::CoreError;
+use crate::transform::magic::{classify_goal, Goal};
 
 /// Frames larger than this are rejected (a corrupt length prefix would
 /// otherwise ask for gigabytes).
@@ -213,63 +214,6 @@ fn render_row(row: &[Value]) -> String {
     cells.join(", ")
 }
 
-/// The point-query argument vector of a literal whose arguments are
-/// all distinct variables or ground terms — `None` when any argument
-/// carries structure needing a real join (repeated variables,
-/// arithmetic), in which case the goal takes the conjunctive pipeline.
-fn point_query_args(args: &[Term]) -> Option<Vec<Option<Value>>> {
-    let mut seen: Vec<&str> = Vec::new();
-    let mut out = Vec::with_capacity(args.len());
-    for arg in args {
-        match arg {
-            Term::Var(v, _) => {
-                if seen.contains(&v.as_str()) {
-                    return None;
-                }
-                seen.push(v);
-                out.push(None);
-            }
-            other => out.push(Some(term_to_value(other)?)),
-        }
-    }
-    Some(out)
-}
-
-/// Convert a ground surface term to a [`Value`] (`None` for variables
-/// and arithmetic).
-fn term_to_value(t: &Term) -> Option<Value> {
-    match t {
-        Term::Var(..) => None,
-        Term::Const(c, _) => Some(Value::atom(c.clone())),
-        Term::Int(i, _) => Some(Value::int(*i)),
-        Term::App(f, args, _) => {
-            let vals: Option<Vec<_>> = args.iter().map(term_to_value).collect();
-            Some(Value::app(f.clone(), vals?))
-        }
-        Term::SetLit(elems, _) => {
-            let vals: Option<Vec<_>> = elems.iter().map(term_to_value).collect();
-            Some(Value::set(vals?))
-        }
-        Term::BinOp(..) => None,
-    }
-}
-
-/// Parse `goal` (ending with `.`) and classify it as a point query:
-/// `Some((pred, args))` when it is a single positive literal with
-/// distinct-variable/ground arguments.
-fn parse_point_goal(goal: &str) -> Option<(String, Vec<Option<Value>>)> {
-    let wrapped = format!("query_goal :- {goal}");
-    let parsed = parse_program(&wrapped).ok()?;
-    let clause = parsed.clauses().next()?;
-    let body = clause.body.as_ref()?;
-    match body {
-        Formula::Lit(Literal::Pred(name, args, _)) => {
-            point_query_args(args).map(|pa| (name.clone(), pa))
-        }
-        _ => None,
-    }
-}
-
 /// Resolve an already-interned [`Value`] in a read-only store. `None`
 /// for `App` terms (no read-only finder — funnel) and for constants
 /// the store has never interned.
@@ -290,9 +234,11 @@ fn find_value(store: &TermStore, v: &Value) -> Option<TermId> {
 /// constants the snapshot has never seen, cold adornments, unseeded
 /// constants, stale demand spaces.
 fn snapshot_answer(goal: &str, reader: &SnapshotReader) -> Option<Vec<String>> {
-    let (name, args) = parse_point_goal(goal)?;
+    let Ok(Goal::Point { pred, args }) = classify_goal(goal) else {
+        return None;
+    };
     let snap = reader.current();
-    let pred = snap.find_pred(&name, args.len())?;
+    let pred = snap.find_pred(&pred, args.len())?;
     let mut interned: Vec<Option<TermId>> = Vec::with_capacity(args.len());
     for a in &args {
         match a {
@@ -318,19 +264,9 @@ fn snapshot_answer(goal: &str, reader: &SnapshotReader) -> Option<Vec<String>> {
 /// tuples in predicate shape), everything else compiles as a temporary
 /// conjunctive rule via [`Model::query_str`] (binding rows).
 fn writer_query(model: &mut Model, goal: &str) -> Reply {
-    let wrapped = format!("query_goal :- {goal}");
-    let parsed = parse_program(&wrapped).map_err(|e| e.render(&wrapped))?;
-    let clause = parsed.clauses().next().ok_or("empty query")?;
-    let body = clause.body.as_ref().ok_or("empty query")?;
-    let point = match body {
-        Formula::Lit(Literal::Pred(name, args, _)) => {
-            point_query_args(args).map(|pa| (name.clone(), pa))
-        }
-        _ => None,
-    };
-    let answers = match &point {
-        Some((name, args)) => model.query(name, args),
-        None => model.query_str(goal),
+    let answers = match classify_goal(goal).map_err(|e| e.render(goal))? {
+        Goal::Point { pred, args } => model.query(&pred, &args),
+        Goal::Conjunctive => model.query_str(goal),
     }
     .map_err(|e| e.to_string())?;
     Ok(answers.rows.iter().map(|r| render_row(r)).collect())
@@ -340,23 +276,7 @@ fn writer_query(model: &mut Model, goal: &str) -> Reply {
 /// declarations are rejected — the served program is fixed at spawn.
 fn writer_fact(model: &mut Model, text: &str) -> Reply {
     let parsed = parse_program(text).map_err(|e| e.render(text))?;
-    let mut facts = Vec::new();
-    for item in &parsed.items {
-        let Item::Clause(Clause {
-            head, body: None, ..
-        }) = item
-        else {
-            return Err("only ground facts can be added over the wire".into());
-        };
-        let mut args = Vec::with_capacity(head.args.len());
-        for arg in &head.args {
-            let HeadArg::Term(t) = arg else {
-                return Err("only ground facts can be added over the wire".into());
-            };
-            args.push(term_to_value(t).ok_or("facts must be ground")?);
-        }
-        facts.push((head.pred.clone(), args));
-    }
+    let facts = ground_facts(&parsed).ok_or("only ground facts can be added over the wire")?;
     for (pred, args) in &facts {
         model.add_fact(pred, args).map_err(|e| e.to_string())?;
     }

@@ -39,11 +39,12 @@
 
 use lps_engine::pattern::{Pattern, VarId};
 use lps_engine::{Engine, EvalStats, QueryPath, QueryResult, RowSet, Rule};
-use lps_syntax::{parse_program, Span};
+use lps_syntax::{parse_program, Clause, Formula, Item, Literal, Span, Term};
 use lps_term::{TermId, TermStore, Value};
 
+use crate::database::term_to_value;
 use crate::error::CoreError;
-use crate::lower::lower_clause;
+use crate::lower::{lower_clause, register_pred};
 
 /// A compiled conjunctive goal: the temporary rule to hand to
 /// [`Engine::query_rule`], plus the answer column names.
@@ -161,22 +162,8 @@ impl<'a> QueryAnswersRef<'a> {
 /// (compiler temporaries and quantifier-bound variables are
 /// existential and do not appear).
 pub fn compile_query(engine: &mut Engine, body: &str) -> Result<QueryGoal, CoreError> {
-    let wrapped = format!("query_goal :- {body}");
-    let parsed = parse_program(&wrapped)?;
-    let mut clauses = parsed.clauses();
-    let clause = clauses
-        .next()
-        .ok_or_else(|| CoreError::invalid(Span::default(), "empty query"))?;
-    if clauses.next().is_some() {
-        return Err(CoreError::invalid(
-            Span::default(),
-            "a query is a single goal conjunction, e.g. `?- p(X), q(X, {a}).`",
-        ));
-    }
-    if clause.body.is_none() {
-        return Err(CoreError::invalid(clause.span, "empty query body"));
-    }
-    let mut rule = lower_clause(engine, clause)?;
+    let clause = parse_goal(body)?;
+    let mut rule = lower_clause(engine, &clause)?;
 
     // Answer columns: free variables of the goal — outer-literal
     // variables plus the quantifier group's free variables — in first
@@ -205,9 +192,90 @@ pub fn compile_query(engine: &mut Engine, body: &str) -> Result<QueryGoal, CoreE
     // Graft the real head: a dedicated predicate in the engine's
     // unparseable `#`-namespace (the parsed `query_goal` head atom was
     // only a vehicle for lowering the body).
-    rule.head = engine.pred("query#goal", head_vars.len());
+    rule.head = register_pred(engine, "query#goal", head_vars.len(), clause.span)?;
     rule.head_args = head_vars.into_iter().map(Pattern::Var).collect();
     Ok(QueryGoal { rule, columns })
+}
+
+/// What a goal wraps into so it parses as the body of one clause.
+const GOAL_PREFIX: &str = "query_goal :- ";
+
+/// Parse `goal` (ending with `.`) as the body of a single clause.
+/// Syntax-error spans are relative to `goal` itself, so
+/// [`CoreError::render`] against the goal text points at the fault.
+fn parse_goal(goal: &str) -> Result<Clause, CoreError> {
+    let parsed = parse_program(&format!("{GOAL_PREFIX}{goal}")).map_err(|mut e| {
+        let shift = |at: usize| at.saturating_sub(GOAL_PREFIX.len());
+        e.span = Span::new(shift(e.span.start), shift(e.span.end));
+        e
+    })?;
+    let mut clauses = parsed.items.into_iter().filter_map(|item| match item {
+        Item::Clause(c) => Some(c),
+        Item::Decl(_) => None,
+    });
+    let clause = clauses
+        .next()
+        .ok_or_else(|| CoreError::invalid(Span::default(), "empty query"))?;
+    if clauses.next().is_some() {
+        return Err(CoreError::invalid(
+            Span::default(),
+            "a query is a single goal conjunction, e.g. `?- p(X), q(X, {a}).`",
+        ));
+    }
+    if clause.body.is_none() {
+        return Err(CoreError::invalid(clause.span, "empty query body"));
+    }
+    Ok(clause)
+}
+
+/// How a query goal is answered — the one classifier behind `lpsi`
+/// and the wire server.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Goal {
+    /// A single positive literal whose arguments are distinct
+    /// variables or ground terms: a point query for
+    /// [`crate::Model::query`], answered with full tuples in the
+    /// predicate's argument order.
+    Point {
+        /// The predicate name.
+        pred: String,
+        /// Ground arguments as values, `None` at variable positions.
+        args: Vec<Option<Value>>,
+    },
+    /// Anything else — a conjunction, negation, a repeated variable,
+    /// arithmetic, a set pattern with variables: compiled as a
+    /// temporary query rule by [`crate::Model::query_str`], answered
+    /// with bindings of the goal's free variables.
+    Conjunctive,
+}
+
+/// Parse `goal` (ending with `.`) and classify it as a point or a
+/// conjunctive goal. A repeated variable makes a goal conjunctive even
+/// when `_`-named: the lowering maps every occurrence of one name to
+/// the same variable, so repeats co-refer and need a real join.
+pub fn classify_goal(goal: &str) -> Result<Goal, CoreError> {
+    let clause = parse_goal(goal)?;
+    let Some(Formula::Lit(Literal::Pred(pred, args, _))) = &clause.body else {
+        return Ok(Goal::Conjunctive);
+    };
+    let mut seen: Vec<&str> = Vec::new();
+    let mut values = Vec::with_capacity(args.len());
+    for arg in args {
+        match arg {
+            Term::Var(v, _) if !seen.contains(&v.as_str()) => {
+                seen.push(v);
+                values.push(None);
+            }
+            other => match term_to_value(other) {
+                Some(v) => values.push(Some(v)),
+                None => return Ok(Goal::Conjunctive),
+            },
+        }
+    }
+    Ok(Goal::Point {
+        pred: pred.clone(),
+        args: values,
+    })
 }
 
 #[cfg(test)]

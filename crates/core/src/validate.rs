@@ -16,6 +16,7 @@ use lps_syntax::{Clause, Formula, HeadArg, Literal, Program, Term};
 
 use crate::dialect::Dialect;
 use crate::error::CoreError;
+use crate::lower::check_arity;
 use crate::sorts::check_flat_sets;
 
 /// Names that may not appear as clause heads.
@@ -37,6 +38,7 @@ pub fn validate_program(program: &Program, dialect: Dialect) -> Result<(), CoreE
 /// Validate one clause under `dialect`.
 pub fn validate_clause(clause: &Clause, dialect: Dialect) -> Result<(), CoreError> {
     // Head checks.
+    check_arity(&clause.head.pred, clause.head.args.len(), clause.head.span)?;
     if is_special_pred(&clause.head.pred, clause.head.args.len()) {
         return Err(CoreError::invalid(
             clause.head.span,
@@ -122,7 +124,8 @@ fn check_formula(f: &Formula, dialect: Dialect) -> Result<(), CoreError> {
 
 fn check_literal(lit: &Literal) -> Result<(), CoreError> {
     match lit {
-        Literal::Pred(_, args, _) => {
+        Literal::Pred(name, args, span) => {
+            check_arity(name, args.len(), *span)?;
             for a in args {
                 if a.has_arith() {
                     return Err(CoreError::invalid(

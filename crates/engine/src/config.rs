@@ -53,16 +53,6 @@ pub struct EvalConfig {
     /// `(∀x∈X)` rules to candidate sets containing newly derived
     /// elements (experiment E9). Only affects semi-naive evaluation.
     pub forall_trigger_index: bool,
-    /// Retain demand spaces across queries: each cached demand plan
-    /// keeps its adorned/magic relations alive after the fixpoint, and
-    /// a later query with the same plan — a new constant for the same
-    /// adornment, or newly arrived EDB facts — is driven through the
-    /// seeded semi-naive continuation instead of a cold batch re-run,
-    /// making repeated point queries O(new demand) instead of O(reach)
-    /// (experiment E14). `false` restores the per-query cold run
-    /// (clear the demand space, re-derive from scratch) — the E14
-    /// ablation baseline.
-    pub demand_retention: bool,
     /// Upper bound on the per-session demand plan cache: at most this
     /// many compiled `(predicate, adornment)` / conjunctive-shape
     /// plans are kept, least-recently-used plans evicted beyond it
@@ -112,7 +102,6 @@ impl Default for EvalConfig {
             set_universe: SetUniverse::Reject,
             max_iterations: 100_000,
             forall_trigger_index: true,
-            demand_retention: true,
             demand_plan_cache: 64,
             threads: threads_from_env(),
             cost_planner: planner_from_env(),
@@ -308,7 +297,6 @@ mod tests {
         assert_eq!(c.set_universe, SetUniverse::Reject);
         assert!(c.forall_trigger_index);
         assert!(c.max_iterations > 0);
-        assert!(c.demand_retention, "retained demand spaces are the default");
         assert!(c.demand_plan_cache >= 1, "the plan cache is never empty");
         let expected_threads = std::env::var("LPS_THREADS")
             .ok()

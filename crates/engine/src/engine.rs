@@ -6,18 +6,19 @@
 //! onward over the retained relations instead of recomputing the model
 //! from scratch.
 //!
-//! Demand-driven queries get the same treatment: each cached magic-set
-//! plan keeps its adorned/magic relations *retained* across queries
-//! ([`EvalConfig::demand_retention`]), so a repeated point query is a
-//! pure read, a new constant for a known adornment seeds one magic
-//! fact and continues semi-naive from the retained fixpoint, and newly
+//! Demand-driven queries get the same treatment. Point queries
+//! ([`Engine::query`]) and conjunctive goals ([`Engine::query_rule`])
+//! are two front doors to one demand core: a cached magic-set plan per
+//! `(predicate, adornment)` — conjunctive goals keyed by their shape
+//! ([`crate::magic::lift_goal`]), constants arriving as magic seeds.
+//! Each plan keeps its adorned/magic relations *retained* across
+//! queries (until [`Engine::clear_demand_spaces`] drops them), so a
+//! repeated query is a pure read, a new constant seeds one magic fact
+//! and continues semi-naive from the retained fixpoint, and newly
 //! arrived EDB facts drive the same continuation — repeated queries
 //! cost O(new demand), not O(reach). The plan cache itself is LRU-
 //! bounded ([`EvalConfig::demand_plan_cache`]); evicting a plan
-//! reclaims its relation slots. Conjunctive goals join in through a
-//! goal-shape cache ([`crate::magic::lift_goal`]): rules that differ
-//! only in ground arguments share one plan, the constants arriving as
-//! magic seeds.
+//! reclaims its relation slots.
 
 use lps_term::{setops, FxHashMap, FxHashSet, TermId, TermStore, Value};
 
@@ -90,7 +91,7 @@ enum QueryEntry {
 /// A compiled demand plan: the specialized program for one
 /// `(predicate, adornment)` query pattern, together with the state of
 /// its *retained* demand space (the adorned/magic relations kept alive
-/// across queries under [`EvalConfig::demand_retention`]).
+/// across queries).
 #[derive(Debug)]
 struct QueryPlan {
     program: CompiledProgram,
@@ -841,6 +842,23 @@ impl Engine {
         n
     }
 
+    /// Cold mode: clear every cached plan's demand space and mark the
+    /// plan not live, keeping the compiled programs cached. The next
+    /// query on each plan re-derives its answers from its seed alone —
+    /// the per-query cold run that E14 measures retention against
+    /// (`:demand cold` in `lpsi` calls this before each query).
+    pub fn clear_demand_spaces(&mut self) {
+        for entry in self.query_plans.values_mut() {
+            if let QueryEntry::Demand(plan) = entry {
+                for &p in &plan.space {
+                    self.full[p.index()].clear();
+                    self.delta[p.index()].clear();
+                }
+                plan.live = false;
+            }
+        }
+    }
+
     /// Answer `pred(args…)` — `Some` is a bound (ground) argument,
     /// `None` a free one — without materializing the full model when
     /// possible.
@@ -852,10 +870,9 @@ impl Engine {
     /// pipeline and cached per `(pred, adornment)` — so repeated point
     /// queries with different constants reuse the plan and pay only
     /// for seeding one magic fact and deriving the tuples their
-    /// binding can reach. Under [`EvalConfig::demand_retention`]
-    /// (default) the plan's demand space is *retained* between
-    /// queries: a repeat is a zero-work read, and a new seed or new
-    /// EDB facts continue the semi-naive fixpoint from the retained
+    /// binding can reach. The plan's demand space is *retained*
+    /// between queries: a repeat is a zero-work read, and a new seed or
+    /// new EDB facts continue the semi-naive fixpoint from the retained
     /// relations ([`EvalStats::demand_continuations`]) instead of
     /// re-deriving. The cache is LRU-bounded by
     /// [`EvalConfig::demand_plan_cache`]. When the rewrite is
@@ -910,64 +927,19 @@ impl Engine {
         pred: PredId,
         args: &[Option<TermId>],
     ) -> Result<QueryResult, EngineError> {
-        self.sync_exec();
-        // A stale profile must not outlive the query it described.
-        self.last_profile = None;
-        let arity = self.preds.info(pred).arity;
-        if args.len() != arity {
-            return Err(EngineError::ArityMismatch {
-                pred: self.pred_name(pred),
-                expected: arity,
-                got: args.len(),
-            });
-        }
-        // A maintained model answers directly; `run` resolves pending
-        // facts (incrementally when it can) and is a no-op on a clean
-        // fixpoint.
-        if matches!(self.state, EngineState::Materialized | EngineState::Dirty) {
-            let stats = self.run()?;
+        if let Some(stats) = self.begin_query(pred, args.len())? {
             return Ok(QueryResult {
-                rows: self.filter_rows(pred, args),
+                rows: filter_rows(&mut self.full[pred.index()], args),
                 path: QueryPath::Materialized,
                 stats,
             });
         }
-
-        self.materialize_universe()?;
-        let mask = magic::adornment_of(args);
-        let mut evicted = self.refresh_query_cache_policy();
-        let key = (pred, mask);
-        let fresh = !self.query_plans.contains_key(&key);
-        if fresh {
-            let entry = self.compile_query_plan(pred, mask);
-            evicted += self.insert_query_plan(key, entry);
-        } else {
-            self.touch_query_plan(key);
-        }
-        if matches!(self.query_plans[&key], QueryEntry::Fallback) {
-            return self.query_fallback(pred, args, evicted);
-        }
-
-        self.sync_edb_to_full();
-        let seed_tuple: Vec<TermId> = args.iter().filter_map(|a| *a).collect();
-        let profiler = self.config.profile.then(StepProfiler::default);
-        let (mut stats, answer, adornments) = self.run_plan(key, &seed_tuple, profiler.as_ref())?;
-        if let Some(prof) = &profiler {
-            self.last_profile = Some(self.build_profile(key, prof));
-        }
-        stats.plans_evicted = evicted;
-        if fresh {
-            stats.adornments_compiled = adornments;
-        }
-        stats.absorb(self.take_planner_counters());
-        let rows = self.lookup_rows(answer, mask, &seed_tuple, 0);
-        stats.seal_misestimate();
-        self.last_stats = stats;
-        self.cumulative_stats.absorb(stats);
-        Ok(QueryResult {
-            rows,
-            path: QueryPath::Demand,
-            stats,
+        let evicted = self.refresh_query_cache_policy();
+        let seed: Vec<TermId> = args.iter().flatten().copied().collect();
+        let key = (pred, magic::adornment_of(args));
+        self.query_demand(key, None, &seed, 0, evicted, |e| {
+            let rows = filter_rows(&mut e.fallback_full[pred.index()], args);
+            Ok((EvalStats::default(), rows))
         })
     }
 
@@ -980,96 +952,128 @@ impl Engine {
     /// Demand evaluation canonicalizes the goal to its *shape* — the
     /// rule modulo top-level ground arguments of positive literals,
     /// which lift into bound head columns ([`magic::lift_goal`]) — and
-    /// caches the magic-set plan per shape, so `?- path(a, X)` and
-    /// `?- path(b, X)` written as conjunctive goals share one compiled
-    /// plan and differ only in the magic seed tuple, exactly like
-    /// point queries sharing a `(pred, adornment)` plan. Ground
-    /// arguments thus still root the derivation: `?- path(a, X),
-    /// color(X, blue)` derives only from `a` onward. The shared plan
-    /// participates in the LRU bound and — under
-    /// [`EvalConfig::demand_retention`] — keeps its demand space
-    /// retained across calls. The non-monotone fallback discipline of
-    /// [`Engine::query`] applies unchanged.
+    /// runs it through the same demand core as [`Engine::query`], the
+    /// plan cached per shape: `?- path(a, X)` and `?- path(b, X)`
+    /// written as conjunctive goals share one compiled plan and one
+    /// retained demand space, differing only in the magic seed tuple.
+    /// Ground arguments thus still root the derivation: `?- path(a,
+    /// X), color(X, blue)` derives only from `a` onward. The LRU bound
+    /// and the non-monotone fallback discipline of [`Engine::query`]
+    /// apply unchanged; on a materialized session the goal evaluates
+    /// over the maintained model.
     pub fn query_rule(&mut self, rule: Rule) -> Result<QueryResult, EngineError> {
-        self.sync_exec();
-        self.last_profile = None;
-        if rule.head_args.len() != self.preds.info(rule.head).arity {
-            return Err(EngineError::ArityMismatch {
-                pred: self.pred_name(rule.head),
-                expected: self.preds.info(rule.head).arity,
-                got: rule.head_args.len(),
-            });
-        }
-        if matches!(self.state, EngineState::Materialized | EngineState::Dirty) {
-            // `run` accounts for its own work (no-op, incremental, or
+        if let Some(run) = self.begin_query(rule.head, rule.head_args.len())? {
+            // `run` accounted for its own work (no-op, incremental, or
             // rebuild); only the goal evaluation is new here.
-            let mut stats = self.run()?;
-            let mut extra = self.eval_single_rule(&rule)?;
-            extra.absorb(self.take_planner_counters());
-            stats.absorb(extra);
-            stats.seal_misestimate();
-            self.last_stats = stats;
-            self.cumulative_stats.absorb(extra);
-            return Ok(QueryResult {
-                rows: self.collect_rows(rule.head),
-                path: QueryPath::Materialized,
-                stats,
-            });
+            let extra = self.eval_single_rule(&rule, false)?;
+            let rows = lookup_rows(&mut self.full[rule.head.index()], 0, &[], 0);
+            return Ok(self.finish_query(run, extra, rows, QueryPath::Materialized));
         }
-
-        self.materialize_universe()?;
-        let mut evicted = self.refresh_query_cache_policy();
+        let evicted = self.refresh_query_cache_policy();
         let lifted = magic::lift_goal(&rule);
         let k = lifted.consts.len();
-        if k + rule.head_args.len() >= ColMask::BITS as usize {
-            // Too many columns for an adornment mask: evaluate the
-            // goal one-shot through the uncached pipeline.
-            return self.query_rule_oneshot(rule);
-        }
         let shape = match self.conj_shapes.get(&lifted.key) {
             Some(&p) => p,
             None => {
-                let name = format!("query#shape#{}", self.conj_shapes.len());
-                let p = self.pred(&name, k + rule.head_args.len());
-                self.conj_shapes.insert(lifted.key.clone(), p);
+                // The lowest name no cached shape of this arity holds
+                // (evicted shapes release theirs), so names stay bounded
+                // by the cache and never alias a live shape's head.
+                let arity = k + rule.head_args.len();
+                let name = (0..)
+                    .map(|n| format!("query#shape#{n}"))
+                    .find(|name| self.lookup_pred(name, arity).is_none())
+                    .expect("some shape name is free");
+                let p = self.pred(&name, arity);
+                self.conj_shapes.insert(lifted.key, p);
                 p
             }
         };
-        let mask: ColMask = (1u32 << k) - 1;
-        let key = (shape, mask);
-        let fresh = !self.query_plans.contains_key(&key);
-        if fresh {
-            let mut canonical = lifted.rule;
-            canonical.head = shape;
-            let entry = self.compile_conj_plan(canonical, shape, mask);
-            evicted += self.insert_query_plan(key, entry);
-        } else {
-            self.touch_query_plan(key);
-        }
-        if matches!(self.query_plans[&key], QueryEntry::Fallback) {
-            // Non-monotone goal (or unplannable rewrite): materialize
-            // the shadow model, then evaluate the original query rule
-            // over it — sibling demand plans stay warm.
-            let mut stats = self.ensure_shadow()?;
-            let mut extra = self.eval_single_rule_on(&rule, true)?;
-            extra.absorb(self.take_planner_counters());
-            extra.demand_fallbacks = 1;
-            extra.plans_evicted = evicted;
-            stats.absorb(extra);
-            stats.seal_misestimate();
-            self.last_stats = stats;
-            self.cumulative_stats.absorb(stats);
-            return Ok(QueryResult {
-                rows: self.collect_shadow_rows(rule.head),
-                path: QueryPath::Fallback,
-                stats,
+        let mut canonical = lifted.rule;
+        canonical.head = shape;
+        // The lifted constants occupy the first `k` head columns.
+        let mask = ColMask::MAX
+            .checked_shr(ColMask::BITS - k as u32)
+            .unwrap_or(0);
+        // The retained answer relation accumulates every seed's
+        // answers; this call's rows are those whose seed columns match
+        // its constants, seed columns stripped.
+        self.query_demand(
+            (shape, mask),
+            Some(canonical),
+            &lifted.consts,
+            k,
+            evicted,
+            |e| {
+                // Non-monotone goal: evaluate the original rule over the
+                // shadow model — sibling demand plans stay warm.
+                let extra = e.eval_single_rule(&rule, true)?;
+                let rows = lookup_rows(&mut e.fallback_full[rule.head.index()], 0, &[], 0);
+                Ok((extra, rows))
+            },
+        )
+    }
+
+    /// Shared entry of both query front doors: check the goal's arity
+    /// against `pred`'s, and on a session that holds a model reconcile
+    /// it (`run` resolves pending facts, incrementally when it can, and
+    /// is a no-op on a clean fixpoint), returning that pass's stats —
+    /// the caller then answers from the model. `None` means the demand
+    /// core answers.
+    fn begin_query(
+        &mut self,
+        pred: PredId,
+        n_args: usize,
+    ) -> Result<Option<EvalStats>, EngineError> {
+        self.sync_exec();
+        // A stale profile must not outlive the query it described.
+        self.last_profile = None;
+        let arity = self.preds.info(pred).arity;
+        if n_args != arity {
+            return Err(EngineError::ArityMismatch {
+                pred: self.pred_name(pred),
+                expected: arity,
+                got: n_args,
             });
         }
+        if matches!(self.state, EngineState::Materialized | EngineState::Dirty) {
+            return self.run().map(Some);
+        }
+        self.materialize_universe()?;
+        Ok(None)
+    }
 
+    /// The demand core behind [`Engine::query`] and
+    /// [`Engine::query_rule`]: compile-or-touch the plan under `key`
+    /// (`goal` is the extra rule a conjunctive shape adds to the
+    /// program), run it seeded with `seed`, and read the answers whose
+    /// bound columns match the seed, the first `skip` columns dropped.
+    /// When the plan is a fallback entry, `shadow` answers over the
+    /// freshly ensured shadow model instead, returning its own work
+    /// and rows. `evicted` carries the plan evictions the caller's
+    /// cache maintenance already performed, so they stay visible in
+    /// the pass counters.
+    fn query_demand(
+        &mut self,
+        key: PlanKey,
+        goal: Option<Rule>,
+        seed: &[TermId],
+        skip: usize,
+        evicted: usize,
+        shadow: impl FnOnce(&mut Self) -> Result<(EvalStats, RowSet), EngineError>,
+    ) -> Result<QueryResult, EngineError> {
+        let (fresh, inserted_evictions) = self.cached_plan(key, goal);
+        let evicted = evicted + inserted_evictions;
+        if matches!(self.query_plans[&key], QueryEntry::Fallback) {
+            let mut stats = self.ensure_shadow()?;
+            let (extra, rows) = shadow(self)?;
+            stats.absorb(extra);
+            stats.demand_fallbacks = 1;
+            stats.plans_evicted += evicted;
+            return Ok(self.finish_query(EvalStats::default(), stats, rows, QueryPath::Fallback));
+        }
         self.sync_edb_to_full();
         let profiler = self.config.profile.then(StepProfiler::default);
-        let (mut stats, answer, adornments) =
-            self.run_plan(key, &lifted.consts, profiler.as_ref())?;
+        let (mut stats, answer, adornments) = self.run_plan(key, seed, profiler.as_ref())?;
         if let Some(prof) = &profiler {
             self.last_profile = Some(self.build_profile(key, prof));
         }
@@ -1077,127 +1081,43 @@ impl Engine {
         if fresh {
             stats.adornments_compiled = adornments;
         }
-        stats.absorb(self.take_planner_counters());
-        // The retained adorned relation accumulates every seed's
-        // answers; this call's rows are those whose seed columns match
-        // its constants (an indexed lookup), seed columns stripped.
-        let rows = self.lookup_rows(answer, mask, &lifted.consts, k);
-        stats.seal_misestimate();
-        self.last_stats = stats;
-        self.cumulative_stats.absorb(stats);
-        Ok(QueryResult {
-            rows,
-            path: QueryPath::Demand,
-            stats,
-        })
+        let rows = lookup_rows(&mut self.full[answer.index()], key.1, seed, skip);
+        Ok(self.finish_query(EvalStats::default(), stats, rows, QueryPath::Demand))
     }
 
-    /// The pre-cache conjunctive pipeline: append the goal rule to the
-    /// program, rewrite from its head all-free, compile and run
-    /// one-shot. Kept for goals too wide for an adornment mask (more
-    /// seed constants plus answer columns than mask bits).
-    fn query_rule_oneshot(&mut self, rule: Rule) -> Result<QueryResult, EngineError> {
-        let mut all_rules = self.rules.clone();
-        let head = rule.head;
-        all_rules.push(rule.clone());
-        let cost_on = self.refresh_planner_stats();
-        let policy = self.config.set_universe;
-        let rewritten = match magic::magic_rewrite(
-            &all_rules,
-            head,
-            0,
-            &mut self.store,
-            &mut self.preds,
-            cost_on.then(|| magic::SipsCost {
-                stats: self.stats_cache.current(),
-                policy,
-            }),
-        ) {
-            MagicOutcome::Obstructed(_) => None,
-            MagicOutcome::Rewritten(mp) => {
-                self.planner_pending.reorders_applied += mp.reorders;
-                self.compile_rewritten(&mp.rules)
-                    .ok()
-                    .map(|program| (mp, program))
-            }
-        };
-        let Some((mp, program)) = rewritten else {
-            let mut stats = self.ensure_shadow()?;
-            let mut extra = self.eval_single_rule_on(&rule, true)?;
-            extra.absorb(self.take_planner_counters());
-            extra.demand_fallbacks = 1;
-            stats.absorb(extra);
-            stats.seal_misestimate();
-            self.last_stats = stats;
-            self.cumulative_stats.absorb(stats);
-            return Ok(QueryResult {
-                rows: self.collect_shadow_rows(head),
-                path: QueryPath::Fallback,
-                stats,
-            });
-        };
-
-        // A one-shot space is never retained: any plan whose fixpoint
-        // it clears out from under must go cold.
-        self.invalidate_overlapping(&mp.space);
-        self.full[head.index()].clear();
-        self.delta[head.index()].clear();
-        self.sync_edb_to_full();
-        let mut stats = run_demand_program(
-            &mut self.store,
-            &mut self.full,
-            &mut self.delta,
-            &self.config,
-            &program,
-            &mp.space,
-            &mp.magic_preds,
-            None,
-            true,
-            &mut self.exec,
-            None,
-        )?;
-        stats.adornments_compiled = mp.adornments;
-        stats.absorb(self.take_planner_counters());
-        self.stats_cache.invalidate();
-        let rows = self.collect_rows(mp.answer);
-        stats.seal_misestimate();
-        self.last_stats = stats;
-        self.cumulative_stats.absorb(stats);
-        Ok(QueryResult {
-            rows,
-            path: QueryPath::Demand,
-            stats,
-        })
+    /// Compile-or-touch: make the plan under `key` the most recently
+    /// used cache entry, compiling it first if absent. Returns whether
+    /// it was compiled and how many plans the insertion evicted.
+    fn cached_plan(&mut self, key: PlanKey, goal: Option<Rule>) -> (bool, usize) {
+        if self.query_plans.contains_key(&key) {
+            self.touch_query_plan(key);
+            return (false, 0);
+        }
+        let entry = self.compile_plan(key, goal);
+        (true, self.insert_query_plan(key, entry))
     }
 
-    /// Fallback query evaluation: materialize the *shadow* model (a
-    /// full materialization kept beside the live relations) and filter
-    /// the predicate's extension there. The fallback is routed per
-    /// query: sibling demand plans keep their retained fixpoints, the
-    /// session state is untouched, and a later monotone query
-    /// continues warm. A fresh shadow answers repeat non-monotone
-    /// queries by an indexed read. `evicted` carries plan evictions
-    /// the caller's cache maintenance performed on the way here, so
-    /// they stay visible in the pass counters.
-    fn query_fallback(
+    /// The epilogue every query exit shares: fold the pending planner
+    /// counters into this query's `work`, seal it, and record it —
+    /// `accounted` is work an earlier pass already recorded (the
+    /// model reconciliation before a materialized goal), which the
+    /// returned and last-pass stats include but the cumulative stats
+    /// must not count twice.
+    fn finish_query(
         &mut self,
-        pred: PredId,
-        args: &[Option<TermId>],
-        evicted: usize,
-    ) -> Result<QueryResult, EngineError> {
-        let mut stats = self.ensure_shadow()?;
-        stats.absorb(self.take_planner_counters());
-        stats.demand_fallbacks = 1;
-        stats.plans_evicted += evicted;
-        let rows = self.filter_shadow_rows(pred, args);
+        accounted: EvalStats,
+        mut work: EvalStats,
+        rows: RowSet,
+        path: QueryPath,
+    ) -> QueryResult {
+        work.absorb(self.take_planner_counters());
+        work.seal_misestimate();
+        self.cumulative_stats.absorb(work);
+        let mut stats = accounted;
+        stats.absorb(work);
         stats.seal_misestimate();
         self.last_stats = stats;
-        self.cumulative_stats.absorb(stats);
-        Ok(QueryResult {
-            rows,
-            path: QueryPath::Fallback,
-            stats,
-        })
+        QueryResult { rows, path, stats }
     }
 
     /// Bring the shadow fallback model up to date, returning the
@@ -1208,7 +1128,20 @@ impl Engine {
     /// growth just sizes the vectors.
     fn ensure_shadow(&mut self) -> Result<EvalStats, EngineError> {
         if self.fallback_config != Some(self.config) {
-            return self.run_shadow();
+            self.materialize_universe()?;
+            self.prepare()?;
+            let program = &self.prepared.as_ref().expect("prepare() just ran").program;
+            let stats = materialize(
+                &mut self.store,
+                &self.edb,
+                &mut self.fallback_full,
+                &mut self.fallback_delta,
+                program,
+                &self.config,
+                &mut self.exec,
+            )?;
+            self.fallback_config = Some(self.config);
+            return Ok(stats);
         }
         for i in 0..self.preds.len() {
             let arity = self.preds.info(PredId::from_index(i)).arity;
@@ -1225,87 +1158,14 @@ impl Engine {
         Ok(EvalStats::default())
     }
 
-    /// Materialize the shadow model: the prepared batch program run
-    /// over a scratch copy of the EDB. Unlike [`Engine::run_batch`]
-    /// this leaves `full`, the retained demand spaces, and the session
-    /// state untouched — the whole point of the shadow.
-    fn run_shadow(&mut self) -> Result<EvalStats, EngineError> {
-        self.materialize_universe()?;
-        self.prepare()?;
-        let mut stats = EvalStats::default();
-        self.fallback_full.clear();
-        self.fallback_delta.clear();
-        for i in 0..self.preds.len() {
-            self.fallback_full.push(self.edb[i].clone());
-            stats.facts_derived += self.edb[i].len();
-            self.fallback_delta.push(Relation::new(self.edb[i].arity()));
-        }
-        let program = &self.prepared.as_ref().expect("prepare() just ran").program;
-        for &(pred, mask, is_delta) in &program.index_requests {
-            self.fallback_full[pred.index()].ensure_index(mask);
-            if is_delta {
-                self.fallback_delta[pred.index()].ensure_index(mask);
-            }
-        }
-        for &i in &program.fact_rules {
-            let cr = &program.compiled[i];
-            let tuple: Vec<TermId> = ground_head_tuple(&cr.rule);
-            if self.fallback_full[cr.rule.head.index()].insert(&tuple) {
-                stats.facts_derived += 1;
-            }
-        }
-        for s in 0..program.strat.num_strata {
-            let stratum_stats = run_stratum(
-                &mut self.store,
-                &mut self.fallback_full,
-                &mut self.fallback_delta,
-                &program.regular(s),
-                &program.grouping(s),
-                &self.config,
-                StratumStart::Batch,
-                &mut self.exec,
-                None,
-            )?;
-            stats.absorb(stratum_stats);
-        }
-        self.fallback_config = Some(self.config);
-        Ok(stats)
-    }
-
-    /// [`Engine::filter_rows`] against the shadow fallback model.
-    fn filter_shadow_rows(&mut self, pred: PredId, args: &[Option<TermId>]) -> RowSet {
-        let mask = magic::adornment_of(args);
-        let key: Vec<TermId> = args.iter().filter_map(|a| *a).collect();
-        let mut out = RowSet::new(self.preds.info(pred).arity);
-        let rel = &mut self.fallback_full[pred.index()];
-        if mask == 0 {
-            for row in rel.iter() {
-                out.push(row);
-            }
-            return out;
-        }
-        rel.ensure_index(mask);
-        for &r in rel.lookup(mask, &key) {
-            out.push(rel.row(r));
-        }
-        out
-    }
-
-    /// All rows of `pred` in the shadow fallback model.
-    fn collect_shadow_rows(&self, pred: PredId) -> RowSet {
-        let mut out = RowSet::new(self.preds.info(pred).arity);
-        for row in self.fallback_full[pred.index()].iter() {
-            out.push(row);
-        }
-        out
-    }
-
-    /// Compile the demand plan for one `(pred, adornment)` pattern.
-    /// Registers the adorned/magic predicates and sizes their
-    /// relations; any obstruction or planning failure yields the
-    /// fallback entry instead of an error (the batch pipeline will
-    /// surface real program errors).
-    fn compile_query_plan(&mut self, pred: PredId, mask: ColMask) -> QueryEntry {
+    /// Compile the demand plan under `key`: the magic rewrite rooted at
+    /// `key.0` with the `key.1` columns bound, over the program plus —
+    /// for a conjunctive shape — the canonical `goal` rule. Registers
+    /// the adorned/magic predicates and sizes their relations; any
+    /// obstruction or planning failure yields the fallback entry
+    /// instead of an error (the batch pipeline will surface real
+    /// program errors).
+    fn compile_plan(&mut self, (pred, mask): PlanKey, goal: Option<Rule>) -> QueryEntry {
         let _compile_span = self.config.trace.then(|| {
             lps_trace::span("demand_compile")
                 .arg("pred", self.pred_name(pred))
@@ -1313,44 +1173,17 @@ impl Engine {
         });
         let cost_on = self.refresh_planner_stats();
         let policy = self.config.set_universe;
-        let mp = match magic::magic_rewrite(
-            &self.rules,
-            pred,
-            mask,
-            &mut self.store,
-            &mut self.preds,
-            cost_on.then(|| magic::SipsCost {
-                stats: self.stats_cache.current(),
-                policy,
-            }),
-        ) {
-            MagicOutcome::Obstructed(_) => return QueryEntry::Fallback,
-            MagicOutcome::Rewritten(mp) => mp,
+        let with_goal;
+        let rules = match goal {
+            Some(goal) => {
+                with_goal = [self.rules.as_slice(), &[goal]].concat();
+                &with_goal
+            }
+            None => &self.rules,
         };
-        self.planner_pending.reorders_applied += mp.reorders;
-        match self.compile_rewritten(&mp.rules) {
-            Ok(program) => QueryEntry::Demand(Box::new(make_plan(program, mp))),
-            Err(_) => QueryEntry::Fallback,
-        }
-    }
-
-    /// Compile the demand plan for one conjunctive goal shape: the
-    /// canonical rule (head grafted onto the dedicated shape
-    /// predicate) joins the program and the rewrite roots at it with
-    /// the lifted-constant columns bound.
-    fn compile_conj_plan(&mut self, canonical: Rule, shape: PredId, mask: ColMask) -> QueryEntry {
-        let _compile_span = self.config.trace.then(|| {
-            lps_trace::span("demand_compile")
-                .arg("pred", self.pred_name(shape))
-                .arg("mask", mask)
-        });
-        let mut all = self.rules.clone();
-        all.push(canonical);
-        let cost_on = self.refresh_planner_stats();
-        let policy = self.config.set_universe;
         let mp = match magic::magic_rewrite(
-            &all,
-            shape,
+            rules,
+            pred,
             mask,
             &mut self.store,
             &mut self.preds,
@@ -1456,12 +1289,7 @@ impl Engine {
         let mask = magic::adornment_of(args);
         self.refresh_query_cache_policy();
         let key = (pred, mask);
-        if !self.query_plans.contains_key(&key) {
-            let entry = self.compile_query_plan(pred, mask);
-            self.insert_query_plan(key, entry);
-        } else {
-            self.touch_query_plan(key);
-        }
+        self.cached_plan(key, None);
         let mut out = String::new();
         out.push_str(&format!(
             "goal: {}/{}  adornment: {}\n",
@@ -1532,66 +1360,63 @@ impl Engine {
         Ok(out)
     }
 
-    /// Reach the plan's fixpoint for the current seeds and EDB. Three
+    /// Reach the plan's fixpoint for the current seeds and EDB. Two
     /// regimes:
     ///
-    /// * **warm** (retention on, space live): seeded semi-naive
-    ///   continuation over the retained relations, driven by exactly
-    ///   the new tuples — O(new demand);
-    /// * **rebase** (retention on, space not live — fresh compile, or
-    ///   invalidated by a batch rebuild / eviction of a shared
-    ///   sub-space): batch evaluation over the space *without*
-    ///   clearing it. Demand-space contents are always sound (they
-    ///   were derived by the monotone rewrite from seeds and an
-    ///   append-only EDB, or reset to empty), so re-running to
+    /// * **warm** (space live): seeded semi-naive continuation over
+    ///   the retained relations, driven by exactly the new tuples —
+    ///   O(new demand);
+    /// * **rebase** (space not live — fresh compile, or invalidated by
+    ///   a batch rebuild, by eviction of a shared sub-space, or by
+    ///   [`Engine::clear_demand_spaces`]): batch evaluation over the
+    ///   space *without* clearing it. Demand-space contents are always
+    ///   sound (they were derived by the monotone rewrite from seeds
+    ///   and an append-only EDB, or reset to empty), so re-running to
     ///   fixpoint from them is exact — and not clearing means sibling
     ///   plans sharing a sub-adornment stay live instead of
-    ///   ping-ponging each other cold;
-    /// * **cold** (retention off): clear the space and re-derive from
-    ///   scratch — the pre-retention semantics, kept as the E14
-    ///   ablation baseline. Clearing invalidates any retained sibling.
+    ///   ping-ponging each other cold.
     ///
-    /// On success under retention the plan records the new baseline
-    /// (relation lengths and set count) and is live.
+    /// On success the plan records the new baseline (relation lengths
+    /// and set count) and is live.
     fn drive_plan(
         &mut self,
         plan: &mut QueryPlan,
         seed: &[TermId],
         profiler: Option<&StepProfiler>,
     ) -> Result<EvalStats, EngineError> {
-        let seed = plan.magic_seed.map(|m| (m, seed));
-        let retain = self.config.demand_retention;
-        let warm = retain && plan.live;
-        plan.live = false;
-        let stats = if warm {
-            self.continue_plan(plan, seed, profiler)?
-        } else {
-            if !retain {
-                self.invalidate_overlapping(&plan.space);
+        let mut stats = EvalStats::default();
+        if let Some(magic) = plan.magic_seed {
+            // Count only real insertions: a duplicate seed (a repeated
+            // query, or the same constant arriving through a fact rule)
+            // adds no demand.
+            if self.full[magic.index()].insert(seed) {
+                stats.facts_derived += 1;
+                stats.magic_facts_seeded += 1;
             }
-            run_demand_program(
+        }
+        let warm = plan.live;
+        plan.live = false;
+        stats.absorb(if warm {
+            self.continue_plan(plan, profiler)?
+        } else {
+            run_program(
                 &mut self.store,
                 &mut self.full,
                 &mut self.delta,
                 &self.config,
                 &plan.program,
-                &plan.space,
                 &plan.magic_preds,
-                seed,
-                !retain,
                 &mut self.exec,
                 profiler,
             )?
-        };
-        if retain {
-            plan.live = true;
-            plan.base_lens = plan
-                .tracked
-                .iter()
-                .map(|p| self.full[p.index()].len() as u32)
-                .collect();
-            plan.sets_base = self.store.set_ids().len();
-        }
+        });
+        plan.live = true;
+        plan.base_lens = plan
+            .tracked
+            .iter()
+            .map(|p| self.full[p.index()].len() as u32)
+            .collect();
+        plan.sets_base = self.store.set_ids().len();
         // Demand derivations changed the relations the next compile's
         // statistics would read.
         self.stats_cache.invalidate();
@@ -1599,17 +1424,16 @@ impl Engine {
     }
 
     /// Seeded semi-naive continuation over a retained demand space:
-    /// plant the (possibly duplicate) magic seed, find every tracked
-    /// relation that grew past the plan's baseline — the new seed plus
-    /// newly synced EDB facts — and re-run from the lowest affected
-    /// stratum with the deltas seeded from exactly those rows,
-    /// mirroring [`Engine::update_incremental`]. The rewritten program
-    /// is monotone by construction (the obstruction check excluded
-    /// negation and grouping), so the continuation is always sound.
+    /// find every tracked relation that grew past the plan's baseline —
+    /// the newly planted magic seed plus newly synced EDB facts — and
+    /// restart from the lowest affected
+    /// stratum ([`run_seeded`], as [`Engine::update_incremental`]
+    /// does). The rewritten program is monotone by construction (the
+    /// obstruction check excluded negation and grouping), so the
+    /// continuation is always sound.
     fn continue_plan(
         &mut self,
         plan: &QueryPlan,
-        seed: Option<(PredId, &[TermId])>,
         profiler: Option<&StepProfiler>,
     ) -> Result<EvalStats, EngineError> {
         let _continue_span = self.config.trace.then(|| {
@@ -1627,12 +1451,6 @@ impl Engine {
                 self.delta[p.index()].ensure_index(m);
             }
         }
-        if let Some((magic, tuple)) = seed {
-            if self.full[magic.index()].insert(tuple) {
-                stats.facts_derived += 1;
-                stats.magic_facts_seeded += 1;
-            }
-        }
         let changed: Vec<PredId> = plan
             .tracked
             .iter()
@@ -1645,34 +1463,18 @@ impl Engine {
             "demand rewrites are monotone"
         );
         if let Some(s0) = plan.program.restart_stratum(changed, universe_grew) {
-            let sets_baseline = plan.sets_base;
-            for s in s0..plan.program.strat.num_strata {
-                for d in self.delta.iter_mut() {
-                    d.clear();
-                }
-                for &p in plan.program.strat.reads(s) {
-                    let i = p.index();
-                    for r in plan.base_len(p)..self.full[i].len() as u32 {
-                        let tuple = self.full[i].row(r);
-                        self.delta[i].insert(tuple);
-                    }
-                }
-                let stratum_stats = run_stratum(
-                    &mut self.store,
-                    &mut self.full,
-                    &mut self.delta,
-                    &plan.program.regular(s),
-                    &[],
-                    &self.config,
-                    StratumStart::Seeded { sets_baseline },
-                    &mut self.exec,
-                    profiler,
-                )?;
-                stats.absorb(stratum_stats);
-            }
-            for d in self.delta.iter_mut() {
-                d.clear();
-            }
+            stats.absorb(run_seeded(
+                &mut self.store,
+                &mut self.full,
+                &mut self.delta,
+                &self.config,
+                &plan.program,
+                s0,
+                plan.sets_base,
+                |p| plan.base_len(p),
+                &mut self.exec,
+                profiler,
+            )?);
         }
         Ok(stats)
     }
@@ -1868,17 +1670,12 @@ impl Engine {
         Ok(program)
     }
 
-    /// Evaluate one ad-hoc rule against the (materialized) relations:
-    /// used by [`Engine::query_rule`] once a model exists.
-    fn eval_single_rule(&mut self, rule: &Rule) -> Result<EvalStats, EngineError> {
-        self.eval_single_rule_on(rule, false)
-    }
-
-    /// [`Engine::eval_single_rule`], targeting either the live model
-    /// (`shadow = false`) or the shadow fallback model (`shadow =
-    /// true`, for non-monotone conjunctive goals answered without
-    /// disturbing the live relations).
-    fn eval_single_rule_on(&mut self, rule: &Rule, shadow: bool) -> Result<EvalStats, EngineError> {
+    /// Evaluate one ad-hoc rule — a conjunctive goal — against either
+    /// the live model (`shadow = false`, used by [`Engine::query_rule`]
+    /// once a model exists) or the shadow fallback model (`shadow =
+    /// true`, for non-monotone goals answered without disturbing the
+    /// live relations).
+    fn eval_single_rule(&mut self, rule: &Rule, shadow: bool) -> Result<EvalStats, EngineError> {
         let cost_on = self.refresh_planner_stats();
         let names = {
             let store = &self.store;
@@ -2004,46 +1801,6 @@ impl Engine {
         }
     }
 
-    /// The rows of `pred` matching the bound positions, as one flat
-    /// [`RowSet`] — via an on-demand index over the bound columns, so
-    /// retrieval out of a large (retained) relation is O(matching
-    /// rows), not O(relation). `mask`/`key` are the bound positions
-    /// and values in ascending column order; the first `skip` columns
-    /// of each row are dropped (the lifted seed columns of conjunctive
-    /// answers).
-    fn lookup_rows(&mut self, pred: PredId, mask: ColMask, key: &[TermId], skip: usize) -> RowSet {
-        let mut out = RowSet::new(self.preds.info(pred).arity - skip);
-        if mask == 0 {
-            for row in self.full[pred.index()].iter() {
-                out.push(&row[skip..]);
-            }
-            return out;
-        }
-        self.full[pred.index()].ensure_index(mask);
-        let rel = &self.full[pred.index()];
-        for &r in rel.lookup(mask, key) {
-            out.push(&rel.row(r)[skip..]);
-        }
-        out
-    }
-
-    /// [`Engine::lookup_rows`] keyed by an `Option`-per-position
-    /// argument vector.
-    fn filter_rows(&mut self, pred: PredId, args: &[Option<TermId>]) -> RowSet {
-        let mask = magic::adornment_of(args);
-        let key: Vec<TermId> = args.iter().filter_map(|a| *a).collect();
-        self.lookup_rows(pred, mask, &key, 0)
-    }
-
-    /// All rows of `pred` as an owned [`RowSet`].
-    fn collect_rows(&self, pred: PredId) -> RowSet {
-        let mut out = RowSet::new(self.preds.info(pred).arity);
-        for row in self.rows(pred) {
-            out.push(row);
-        }
-        out
-    }
-
     /// Materialize the bounded powerset universe if configured. Run
     /// before every evaluation pass: idempotent, and monotone in the
     /// atom domain, so incremental updates that intern new atoms extend
@@ -2115,50 +1872,19 @@ impl Engine {
         // The rebuild below resets every relation — including retained
         // demand spaces, whose plans must go cold.
         self.invalidate_retained_spaces();
-        let mut stats = EvalStats::default();
-
-        // Reset the model to the EDB; loaded facts count as derived
-        // (they are part of `T_P ↑ ω`'s base).
-        for i in 0..self.preds.len() {
-            self.full[i] = self.edb[i].clone();
-            stats.facts_derived += self.edb[i].len();
-            self.delta[i].clear();
-            self.pending[i].clear();
+        for p in &mut self.pending {
+            p.clear();
         }
-
         let program = &self.prepared.as_ref().expect("prepare() just ran").program;
-        for &(pred, mask, is_delta) in &program.index_requests {
-            self.full[pred.index()].ensure_index(mask);
-            if is_delta {
-                self.delta[pred.index()].ensure_index(mask);
-            }
-        }
-
-        // Ground-head fact rules load directly; everything else
-        // evaluates per stratum.
-        for &i in &program.fact_rules {
-            let cr = &program.compiled[i];
-            let tuple: Vec<TermId> = ground_head_tuple(&cr.rule);
-            if self.full[cr.rule.head.index()].insert(&tuple) {
-                stats.facts_derived += 1;
-            }
-        }
-
-        for s in 0..program.strat.num_strata {
-            let stratum_stats = run_stratum(
-                &mut self.store,
-                &mut self.full,
-                &mut self.delta,
-                &program.regular(s),
-                &program.grouping(s),
-                &self.config,
-                StratumStart::Batch,
-                &mut self.exec,
-                None,
-            )?;
-            stats.absorb(stratum_stats);
-        }
-
+        let stats = materialize(
+            &mut self.store,
+            &self.edb,
+            &mut self.full,
+            &mut self.delta,
+            program,
+            &self.config,
+            &mut self.exec,
+        )?;
         self.finish(stats)
     }
 
@@ -2174,7 +1900,7 @@ impl Engine {
             .collect();
         let universe_grew = self.store.set_ids().len() > self.sets_at_materialize;
 
-        let (start, fallback, num_strata) = {
+        let (start, fallback) = {
             let program = &self
                 .prepared
                 .as_ref()
@@ -2186,7 +1912,7 @@ impl Engine {
             let start = program.restart_stratum(changed.iter().copied(), universe_grew);
             let fallback =
                 start.is_some_and(|s0| program.max_nonmono_stratum.is_some_and(|m| m >= s0));
-            (start, fallback, program.strat.num_strata)
+            (start, fallback)
         };
         if fallback {
             // Negation or grouping at/above the restart stratum: a
@@ -2213,40 +1939,19 @@ impl Engine {
         }
 
         if let Some(s0) = start {
-            let sets_baseline = self.sets_at_materialize;
-            for s in s0..num_strata {
-                // Re-seed the deltas with everything this update has
-                // added so far (pending facts plus lower-stratum
-                // derivations) — but only for the predicates this
-                // stratum's rules actually read; the delta variants and
-                // quantifier triggers consult no others.
-                for d in self.delta.iter_mut() {
-                    d.clear();
-                }
-                let program = &self.prepared.as_ref().expect("checked above").program;
-                for &p in program.strat.reads(s) {
-                    let i = p.index();
-                    for r in snapshot[i]..self.full[i].len() as u32 {
-                        let tuple = self.full[i].row(r);
-                        self.delta[i].insert(tuple);
-                    }
-                }
-                let stratum_stats = run_stratum(
-                    &mut self.store,
-                    &mut self.full,
-                    &mut self.delta,
-                    &program.regular(s),
-                    &[],
-                    &self.config,
-                    StratumStart::Seeded { sets_baseline },
-                    &mut self.exec,
-                    None,
-                )?;
-                stats.absorb(stratum_stats);
-            }
-            for d in self.delta.iter_mut() {
-                d.clear();
-            }
+            let program = &self.prepared.as_ref().expect("checked above").program;
+            stats.absorb(run_seeded(
+                &mut self.store,
+                &mut self.full,
+                &mut self.delta,
+                &self.config,
+                program,
+                s0,
+                self.sets_at_materialize,
+                |p| snapshot[p.index()],
+                &mut self.exec,
+                None,
+            )?);
         }
 
         stats.incremental_runs = 1;
@@ -2310,49 +2015,30 @@ impl Engine {
     }
 }
 
-/// Run one magic-rewritten program to fixpoint: optionally clear its
-/// relation space (`clear_space` — the retention-off semantics;
-/// retained plans *rebase* over whatever sound rows the space already
-/// holds), satisfy its index requests, plant the explicit magic seed
-/// (if any) and the ground fact rules (counting the real insertions
-/// that seed magic predicates), then drive every stratum. Shared by
-/// [`Engine::query`] / [`Engine::query_rule`] (cached plans) and the
-/// one-shot conjunctive pipeline. A free function over the engine's
-/// disjoint fields so callers can keep a borrow on the plan itself.
+/// Batch-evaluate a compiled program over (`full`, `delta`) as they
+/// stand: satisfy its index requests, load its ground fact rules
+/// (counting the real insertions into `magic_preds` as demand seeds),
+/// and run every stratum to fixpoint. Shared by model rebuilds
+/// ([`materialize`]) and demand plans outside a warm continuation,
+/// which *rebase* over whatever sound rows their space already holds.
+/// A free function over the engine's disjoint fields so callers can
+/// keep a borrow on the program itself.
 #[allow(clippy::too_many_arguments)]
-fn run_demand_program(
+fn run_program(
     store: &mut TermStore,
     full: &mut [Relation],
     delta: &mut [Relation],
     config: &EvalConfig,
     program: &CompiledProgram,
-    space: &[PredId],
     magic_preds: &[PredId],
-    seed: Option<(PredId, &[TermId])>,
-    clear_space: bool,
     exec: &mut ParExec,
     profiler: Option<&StepProfiler>,
 ) -> Result<EvalStats, EngineError> {
     let mut stats = EvalStats::default();
-    if clear_space {
-        for &p in space {
-            full[p.index()].clear();
-            delta[p.index()].clear();
-        }
-    }
     for &(p, m, is_delta) in &program.index_requests {
         full[p.index()].ensure_index(m);
         if is_delta {
             delta[p.index()].ensure_index(m);
-        }
-    }
-    if let Some((magic, tuple)) = seed {
-        // Count only real insertions: a duplicate seed (same constant
-        // arriving through a fact rule below, or — on the retained
-        // path — a repeated query) adds no demand.
-        if full[magic.index()].insert(tuple) {
-            stats.facts_derived += 1;
-            stats.magic_facts_seeded += 1;
         }
     }
     for &i in &program.fact_rules {
@@ -2366,24 +2052,128 @@ fn run_demand_program(
         }
     }
     for s in 0..program.strat.num_strata {
-        debug_assert!(
-            program.grouping(s).is_empty(),
-            "the rewrite excludes grouping"
-        );
-        let stratum_stats = run_stratum(
+        stats.absorb(run_stratum(
+            store,
+            full,
+            delta,
+            &program.regular(s),
+            &program.grouping(s),
+            config,
+            StratumStart::Batch,
+            exec,
+            profiler,
+        )?);
+    }
+    Ok(stats)
+}
+
+/// Rebuild a model in (`full`, `delta`) from the EDB: reset `full` to
+/// the extensional facts (which count as derived — they are part of
+/// `T_P ↑ ω`'s base) and run the prepared `program` over them. Serves
+/// both the live model and the shadow fallback model.
+fn materialize(
+    store: &mut TermStore,
+    edb: &[Relation],
+    full: &mut Vec<Relation>,
+    delta: &mut Vec<Relation>,
+    program: &CompiledProgram,
+    config: &EvalConfig,
+    exec: &mut ParExec,
+) -> Result<EvalStats, EngineError> {
+    let mut stats = EvalStats::default();
+    full.clear();
+    delta.clear();
+    for rel in edb {
+        stats.facts_derived += rel.len();
+        full.push(rel.clone());
+        delta.push(Relation::new(rel.arity()));
+    }
+    stats.absorb(run_program(
+        store,
+        full,
+        delta,
+        config,
+        program,
+        &[],
+        exec,
+        None,
+    )?);
+    Ok(stats)
+}
+
+/// Seeded semi-naive restart from stratum `s0` on, shared by
+/// incremental updates and demand continuations: each stratum's deltas
+/// are re-seeded with every row past `base(p)` of the predicates it
+/// reads — everything the restart has added so far, lower-stratum
+/// derivations included; the delta variants and quantifier triggers
+/// consult no others. The deltas are left empty.
+#[allow(clippy::too_many_arguments)]
+fn run_seeded(
+    store: &mut TermStore,
+    full: &mut [Relation],
+    delta: &mut [Relation],
+    config: &EvalConfig,
+    program: &CompiledProgram,
+    s0: usize,
+    sets_baseline: usize,
+    base: impl Fn(PredId) -> u32,
+    exec: &mut ParExec,
+    profiler: Option<&StepProfiler>,
+) -> Result<EvalStats, EngineError> {
+    let mut stats = EvalStats::default();
+    for s in s0..program.strat.num_strata {
+        for d in delta.iter_mut() {
+            d.clear();
+        }
+        for &p in program.strat.reads(s) {
+            let i = p.index();
+            for r in base(p)..full[i].len() as u32 {
+                delta[i].insert(full[i].row(r));
+            }
+        }
+        stats.absorb(run_stratum(
             store,
             full,
             delta,
             &program.regular(s),
             &[],
             config,
-            StratumStart::Batch,
+            StratumStart::Seeded { sets_baseline },
             exec,
             profiler,
-        )?;
-        stats.absorb(stratum_stats);
+        )?);
+    }
+    for d in delta.iter_mut() {
+        d.clear();
     }
     Ok(stats)
+}
+
+/// The rows of `rel` matching the bound positions, as one flat
+/// [`RowSet`] — via an on-demand index over the bound columns, so
+/// retrieval out of a large (retained) relation is O(matching rows),
+/// not O(relation). `mask`/`key` are the bound positions and values in
+/// ascending column order; the first `skip` columns of each row are
+/// dropped (the lifted seed columns of conjunctive answers).
+fn lookup_rows(rel: &mut Relation, mask: ColMask, key: &[TermId], skip: usize) -> RowSet {
+    let mut out = RowSet::new(rel.arity() - skip);
+    if mask == 0 {
+        for row in rel.iter() {
+            out.push(&row[skip..]);
+        }
+        return out;
+    }
+    rel.ensure_index(mask);
+    for &r in rel.lookup(mask, key) {
+        out.push(&rel.row(r)[skip..]);
+    }
+    out
+}
+
+/// [`lookup_rows`] keyed by an `Option`-per-position argument vector.
+fn filter_rows(rel: &mut Relation, args: &[Option<TermId>]) -> RowSet {
+    let key: Vec<TermId> = args.iter().flatten().copied().collect();
+    lookup_rows(rel, magic::adornment_of(args), &key, 0)
 }
 
 /// Assemble a [`QueryPlan`] from a compiled rewrite: derives the
@@ -3459,11 +3249,7 @@ mod tests {
 
     #[test]
     fn retention_off_restores_per_query_cold_runs() {
-        let cfg = EvalConfig {
-            demand_retention: false,
-            ..EvalConfig::default()
-        };
-        let mut e = Engine::new(cfg);
+        let mut e = Engine::new(EvalConfig::default());
         let edge = e.pred("edge", 2);
         let path = e.pred("path", 2);
         let ids: Vec<TermId> = (0..5)
@@ -3490,8 +3276,10 @@ mod tests {
         ))
         .unwrap();
         let first = e.query(path, &[Some(ids[0]), None]).unwrap();
+        e.clear_demand_spaces();
         let again = e.query(path, &[Some(ids[0]), None]).unwrap();
         assert_eq!(again.rows, first.rows);
+        assert_eq!(again.stats.adornments_compiled, 0, "the plan stays cached");
         assert_eq!(again.stats.demand_continuations, 0, "cold each time");
         assert!(again.stats.facts_derived > 0, "re-derived from scratch");
         assert_eq!(again.stats.magic_facts_seeded, 1, "space was cleared");
@@ -3649,6 +3437,31 @@ mod tests {
     }
 
     #[test]
+    fn a_new_shape_never_takes_a_cached_shapes_name() {
+        // After an eviction drops one shape, a new shape of the same
+        // arity must not be named like a shape that is still cached:
+        // the shared head predicate would run the other shape's plan.
+        let (mut e, edge, path, ids) = tc_engine();
+        e.config_mut().demand_plan_cache = 2;
+        let q = e.pred("query#goal", 1);
+        let goal = |lit| plain_rule(q, vec![v(0)], vec![lit], 1);
+        e.query_rule(goal(BodyLit::Pos(
+            path,
+            vec![Pattern::Ground(ids[0]), v(0)],
+        )))
+        .unwrap();
+        let edge_goal = goal(BodyLit::Pos(edge, vec![Pattern::Ground(ids[1]), v(0)]));
+        e.query_rule(edge_goal.clone()).unwrap();
+        // A point query evicts the first shape's plan.
+        e.query(path, &[Some(ids[0]), None]).unwrap();
+        let into_n2 = goal(BodyLit::Pos(path, vec![v(0), Pattern::Ground(ids[2])]));
+        let res = e.query_rule(into_n2).unwrap();
+        assert_eq!(res.rows.sorted(), vec![vec![ids[0]], vec![ids[1]]]);
+        let res = e.query_rule(edge_goal).unwrap();
+        assert_eq!(res.rows.sorted(), vec![vec![ids[2]]]);
+    }
+
+    #[test]
     fn overlapping_plan_spaces_stay_consistent() {
         // Querying `s` demands `(path, bf)` too, so the two plans
         // share the `path#bf` / `m#path#bf` relations. A fresh plan
@@ -3714,8 +3527,8 @@ mod tests {
         assert!(first.stats.adornments_compiled >= 1);
         assert_eq!(first.stats.magic_facts_seeded, 1, "the lifted constant");
         assert_eq!(first.rows.len(), 3);
-        // Same shape, new constant: the plan (and under retention the
-        // whole demand space) is reused; only the new seed derives.
+        // Same shape, new constant: the plan and its whole demand space
+        // are reused; only the new seed derives.
         let second = e.query_rule(goal(ids[2])).unwrap();
         assert_eq!(second.stats.adornments_compiled, 0, "shape-cache hit");
         assert_eq!(second.stats.demand_continuations, 1);
@@ -3738,6 +3551,58 @@ mod tests {
         let res = e.query_rule(other).unwrap();
         assert!(res.stats.adornments_compiled >= 1, "new shape compiles");
         assert_eq!(res.rows.len(), 4);
+    }
+
+    #[test]
+    fn wide_conjunctive_goals_stay_on_the_cached_demand_path() {
+        // `?- q(X), p(1, 2, …, 31, last).` over a 32-ary EDB `p`: 32
+        // constants plus one answer column overflow a column mask, so
+        // 31 constants lift and `last` stays ground in the body.
+        let session = |last: i64| {
+            let mut e = Engine::new(EvalConfig::default());
+            let p = e.pred("p", 32);
+            let r = e.pred("r", 1);
+            let q = e.pred("q", 1);
+            let ints: Vec<TermId> = (1..=32).map(|i| e.store_mut().int(i)).collect();
+            e.fact(p, ints.clone()).unwrap();
+            for i in 0..3 {
+                let a = e.store_mut().int(100 + i);
+                e.fact(r, vec![a]).unwrap();
+            }
+            e.rule(plain_rule(
+                q,
+                vec![v(0)],
+                vec![BodyLit::Pos(r, vec![v(0)])],
+                1,
+            ))
+            .unwrap();
+            let mut consts: Vec<Pattern> = ints[..31].iter().map(|&c| Pattern::Ground(c)).collect();
+            consts.push(Pattern::Ground(e.store_mut().int(last)));
+            let head = e.pred("query#goal", 1);
+            let goal = plain_rule(
+                head,
+                vec![v(0)],
+                vec![BodyLit::Pos(q, vec![v(0)]), BodyLit::Pos(p, consts)],
+                1,
+            );
+            (e, goal)
+        };
+        for (last, answers) in [(32, 3), (99, 0)] {
+            let (mut e, goal) = session(last);
+            let first = e.query_rule(goal.clone()).unwrap();
+            assert_eq!(first.path, QueryPath::Demand);
+            assert!(first.stats.adornments_compiled >= 1);
+            let again = e.query_rule(goal).unwrap();
+            assert_eq!(again.path, QueryPath::Demand);
+            assert_eq!(again.stats.adornments_compiled, 0, "cached plan reused");
+            let (mut m, goal) = session(last);
+            m.run().unwrap();
+            let model = m.query_rule(goal).unwrap();
+            assert_eq!(model.path, QueryPath::Materialized);
+            assert_eq!(model.rows.len(), answers);
+            assert_eq!(first.rows.sorted(), model.rows.sorted());
+            assert_eq!(again.rows.sorted(), model.rows.sorted());
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use error::EngineError;
 pub use magic::{adornment_of, adornment_string, Adornment, SipsCost};
 pub use parallel::ParExec;
 pub use pred::{PredId, PredRegistry};
-pub use relation::Relation;
+pub use relation::{Relation, MAX_ARITY};
 pub use rule::{BodyLit, Builtin, GroupSpec, QuantGroup, Rule};
 pub use snapshot::{EngineSnapshot, SnapshotPublisher, SnapshotReader};
 pub use stats::{Stats, StatsCache};

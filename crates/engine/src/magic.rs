@@ -64,7 +64,7 @@ use crate::builtin::mode_ok;
 use crate::config::SetUniverse;
 use crate::pattern::{Pattern, VarId};
 use crate::pred::{PredId, PredRegistry};
-use crate::relation::ColMask;
+use crate::relation::{ColMask, MAX_ARITY};
 use crate::rule::{BodyLit, Rule};
 use crate::stats::Stats;
 use crate::strata::{demand_obstruction, DemandObstruction};
@@ -508,6 +508,10 @@ fn masked_args(args: &[Pattern], mask: Adornment) -> Vec<Pattern> {
 /// and remain part of the shape key (lifting them would not improve
 /// demand propagation — the textual SIPS counts a nested ground
 /// pattern as bound either way only at the top level).
+///
+/// The shape predicate must stay within [`MAX_ARITY`] columns, so at
+/// most `MAX_ARITY - head arity` constants lift, in lift order; any
+/// further constants stay ground in the body (and in the shape key).
 #[derive(Debug)]
 pub struct LiftedGoal {
     /// The canonical rule. Its `head` is still the original goal-head
@@ -531,12 +535,16 @@ pub fn lift_goal(rule: &Rule) -> LiftedGoal {
     let mut canonical = rule.clone();
     let mut consts: Vec<TermId> = Vec::new();
     let base = rule.num_vars as u32;
+    let max_lifted = MAX_ARITY.saturating_sub(rule.head_args.len());
     for lit in &mut canonical.outer {
         if let BodyLit::Pos(_, args) = lit {
             for a in args.iter_mut() {
-                if let Pattern::Ground(id) = a {
-                    consts.push(*id);
-                    *a = Pattern::Var(VarId(base + consts.len() as u32 - 1));
+                match a {
+                    Pattern::Ground(id) if consts.len() < max_lifted => {
+                        consts.push(*id);
+                        *a = Pattern::Var(VarId(base + consts.len() as u32 - 1));
+                    }
+                    _ => {}
                 }
             }
         }

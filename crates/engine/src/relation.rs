@@ -26,8 +26,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static NEXT_REL_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Bitmask of bound columns (bit *i* set ⇔ column *i* bound).
-/// Relations are capped at 32 columns, far above any realistic arity.
 pub type ColMask = u32;
+
+/// The widest relation a [`ColMask`] can index: one mask bit per
+/// column. Front ends reject wider predicates before registering them.
+pub const MAX_ARITY: usize = ColMask::BITS as usize;
 
 /// Sentinel for an empty open-addressing slot.
 const EMPTY_SLOT: u32 = u32::MAX;
@@ -293,7 +296,7 @@ impl Clone for Relation {
 impl Relation {
     /// Empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
-        assert!(arity <= 32, "relation arity capped at 32");
+        assert!(arity <= MAX_ARITY, "relation arity capped at {MAX_ARITY}");
         Relation {
             arity,
             ..Relation::default()

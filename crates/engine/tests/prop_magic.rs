@@ -320,7 +320,6 @@ fn check_interleaving(
 ) {
     let (mut live, lp) = build(with_neg, with_group);
     live.config_mut().demand_plan_cache = cache_bound;
-    live.config_mut().demand_retention = retention;
     let lids = atoms(&mut live);
     let mut facts: Vec<(u8, u8)> = Vec::new();
     for (step, op) in ops.iter().enumerate() {
@@ -339,6 +338,10 @@ fn check_interleaving(
                 consts,
             } => {
                 let (pred, args, _) = pick_query(&lp, &lids, which, mask, consts);
+                if !retention {
+                    // Cold mode: every query re-derives from its seed.
+                    live.clear_demand_spaces();
+                }
                 let res = live.query(pred, &args).unwrap();
                 // Compare as owned values: the live session's store may
                 // have interned intermediate *sets* (grouping results

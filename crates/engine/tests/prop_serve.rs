@@ -13,7 +13,7 @@
 //! the per-row integer lift would catch a store/relation mismatch.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use lps_engine::pattern::{Pattern, VarId};
 use lps_engine::{BodyLit, Engine, EvalConfig, PredId, Rule, SnapshotPublisher};
@@ -114,15 +114,21 @@ fn concurrent_readers_see_only_published_prefixes_materialized() {
     e.run().unwrap();
     let mut publisher = SnapshotPublisher::new(&mut e);
     let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(Barrier::new(READERS + 1));
     let handles: Vec<_> = (0..READERS)
         .map(|_| {
             let reader = publisher.reader();
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut reads = 0u64;
                 let mut last_epoch = 0u64;
                 let mut last_m = 0i64;
-                while !done.load(Ordering::SeqCst) {
+                started.wait();
+                // Read at least once, however the scheduler orders
+                // this reader against the writer.
+                loop {
+                    let finished = done.load(Ordering::SeqCst);
                     let snap = reader.current();
                     assert!(
                         snap.epoch() >= last_epoch,
@@ -137,11 +143,15 @@ fn concurrent_readers_see_only_published_prefixes_materialized() {
                     last_epoch = snap.epoch();
                     last_m = m;
                     reads += 1;
+                    if finished {
+                        break;
+                    }
                 }
                 reads
             })
         })
         .collect();
+    started.wait();
     for k in 0..UPDATES {
         let a = e.store_mut().int(BASE + k);
         let b = e.store_mut().int(BASE + k + 1);
@@ -181,14 +191,20 @@ fn concurrent_readers_on_demand_plans_funnel_or_agree() {
     e.query(path, &[Some(zero), None]).unwrap();
     let mut publisher = SnapshotPublisher::new(&mut e);
     let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(Barrier::new(READERS + 1));
     let handles: Vec<_> = (0..READERS)
         .map(|_| {
             let reader = publisher.reader();
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut served = 0u64;
                 let mut pinned: Option<std::sync::Arc<lps_engine::EngineSnapshot>> = None;
-                while !done.load(Ordering::SeqCst) {
+                started.wait();
+                // Read at least once, however the scheduler orders
+                // this reader against the writer.
+                loop {
+                    let finished = done.load(Ordering::SeqCst);
                     let snap = reader.current();
                     if assert_chain_prefix(&snap, path, BASE, BASE + UPDATES).is_some() {
                         served += 1;
@@ -201,11 +217,15 @@ fn concurrent_readers_on_demand_plans_funnel_or_agree() {
                         assert_chain_prefix(old, path, BASE, BASE + UPDATES)
                             .expect("a pinned epoch stays servable forever");
                     }
+                    if finished {
+                        break;
+                    }
                 }
                 served
             })
         })
         .collect();
+    started.wait();
     for k in 0..UPDATES {
         let a = e.store_mut().int(BASE + k);
         let b = e.store_mut().int(BASE + k + 1);

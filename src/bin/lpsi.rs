@@ -26,8 +26,8 @@
 //!                        sequential, auto = one per core); models are
 //!                        bit-identical at any setting
 //! :demand on|cold|off    demand-driven (magic-set) query answering
-//!                        (on = retained demand spaces, cold = re-derive
-//!                        per query)
+//!                        (on = retained demand spaces, cold = clear
+//!                        every demand space before each query)
 //! :planner on|off|stats  cost-based join ordering and SIPS selection
 //!                        (on by default; `stats` prints the
 //!                        per-predicate cardinality snapshot); answers
@@ -64,7 +64,8 @@
 //! forces it. Demand spaces are *retained*: repeated queries are pure
 //! reads, new constants and ground facts entered between queries
 //! continue the fixpoint incrementally (`:stats` shows `demand_cont`),
-//! and `:demand cold` ablates the retention (re-derive per query).
+//! and `:demand cold` clears the demand spaces before each query (each
+//! query re-derives from its own seed; compiled plans stay cached).
 //! Queries may be conjunctions (`?- tc(a, X), q(X, {b}).`), compiled
 //! as temporary query rules. With demand off — or once a model
 //! exists — queries read the materialized model, and ground facts
@@ -76,8 +77,9 @@
 
 use std::io::{self, BufRead, Write};
 
-use lps::{Database, Dialect, EvalConfig, EvalStats, Model, SetUniverse, Value};
-use lps_syntax::{parse_program, pretty_program, Clause, Formula, HeadArg, Item, Literal, Program};
+use lps::core::{classify_goal, ground_facts, Goal};
+use lps::{Database, Dialect, EvalConfig, EvalStats, Model, SetUniverse};
+use lps_syntax::{parse_program, pretty_program, Clause, Item, Program};
 
 struct Session {
     dialect: Dialect,
@@ -86,6 +88,9 @@ struct Session {
     /// Demand-driven query answering: queries compile magic-set plans
     /// instead of materializing the model first.
     demand: bool,
+    /// Cold demand mode: every demand space is cleared before each
+    /// query, so each query re-derives from its own seed.
+    cold: bool,
     /// The live engine session, created by the first query (demand
     /// mode loads it *without* materializing) and maintained
     /// incrementally; `None` until then or after anything that
@@ -102,6 +107,7 @@ impl Session {
             config: EvalConfig::default(),
             source: String::new(),
             demand: true,
+            cold: false,
             model: None,
             last_stats: None,
         }
@@ -178,42 +184,33 @@ impl Session {
     /// With demand mode off the model is materialized first and the
     /// same pipeline reads it.
     fn query(&mut self, text: &str) -> Result<(), String> {
-        // Parse `?- body.` as a rule body by wrapping it.
-        let wrapped = format!("query_goal :- {text}");
-        let parsed = parse_program(&wrapped).map_err(|e| e.render(&wrapped))?;
-        let clause = parsed.clauses().next().ok_or("empty query")?;
-        let body = clause.body.as_ref().ok_or("empty query")?;
-
-        let point = match body {
-            Formula::Lit(Literal::Pred(name, args, _)) => {
-                point_query_args(args).map(|pa| (name.clone(), pa))
-            }
-            _ => None,
-        };
-
-        let demand = self.demand;
-        let model = if demand {
+        let goal = classify_goal(text).map_err(|e| e.render(text))?;
+        let cold = self.cold;
+        let model = if self.demand {
             self.ensure_session()?
         } else {
             self.ensure_model()?
         };
-        let answers = match &point {
-            Some((name, args)) => model.query(name, args),
-            None => model.query_str(text),
+        if cold {
+            model.engine_mut().clear_demand_spaces();
+        }
+        let answers = match &goal {
+            Goal::Point { pred, args } => model.query(pred, args),
+            Goal::Conjunctive => model.query_str(text),
         }
         .map_err(|e| e.to_string())?;
         let stats = model.stats();
         self.last_stats = Some(stats);
 
-        match &point {
-            Some((name, _)) => {
+        match &goal {
+            Goal::Point { pred, .. } => {
                 // Point queries print in the predicate's own shape.
                 for row in &answers.rows {
                     let rendered: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-                    println!("  {name}({})", rendered.join(", "));
+                    println!("  {pred}({})", rendered.join(", "));
                 }
             }
-            None if answers.columns.is_empty() => {
+            Goal::Conjunctive if answers.columns.is_empty() => {
                 // Fully ground goal: a single empty row means yes.
                 println!(
                     "  {}",
@@ -225,7 +222,7 @@ impl Session {
                 );
                 return Ok(());
             }
-            None => {
+            Goal::Conjunctive => {
                 // Conjunctive goal: print variable bindings.
                 for row in &answers.rows {
                     let bindings: Vec<String> = answers
@@ -288,94 +285,15 @@ impl Session {
     /// `:explain <goal>` — print the chosen adornment, SIPS policy,
     /// and per-rule join order for a point goal without running it.
     fn explain(&mut self, text: &str) -> Result<(), String> {
-        let wrapped = format!("query_goal :- {text}");
-        let parsed = parse_program(&wrapped).map_err(|e| e.render(&wrapped))?;
-        let clause = parsed.clauses().next().ok_or("empty goal")?;
-        let body = clause.body.as_ref().ok_or("empty goal")?;
-        let point = match body {
-            Formula::Lit(Literal::Pred(name, args, _)) => {
-                point_query_args(args).map(|pa| (name.clone(), pa))
-            }
-            _ => None,
-        };
-        let Some((name, args)) = point else {
+        let Goal::Point { pred, args } = classify_goal(text).map_err(|e| e.render(text))? else {
             return Err("`:explain` takes a single point goal, e.g. `:explain t(a, X).`".into());
         };
         let model = self.ensure_session()?;
-        let report = model.explain(&name, &args).map_err(|e| e.to_string())?;
+        let report = model.explain(&pred, &args).map_err(|e| e.to_string())?;
         for line in report.lines() {
             println!("  {line}");
         }
         Ok(())
-    }
-}
-
-/// The point-query argument vector of a literal whose arguments are
-/// all either variables or ground terms — `None` when any argument
-/// carries structure (set patterns with variables, arithmetic) or a
-/// variable repeats, in which case the goal needs the full conjunctive
-/// pipeline to join correctly. Repetition counts for `_`-named
-/// variables too: the lowering maps every occurrence of one name —
-/// `_A` included — to the same variable, so repeats co-refer.
-fn point_query_args(args: &[lps_syntax::Term]) -> Option<Vec<Option<lps::Value>>> {
-    use lps_syntax::Term;
-    let mut seen: Vec<&str> = Vec::new();
-    let mut out = Vec::with_capacity(args.len());
-    for arg in args {
-        match arg {
-            Term::Var(v, _) => {
-                if seen.contains(&v.as_str()) {
-                    return None; // repeated variable: a real join
-                }
-                seen.push(v);
-                out.push(None);
-            }
-            other => out.push(Some(term_to_value(other)?)),
-        }
-    }
-    Some(out)
-}
-
-/// If every item of `parsed` is a ground fact clause, return the
-/// `(pred, args)` pairs for the live session's incremental path;
-/// `None` (rules, declarations, variables, grouping heads) means the
-/// session must be rebuilt.
-fn ground_facts(parsed: &Program) -> Option<Vec<(String, Vec<Value>)>> {
-    let mut out = Vec::new();
-    for item in &parsed.items {
-        let Item::Clause(Clause {
-            head, body: None, ..
-        }) = item
-        else {
-            return None;
-        };
-        let mut args = Vec::with_capacity(head.args.len());
-        for arg in &head.args {
-            let HeadArg::Term(t) = arg else { return None };
-            args.push(term_to_value(t)?);
-        }
-        out.push((head.pred.clone(), args));
-    }
-    Some(out)
-}
-
-/// Convert a ground query term to a value (None for variables —
-/// wildcard positions).
-fn term_to_value(t: &lps_syntax::Term) -> Option<lps::Value> {
-    use lps_syntax::Term;
-    match t {
-        Term::Var(..) => None,
-        Term::Const(c, _) => Some(lps::Value::atom(c.clone())),
-        Term::Int(i, _) => Some(lps::Value::int(*i)),
-        Term::App(f, args, _) => {
-            let vals: Option<Vec<_>> = args.iter().map(term_to_value).collect();
-            Some(lps::Value::app(f.clone(), vals?))
-        }
-        Term::SetLit(elems, _) => {
-            let vals: Option<Vec<_>> = elems.iter().map(term_to_value).collect();
-            Some(lps::Value::set(vals?))
-        }
-        Term::BinOp(..) => None,
     }
 }
 
@@ -623,20 +541,17 @@ fn main() -> io::Result<()> {
                     None => println!("no evaluation yet."),
                 },
                 ":demand" => {
-                    let mode_str = |demand: bool, retain: bool| match (demand, retain) {
-                        (false, _) => "off",
-                        (true, true) => "on",
-                        (true, false) => "cold",
-                    };
-                    let (demand, retain) = match arg {
-                        "on" => (true, true),
-                        "cold" => (true, false),
-                        "off" => (false, session.config.demand_retention),
+                    let (demand, cold) = match arg {
+                        "on" => (true, false),
+                        "cold" => (true, true),
+                        "off" => (false, false),
                         "" => {
-                            println!(
-                                "demand = {}",
-                                mode_str(session.demand, session.config.demand_retention)
-                            );
+                            let mode = match (session.demand, session.cold) {
+                                (false, _) => "off",
+                                (true, false) => "on",
+                                (true, true) => "cold",
+                            };
+                            println!("demand = {mode}");
                             continue;
                         }
                         other => {
@@ -644,17 +559,9 @@ fn main() -> io::Result<()> {
                             continue;
                         }
                     };
-                    if retain != session.config.demand_retention {
-                        // The retention toggle is an engine config
-                        // change: rebuild the live session under it.
-                        session.config.demand_retention = retain;
-                        session.invalidate();
-                    }
                     session.demand = demand;
-                    println!(
-                        "demand = {}",
-                        mode_str(session.demand, session.config.demand_retention)
-                    );
+                    session.cold = cold;
+                    println!("demand = {arg}");
                 }
                 ":planner" => {
                     match arg {

@@ -2,7 +2,7 @@
 //! restrictions, safety, stratification, builtin modes, arithmetic.
 //! A reproduction a downstream user would adopt must fail *well*.
 
-use lps::{CoreError, Database, Dialect, EvalConfig, SetUniverse};
+use lps::{CoreError, Database, Dialect, EvalConfig, SetUniverse, Value};
 
 fn err_of(src: &str, dialect: Dialect) -> CoreError {
     let mut db = Database::new(dialect);
@@ -192,4 +192,38 @@ fn errors_are_values_not_panics() {
             .and_then(|()| db.evaluate().map(|_| ()));
         assert!(result.is_err(), "should fail: {src}");
     }
+}
+
+#[test]
+fn predicates_wider_than_a_column_mask_are_errors_not_panics() {
+    let list = |n: usize, f: &dyn Fn(usize) -> String| -> String {
+        (1..=n).map(f).collect::<Vec<_>>().join(", ")
+    };
+    let ints = |n| list(n, &|i| i.to_string());
+    let vars = |n| list(n, &|i| format!("X{i}"));
+    // Lowering: facts, rule heads, and body literals.
+    for src in [
+        format!("p({}).", ints(33)),
+        format!("q(X1) :- p({}).", vars(33)),
+    ] {
+        let err = err_of(&src, Dialect::Elps);
+        assert!(err.to_string().contains("33 arguments"), "{src}: {err}");
+    }
+    // The live-session entry points: wire-style facts, point and
+    // conjunctive queries, explain.
+    let mut db = Database::new(Dialect::Elps);
+    db.load_str("e(a, b).").unwrap();
+    let mut session = db.session().unwrap();
+    let wide: Vec<Value> = (1..=33).map(Value::int).collect();
+    assert!(session.add_fact("p", &wide).is_err());
+    assert!(session.query("p", &vec![None; 33]).is_err());
+    assert!(session.explain("p", &vec![None; 33]).is_err());
+    let goal = format!("p({}).", vars(33));
+    assert!(session.query_str(&goal).is_err());
+    // Exactly the mask width still works, and the session survives.
+    session.add_fact("p", &wide[..32]).unwrap();
+    let ans = session.query("p", &vec![None; 32]).unwrap();
+    assert_eq!(ans.rows, vec![wide[..32].to_vec()]);
+    let ans = session.query("e", &[None, None]).unwrap();
+    assert_eq!(ans.rows.len(), 1);
 }

@@ -50,6 +50,29 @@ fn serve_answers_queries_over_the_wire() {
 }
 
 #[test]
+fn serve_rejects_over_wide_predicates_and_keeps_serving() {
+    // A predicate wider than a column mask once panicked the writer
+    // thread, after which every request answered "server is shutting
+    // down". It must fail alone, as an `err` reply.
+    let mut server = spawn_server(CHAIN);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let ints: Vec<String> = (1..=33).map(|i| i.to_string()).collect();
+    let err = client
+        .add_fact(&format!("p({}).", ints.join(", ")))
+        .unwrap()
+        .unwrap_err();
+    assert!(err.contains("33 arguments"), "got: {err}");
+    let vars: Vec<String> = (1..=33).map(|i| format!("X{i}")).collect();
+    let goal = format!("p({}).", vars.join(", "));
+    assert!(client.query(&goal).unwrap().is_err(), "wide point query");
+    // The writer is alive: a normal fact and query still go through.
+    client.add_fact("e(d, e5).").unwrap().unwrap();
+    let rows = client.query("t(a, X).").unwrap().unwrap();
+    assert_eq!(rows, vec!["a, b", "a, c", "a, d", "a, e5"]);
+    server.shutdown();
+}
+
+#[test]
 fn serve_speaks_raw_length_prefixed_frames() {
     // No client helper: hand-rolled frames prove the wire format is
     // what the docs say — u32 big-endian length, UTF-8 payload,
