@@ -1097,12 +1097,14 @@ impl Engine {
         (true, self.insert_query_plan(key, entry))
     }
 
-    /// The epilogue every query exit shares: fold the pending planner
-    /// counters into this query's `work`, seal it, and record it —
-    /// `accounted` is work an earlier pass already recorded (the
-    /// model reconciliation before a materialized goal), which the
-    /// returned and last-pass stats include but the cumulative stats
-    /// must not count twice.
+    /// The epilogue of the demand, fallback and materialized-goal
+    /// exits (a materialized point query does no work of its own and
+    /// returns the reconciling pass's stats as recorded): fold the
+    /// pending planner counters into this query's `work`, seal it,
+    /// and record it — `accounted` is work an earlier pass already
+    /// recorded (the model reconciliation before a materialized goal),
+    /// which the returned and last-pass stats include but the
+    /// cumulative stats must not count twice.
     fn finish_query(
         &mut self,
         accounted: EvalStats,

@@ -12,8 +12,9 @@
 //! prefix (a hole, a dangling `TermId`, a count between prefixes), and
 //! the per-row integer lift would catch a store/relation mismatch.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use lps_engine::pattern::{Pattern, VarId};
 use lps_engine::{BodyLit, Engine, EvalConfig, PredId, Rule, SnapshotPublisher};
@@ -55,6 +56,18 @@ fn chain_engine(n: i64) -> (Engine, PredId, PredId) {
         e.fact(edge, vec![a, b]).unwrap();
     }
     (e, edge, path)
+}
+
+/// Hold the writer until each of `readers` has counted a read in
+/// `ready`, so every reader reads while updates are still to come
+/// however the scheduler orders the threads. A reader that finished
+/// (panicked) releases the writer: its join reports the failure.
+fn wait_for_readers<T>(ready: &AtomicUsize, readers: &[JoinHandle<T>]) {
+    while ready.load(Ordering::SeqCst) < readers.len()
+        && !readers.iter().any(JoinHandle::is_finished)
+    {
+        std::thread::yield_now();
+    }
 }
 
 /// Assert that a snapshot's answer to `path(0, X)` is a chain prefix
@@ -114,21 +127,18 @@ fn concurrent_readers_see_only_published_prefixes_materialized() {
     e.run().unwrap();
     let mut publisher = SnapshotPublisher::new(&mut e);
     let done = Arc::new(AtomicBool::new(false));
-    let started = Arc::new(Barrier::new(READERS + 1));
+    let ready = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..READERS)
         .map(|_| {
             let reader = publisher.reader();
             let done = Arc::clone(&done);
-            let started = Arc::clone(&started);
+            let ready = Arc::clone(&ready);
             std::thread::spawn(move || {
                 let mut reads = 0u64;
                 let mut last_epoch = 0u64;
                 let mut last_m = 0i64;
-                started.wait();
-                // Read at least once, however the scheduler orders
-                // this reader against the writer.
-                loop {
-                    let finished = done.load(Ordering::SeqCst);
+                let mut first = true;
+                while !done.load(Ordering::SeqCst) {
                     let snap = reader.current();
                     assert!(
                         snap.epoch() >= last_epoch,
@@ -143,16 +153,18 @@ fn concurrent_readers_see_only_published_prefixes_materialized() {
                     last_epoch = snap.epoch();
                     last_m = m;
                     reads += 1;
-                    if finished {
-                        break;
+                    if std::mem::take(&mut first) {
+                        ready.fetch_add(1, Ordering::SeqCst);
                     }
                 }
                 reads
             })
         })
         .collect();
-    started.wait();
     for k in 0..UPDATES {
+        if k == UPDATES / 2 {
+            wait_for_readers(&ready, &handles);
+        }
         let a = e.store_mut().int(BASE + k);
         let b = e.store_mut().int(BASE + k + 1);
         e.fact(edge, vec![a, b]).unwrap();
@@ -191,20 +203,17 @@ fn concurrent_readers_on_demand_plans_funnel_or_agree() {
     e.query(path, &[Some(zero), None]).unwrap();
     let mut publisher = SnapshotPublisher::new(&mut e);
     let done = Arc::new(AtomicBool::new(false));
-    let started = Arc::new(Barrier::new(READERS + 1));
+    let ready = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..READERS)
         .map(|_| {
             let reader = publisher.reader();
             let done = Arc::clone(&done);
-            let started = Arc::clone(&started);
+            let ready = Arc::clone(&ready);
             std::thread::spawn(move || {
                 let mut served = 0u64;
                 let mut pinned: Option<std::sync::Arc<lps_engine::EngineSnapshot>> = None;
-                started.wait();
-                // Read at least once, however the scheduler orders
-                // this reader against the writer.
-                loop {
-                    let finished = done.load(Ordering::SeqCst);
+                let mut first = true;
+                while !done.load(Ordering::SeqCst) {
                     let snap = reader.current();
                     if assert_chain_prefix(&snap, path, BASE, BASE + UPDATES).is_some() {
                         served += 1;
@@ -217,16 +226,18 @@ fn concurrent_readers_on_demand_plans_funnel_or_agree() {
                         assert_chain_prefix(old, path, BASE, BASE + UPDATES)
                             .expect("a pinned epoch stays servable forever");
                     }
-                    if finished {
-                        break;
+                    if std::mem::take(&mut first) {
+                        ready.fetch_add(1, Ordering::SeqCst);
                     }
                 }
                 served
             })
         })
         .collect();
-    started.wait();
     for k in 0..UPDATES {
+        if k == UPDATES / 2 {
+            wait_for_readers(&ready, &handles);
+        }
         let a = e.store_mut().int(BASE + k);
         let b = e.store_mut().int(BASE + k + 1);
         e.fact(edge, vec![a, b]).unwrap();
