@@ -313,6 +313,49 @@ pub fn triangle_like(srcs: usize, fanout: usize, keep: usize, seed: u64) -> Stri
     src
 }
 
+/// E16: the linear bill-of-materials roll-up (Examples 5-6 with the
+/// canonical `scons_min` peel, as in `examples/parts_explosion.rs`).
+/// Object `o_i` is built from `1 + i % max_parts` distinct random
+/// primitives out of `primitives`, each priced 1-99. The textual body
+/// order lists the `cost` scan before the peel that binds its key:
+///
+/// ```text
+/// sum_costs(S, K) :- chain(S), scons_min(P, Rest, S),
+///                    cost(P, N), sum_costs(Rest, M), N + M = K.
+/// ```
+///
+/// so a planner that ranks `scons_min` with `S` bound below a scan
+/// crosses every new `sum_costs` fact with `chain × cost` before the
+/// peel filters. Deterministic in `seed`.
+pub fn rollup(objects: usize, primitives: usize, max_parts: usize, seed: u64) -> String {
+    assert!(max_parts <= primitives, "more parts than primitives");
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut src = String::new();
+    for i in 0..objects {
+        let mut parts: Vec<usize> = Vec::new();
+        while parts.len() < 1 + i % max_parts {
+            let p = rng.gen_range(0..primitives);
+            if !parts.contains(&p) {
+                parts.push(p);
+            }
+        }
+        let names: Vec<String> = parts.iter().map(|p| format!("p{p}")).collect();
+        let _ = writeln!(src, "parts(o{i}, {{{}}}).", names.join(", "));
+    }
+    for p in 0..primitives {
+        let _ = writeln!(src, "cost(p{p}, {}).", rng.gen_range(1..100));
+    }
+    src.push_str(
+        "chain(Y) :- parts(_O, Y).
+         chain(Rest) :- chain(S), scons_min(_P, Rest, S).
+         sum_costs(S, 0) :- chain(S), S = {}.
+         sum_costs(S, K) :- chain(S), scons_min(P, Rest, S),
+                            cost(P, N), sum_costs(Rest, M), N + M = K.
+         obj_cost(O, N) :- parts(O, Y), sum_costs(Y, N).\n",
+    );
+    src
+}
+
 /// E10: a non-1NF relation with `rows` tuples whose set attribute has
 /// `set_size` elements, plus the unnest rule (Example 4).
 pub fn unnest(rows: usize, set_size: usize) -> String {

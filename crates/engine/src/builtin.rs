@@ -6,6 +6,8 @@
 //! the planner; [`enumerate`] produces the candidate ground argument
 //! tuples at run time (the caller pattern-matches them back against
 //! the argument patterns, which handles destructuring like `X = {N}`).
+//! [`functional`] marks the modes that yield at most one row, which the
+//! cost planner ranks as 1-row probes.
 //!
 //! Free set-sorted arguments (e.g. `x in S` with `S` free, `subseteq`
 //! with a free side) are enumerated over the **active set universe** —
@@ -29,15 +31,37 @@ pub fn mode_ok(b: Builtin, bound: &[bool], policy: SetUniverse) -> bool {
         Builtin::Ne | Builtin::NotIn | Builtin::Lt | Builtin::Le => bound[0] && bound[1],
         Builtin::In => bound[1] || enumerable,
         Builtin::SubsetEq => (bound[0] && bound[1]) || enumerable,
-        Builtin::Union => {
-            (bound[0] && bound[1]) || (bound[2] && (bound[0] || bound[1] || enumerable))
-        }
+        // With only one input and `Z` bound, the other input ranges
+        // over the active sets.
+        Builtin::Union => (bound[0] && bound[1]) || (bound[2] && enumerable),
         Builtin::DisjUnion | Builtin::Scons | Builtin::SconsMin => {
             (bound[0] && bound[1]) || bound[2]
         }
         Builtin::Card => bound[0] || (bound[1] && enumerable),
         Builtin::Add | Builtin::Sub => bound.iter().filter(|&&b| b).count() >= 2,
         Builtin::Mul => (bound[0] && bound[1]) || (bound[2] && (bound[0] || bound[1])),
+    }
+}
+
+/// Do the arguments flagged in `bound` determine at most one row of
+/// `b`? Every such mode is also admitted by [`mode_ok`] under any
+/// policy. The cost planner scores these builtins as 1-row probes, so
+/// a computed column binds before any scan that could use it.
+pub fn functional(b: Builtin, bound: &[bool]) -> bool {
+    debug_assert_eq!(bound.len(), b.arity());
+    match b {
+        Builtin::Eq => bound[0] || bound[1],
+        Builtin::Union | Builtin::Scons | Builtin::Mul => bound[0] && bound[1],
+        Builtin::SconsMin => (bound[0] && bound[1]) || bound[2],
+        Builtin::DisjUnion => (bound[0] && bound[1]) || (bound[2] && (bound[0] || bound[1])),
+        Builtin::Card => bound[0],
+        Builtin::Add | Builtin::Sub => bound.iter().filter(|&&f| f).count() >= 2,
+        Builtin::Ne
+        | Builtin::In
+        | Builtin::NotIn
+        | Builtin::SubsetEq
+        | Builtin::Lt
+        | Builtin::Le => false,
     }
 }
 
@@ -440,10 +464,13 @@ fn scons_min(
 ) -> Result<Vec<Vec<TermId>>, EngineError> {
     let b = Builtin::SconsMin;
     match (known[0], known[1], known[2]) {
-        (None, None, Some(z)) => {
+        (x, y, Some(z)) if x.is_none() || y.is_none() => {
             check_set(b, store, z)?;
+            // The one canonical decomposition, kept if it agrees with
+            // whichever of `x` and `Y` is bound.
             Ok(setops::scons_min_decomposition(store, z)
-                .map(|(x, rest)| vec![vec![x, rest, z]])
+                .filter(|&(min, rest)| x.is_none_or(|x| x == min) && y.is_none_or(|y| y == rest))
+                .map(|(min, rest)| vec![vec![min, rest, z]])
                 .unwrap_or_default())
         }
         (Some(x), Some(y), z) => {
@@ -563,21 +590,12 @@ fn mul(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId
                 _ => Some((m, n, prod)),
             })
         }
-        (Some(m), None, Some(k)) => {
-            if m == 0 {
-                // 0 * n = k: n is unconstrained — unsupported mode.
-                None
-            } else {
-                Some((k % m == 0).then_some((m, k / m, k)))
-            }
-        }
-        (None, Some(n), Some(k)) => {
-            if n == 0 {
-                None
-            } else {
-                Some((k % n == 0).then_some((k / n, n, k)))
-            }
-        }
+        // 0 · n = 0 leaves n unconstrained: the one unsupported
+        // instance of these modes. 0 · n = k ≠ 0 has no solution, and
+        // neither has an overflowing quotient (`i64::MIN / -1`).
+        (Some(0), None, Some(k)) | (None, Some(0), Some(k)) => (k != 0).then_some(None),
+        (Some(m), None, Some(k)) => Some((k.checked_rem(m) == Some(0)).then(|| (m, k / m, k))),
+        (None, Some(n), Some(k)) => Some((k.checked_rem(n) == Some(0)).then(|| (k / n, n, k))),
         _ => None,
     })
 }
@@ -908,8 +926,28 @@ mod tests {
         )
         .unwrap()
         .is_empty());
-        // 0 * n = 0 is an unsupported mode (n unconstrained).
+        // -1 * n = i64::MIN overflows n: no solution, no panic.
+        let minus_one = st.int(-1);
+        let min = st.int(i64::MIN);
+        assert!(enumerate(
+            Builtin::Mul,
+            &[Some(minus_one), None, Some(min)],
+            &mut st,
+            SetUniverse::Reject
+        )
+        .unwrap()
+        .is_empty());
+        // 0 * n = 6 has no solution; 0 * n = 0 is an unsupported mode
+        // (n unconstrained).
         let zero = st.int(0);
+        assert!(enumerate(
+            Builtin::Mul,
+            &[Some(zero), None, Some(i6)],
+            &mut st,
+            SetUniverse::Reject
+        )
+        .unwrap()
+        .is_empty());
         assert!(enumerate(
             Builtin::Mul,
             &[Some(zero), None, Some(zero)],
@@ -1002,6 +1040,136 @@ mod tests {
         .is_err());
     }
 
+    const ALL: [Builtin; 15] = [
+        Builtin::Eq,
+        Builtin::Ne,
+        Builtin::In,
+        Builtin::NotIn,
+        Builtin::SubsetEq,
+        Builtin::Union,
+        Builtin::DisjUnion,
+        Builtin::Scons,
+        Builtin::SconsMin,
+        Builtin::Card,
+        Builtin::Add,
+        Builtin::Sub,
+        Builtin::Mul,
+        Builtin::Lt,
+        Builtin::Le,
+    ];
+
+    /// Well-typed sample values for argument `i` of `b`.
+    fn samples(st: &mut TermStore, b: Builtin, i: usize) -> Vec<TermId> {
+        let (a, bb, c) = (st.atom("a"), st.atom("b"), st.atom("c"));
+        let sets = vec![
+            st.empty_set(),
+            st.set(vec![a]),
+            st.set(vec![bb]),
+            st.set(vec![a, bb]),
+            st.set(vec![a, bb, c]),
+        ];
+        let ints: Vec<TermId> = [0, 1, 2, 3, 6].into_iter().map(|n| st.int(n)).collect();
+        match (b, i) {
+            (Builtin::Eq | Builtin::Ne, _) => vec![a, sets[3], ints[2]],
+            (Builtin::In | Builtin::NotIn | Builtin::Scons | Builtin::SconsMin, 0) => {
+                vec![a, bb, c]
+            }
+            (Builtin::Card, 1)
+            | (Builtin::Add | Builtin::Sub | Builtin::Mul | Builtin::Lt | Builtin::Le, _) => ints,
+            _ => sets,
+        }
+    }
+
+    /// `0 · N = 0` with `N` free: the one admitted mode instance whose
+    /// answer is unbounded, so `mul` reports it instead of enumerating.
+    fn mul_zero_unbounded(st: &TermStore, b: Builtin, known: &[Option<TermId>]) -> bool {
+        let zero = |k: Option<TermId>| k.and_then(|id| st.as_int(id)) == Some(0);
+        b == Builtin::Mul
+            && zero(known[2])
+            && ((zero(known[0]) && known[1].is_none()) || (known[0].is_none() && zero(known[1])))
+    }
+
+    #[test]
+    fn every_admitted_mode_evaluates() {
+        for b in ALL {
+            let n = b.arity();
+            for mask in 0..1u32 << n {
+                let bound: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
+                for policy in [SetUniverse::Reject, SetUniverse::ActiveSets] {
+                    if !mode_ok(b, &bound, policy) {
+                        assert!(
+                            !functional(b, &bound),
+                            "{} {bound:?}: functional but not admitted under {policy:?}",
+                            b.name()
+                        );
+                        continue;
+                    }
+                    let mut st = TermStore::new();
+                    // Every combination of sample values at the bound
+                    // positions; free positions stay `None`.
+                    let mut cases: Vec<Vec<Option<TermId>>> = vec![Vec::new()];
+                    for (i, &is_bound) in bound.iter().enumerate() {
+                        let vals: Vec<Option<TermId>> = if is_bound {
+                            samples(&mut st, b, i).into_iter().map(Some).collect()
+                        } else {
+                            vec![None]
+                        };
+                        cases = cases
+                            .iter()
+                            .flat_map(|c| {
+                                vals.iter().map(move |&v| {
+                                    let mut c = c.clone();
+                                    c.push(v);
+                                    c
+                                })
+                            })
+                            .collect();
+                    }
+                    for known in cases {
+                        if mul_zero_unbounded(&st, b, &known) {
+                            continue;
+                        }
+                        let rows = enumerate(b, &known, &mut st, policy).unwrap_or_else(|e| {
+                            panic!("{} {known:?} under {policy:?}: {e}", b.name())
+                        });
+                        if functional(b, &bound) {
+                            assert!(rows.len() <= 1, "{} {known:?}: {rows:?}", b.name());
+                        }
+                        for row in rows {
+                            for (k, &v) in known.iter().zip(&row) {
+                                assert!(k.is_none_or(|k| k == v), "{} {known:?}", b.name());
+                            }
+                            let all: Vec<Option<TermId>> = row.iter().copied().map(Some).collect();
+                            assert_eq!(
+                                enumerate(b, &all, &mut st, policy).unwrap(),
+                                vec![row.clone()],
+                                "{} {known:?}: {row:?} fails the check mode",
+                                b.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scons_min_partial_modes_filter_the_decomposition() {
+        let (mut st, a, b, _) = store_abc();
+        let sab = st.set(vec![a, b]);
+        let sb = st.set(vec![b]);
+        let sa = st.set(vec![a]);
+        let r = SetUniverse::Reject;
+        let sols = enumerate(Builtin::SconsMin, &[Some(a), None, Some(sab)], &mut st, r);
+        assert_eq!(sols.unwrap(), vec![vec![a, sb, sab]]);
+        let sols = enumerate(Builtin::SconsMin, &[Some(b), None, Some(sab)], &mut st, r);
+        assert!(sols.unwrap().is_empty(), "b is not the minimum");
+        let sols = enumerate(Builtin::SconsMin, &[None, Some(sb), Some(sab)], &mut st, r);
+        assert_eq!(sols.unwrap(), vec![vec![a, sb, sab]]);
+        let sols = enumerate(Builtin::SconsMin, &[None, Some(sa), Some(sab)], &mut st, r);
+        assert!(sols.unwrap().is_empty(), "{{a}} is not the canonical rest");
+    }
+
     #[test]
     fn mode_table_matches_enumerate_behaviour() {
         // Spot-check a few rows of the static mode table.
@@ -1028,6 +1196,11 @@ mod tests {
             Builtin::Union,
             &[false, false, true],
             SetUniverse::ActiveSets
+        ));
+        assert!(!mode_ok(
+            Builtin::Union,
+            &[true, false, true],
+            SetUniverse::Reject
         ));
         assert!(mode_ok(
             Builtin::Add,

@@ -15,7 +15,7 @@
 
 use lps_term::FxHashSet;
 
-use crate::builtin::mode_ok;
+use crate::builtin::{functional, mode_ok};
 use crate::config::SetUniverse;
 use crate::error::EngineError;
 use crate::pattern::{Pattern, VarId};
@@ -802,8 +802,10 @@ fn partition_mask(rule: &Rule, steps: &[Step], post_steps: &[Step], d: usize) ->
 /// stay above every cost score, so safety-relevant placement is
 /// unchanged; a huge scan *can* sink below the generative-builtin tier
 /// (40), deliberately: binding variables cheaply first shrinks it to an
-/// indexed probe. Each chosen positive step's estimate accumulates into
-/// `est_rows`.
+/// indexed probe. A [`functional`] builtin (at most one row for its
+/// bound arguments) scores as a 1-row probe (`700 − 1`), so it binds
+/// its output before any scan that could use it. Each chosen positive
+/// step's estimate accumulates into `est_rows`.
 #[allow(clippy::too_many_arguments)]
 fn order_lits(
     lits: &[BodyLit],
@@ -846,6 +848,8 @@ fn order_lits(
                     }
                     if flags.iter().all(|&f| f) {
                         1000
+                    } else if cost.is_some() && functional(*b, &flags) {
+                        700 - 1
                     } else {
                         40
                     }
@@ -1124,6 +1128,100 @@ mod tests {
         let steps = &compiled.variants[0].steps;
         assert!(matches!(steps[0], Step::Pos { .. }));
         assert!(matches!(steps[1], Step::BuiltinStep { lit: 0, .. }));
+    }
+
+    #[test]
+    fn functional_builtin_ranks_above_scans_only_with_statistics() {
+        // head(X, Y) :- q(X), e(Y, W), X = Y.
+        // With `X` bound, `X = Y` yields one row. Under statistics it
+        // runs before the 40-row `e` scan, which becomes a keyed probe;
+        // the textual planner keeps the generative-builtin tier.
+        let (reg, pe, pp, pq) = setup();
+        let mut st = lps_term::TermStore::new();
+        let ids: Vec<_> = (0..40).map(|i| st.atom(&format!("n{i}"))).collect();
+        let mut e = crate::relation::Relation::new(2);
+        for i in 0..40 {
+            e.insert(&[ids[i], ids[(i + 1) % 40]]);
+        }
+        let mut q = crate::relation::Relation::new(1);
+        q.insert(&[ids[0]]);
+        q.insert(&[ids[1]]);
+        let stats = Stats::snapshot(&[e, crate::relation::Relation::new(2), q], &[]);
+        let rule = Rule {
+            head: pp,
+            head_args: vec![v(0), v(1)],
+            group: None,
+            outer: vec![
+                BodyLit::Pos(pq, vec![v(0)]),
+                BodyLit::Pos(pe, vec![v(1), v(2)]),
+                BodyLit::Builtin(Builtin::Eq, vec![v(0), v(1)]),
+            ],
+            quant: None,
+            num_vars: 3,
+            var_names: vec!["X".into(), "Y".into(), "W".into()],
+            var_sorts: vec![],
+        };
+        let plan = |cost| {
+            compile_rule(
+                &rule,
+                &reg,
+                &names,
+                &FxHashSet::default(),
+                SetUniverse::Reject,
+                cost,
+            )
+            .expect("plans")
+            .variants[0]
+                .steps
+                .clone()
+        };
+        let costed = plan(Some(&stats));
+        assert!(matches!(costed[1], Step::BuiltinStep { lit: 2, .. }));
+        assert!(matches!(
+            costed[2],
+            Step::Pos {
+                lit: 1,
+                mask: 0b01,
+                ..
+            }
+        ));
+        let textual = plan(None);
+        assert!(matches!(
+            textual[1],
+            Step::Pos {
+                lit: 1,
+                mask: 0,
+                ..
+            }
+        ));
+        assert!(matches!(textual[2], Step::BuiltinStep { lit: 2, .. }));
+    }
+
+    #[test]
+    fn union_with_one_input_needs_set_enumeration() {
+        // head(X, Y) :- e(X, Z), union(X, Y, Z).   (Y ranges over sets)
+        let (reg, pe, pp, _) = setup();
+        let rule = Rule {
+            head: pp,
+            head_args: vec![v(0), v(1)],
+            group: None,
+            outer: vec![
+                BodyLit::Pos(pe, vec![v(0), v(2)]),
+                BodyLit::Builtin(Builtin::Union, vec![v(0), v(1), v(2)]),
+            ],
+            quant: None,
+            num_vars: 3,
+            var_names: vec!["X".into(), "Y".into(), "Z".into()],
+            var_sorts: vec![],
+        };
+        let compile =
+            |policy| compile_rule(&rule, &reg, &names, &FxHashSet::default(), policy, None);
+        match compile(SetUniverse::Reject).unwrap_err() {
+            EngineError::Unsafe { var, .. } => assert_eq!(var, "Y"),
+            other => panic!("expected Unsafe, got {other:?}"),
+        }
+        let compiled = compile(SetUniverse::ActiveSets).expect("plans");
+        assert!(compiled.uses_active_universe);
     }
 
     #[test]

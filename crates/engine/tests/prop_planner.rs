@@ -9,7 +9,10 @@
 //! live-session stream drives the stale-statistics path: statistics
 //! snapshots go stale after `fact()`/`run()` and are refreshed lazily,
 //! and a plan compiled from any snapshot — fresh or stale — must still
-//! answer exactly.
+//! answer exactly. A second family, the `scons_min` cost roll-up, does
+//! the same for builtin placement: the cost planner runs functional
+//! builtins ahead of scans, the textual planner does not, and both
+//! must derive the same rows.
 
 use proptest::prelude::*;
 
@@ -344,6 +347,198 @@ fn check_stale_stats_stream(ops: &[Op], with_neg: bool) {
     }
 }
 
+struct Rollup {
+    parts: PredId,
+    cost: PredId,
+    chain: PredId,
+    sum: PredId,
+    obj_cost: PredId,
+    big: PredId,
+}
+
+/// The roll-up family: objects built from random sets of priced
+/// primitives, summed by peeling each set at its minimum element
+/// (`scons_min`), accumulating with `add`, with `card` as a guard.
+/// Textual order lists `cost(P, N)` before the peel is bound, so only
+/// the cost planner moves the functional builtins ahead of the scan.
+fn build_rollup(planner: bool) -> (Engine, Rollup) {
+    let mut e = Engine::new(EvalConfig {
+        cost_planner: planner,
+        ..EvalConfig::default()
+    });
+    let p = Rollup {
+        parts: e.pred("parts", 2),
+        cost: e.pred("cost", 2),
+        chain: e.pred("chain", 1),
+        sum: e.pred("sum", 2),
+        obj_cost: e.pred("obj_cost", 2),
+        big: e.pred("big", 1),
+    };
+    let zero = Pattern::Ground(e.store_mut().int(0));
+    let two = Pattern::Ground(e.store_mut().int(2));
+    let rules = [
+        // chain(Y) :- parts(O, Y).
+        rule(
+            p.chain,
+            vec![v(1)],
+            vec![BodyLit::Pos(p.parts, vec![v(0), v(1)])],
+            2,
+        ),
+        // chain(R) :- chain(S), scons_min(P, R, S).
+        rule(
+            p.chain,
+            vec![v(2)],
+            vec![
+                BodyLit::Pos(p.chain, vec![v(0)]),
+                BodyLit::Builtin(Builtin::SconsMin, vec![v(1), v(2), v(0)]),
+            ],
+            3,
+        ),
+        // sum(S, 0) :- chain(S), card(S, 0).
+        rule(
+            p.sum,
+            vec![v(0), zero.clone()],
+            vec![
+                BodyLit::Pos(p.chain, vec![v(0)]),
+                BodyLit::Builtin(Builtin::Card, vec![v(0), zero]),
+            ],
+            1,
+        ),
+        // sum(S, K) :- chain(S), cost(P, N), scons_min(P, R, S),
+        //              sum(R, M), add(N, M, K).
+        rule(
+            p.sum,
+            vec![v(0), v(5)],
+            vec![
+                BodyLit::Pos(p.chain, vec![v(0)]),
+                BodyLit::Pos(p.cost, vec![v(1), v(3)]),
+                BodyLit::Builtin(Builtin::SconsMin, vec![v(1), v(2), v(0)]),
+                BodyLit::Pos(p.sum, vec![v(2), v(4)]),
+                BodyLit::Builtin(Builtin::Add, vec![v(3), v(4), v(5)]),
+            ],
+            6,
+        ),
+        // obj_cost(O, K) :- parts(O, Y), sum(Y, K).
+        rule(
+            p.obj_cost,
+            vec![v(0), v(2)],
+            vec![
+                BodyLit::Pos(p.parts, vec![v(0), v(1)]),
+                BodyLit::Pos(p.sum, vec![v(1), v(2)]),
+            ],
+            3,
+        ),
+        // big(O) :- parts(O, Y), card(Y, C), 2 < C.
+        rule(
+            p.big,
+            vec![v(0)],
+            vec![
+                BodyLit::Pos(p.parts, vec![v(0), v(1)]),
+                BodyLit::Builtin(Builtin::Card, vec![v(1), v(2)]),
+                BodyLit::Builtin(Builtin::Lt, vec![two, v(2)]),
+            ],
+            3,
+        ),
+    ];
+    for r in rules {
+        e.rule(r).unwrap();
+    }
+    (e, p)
+}
+
+/// Load `parts(o_i, {p_j | bit j of masks[i]})` and `cost(p_j, n)`;
+/// returns the object atoms and their part sets.
+fn load_rollup(
+    e: &mut Engine,
+    p: &Rollup,
+    masks: &[u8],
+    costs: &[(u8, u8)],
+) -> (Vec<TermId>, Vec<TermId>) {
+    let prims: Vec<TermId> = (0..6)
+        .map(|j| e.store_mut().atom(&format!("p{j}")))
+        .collect();
+    let mut objs = Vec::new();
+    let mut sets = Vec::new();
+    for (i, &mask) in masks.iter().enumerate() {
+        let o = e.store_mut().atom(&format!("o{i}"));
+        let elems = (0..6).filter(|j| mask & (1 << j) != 0).map(|j| prims[j]);
+        let set = e.store_mut().set(elems.collect());
+        e.fact(p.parts, vec![o, set]).unwrap();
+        objs.push(o);
+        sets.push(set);
+    }
+    for &(j, n) in costs {
+        let n = e.store_mut().int(i64::from(n));
+        e.fact(p.cost, vec![prims[j as usize], n]).unwrap();
+    }
+    (objs, sets)
+}
+
+fn rollup_preds(p: &Rollup) -> [PredId; 6] {
+    [p.parts, p.cost, p.chain, p.sum, p.obj_cost, p.big]
+}
+
+/// Batch roll-up, planner on vs off: `Value`-identical models (the
+/// peel interns rest sets in plan order, so ids may differ), the same
+/// fact count, and the textual planner never reorders.
+fn check_rollup_batch(masks: &[u8], costs: &[(u8, u8)]) {
+    let run = |planner: bool| {
+        let (mut e, p) = build_rollup(planner);
+        load_rollup(&mut e, &p, masks, costs);
+        let stats = e.run().unwrap();
+        let rows: Vec<Vec<Vec<Value>>> = rollup_preds(&p)
+            .iter()
+            .map(|&q| value_rows(&e, q))
+            .collect();
+        (rows, stats)
+    };
+    let (rows_on, stats_on) = run(true);
+    let (rows_off, stats_off) = run(false);
+    assert_eq!(rows_on, rows_off, "planner changed the roll-up model");
+    assert_eq!(stats_on.facts_derived, stats_off.facts_derived);
+    assert_eq!(
+        stats_off.reorders_applied, 0,
+        "planner off must never reorder"
+    );
+}
+
+/// Demand roll-up queries on fresh sessions, planner on vs off:
+/// `Value`-identical answers, both on the demand path. `which` picks
+/// `obj_cost` (object bound or free), `big`, or `sum` over an
+/// object's part set.
+fn check_rollup_query(masks: &[u8], costs: &[(u8, u8)], which: u8, bound: bool, obj: u8) {
+    let run = |planner: bool| {
+        let (mut e, p) = build_rollup(planner);
+        let (objs, sets) = load_rollup(&mut e, &p, masks, costs);
+        let k = obj as usize % objs.len();
+        let (pred, args) = match which % 3 {
+            0 => (p.obj_cost, vec![bound.then_some(objs[k]), None]),
+            1 => (p.big, vec![bound.then_some(objs[k])]),
+            _ => (p.sum, vec![bound.then_some(sets[k]), None]),
+        };
+        let res = e.query(pred, &args).unwrap();
+        let mut rows: Vec<Vec<Value>> = res
+            .rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&id| Value::from_store(e.store(), id))
+                    .collect()
+            })
+            .collect();
+        rows.sort();
+        (rows, res.path)
+    };
+    let (rows_on, path_on) = run(true);
+    let (rows_off, path_off) = run(false);
+    assert_eq!(
+        rows_on, rows_off,
+        "planner changed roll-up answers (which={which} bound={bound})"
+    );
+    assert_eq!(path_on, QueryPath::Demand, "the roll-up is monotone");
+    assert_eq!(path_off, QueryPath::Demand, "the roll-up is monotone");
+}
+
 proptest! {
     /// Batch fixpoints are planner-invariant, bit for bit — including
     /// around negation strata and under grouping heads.
@@ -379,5 +574,29 @@ proptest! {
         with_neg in any::<bool>(),
     ) {
         check_stale_stats_stream(&ops, with_neg);
+    }
+
+    /// Builtin placement is invisible: the roll-up derives the same
+    /// rows whether the functional builtins run before or after the
+    /// `cost` scan.
+    #[test]
+    fn planner_is_invisible_to_rollup_batch(
+        masks in proptest::collection::vec(0u8..64, 1..5),
+        costs in proptest::collection::vec((0u8..6, 0u8..10), 0..9),
+    ) {
+        check_rollup_batch(&masks, &costs);
+    }
+
+    /// The same on the demand path, which adds `scons_min` modes with
+    /// the rest or the element bound.
+    #[test]
+    fn planner_is_invisible_to_rollup_queries(
+        masks in proptest::collection::vec(0u8..64, 1..5),
+        costs in proptest::collection::vec((0u8..6, 0u8..10), 0..9),
+        which in 0u8..3,
+        bound in any::<bool>(),
+        obj in 0u8..4,
+    ) {
+        check_rollup_query(&masks, &costs, which, bound, obj);
     }
 }

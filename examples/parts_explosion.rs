@@ -5,7 +5,9 @@
 //! paper computes object cost with a recursive `sum` over *disjoint
 //! unions* (Example 5). We run that formulation literally, and then
 //! the linear-time variant using the canonical decomposition builtin
-//! `scons_min` (an engineering extension benchmarked in E6).
+//! `scons_min` (an engineering extension benchmarked in E6), and
+//! finally answer one object's cost as a goal, demand-driven, without
+//! evaluating the whole model.
 //!
 //! Run with `cargo run --example parts_explosion`.
 
@@ -94,4 +96,21 @@ fn main() {
         }
     }
     println!("both formulations agree on all object costs ✓");
+
+    // Goal-directed: an unevaluated session derives only what the goal
+    // needs (the magic-set rewrite peels just bike's part set).
+    let mut db = Database::new(Dialect::Elps);
+    db.load_str(&edb()).unwrap();
+    db.load_str(FAST_RULES).unwrap();
+    let mut session = db.session().unwrap();
+    let ans = session.query_str("obj_cost(bike, X).").unwrap();
+    assert_eq!(
+        ans.rows,
+        vec![vec![Value::int(240)]],
+        "bike should cost 240"
+    );
+    println!(
+        "?- obj_cost(bike, X).  X = 240 ({:?} path, {} facts) ✓",
+        ans.path, ans.stats.facts_derived
+    );
 }

@@ -1,7 +1,7 @@
 //! E1: every numbered example in the paper (§1, Examples 1–6),
 //! evaluated end-to-end with exact expected models.
 
-use lps::{Database, Dialect, Value};
+use lps::{Database, Dialect, QueryPath, Value};
 
 fn atom(s: &str) -> Value {
     Value::atom(s)
@@ -149,6 +149,55 @@ fn example_6_parts_cost() {
     assert!(m.holds("obj_cost", &[atom("gadget"), Value::int(9)]));
     assert!(m.holds("obj_cost", &[atom("trinket"), Value::int(1)]));
     assert_eq!(m.count("obj_cost", 2), 3);
+}
+
+#[test]
+fn example_6_scons_min_rollup_answers_on_the_demand_path() {
+    // The linear roll-up of examples/parts_explosion.rs. Demand for
+    // `obj_cost(o, X)` reaches `chain(Rest) :- chain(S), scons_min(_P,
+    // Rest, S)` with `Rest` bound, i.e. `scons_min` in mode (free,
+    // bound, bound), which must evaluate rather than error.
+    let src = "
+        parts(bike, {frame, wheel_f, wheel_r, chain_drive}).
+        parts(cart, {frame, wheel_f, wheel_r}).
+        parts(sled, {frame}).
+        parts(ghost, {}).
+        cost(frame, 120). cost(wheel_f, 45). cost(wheel_r, 45). cost(chain_drive, 30).
+        sum_costs(S, 0) :- chain(S), S = {}.
+        sum_costs(S, K) :- chain(S), scons_min(P, Rest, S),
+                           cost(P, N), sum_costs(Rest, M), N + M = K.
+        chain(Y) :- parts(_X, Y).
+        chain(Rest) :- chain(S), scons_min(_P, Rest, S).
+        obj_cost(X, N) :- parts(X, Y), sum_costs(Y, N).";
+    let mut db = Database::new(Dialect::Elps);
+    db.load_str(src).unwrap();
+    let model = db.evaluate().unwrap();
+    let mut session = db.session().unwrap();
+    for (i, (obj, cost)) in [("bike", 240), ("cart", 210), ("sled", 120), ("ghost", 0)]
+        .into_iter()
+        .enumerate()
+    {
+        let want: Vec<Vec<Value>> = model
+            .extension("obj_cost")
+            .into_iter()
+            .filter(|row| row[0] == atom(obj))
+            .collect();
+        assert_eq!(want, vec![vec![atom(obj), Value::int(cost)]]);
+        let goal = [Some(atom(obj)), None];
+        let ans = session.query("obj_cost", &goal).unwrap();
+        assert_eq!(ans.path, QueryPath::Demand, "{obj}");
+        assert_eq!(ans.rows, want, "{obj}: demand answer equals the model");
+        if i > 0 {
+            assert_eq!(ans.stats.adornments_compiled, 0, "{obj}: plan reused");
+        }
+        let again = session.query("obj_cost", &goal).unwrap();
+        assert_eq!(again.path, QueryPath::Demand);
+        assert_eq!(
+            again.stats.adornments_compiled, 0,
+            "{obj}: repeat reuses the plan"
+        );
+        assert_eq!(again.rows, want);
+    }
 }
 
 #[test]

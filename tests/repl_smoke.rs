@@ -46,6 +46,30 @@ fn loads_facts_and_answers_queries() {
 }
 
 #[test]
+fn answers_the_scons_min_rollup_goal() {
+    // Demand reaches `scons_min` with its rest and set bound; the REPL
+    // once printed `error: builtin scons_min does not support mode`.
+    let (stdout, _) = run_lpsi(
+        &[],
+        "parts(bike, {frame, wheel_f, chain_drive}). cost(frame, 120).\n\
+         cost(wheel_f, 45). cost(chain_drive, 30).\n\
+         sum_costs(S, 0) :- chain(S), S = {}.\n\
+         sum_costs(S, K) :- chain(S), scons_min(P, Rest, S),\n\
+                            cost(P, N), sum_costs(Rest, M), N + M = K.\n\
+         chain(Y) :- parts(_X, Y).\n\
+         chain(Rest) :- chain(S), scons_min(_P, Rest, S).\n\
+         obj_cost(X, N) :- parts(X, Y), sum_costs(Y, N).\n\
+         ?- obj_cost(bike, X).\n\
+         :quit\n",
+    );
+    assert!(!stdout.contains("error"), "goal answers:\n{stdout}");
+    assert!(
+        stdout.contains("obj_cost(bike, 195)"),
+        "bike costs 195:\n{stdout}"
+    );
+}
+
+#[test]
 fn dialect_command_switches_and_rejects_unknown() {
     let (stdout, _) = run_lpsi(
         &[],

@@ -50,6 +50,28 @@ fn serve_answers_queries_over_the_wire() {
 }
 
 #[test]
+fn serve_answers_the_scons_min_rollup() {
+    // Demand for `obj_cost(bike, X)` runs `scons_min` with its rest
+    // and set bound, a mode the wire server once answered with `err`.
+    let mut server = spawn_server(
+        "parts(bike, {frame, wheel_f, wheel_r, chain_drive}). parts(sled, {frame}).\n\
+         cost(frame, 120). cost(wheel_f, 45). cost(wheel_r, 45). cost(chain_drive, 30).\n\
+         sum_costs(S, 0) :- chain(S), S = {}.\n\
+         sum_costs(S, K) :- chain(S), scons_min(P, Rest, S),\n\
+                            cost(P, N), sum_costs(Rest, M), N + M = K.\n\
+         chain(Y) :- parts(_X, Y).\n\
+         chain(Rest) :- chain(S), scons_min(_P, Rest, S).\n\
+         obj_cost(X, N) :- parts(X, Y), sum_costs(Y, N).\n",
+    );
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let rows = client.query("obj_cost(bike, X).").unwrap().unwrap();
+    assert_eq!(rows, vec!["bike, 240"]);
+    let rows = client.query("obj_cost(sled, X).").unwrap().unwrap();
+    assert_eq!(rows, vec!["sled, 120"]);
+    server.shutdown();
+}
+
+#[test]
 fn serve_rejects_over_wide_predicates_and_keeps_serving() {
     // A predicate wider than a column mask once panicked the writer
     // thread, after which every request answered "server is shutting
