@@ -8,8 +8,8 @@
 //! [`EngineSnapshot`](lps_engine::EngineSnapshot) whenever it can, and
 //! funnels everything else (cold adornments, new seed constants,
 //! conjunctive goals, fact additions) to the writer over an mpsc
-//! channel. After every write or funneled query the writer republishes,
-//! so later readers hit.
+//! channel. After every write or funneled query that changed the engine
+//! the writer republishes, so later readers hit.
 //!
 //! # Wire format
 //!
@@ -22,7 +22,8 @@
 //! F <fact>     add ground fact clause(s), e.g. `F edge(a, b).`
 //! S            server metrics: Prometheus-style text exposition
 //!              (snapshot hits/misses, funnel depth, republish count,
-//!              per-op latency quantiles), answered connection-side
+//!              per-op and publish latency quantiles), answered
+//!              connection-side
 //! ```
 //!
 //! The response is one frame: a first line `ok <n>` or `err <message>`,
@@ -141,9 +142,9 @@ enum Request {
 /// Server-side metrics, aggregated across all connections and rendered
 /// on demand by the `S` wire op. The snapshot hit/miss counters and the
 /// funnel depth gauge stay lock-free atomics (they sit on the request
-/// hot path); latencies and the republish count go through the
-/// [`lps_trace::Registry`], whose mutex is uncontended at wire
-/// timescales.
+/// hot path); latencies (per op, and the writer's publish time) and
+/// the republish count go through the [`lps_trace::Registry`], whose
+/// mutex is uncontended at wire timescales.
 #[derive(Debug, Default)]
 struct ServeMetrics {
     registry: lps_trace::Registry,
@@ -284,8 +285,10 @@ fn writer_fact(model: &mut Model, text: &str) -> Reply {
 }
 
 /// The writer loop: the one thread that mutates the engine. Every
-/// handled request ends with a republish, so snapshot readers converge
-/// on the writer's answers.
+/// handled request ends with a publish, so snapshot readers converge
+/// on the writer's answers; a request that changed nothing a snapshot
+/// holds (an error, a duplicate fact, a repeat) mints no epoch and is
+/// not counted in `lps_republish_total` or `lps_publish_us`.
 fn writer_loop(
     mut model: Model,
     mut publisher: SnapshotPublisher,
@@ -313,8 +316,13 @@ fn writer_loop(
             Request::Query(goal, tx) => (tx, writer_query(&mut model, &goal)),
             Request::Fact(text, tx) => (tx, writer_fact(&mut model, &text)),
         };
-        publisher.publish(model.engine_mut());
-        metrics.registry.inc("lps_republish_total");
+        let epoch = publisher.epoch();
+        let start = Instant::now();
+        if publisher.publish(model.engine_mut()) != epoch {
+            let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            metrics.registry.observe("lps_publish_us", us);
+            metrics.registry.inc("lps_republish_total");
+        }
         let _ = reply_to.send(reply);
     }
 }
@@ -675,6 +683,7 @@ mod tests {
         assert!(text.contains("lps_snapshot_misses_total 1"), "{text}");
         assert!(text.contains("lps_funnel_depth 0"), "{text}");
         assert!(text.contains("lps_republish_total 1"), "{text}");
+        assert!(text.contains("lps_publish_us_count 1"), "{text}");
         assert!(
             text.contains("lps_op_q_us{quantile=\"0.5\"}")
                 && text.contains("lps_op_q_us{quantile=\"0.99\"}")
@@ -687,9 +696,49 @@ mod tests {
         let text = client.server_stats().unwrap().unwrap();
         assert!(text.contains("lps_snapshot_hits_total 2"), "{text}");
         assert!(text.contains("lps_op_s_us_count 1"), "{text}");
+        // A cold adornment mints one more epoch, timed like the first.
+        client.query("t(X, d).").unwrap().unwrap();
+        let text = client.server_stats().unwrap().unwrap();
+        assert_eq!(
+            metric(&text, "lps_publish_us_count"),
+            metric(&text, "lps_republish_total"),
+            "{text}"
+        );
+        assert_eq!(metric(&text, "lps_republish_total"), 2, "{text}");
         assert!(server.metrics_text().contains("lps_snapshot_hits_total 2"));
         server.shutdown();
         server.shutdown(); // idempotent
+    }
+
+    /// The value of an unlabelled sample `name` in an exposition text.
+    fn metric(text: &str, name: &str) -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample {name} in {text}"))
+    }
+
+    #[test]
+    fn unchanged_engine_is_not_republished() {
+        let db = chain_db();
+        let server = local_server(&db);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client.query("t(a, X).").unwrap().unwrap();
+        let stats = |client: &mut Client| client.server_stats().unwrap().unwrap();
+        let before = metric(&stats(&mut client), "lps_republish_total");
+        assert_eq!(before, 1, "the cold plan mints one epoch");
+        // An error reply, a rejected rule and a duplicate fact leave
+        // the engine as published: no new epoch.
+        assert!(client.query("t(a, X").unwrap().is_err());
+        assert!(client.add_fact("p(X) :- q(X).").unwrap().is_err());
+        client.add_fact("e(a, b).").unwrap().unwrap();
+        let text = stats(&mut client);
+        assert_eq!(metric(&text, "lps_republish_total"), before, "{text}");
+        assert_eq!(metric(&text, "lps_publish_us_count"), before, "{text}");
+        // The epoch still serves: the repeat query hits.
+        let hits = server.snapshot_hits();
+        let rows = client.query("t(a, X).").unwrap().unwrap();
+        assert_eq!(rows, vec!["a, b", "a, c", "a, d"]);
+        assert_eq!(server.snapshot_hits(), hits + 1);
     }
 
     #[test]

@@ -136,6 +136,20 @@ impl QueryPlan {
             .position(|&q| q == p)
             .map_or(0, |i| self.base_lens[i])
     }
+
+    /// The stratum a warm continuation would restart from: the lowest
+    /// one that a tracked relation grown past its baseline (or growth
+    /// of the set universe) affects. `None` means the retained
+    /// fixpoint is current — a query of a live plan is then a pure
+    /// read of the answer relation.
+    fn restart_from(&self, full: &[Relation], sets: usize) -> Option<usize> {
+        let changed = self
+            .tracked
+            .iter()
+            .copied()
+            .filter(|&p| full[p.index()].len() as u32 > self.base_len(p));
+        self.program.restart_stratum(changed, sets > self.sets_base)
+    }
 }
 
 /// How a query was answered. See [`Engine::query`].
@@ -1453,18 +1467,11 @@ impl Engine {
                 self.delta[p.index()].ensure_index(m);
             }
         }
-        let changed: Vec<PredId> = plan
-            .tracked
-            .iter()
-            .copied()
-            .filter(|&p| self.full[p.index()].len() as u32 > plan.base_len(p))
-            .collect();
-        let universe_grew = self.store.set_ids().len() > plan.sets_base;
         debug_assert!(
             plan.program.max_nonmono_stratum.is_none(),
             "demand rewrites are monotone"
         );
-        if let Some(s0) = plan.program.restart_stratum(changed, universe_grew) {
+        if let Some(s0) = plan.restart_from(&self.full, self.store.set_ids().len()) {
             stats.absorb(run_seeded(
                 &mut self.store,
                 &mut self.full,
@@ -1502,13 +1509,21 @@ impl Engine {
         }
     }
 
-    /// Snapshot-publisher internals: the live demand plans as
-    /// `((pred, mask), answer, magic_seed)` triples.
+    /// Snapshot-publisher internals: the servable demand plans as
+    /// `((pred, mask), answer, magic_seed)` triples — live plans whose
+    /// retained fixpoint is current, so that a query would read the
+    /// answer relation without running a continuation. A live plan
+    /// whose tracked relations grew since its last run (another plan's
+    /// query synced new EDB rows or derived into a shared relation) is
+    /// left out until its own next query brings it level.
     pub(crate) fn live_plan_triples(&self) -> Vec<((PredId, ColMask), PredId, Option<PredId>)> {
+        let sets = self.store.set_ids().len();
         self.query_plans
             .iter()
             .filter_map(|(&key, e)| match e {
-                QueryEntry::Demand(p) if p.live => Some((key, p.answer, p.magic_seed)),
+                QueryEntry::Demand(p) if p.live && p.restart_from(&self.full, sets).is_none() => {
+                    Some((key, p.answer, p.magic_seed))
+                }
                 _ => None,
             })
             .collect()

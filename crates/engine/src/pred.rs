@@ -23,7 +23,7 @@ impl PredId {
 }
 
 /// Metadata for one predicate.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PredInfo {
     /// Interned name.
     pub name: Symbol,
@@ -43,7 +43,7 @@ pub struct PredInfo {
 /// evicted query plans this way, so a long-lived session's registry —
 /// and the positional relation vectors sized from it — stay bounded
 /// by the live plans rather than by every adornment ever queried.
-#[derive(Default, Debug, Clone)]
+#[derive(Default, Debug, Clone, PartialEq, Eq)]
 pub struct PredRegistry {
     preds: Vec<PredInfo>,
     by_key: FxHashMap<(Symbol, usize), PredId>,

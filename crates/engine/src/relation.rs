@@ -465,6 +465,36 @@ impl Relation {
         self.indexes.iter().any(|i| i.mask == mask)
     }
 
+    /// The masks of the secondary indexes, in creation order (a clone
+    /// has the same masks in the same order).
+    pub fn index_masks(&self) -> impl ExactSizeIterator<Item = ColMask> + '_ {
+        self.indexes.iter().map(|i| i.mask)
+    }
+
+    /// Bring `self`, an earlier copy of `src`, level with it: build the
+    /// index masks `src` gained since, then [`Relation::insert`] the
+    /// rows past `self.len()`. Afterwards `self` equals a fresh clone
+    /// of `src` row for row, with the same index masks in the same
+    /// order — at the cost of the tail rather than the whole relation.
+    ///
+    /// The caller guarantees that `self`'s rows are a prefix of
+    /// `src`'s: `src` has only grown since the copy (same
+    /// [`Relation::fingerprint`] identity, no [`Relation::clear`] —
+    /// see [`Relation::clear_mark`]).
+    pub(crate) fn append_tail_from(&mut self, src: &Relation) {
+        assert_eq!(self.arity, src.arity, "append_tail_from: arity mismatch");
+        assert!(self.rows <= src.rows, "append_tail_from: not a prefix");
+        // Indexes first, so the tail below is indexed incrementally.
+        for mask in src.index_masks() {
+            self.ensure_index(mask);
+        }
+        self.reserve((src.rows - self.rows) as usize);
+        for r in self.rows..src.rows {
+            let fresh = self.insert(src.row(r));
+            debug_assert!(fresh, "append_tail_from: row {r} already present");
+        }
+    }
+
     /// Estimate the number of distinct values the `mask` columns take
     /// over this relation — the planner-statistics primitive behind
     /// cost-based join ordering ([`crate::stats`]).
@@ -529,6 +559,16 @@ impl Relation {
     /// `Arc<Relation>` for relations an update did not touch.
     pub fn fingerprint(&self) -> (u64, u64) {
         (self.id, self.version)
+    }
+
+    /// A value that changes on every [`Relation::clear`] and on no
+    /// insert: `version − rows`, since an insert bumps both and a clear
+    /// bumps the version while zeroing the rows. Equal marks on the
+    /// same identity mean the relation has only grown in between, so an
+    /// earlier copy's rows are a prefix of its rows.
+    pub(crate) fn clear_mark(&self) -> u64 {
+        // Wrapping: a clone restarts `version` at 0 with its rows kept.
+        self.version.wrapping_sub(u64::from(self.rows))
     }
 }
 
@@ -720,6 +760,55 @@ mod tests {
             Relation::new(1).fingerprint().0,
             Relation::new(1).fingerprint().0
         );
+    }
+
+    #[test]
+    fn append_tail_from_matches_a_fresh_clone() {
+        let mut st = TermStore::new();
+        let ids: Vec<_> = (0..300).map(|i| st.int(i)).collect();
+        let mut src = Relation::new(2);
+        src.ensure_index(0b01);
+        for (i, &x) in ids.iter().take(20).enumerate() {
+            src.insert(&[ids[i % 4], x]);
+        }
+        let mut copy = src.clone();
+        let mark = src.clear_mark();
+        // The source grows past several resize thresholds and gains an
+        // index; inserts never move the clear mark.
+        for (i, &x) in ids.iter().enumerate().skip(20) {
+            src.insert(&[ids[i % 4], x]);
+        }
+        src.ensure_index(0b10);
+        assert_eq!(src.clear_mark(), mark);
+        copy.append_tail_from(&src);
+        let fresh = src.clone();
+        assert_eq!(
+            copy.iter().collect::<Vec<_>>(),
+            fresh.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            copy.index_masks().collect::<Vec<_>>(),
+            fresh.index_masks().collect::<Vec<_>>()
+        );
+        for &x in ids.iter().take(4) {
+            assert_eq!(copy.lookup(0b01, &[x]), fresh.lookup(0b01, &[x]));
+        }
+        for &x in &ids {
+            assert_eq!(copy.lookup(0b10, &[x]), fresh.lookup(0b10, &[x]));
+            assert_eq!(copy.contains(&[ids[0], x]), fresh.contains(&[ids[0], x]));
+        }
+        // Up to date: a second append is a no-op.
+        copy.append_tail_from(&src);
+        assert_eq!(copy.len(), src.len());
+        // A clear moves the mark, even when the relation regrows to
+        // its old length.
+        let n = src.len();
+        src.clear();
+        assert_ne!(src.clear_mark(), mark);
+        for (i, &x) in ids.iter().enumerate().take(n) {
+            src.insert(&[ids[(i + 1) % 4], x]);
+        }
+        assert_ne!(src.clear_mark(), mark);
     }
 
     #[test]

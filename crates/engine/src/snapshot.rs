@@ -37,14 +37,30 @@
 //!   funnels to the writer (which evaluates, then republishes so later
 //!   readers hit).
 //!
-//! Publishing is cheap when little changed: relations are shared by
-//! `(identity, version)` fingerprint ([`Relation::fingerprint`]) so an
-//! epoch reuses the previous epoch's `Arc<Relation>` for every
-//! relation the writer did not touch, and the interned-term store is
-//! re-cloned only when it grew. Readers never observe a torn epoch:
-//! the epoch pointer swap is atomic, and a reader's `Arc` keeps its
-//! whole snapshot (store, registry, relations, plans) alive together
-//! until dropped (property-tested in `tests/prop_serve.rs`).
+//! A publish costs the rows added since the last one, not the size of
+//! what changed. Each relation slot keeps two buffers: the one the
+//! current epoch publishes and a *spare*, the one it published before.
+//! A relation the writer did not touch (same [`Relation::fingerprint`]
+//! and index count) reuses the published `Arc`. A touched one has, in
+//! the common case, only grown — the materialized model and the
+//! retained demand spaces are monotone, `T_P` iterated on from the last
+//! fixpoint — so the publisher appends the new tail rows to the spare
+//! (`Relation::append_tail_from`, which keeps its dedup table and
+//! indexes), publishes the spare, and keeps the outgoing buffer as the
+//! next spare. The spare is reused only when `Arc::get_mut` proves no
+//! epoch or reader still holds it and the source kept its identity
+//! with no clear (`Relation::clear_mark`); otherwise — first publish,
+//! a rebased or evicted plan, a cleared space, a spare pinned by a
+//! reader — the relation is cloned, as a fresh epoch needs. Either way
+//! every published relation equals a clone of the source row for row,
+//! with the same index masks. The interned-term store is re-cloned
+//! only when it grew, and a publish that would change nothing a
+//! snapshot holds mints no epoch at all.
+//!
+//! Readers never observe a torn epoch: the epoch pointer swap is
+//! atomic, and a reader's `Arc` keeps its whole snapshot (store,
+//! registry, relations, plans) alive together until dropped
+//! (property-tested in `tests/prop_serve.rs`).
 
 use crate::engine::{Engine, EngineState, RowSet};
 use crate::magic;
@@ -57,7 +73,7 @@ use std::sync::Arc;
 /// One servable demand plan in a snapshot: the retained answer
 /// relation and the magic relation that records which seeds its
 /// fixpoint covers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SnapshotPlan {
     /// The adorned predicate holding the answers.
     answer: PredId,
@@ -108,6 +124,19 @@ impl EngineSnapshot {
     /// Arity of a predicate in this snapshot.
     pub fn arity(&self, pred: PredId) -> usize {
         self.preds.info(pred).arity
+    }
+
+    /// Number of relation slots frozen in this snapshot (one per
+    /// registered predicate slot at publish time).
+    pub fn relation_count(&self) -> usize {
+        self.rels.len()
+    }
+
+    /// The frozen relation of `pred`: row for row, with the same index
+    /// masks, a clone of the engine's relation at publish time. `None`
+    /// past [`EngineSnapshot::relation_count`].
+    pub fn relation(&self, pred: PredId) -> Option<&Relation> {
+        self.rels.get(pred.index()).map(|r| &**r)
     }
 
     /// Try to answer the point query `pred(args…)` from this snapshot
@@ -179,48 +208,126 @@ fn masked_matches(row: &[TermId], mask: ColMask, key: &[TermId]) -> bool {
     true
 }
 
-/// The writer-side handle: owns the epoch counter and the caches that
-/// make republishing cheap. Lives next to the owning [`Engine`] on
-/// the writer thread; hand [`SnapshotPublisher::reader`] clones to
-/// reader threads.
+/// The source state a published buffer was last brought level with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SyncKey {
+    /// The engine relation's `(identity, version)`
+    /// ([`Relation::fingerprint`]).
+    fingerprint: (u64, u64),
+    /// Its [`Relation::clear_mark`]: equal marks on one identity mean
+    /// the relation only grew in between.
+    clear_mark: u64,
+    /// Its index count — building an index does not bump the version,
+    /// but a published copy must carry the same index masks.
+    indexes: usize,
+}
+
+impl SyncKey {
+    fn of(rel: &Relation) -> Self {
+        SyncKey {
+            fingerprint: rel.fingerprint(),
+            clear_mark: rel.clear_mark(),
+            indexes: rel.index_masks().len(),
+        }
+    }
+}
+
+/// A published copy of one engine relation and the source state it
+/// mirrors.
+#[derive(Debug)]
+struct Buffer {
+    synced: SyncKey,
+    rel: Arc<Relation>,
+}
+
+impl Buffer {
+    fn clone_of(src: &Relation, synced: SyncKey) -> Self {
+        Buffer {
+            synced,
+            rel: Arc::new(src.clone()),
+        }
+    }
+}
+
+/// One relation slot: the buffer the current epoch publishes, and the
+/// one the slot published before it, kept to be grown in place.
+#[derive(Debug)]
+struct Slot {
+    published: Buffer,
+    spare: Option<Buffer>,
+}
+
+impl Slot {
+    fn new(src: &Relation) -> Self {
+        Slot {
+            published: Buffer::clone_of(src, SyncKey::of(src)),
+            spare: None,
+        }
+    }
+
+    /// The buffer to publish for `src`. An unchanged source reuses the
+    /// published buffer. A changed one is copied into the spare when
+    /// the source has only grown since the spare was synced and no
+    /// epoch still holds the spare — only the new tail rows are
+    /// copied; otherwise (first sight, a new identity after a rebase or
+    /// eviction, a clear, a pinned spare) the source is cloned. Either
+    /// way the outgoing buffer becomes the next spare.
+    fn sync(&mut self, src: &Relation) -> Arc<Relation> {
+        let key = SyncKey::of(src);
+        if self.published.synced != key {
+            let grown = self.spare.take().and_then(|mut buf| {
+                let same_growth = buf.synced.fingerprint.0 == key.fingerprint.0
+                    && buf.synced.clear_mark == key.clear_mark;
+                let rel = Arc::get_mut(&mut buf.rel).filter(|_| same_growth)?;
+                rel.append_tail_from(src);
+                buf.synced = key;
+                Some(buf)
+            });
+            let next = grown.unwrap_or_else(|| Buffer::clone_of(src, key));
+            self.spare = Some(std::mem::replace(&mut self.published, next));
+        }
+        Arc::clone(&self.published.rel)
+    }
+}
+
+/// The writer-side handle: owns the current epoch and the per-slot
+/// buffers that make republishing cheap. Lives next to the owning
+/// [`Engine`] on the writer thread; hand [`SnapshotPublisher::reader`]
+/// clones to reader threads.
 #[derive(Debug)]
 pub struct SnapshotPublisher {
     cell: Arc<EpochCell<EngineSnapshot>>,
-    epoch: u64,
-    /// `(terms, symbols)` lengths of the last published store — the
-    /// store is append-only, so unchanged lengths mean an unchanged
-    /// store and the previous `Arc` is reused.
-    store_key: (usize, usize),
-    store_arc: Arc<TermStore>,
-    /// Last published relation per slot, keyed by the *source*
-    /// relation's fingerprint at publish time.
-    rel_cache: Vec<((u64, u64), Arc<Relation>)>,
+    /// The epoch readers currently load (also held by `cell`).
+    current: Arc<EngineSnapshot>,
+    /// Published/spare buffer pair per relation slot.
+    slots: Vec<Slot>,
 }
 
 impl SnapshotPublisher {
-    /// Create a publisher and publish epoch 0 from the engine's
-    /// current state.
+    /// Create a publisher and publish the engine's current state.
     pub fn new(engine: &mut Engine) -> Self {
-        let store_arc = Arc::new(engine.store().clone());
-        let mut publisher = SnapshotPublisher {
-            cell: Arc::new(EpochCell::new(Arc::new(EngineSnapshot {
-                epoch: 0,
-                store: Arc::clone(&store_arc),
-                preds: engine.preds().clone(),
-                rels: Vec::new(),
-                plans: FxHashMap::default(),
-                model_servable: false,
-            }))),
+        // Epoch 0 is just the cell's initial value; `publish` below
+        // freezes the relations and plans through the one code path.
+        let current = Arc::new(EngineSnapshot {
             epoch: 0,
-            store_key: (engine.store().len(), engine.store().symbols().len()),
-            store_arc,
-            rel_cache: Vec::new(),
+            store: Arc::new(engine.store().clone()),
+            preds: engine.preds().clone(),
+            rels: Vec::new(),
+            plans: FxHashMap::default(),
+            model_servable: false,
+        });
+        let mut publisher = SnapshotPublisher {
+            cell: Arc::new(EpochCell::new(Arc::clone(&current))),
+            current,
+            slots: Vec::new(),
         };
-        publisher.epoch = 0;
-        // Re-publish properly (relations, plans) through the one code
-        // path; epoch 0 above is just the cell's initial value.
         publisher.publish(engine);
         publisher
+    }
+
+    /// The epoch readers currently see.
+    pub fn epoch(&self) -> u64 {
+        self.current.epoch
     }
 
     /// A cheap, clonable reader handle for this publisher's epochs.
@@ -231,35 +338,33 @@ impl SnapshotPublisher {
     }
 
     /// Freeze the engine's current state into a new epoch and swap it
-    /// in for readers. Returns the new epoch number. Unchanged
-    /// relations and an unchanged store are shared with the previous
-    /// epoch rather than re-cloned.
+    /// in for readers. Returns the epoch readers now see: the new one,
+    /// or the current one unchanged when nothing a snapshot holds has
+    /// changed since it was published (no epoch is minted then).
+    /// Unchanged relations and an unchanged store are shared with the
+    /// previous epoch; changed relations are grown in a spare buffer
+    /// where possible (`Relation::append_tail_from`) rather than
+    /// re-cloned.
     pub fn publish(&mut self, engine: &mut Engine) -> u64 {
         // Build the bound-column indexes the reader hit path probes
         // while we still have `&mut` — published relations are frozen.
         engine.prepare_publish();
-        let store_key = (engine.store().len(), engine.store().symbols().len());
-        if store_key != self.store_key {
-            self.store_arc = Arc::new(engine.store().clone());
-            self.store_key = store_key;
-        }
+        // The store is append-only: unchanged `(terms, symbols)`
+        // lengths mean an unchanged store, whose `Arc` is reused.
+        let store_key = |st: &TermStore| (st.len(), st.symbols().len());
+        let store = if store_key(engine.store()) == store_key(&self.current.store) {
+            Arc::clone(&self.current.store)
+        } else {
+            Arc::new(engine.store().clone())
+        };
         let full = engine.full_relations();
-        self.rel_cache.truncate(full.len());
+        self.slots.truncate(full.len());
         let mut rels = Vec::with_capacity(full.len());
-        for (i, rel) in full.iter().enumerate() {
-            let fp = rel.fingerprint();
-            match self.rel_cache.get(i) {
-                Some((cached_fp, arc)) if *cached_fp == fp => rels.push(Arc::clone(arc)),
-                _ => {
-                    let arc = Arc::new(rel.clone());
-                    if i < self.rel_cache.len() {
-                        self.rel_cache[i] = (fp, Arc::clone(&arc));
-                    } else {
-                        self.rel_cache.push((fp, Arc::clone(&arc)));
-                    }
-                    rels.push(arc);
-                }
+        for (i, src) in full.iter().enumerate() {
+            if i == self.slots.len() {
+                self.slots.push(Slot::new(src));
             }
+            rels.push(self.slots[i].sync(src));
         }
         // Demand plans are servable only while nothing is waiting to
         // be folded into their spaces; otherwise a plan hit could miss
@@ -274,16 +379,27 @@ impl SnapshotPublisher {
         // the state to `Dirty`), so the model relations are the least
         // model as of this epoch.
         let model_servable = engine.state() == EngineState::Materialized;
-        self.epoch += 1;
-        self.cell.store(Arc::new(EngineSnapshot {
-            epoch: self.epoch,
-            store: Arc::clone(&self.store_arc),
+        let cur = &self.current;
+        let unchanged = Arc::ptr_eq(&store, &cur.store)
+            && rels.len() == cur.rels.len()
+            && rels.iter().zip(&cur.rels).all(|(a, b)| Arc::ptr_eq(a, b))
+            && plans == cur.plans
+            && model_servable == cur.model_servable
+            && *engine.preds() == cur.preds;
+        if unchanged {
+            return cur.epoch;
+        }
+        let next = Arc::new(EngineSnapshot {
+            epoch: cur.epoch + 1,
+            store,
             preds: engine.preds().clone(),
             rels,
             plans,
             model_servable,
-        }));
-        self.epoch
+        });
+        self.cell.store(Arc::clone(&next));
+        self.current = next;
+        self.current.epoch
     }
 }
 
@@ -431,11 +547,42 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_another_query_left_behind_funnels() {
+        let (mut e, edge, path) = chain_engine(2);
+        let (zero, three) = (e.store_mut().int(0), e.store_mut().int(3));
+        let five = e.store_mut().int(5);
+        e.query(path, &[None, None]).unwrap();
+        // The `bb` query syncs the new edge into `edge` and runs only
+        // its own plan: the all-free plan's retained fixpoint is now
+        // behind, though still live.
+        e.fact(edge, vec![five, five]).unwrap();
+        e.query(path, &[Some(zero), Some(three)]).unwrap();
+        let mut publisher = SnapshotPublisher::new(&mut e);
+        let snap = publisher.reader().current();
+        assert!(snap.try_query(path, &[Some(zero), Some(three)]).is_some());
+        assert!(
+            snap.try_query(path, &[None, None]).is_none(),
+            "a plan behind the EDB must funnel, not serve stale rows"
+        );
+        // Its own query brings it level; the next epoch serves it.
+        let want = e.query(path, &[None, None]).unwrap().rows.sorted();
+        assert!(want.contains(&vec![five, five]));
+        publisher.publish(&mut e);
+        let snap = publisher.reader().current();
+        assert_eq!(snap.try_query(path, &[None, None]).unwrap().sorted(), want);
+    }
+
+    #[test]
     fn unchanged_relations_are_shared_across_epochs() {
         let (mut e, _edge, path) = chain_engine(6);
+        let mark = e.pred("mark", 1);
+        let zero = e.store_mut().int(0);
         e.run().unwrap();
         let mut publisher = SnapshotPublisher::new(&mut e);
         let s1 = publisher.reader().current();
+        // Touch only `mark`: `path` and the store stay as published.
+        e.fact(mark, vec![zero]).unwrap();
+        e.update().unwrap();
         publisher.publish(&mut e);
         let s2 = publisher.reader().current();
         assert!(s2.epoch() > s1.epoch());
@@ -444,15 +591,115 @@ mod tests {
             Arc::ptr_eq(&s1.rels[i], &s2.rels[i]),
             "untouched relations must be shared, not re-cloned"
         );
+        assert!(!Arc::ptr_eq(&s1.rels[mark.index()], &s2.rels[mark.index()]));
         assert!(
             Arc::ptr_eq(&s1.store, &s2.store),
             "unchanged store is shared"
         );
         // Old epochs stay fully readable while held.
-        let zero = s1.store().find_int(0).unwrap();
         assert_eq!(
             s1.try_query(path, &[Some(zero), None]).unwrap().len(),
             s2.try_query(path, &[Some(zero), None]).unwrap().len()
         );
+        assert!(s1.try_query(mark, &[None]).unwrap().is_empty());
+        assert_eq!(s2.try_query(mark, &[None]).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn publishing_an_unchanged_engine_mints_no_epoch() {
+        let (mut e, edge, path) = chain_engine(4);
+        let zero = e.store_mut().int(0);
+        e.query(path, &[Some(zero), None]).unwrap();
+        let mut publisher = SnapshotPublisher::new(&mut e);
+        let s1 = publisher.reader().current();
+        // A repeat query and a duplicate fact change nothing a
+        // snapshot holds.
+        e.query(path, &[Some(zero), None]).unwrap();
+        let one = e.store_mut().int(1);
+        e.fact(edge, vec![zero, one]).unwrap();
+        assert_eq!(publisher.publish(&mut e), s1.epoch());
+        assert!(Arc::ptr_eq(&s1, &publisher.reader().current()));
+        // A new seed does.
+        let two = e.store_mut().int(2);
+        e.query(path, &[Some(two), None]).unwrap();
+        assert_eq!(publisher.publish(&mut e), s1.epoch() + 1);
+    }
+
+    /// The published relation of `pred` equals a fresh clone of the
+    /// engine's: rows in order, index masks in order.
+    fn assert_published_equals_clone(snap: &EngineSnapshot, e: &Engine, pred: PredId) {
+        let want = e.relation(pred).clone();
+        let got = snap.relation(pred).unwrap();
+        assert!(got.iter().eq(want.iter()), "rows differ from a clone");
+        assert!(
+            got.index_masks().eq(want.index_masks()),
+            "index masks differ from a clone"
+        );
+    }
+
+    #[test]
+    fn appends_alternate_between_two_buffers_and_pinned_spares_are_cloned() {
+        let (mut e, edge, path) = chain_engine(4);
+        e.run().unwrap();
+        let mut publisher = SnapshotPublisher::new(&mut e);
+        let mut next = 4;
+        // Append one edge (so `path` grows by a tail), reconcile,
+        // publish; return the identity of the published `path` buffer
+        // (process-unique per relation object, fresh on every clone).
+        // Identities, not `Arc`s: holding an epoch would pin its buffer.
+        let mut step = |e: &mut Engine, publisher: &mut SnapshotPublisher| {
+            let a = e.store_mut().int(next);
+            let b = e.store_mut().int(next + 1);
+            next += 1;
+            e.fact(edge, vec![a, b]).unwrap();
+            e.update().unwrap();
+            publisher.publish(e);
+            let snap = publisher.reader().current();
+            assert_published_equals_clone(&snap, e, path);
+            assert_published_equals_clone(&snap, e, edge);
+            snap.relation(path).unwrap().fingerprint().0
+        };
+        let mut ids: Vec<u64> = (0..6).map(|_| step(&mut e, &mut publisher)).collect();
+        // After warm-up (the first publish clones, the second clones
+        // and keeps the first as its spare) every publish grows the
+        // buffer of the epoch two back.
+        for k in 2..ids.len() {
+            assert_eq!(ids[k], ids[k - 2], "publish {k} reuses the spare");
+            assert_ne!(ids[k], ids[k - 1], "publish {k} swaps buffers");
+        }
+        // Pin the current epoch: its buffer is the spare two publishes
+        // on, so that publish must clone instead of growing it.
+        let pinned = publisher.reader().current();
+        let pinned_rows: Vec<Vec<TermId>> = pinned
+            .relation(path)
+            .unwrap()
+            .iter()
+            .map(<[TermId]>::to_vec)
+            .collect();
+        ids.push(step(&mut e, &mut publisher));
+        ids.push(step(&mut e, &mut publisher));
+        let n = ids.len();
+        let pinned_id = pinned.relation(path).unwrap().fingerprint().0;
+        assert_eq!(pinned_id, ids[n - 3]);
+        assert_ne!(ids[n - 1], pinned_id, "a pinned spare is never grown");
+        assert_ne!(ids[n - 1], ids[n - 2]);
+        // The pinned epoch is unchanged and still answers.
+        let got: Vec<Vec<TermId>> = pinned
+            .relation(path)
+            .unwrap()
+            .iter()
+            .map(<[TermId]>::to_vec)
+            .collect();
+        assert_eq!(got, pinned_rows);
+        let zero = pinned.store().find_int(0).unwrap();
+        let before = pinned.try_query(path, &[Some(zero), None]).unwrap().len();
+        assert_eq!(before, pinned_rows.iter().filter(|r| r[0] == zero).count());
+        drop(pinned);
+        // Released: the pair re-forms from the clone and its spare.
+        ids.push(step(&mut e, &mut publisher));
+        ids.push(step(&mut e, &mut publisher));
+        let n = ids.len();
+        assert_eq!(ids[n - 1], ids[n - 3]);
+        assert_eq!(ids[n - 2], ids[n - 4]);
     }
 }

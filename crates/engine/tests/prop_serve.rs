@@ -11,13 +11,24 @@
 //! or plans from two epochs would see a row set that is not a chain
 //! prefix (a hole, a dangling `TermId`, a count between prefixes), and
 //! the per-row integer lift would catch a store/relation mismatch.
+//!
+//! A sequential property covers the publisher's spare buffers: over
+//! random interleavings of facts, point queries, conjunctive goals,
+//! demand-space clears, plan-cache evictions and pinned epochs, every
+//! published relation equals a fresh clone of the engine's (rows in
+//! order, index masks), and every snapshot answer equals the least
+//! model's.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use lps_engine::pattern::{Pattern, VarId};
-use lps_engine::{BodyLit, Engine, EvalConfig, PredId, Rule, SnapshotPublisher};
+use lps_engine::{
+    BodyLit, Engine, EngineSnapshot, EvalConfig, PredId, Relation, Rule, SnapshotPublisher,
+};
+use lps_term::TermId;
+use proptest::prelude::*;
 
 /// `edge`/`path` transitive closure over `0 → 1 → … → n`.
 fn chain_engine(n: i64) -> (Engine, PredId, PredId) {
@@ -258,4 +269,193 @@ fn concurrent_readers_on_demand_plans_funnel_or_agree() {
         assert_chain_prefix(&snap, path, BASE + UPDATES, BASE + UPDATES),
         Some(BASE + UPDATES)
     );
+}
+
+/// One step of a random writer session behind a publisher.
+#[derive(Clone, Debug)]
+enum Op {
+    /// `Engine::fact` on `edge` (possibly a duplicate).
+    Fact(i64, i64),
+    /// `Engine::query` on `path` with a bound/free mask and constants:
+    /// a repeat is warm, a new seed or adornment cold.
+    Query(u8, i64, i64),
+    /// The conjunctive goal `q(Y, Z) :- path(c, Y), edge(Y, Z)`.
+    Conj(i64),
+    /// `Engine::clear_demand_spaces`: every retained space restarts.
+    Clear,
+    /// `Engine::run`: materialize; later queries read the model.
+    Run,
+    /// A reader pins the current epoch.
+    Pin,
+    /// The oldest pinned epoch is released.
+    Unpin,
+}
+
+/// Facts and point queries are listed twice: twice as likely as the
+/// other steps, so relations grow between clears and runs.
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        ((0i64..6), (0i64..6)).prop_map(|(a, b)| Op::Fact(a, b)),
+        ((0i64..6), (0i64..6)).prop_map(|(a, b)| Op::Fact(a, b)),
+        ((0u8..4), (0i64..6), (0i64..6)).prop_map(|(m, a, b)| Op::Query(m, a, b)),
+        ((0u8..4), (0i64..6), (0i64..6)).prop_map(|(m, a, b)| Op::Query(m, a, b)),
+        (0i64..6).prop_map(Op::Conj),
+        Just(Op::Clear),
+        Just(Op::Run),
+        Just(Op::Pin),
+        Just(Op::Unpin),
+    ]
+}
+
+/// Rows per relation slot, in order.
+type FrozenRows = Vec<Vec<Vec<TermId>>>;
+
+/// Every row of every relation of a snapshot, in order.
+fn frozen_rows(snap: &EngineSnapshot) -> FrozenRows {
+    (0..snap.relation_count())
+        .map(|i| {
+            let rel = snap.relation(PredId::from_index(i)).unwrap();
+            rel.iter().map(<[TermId]>::to_vec).collect()
+        })
+        .collect()
+}
+
+/// `Some(c)` for a bound column, `None` for a free one.
+fn point_args(ids: &[TermId], mask: u8, a: i64, b: i64) -> [Option<TermId>; 2] {
+    [
+        (mask & 1 != 0).then(|| ids[a as usize]),
+        (mask & 2 != 0).then(|| ids[b as usize]),
+    ]
+}
+
+/// Run `ops` on a demand-mode session, publishing after every step,
+/// and check the published epoch against the engine and a reference
+/// least model.
+fn check_publish_stream(ops: &[Op], cache_bound: usize) {
+    let (mut e, edge, path) = chain_engine(2);
+    e.config_mut().demand_plan_cache = cache_bound;
+    let goal = e.pred("query#goal", 2);
+    let ids: Vec<TermId> = (0..6).map(|i| e.store_mut().int(i)).collect();
+    let mut facts: Vec<(i64, i64)> = vec![(0, 1), (1, 2)];
+    let mut publisher = SnapshotPublisher::new(&mut e);
+    let reader = publisher.reader();
+    let mut pinned: Vec<(Arc<EngineSnapshot>, FrozenRows)> = Vec::new();
+    let v = |i| Pattern::Var(VarId(i));
+    for (step, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Fact(a, b) => {
+                e.fact(edge, vec![ids[a as usize], ids[b as usize]])
+                    .unwrap();
+                facts.push((a, b));
+            }
+            Op::Query(mask, a, b) => {
+                e.query(path, &point_args(&ids, mask, a, b)).unwrap();
+            }
+            Op::Conj(c) => {
+                e.query_rule(Rule {
+                    head: goal,
+                    head_args: vec![v(1), v(2)],
+                    group: None,
+                    outer: vec![
+                        BodyLit::Pos(path, vec![Pattern::Ground(ids[c as usize]), v(1)]),
+                        BodyLit::Pos(edge, vec![v(1), v(2)]),
+                    ],
+                    quant: None,
+                    num_vars: 3,
+                    var_names: vec!["_".into(), "Y".into(), "Z".into()],
+                    var_sorts: vec![],
+                })
+                .unwrap();
+            }
+            Op::Clear => e.clear_demand_spaces(),
+            Op::Run => {
+                e.run().unwrap();
+            }
+            Op::Pin => {
+                let snap = reader.current();
+                let rows = frozen_rows(&snap);
+                pinned.push((snap, rows));
+            }
+            Op::Unpin => {
+                if !pinned.is_empty() {
+                    pinned.remove(0);
+                }
+            }
+        }
+        let epoch = publisher.publish(&mut e);
+        let snap = reader.current();
+        assert_eq!(
+            snap.epoch(),
+            epoch,
+            "step {step}: publish returns the live epoch"
+        );
+        // Published relations are clones of the engine's, row for row.
+        assert_eq!(snap.relation_count(), e.preds().len(), "step {step}");
+        for i in 0..snap.relation_count() {
+            let pred = PredId::from_index(i);
+            let want: Relation = e.relation(pred).clone();
+            let got = snap.relation(pred).unwrap();
+            assert!(
+                got.iter().eq(want.iter()),
+                "step {step} {op:?} of {ops:?}: slot {i} rows differ from a clone"
+            );
+            assert!(
+                got.index_masks().eq(want.index_masks()),
+                "step {step} {op:?} of {ops:?}: slot {i} index masks differ from a clone"
+            );
+        }
+        // Pinned epochs never change under later publishes.
+        for (old, rows) in &pinned {
+            assert_eq!(&frozen_rows(old), rows, "step {step}: pinned epoch moved");
+        }
+        // Every snapshot answer is the least model's.
+        let (mut reference, redge, rpath) = chain_engine(0);
+        let rids: Vec<TermId> = (0..6).map(|i| reference.store_mut().int(i)).collect();
+        for &(a, b) in &facts {
+            reference
+                .fact(redge, vec![rids[a as usize], rids[b as usize]])
+                .unwrap();
+        }
+        reference.run().unwrap();
+        for mask in 0u8..4 {
+            for a in 0..6 {
+                for b in 0..6 {
+                    let Some(got) = snap.try_query(path, &point_args(&ids, mask, a, b)) else {
+                        continue;
+                    };
+                    let want = reference
+                        .query(rpath, &point_args(&rids, mask, a, b))
+                        .unwrap()
+                        .rows;
+                    // Both sessions intern 0..6 first, in order.
+                    assert_eq!(
+                        got.sorted(),
+                        want.sorted(),
+                        "step {step} {op:?} of {ops:?}: path mask {mask:#b} ({a}, {b})"
+                    );
+                }
+            }
+        }
+    }
+    // Not vacuous: once the writer has answered, the epoch serves.
+    e.query(path, &[Some(ids[0]), None]).unwrap();
+    publisher.publish(&mut e);
+    assert!(reader
+        .current()
+        .try_query(path, &[Some(ids[0]), None])
+        .is_some());
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+    /// The spare-buffer publisher never publishes anything but a clone
+    /// of the engine, whatever grows, clears, evicts or pins.
+    #[test]
+    fn published_relations_equal_engine_clones(
+        ops in proptest::collection::vec(op_strategy(), 1..16),
+        bound_one in any::<bool>(),
+    ) {
+        check_publish_stream(&ops, if bound_one { 1 } else { 64 });
+    }
 }
