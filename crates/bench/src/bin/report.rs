@@ -83,9 +83,6 @@ fn main() {
     if want("e14") {
         e14(&mut rep);
     }
-    if want("e15") {
-        e15(&mut rep);
-    }
     if want("e16") {
         e16(&mut rep);
     }
@@ -1200,141 +1197,6 @@ fn e14(rep: &mut Report) {
     );
 }
 
-fn e15(rep: &mut Report) {
-    // Parallel semi-naive evaluation (EXPERIMENTS.md E15): the same
-    // batch fixpoint at 1/2/4/8 worker threads. The join phase of each
-    // round fans the parallel-safe delta variants across a scoped
-    // worker pool (delta rows partitioned by probe-key hash, worker
-    // arenas merged in deterministic order), so the model must be
-    // *bit-identical* to the sequential run — asserted below on the
-    // interned TermId tuples, every workload, every thread count. The
-    // speedup bar (≥2× at 4 threads on the 1024-node chain) only
-    // applies where the hardware can express it; on smaller hosts the
-    // sweep still validates determinism and reports honest numbers.
-    let (chain_nodes, rand_nodes) = if rep.smoke { (160, 96) } else { (1024, 224) };
-    let workloads: Vec<(&str, usize, String)> = vec![
-        ("chain-tc", chain_nodes, workloads::chain_tc(chain_nodes)),
-        (
-            "random-tc",
-            rand_nodes,
-            workloads::transitive_closure(rand_nodes, 17),
-        ),
-    ];
-    let sweep = [1usize, 2, 4, 8];
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    let mut rows = Vec::new();
-    for (name, nodes, src) in &workloads {
-        let run = |threads: usize| {
-            let cfg = EvalConfig {
-                set_universe: SetUniverse::Reject,
-                threads,
-                ..EvalConfig::default()
-            };
-            let d = db_cfg(src, Dialect::Elps, cfg);
-            let mut passes: Vec<(Duration, Model)> = (0..3)
-                .map(|_| {
-                    let start = Instant::now();
-                    let m = eval(&d);
-                    (start.elapsed(), m)
-                })
-                .collect();
-            passes.sort_by_key(|(t, _)| *t);
-            passes.swap_remove(1)
-        };
-        let id_rows = |m: &Model| -> Vec<Vec<lps_term::TermId>> {
-            let engine = m.engine();
-            let t = engine.lookup_pred("t", 2).expect("t is defined");
-            let mut rows: Vec<Vec<lps_term::TermId>> = engine.rows(t).map(<[_]>::to_vec).collect();
-            rows.sort();
-            rows
-        };
-        let (t_seq, seq_model) = run(1);
-        let seq_rows = id_rows(&seq_model);
-        let seq_stats = seq_model.stats();
-        assert_eq!(
-            seq_stats.parallel_rounds, 0,
-            "threads=1 takes the exact sequential path"
-        );
-        let mut t4 = t_seq;
-        for &threads in &sweep {
-            let (elapsed, model) = if threads == 1 {
-                (t_seq, None)
-            } else {
-                let (elapsed, model) = run(threads);
-                (elapsed, Some(model))
-            };
-            let stats = model.as_ref().map_or(seq_stats, |m| m.stats());
-            if let Some(m) = &model {
-                // The acceptance criterion: same TermId tuples, bit
-                // for bit — both stores interned the same source in
-                // the same order, so ids are directly comparable.
-                assert_eq!(
-                    id_rows(m),
-                    seq_rows,
-                    "{name}: {threads}-thread model must be bit-identical \
-                     to sequential"
-                );
-                assert!(
-                    stats.parallel_rounds > 0,
-                    "{name}: the fan-out must engage at {threads} threads"
-                );
-            }
-            if threads == 4 {
-                t4 = elapsed;
-            }
-            rows.push(vec![
-                (*name).to_string(),
-                nodes.to_string(),
-                threads.to_string(),
-                us(elapsed),
-                format!(
-                    "{:.2}",
-                    t_seq.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)
-                ),
-                stats.parallel_rounds.to_string(),
-                stats.merge_rows.to_string(),
-                stats.worker_imbalance.to_string(),
-                "yes".to_string(),
-            ]);
-        }
-        if *name == "chain-tc" {
-            let speedup = t_seq.as_secs_f64() / t4.as_secs_f64().max(1e-9);
-            if !rep.smoke && cores >= 4 {
-                assert!(
-                    speedup >= 2.0,
-                    "chain-tc({nodes}): 4 threads must be ≥2× sequential \
-                     on a ≥4-core host (got {speedup:.2}×)"
-                );
-            } else {
-                println!(
-                    "  (E15 speedup bar skipped: smoke={}, cores={} — \
-                     measured {speedup:.2}× at 4 threads)",
-                    rep.smoke, cores
-                );
-            }
-        }
-    }
-    rep.section(
-        "e15",
-        "E15: parallel semi-naive — threads sweep, bit-identical models (batch TC)",
-        &[
-            "workload",
-            "nodes",
-            "threads",
-            "total_us",
-            "speedup",
-            "par_rounds",
-            "merge_rows",
-            "imbalance",
-            "identical",
-        ],
-        &rows,
-    );
-}
-
 fn e16(rep: &mut Report) {
     // Cost-based planning (EXPERIMENTS.md E16), in three parts.
     //
@@ -1593,7 +1455,7 @@ fn e17(rep: &mut Report) {
     // phases plus pooled p50/p95/p99 client-side latency, and the
     // server's snapshot hit/miss split. The acceptance bar — ≥2×
     // throughput at 4 clients over 1 — applies off-smoke on ≥4-core
-    // hosts only (the E15 gating).
+    // hosts only.
     use lps_core::serve::Client;
     use lps_core::Server;
     use std::net::TcpListener;

@@ -1,6 +1,6 @@
 //! Workload generators and measurement helpers for the experiment
-//! suite (EXPERIMENTS.md). Each `e*` Criterion bench and the `report`
-//! binary build on these.
+//! suite (EXPERIMENTS.md). The `report` binary and the standalone
+//! benchmark (`perfbench/`) build on these.
 
 #![forbid(unsafe_code)]
 
@@ -44,8 +44,8 @@ pub fn time_eval(db: &Database) -> (Duration, Model) {
     (start.elapsed(), model)
 }
 
-/// Median-of-`n` wall time for `f` (report binary; Criterion handles
-/// its own statistics).
+/// Median-of-`n` wall time for `f` (the `report` binary's timing
+/// primitive).
 pub fn median_time(n: usize, mut f: impl FnMut()) -> Duration {
     let mut samples: Vec<Duration> = (0..n.max(1))
         .map(|_| {

@@ -60,15 +60,6 @@ pub struct EvalConfig {
     /// retained fixpoint sharing those slots goes cold). Values below
     /// 1 are treated as 1.
     pub demand_plan_cache: usize,
-    /// Worker threads for the parallel semi-naive join phase (E15).
-    /// `1` is the exact legacy sequential path; `0` means auto (all
-    /// available cores). Values above 1 fan each round's delta-variant
-    /// join probes across a scoped worker pool, with a deterministic
-    /// merge so the model is identical to a sequential run (DESIGN.md
-    /// §"Parallel evaluation"). The default honours the `LPS_THREADS`
-    /// environment variable (unset or unparsable = 1), so a whole test
-    /// suite can be swept across thread counts without code changes.
-    pub threads: usize,
     /// Use per-predicate cardinality statistics ([`crate::stats`]) to
     /// reorder positive body literals at compile time and to score the
     /// sideways-information-passing order of the magic-set rewrite
@@ -77,16 +68,15 @@ pub struct EvalConfig {
     /// left-to-right — which is the ablation baseline and never changes
     /// answers, only work. The default honours the `LPS_PLANNER`
     /// environment variable (`off`/`0`/`false` = textual; unset or
-    /// anything else = cost-based), mirroring `LPS_THREADS`.
+    /// anything else = cost-based).
     pub cost_planner: bool,
     /// Emit structured trace spans (per-stratum and per-round fixpoint
-    /// spans, parallel fan-out/merge spans, demand-plan lifecycle
-    /// spans) into the process-wide `lps_trace` collector. Spans are
-    /// only recorded when the collector itself is enabled too, so the
-    /// disabled cost is a branch here plus one relaxed atomic load
-    /// there. The default honours the `LPS_TRACE` environment variable
-    /// (`1`/`on`/`true` = tracing; unset or anything else = off),
-    /// mirroring `LPS_PLANNER`.
+    /// spans, demand-plan lifecycle spans) into the process-wide
+    /// `lps_trace` collector. Spans are only recorded when the
+    /// collector itself is enabled too, so the disabled cost is a
+    /// branch here plus one relaxed atomic load there. The default
+    /// honours the `LPS_TRACE` environment variable (`1`/`on`/`true` =
+    /// tracing; unset or anything else = off), mirroring `LPS_PLANNER`.
     pub trace: bool,
     /// Attribute planner estimates and join probes to individual body
     /// literals during evaluation, feeding `Engine::last_profile`.
@@ -103,7 +93,6 @@ impl Default for EvalConfig {
             max_iterations: 100_000,
             forall_trigger_index: true,
             demand_plan_cache: 64,
-            threads: threads_from_env(),
             cost_planner: planner_from_env(),
             trace: trace_from_env(),
             profile: false,
@@ -111,20 +100,11 @@ impl Default for EvalConfig {
     }
 }
 
-/// The `LPS_THREADS` default: parse the variable if set (`0` = auto),
-/// else 1 (sequential). Read once per `EvalConfig::default()` call —
-/// cheap, and it keeps a long-lived process honest if the harness
-/// mutates the environment between engine constructions.
-fn threads_from_env() -> usize {
-    std::env::var("LPS_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-}
-
 /// The `LPS_PLANNER` default: `off`, `0`, or `false` (case-insensitive)
 /// disables the cost-based planner; unset or any other value keeps it
-/// on. Read per `EvalConfig::default()` call, like `LPS_THREADS`.
+/// on. Read once per `EvalConfig::default()` call — cheap, and it
+/// keeps a long-lived process honest if the harness mutates the
+/// environment between engine constructions.
 fn planner_from_env() -> bool {
     !std::env::var("LPS_PLANNER")
         .map(|v| {
@@ -136,7 +116,7 @@ fn planner_from_env() -> bool {
 
 /// The `LPS_TRACE` default: `1`, `on`, or `true` (case-insensitive)
 /// enables trace spans; unset or any other value leaves them off. Read
-/// per `EvalConfig::default()` call, like `LPS_THREADS`.
+/// per `EvalConfig::default()` call, like `LPS_PLANNER`.
 fn trace_from_env() -> bool {
     std::env::var("LPS_TRACE")
         .map(|v| {
@@ -199,19 +179,16 @@ pub struct EvalStats {
     /// Demand plans evicted from the bounded plan cache during this
     /// pass (their adorned/magic relation slots were reclaimed).
     pub plans_evicted: usize,
-    /// Semi-naive rounds in which at least one delta-variant join ran
-    /// on the worker pool (E15). 0 on sequential runs (`threads = 1`)
-    /// and on rounds whose deltas were below the dispatch cutoff.
+    /// Always 0. Evaluation is one sequential semi-naive driver; the
+    /// field is kept only because the standalone benchmark
+    /// (`perfbench/`) still reads it for its constant
+    /// `parallel.rounds` metric.
     pub parallel_rounds: usize,
-    /// Candidate tuples folded from worker arenas into the shared
-    /// relations by parallel merge passes (after the workers' own
-    /// duplicate pre-filter against the full relation).
+    /// Always 0; kept only for the benchmark's `parallel.merge_frac`
+    /// metric (see [`EvalStats::parallel_rounds`]).
     pub merge_rows: usize,
-    /// Peak partition skew over all parallel join passes, as a
-    /// percentage of a perfectly balanced split: `max partition size ×
-    /// workers × 100 / total rows`. 100 ≈ balanced; `workers × 100`
-    /// means one worker owned every row. [`EvalStats::absorb`] keeps
-    /// the maximum (a peak, unlike the additive counters).
+    /// Always 0; kept only for the benchmark's `parallel.imbalance_pct`
+    /// metric (see [`EvalStats::parallel_rounds`]).
     pub worker_imbalance: usize,
     /// Rule variants whose join order the cost planner changed away
     /// from the textual order (plus SIPS choices in the magic rewrite
@@ -231,17 +208,13 @@ pub struct EvalStats {
     /// Peak mismatch between the planner's estimate and reality: the
     /// larger of `estimated_rows / probe_rows` and its reciprocal,
     /// sealed once per pass ([`EvalStats::seal_misestimate`]) and
-    /// max-merged by [`EvalStats::absorb`] like
-    /// [`EvalStats::worker_imbalance`]. ≈1 means the independence-
-    /// assumption cost model tracked the workload; large values are
+    /// max-merged by [`EvalStats::absorb`] (a peak, unlike the
+    /// additive counters). ≈1 means the independence-assumption cost
+    /// model tracked the workload; large values are
     /// the ROADMAP's signal that histogram statistics have become
     /// worth building. 0 when either side of the ratio was 0 (no
     /// planner estimate, or no probes).
     pub misestimate_ratio: usize,
-    /// Parallel join tasks whose skewed partitions were split across
-    /// workers by the quota rebalance (one hot probe key no longer
-    /// pins its whole share to one worker). Additive.
-    pub partitions_rebalanced: usize,
 }
 
 impl EvalStats {
@@ -262,14 +235,10 @@ impl EvalStats {
         self.demand_fallbacks += other.demand_fallbacks;
         self.demand_continuations += other.demand_continuations;
         self.plans_evicted += other.plans_evicted;
-        self.parallel_rounds += other.parallel_rounds;
-        self.merge_rows += other.merge_rows;
-        self.worker_imbalance = self.worker_imbalance.max(other.worker_imbalance);
         self.reorders_applied += other.reorders_applied;
         self.estimated_rows = self.estimated_rows.saturating_add(other.estimated_rows);
         self.stats_refreshes += other.stats_refreshes;
         self.misestimate_ratio = self.misestimate_ratio.max(other.misestimate_ratio);
-        self.partitions_rebalanced += other.partitions_rebalanced;
     }
 
     /// Record this pass's estimate-vs-reality ratio into
@@ -298,14 +267,6 @@ mod tests {
         assert!(c.forall_trigger_index);
         assert!(c.max_iterations > 0);
         assert!(c.demand_plan_cache >= 1, "the plan cache is never empty");
-        let expected_threads = std::env::var("LPS_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        assert_eq!(
-            c.threads, expected_threads,
-            "thread default follows LPS_THREADS (unset = sequential)"
-        );
         let expected_planner = !std::env::var("LPS_PLANNER")
             .map(|v| {
                 let v = v.trim().to_ascii_lowercase();
@@ -347,14 +308,11 @@ mod tests {
             demand_fallbacks: 0,
             demand_continuations: 1,
             plans_evicted: 0,
-            parallel_rounds: 2,
-            merge_rows: 40,
-            worker_imbalance: 150,
             reorders_applied: 1,
             estimated_rows: 100,
             stats_refreshes: 1,
             misestimate_ratio: 4,
-            partitions_rebalanced: 1,
+            ..EvalStats::default()
         };
         a.absorb(EvalStats {
             iterations: 3,
@@ -372,14 +330,11 @@ mod tests {
             demand_fallbacks: 1,
             demand_continuations: 2,
             plans_evicted: 1,
-            parallel_rounds: 3,
-            merge_rows: 16,
-            worker_imbalance: 120,
             reorders_applied: 2,
             estimated_rows: 50,
             stats_refreshes: 2,
             misestimate_ratio: 3,
-            partitions_rebalanced: 2,
+            ..EvalStats::default()
         });
         assert_eq!(a.iterations, 5);
         assert_eq!(a.facts_derived, 11);
@@ -394,14 +349,10 @@ mod tests {
         assert_eq!(a.demand_fallbacks, 1);
         assert_eq!(a.demand_continuations, 3);
         assert_eq!(a.plans_evicted, 1);
-        assert_eq!(a.parallel_rounds, 5);
-        assert_eq!(a.merge_rows, 56);
-        assert_eq!(a.worker_imbalance, 150, "imbalance is a peak, not a sum");
         assert_eq!(a.reorders_applied, 3);
         assert_eq!(a.estimated_rows, 150);
         assert_eq!(a.stats_refreshes, 3);
         assert_eq!(a.misestimate_ratio, 4, "misestimate is a peak, not a sum");
-        assert_eq!(a.partitions_rebalanced, 3);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::error::EngineError;
 use crate::eval::StepProfiler;
 use crate::fixpoint::{run_stratum, StratumStart};
 use crate::magic::{self, MagicOutcome};
-use crate::parallel::ParExec;
 use crate::plan::{compile_program, compile_rule, CompiledProgram, Step};
 use crate::pred::{PredId, PredRegistry};
 use crate::relation::{ColMask, Relation};
@@ -436,11 +435,6 @@ pub struct Engine {
     /// profiled (or fell back to the shadow model, which runs no
     /// demand plan to attribute).
     last_profile: Option<QueryProfile>,
-    /// The parallel join executor (worker pool + per-worker arenas,
-    /// E15). Lives on the session so pool threads and arena capacity
-    /// persist across runs, updates, and demand continuations; rebuilt
-    /// by [`Engine::sync_exec`] when [`EvalConfig::threads`] changes.
-    exec: ParExec,
 }
 
 /// Estimated-vs-actual accounting for one positive body literal of a
@@ -513,7 +507,6 @@ impl Engine {
             last_stats: EvalStats::default(),
             cumulative_stats: EvalStats::default(),
             last_profile: None,
-            exec: ParExec::new(config.threads),
         }
     }
 
@@ -543,31 +536,11 @@ impl Engine {
         &mut self.config
     }
 
-    /// Set the worker-thread count for subsequent evaluation (`0` =
-    /// auto, `1` = sequential; see [`EvalConfig::threads`]). The pool
-    /// is (re)built lazily on the next run.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
-    }
-
-    /// The resolved worker count evaluation currently uses (≥ 1; auto
-    /// already resolved to the core count).
+    /// Always 1: evaluation runs one sequential semi-naive driver. Kept
+    /// only because the standalone benchmark (`perfbench/`) still
+    /// reports it as its constant `parallel.threads` metric.
     pub fn threads(&self) -> usize {
-        if self.exec.requested() == self.config.threads {
-            self.exec.threads()
-        } else {
-            ParExec::new(self.config.threads).threads()
-        }
-    }
-
-    /// Rebuild the parallel executor if [`EvalConfig::threads`] changed
-    /// since it was built (via [`Engine::set_threads`] or
-    /// [`Engine::config_mut`]). No-op when unchanged, so pool threads
-    /// and arena capacity persist across evaluation passes.
-    fn sync_exec(&mut self) {
-        if self.exec.requested() != self.config.threads {
-            self.exec = ParExec::new(self.config.threads);
-        }
+        1
     }
 
     /// Refresh the planner-statistics snapshot if the cost planner is
@@ -628,9 +601,9 @@ impl Engine {
     }
 
     /// Zero both the last-pass and the session-cumulative statistics
-    /// (`:stats reset` in `lpsi`). Max-merged cumulative ratios —
-    /// `misestimate_ratio`, `worker_imbalance` — restart from zero
-    /// instead of pinning their all-time high forever.
+    /// (`:stats reset` in `lpsi`). The max-merged cumulative
+    /// `misestimate_ratio` restarts from zero instead of pinning its
+    /// all-time high forever.
     pub fn reset_stats(&mut self) {
         self.last_stats = EvalStats::default();
         self.cumulative_stats = EvalStats::default();
@@ -777,7 +750,6 @@ impl Engine {
     /// materialization voids the short-circuits: the model is rebuilt
     /// under the new settings.
     pub fn run(&mut self) -> Result<EvalStats, EngineError> {
-        self.sync_exec();
         if matches!(self.state, EngineState::Materialized | EngineState::Dirty)
             && self.config != self.config_at_materialize
         {
@@ -1038,7 +1010,6 @@ impl Engine {
         pred: PredId,
         n_args: usize,
     ) -> Result<Option<EvalStats>, EngineError> {
-        self.sync_exec();
         // A stale profile must not outlive the query it described.
         self.last_profile = None;
         let arity = self.preds.info(pred).arity;
@@ -1154,7 +1125,6 @@ impl Engine {
                 &mut self.fallback_delta,
                 program,
                 &self.config,
-                &mut self.exec,
             )?;
             self.fallback_config = Some(self.config);
             return Ok(stats);
@@ -1292,7 +1262,6 @@ impl Engine {
         pred: PredId,
         args: &[Option<TermId>],
     ) -> Result<String, EngineError> {
-        self.sync_exec();
         let arity = self.preds.info(pred).arity;
         if args.len() != arity {
             return Err(EngineError::ArityMismatch {
@@ -1422,7 +1391,6 @@ impl Engine {
                 &self.config,
                 &plan.program,
                 &plan.magic_preds,
-                &mut self.exec,
                 profiler,
             )?
         });
@@ -1481,7 +1449,6 @@ impl Engine {
                 s0,
                 plan.sets_base,
                 |p| plan.base_len(p),
-                &mut self.exec,
                 profiler,
             )?);
         }
@@ -1677,7 +1644,6 @@ impl Engine {
         let program = compile_program(
             rules,
             self.preds.len(),
-            &self.preds,
             &names,
             &growable,
             self.config.set_universe,
@@ -1703,7 +1669,6 @@ impl Engine {
         // variants, no quantifier triggers.
         let cr = compile_rule(
             rule,
-            &self.preds,
             &names,
             &FxHashSet::default(),
             self.config.set_universe,
@@ -1738,7 +1703,6 @@ impl Engine {
             &[],
             &self.config,
             StratumStart::Batch,
-            &mut self.exec,
             None,
         )?;
         if !shadow {
@@ -1862,7 +1826,6 @@ impl Engine {
         let program = compile_program(
             &self.rules,
             self.preds.len(),
-            &self.preds,
             &names,
             &growable,
             self.config.set_universe,
@@ -1900,7 +1863,6 @@ impl Engine {
             &mut self.delta,
             program,
             &self.config,
-            &mut self.exec,
         )?;
         self.finish(stats)
     }
@@ -1966,7 +1928,6 @@ impl Engine {
                 s0,
                 self.sets_at_materialize,
                 |p| snapshot[p.index()],
-                &mut self.exec,
                 None,
             )?);
         }
@@ -2048,7 +2009,6 @@ fn run_program(
     config: &EvalConfig,
     program: &CompiledProgram,
     magic_preds: &[PredId],
-    exec: &mut ParExec,
     profiler: Option<&StepProfiler>,
 ) -> Result<EvalStats, EngineError> {
     let mut stats = EvalStats::default();
@@ -2077,7 +2037,6 @@ fn run_program(
             &program.grouping(s),
             config,
             StratumStart::Batch,
-            exec,
             profiler,
         )?);
     }
@@ -2095,7 +2054,6 @@ fn materialize(
     delta: &mut Vec<Relation>,
     program: &CompiledProgram,
     config: &EvalConfig,
-    exec: &mut ParExec,
 ) -> Result<EvalStats, EngineError> {
     let mut stats = EvalStats::default();
     full.clear();
@@ -2105,16 +2063,7 @@ fn materialize(
         full.push(rel.clone());
         delta.push(Relation::new(rel.arity()));
     }
-    stats.absorb(run_program(
-        store,
-        full,
-        delta,
-        config,
-        program,
-        &[],
-        exec,
-        None,
-    )?);
+    stats.absorb(run_program(store, full, delta, config, program, &[], None)?);
     Ok(stats)
 }
 
@@ -2134,7 +2083,6 @@ fn run_seeded(
     s0: usize,
     sets_baseline: usize,
     base: impl Fn(PredId) -> u32,
-    exec: &mut ParExec,
     profiler: Option<&StepProfiler>,
 ) -> Result<EvalStats, EngineError> {
     let mut stats = EvalStats::default();
@@ -2156,7 +2104,6 @@ fn run_seeded(
             &[],
             config,
             StratumStart::Seeded { sets_baseline },
-            exec,
             profiler,
         )?);
     }

@@ -32,7 +32,7 @@ use crate::config::SetUniverse;
 use crate::error::EngineError;
 use crate::pattern::{match_tuple, Env, Pattern, VarId};
 use crate::plan::{QuantPlan, Step, Variant};
-use crate::relation::{hash_masked_tuple, Relation};
+use crate::relation::Relation;
 use crate::rule::{BodyLit, QuantGroup, Rule};
 
 /// Interior-mutable counters for the indexed-join probe path, threaded
@@ -399,191 +399,6 @@ fn match_flat(args: &[Pattern], tuple: &[TermId], env: &mut Env) -> bool {
         }
     }
     true
-}
-
-/// Plain (non-`Cell`) probe counters for the parallel join workers,
-/// which own their counter state exclusively; the fixpoint driver folds
-/// them into the shared [`ProbeCounters`] after the scope joins.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct FlatCounters {
-    /// Indexed lookups performed.
-    pub probes: u64,
-    /// Row ids yielded by those lookups.
-    pub rows: u64,
-}
-
-/// One probe-key column of a flat step. Parallel-safe rules carry only
-/// `Var`/`Ground` patterns, so no term is ever interned — the whole
-/// store-free executor rests on this.
-#[inline]
-fn flat_key_col(arg: &Pattern, env: &Env) -> TermId {
-    match arg {
-        Pattern::Ground(id) => *id,
-        Pattern::Var(v) => env.get(*v).expect("planner guarantees bound columns"),
-        _ => unreachable!("parallel-safe rules have flat args only"),
-    }
-}
-
-/// Build the ground head tuple of a parallel-safe rule (flat
-/// `Var`/`Ground` head args) into `out`. Store-free: callable from a
-/// worker thread that holds no `TermStore`.
-#[inline]
-pub(crate) fn flat_head_tuple(args: &[Pattern], env: &Env, out: &mut Vec<TermId>) {
-    for a in args {
-        out.push(flat_key_col(a, env));
-    }
-}
-
-/// Run one parallel-safe delta variant over worker `worker`'s share of
-/// the delta rows, invoking `sink` once per satisfying assignment.
-/// Ownership is decided per row: with `assign = Some(a)` the driver has
-/// precomputed `a[row]` (the rebalanced owner for skewed partitions);
-/// otherwise a row belongs to the worker its
-/// [`Variant::part_mask`]-columns hash to modulo `nworkers`.
-/// Store-free and infallible: the parallel-safe fragment has no
-/// builtins, no quantifier groups, and no universe enumeration, so
-/// nothing interns terms or errors. Returns the number of delta rows
-/// this worker owned (the driver's imbalance statistic).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_flat_partition(
-    rule: &Rule,
-    variant: &Variant,
-    full: &[Relation],
-    delta: &[Relation],
-    worker: usize,
-    nworkers: usize,
-    assign: Option<&[u8]>,
-    counters: &mut FlatCounters,
-    sink: &mut dyn FnMut(&Env),
-) -> u64 {
-    let d = variant
-        .delta_lit
-        .expect("parallel execution targets delta variants");
-    debug_assert!(
-        matches!(&variant.steps[0], Step::Pos { lit, delta: true, .. } if *lit == d),
-        "the planner orders the delta literal first"
-    );
-    let (pred, args) = match &rule.outer[d] {
-        BodyLit::Pos(p, a) => (*p, a),
-        other => unreachable!("delta literal must be positive: {other:?}"),
-    };
-    let drel = &delta[pred.index()];
-    let mut env = Env::new(rule.num_vars);
-    let mut owned = 0u64;
-    for row in 0..drel.len() as u32 {
-        let tuple = drel.row(row);
-        let mine = match assign {
-            Some(a) => a[row as usize] as usize == worker,
-            None => hash_masked_tuple(tuple, variant.part_mask) as usize % nworkers == worker,
-        };
-        if !mine {
-            continue;
-        }
-        owned += 1;
-        let mark = env.mark();
-        if match_flat(args, tuple, &mut env) {
-            run_flat_steps(
-                &rule.outer,
-                &variant.steps,
-                1,
-                full,
-                delta,
-                &mut env,
-                counters,
-                sink,
-            );
-        }
-        env.undo_to(mark);
-    }
-    owned
-}
-
-/// Recursive step executor for the store-free parallel path. Mirrors
-/// [`run_steps`] restricted to the parallel-safe fragment: flat
-/// positive joins (scan or indexed probe) and flat ground negation.
-#[allow(clippy::too_many_arguments)]
-fn run_flat_steps(
-    lits: &[BodyLit],
-    steps: &[Step],
-    k: usize,
-    full: &[Relation],
-    delta: &[Relation],
-    env: &mut Env,
-    counters: &mut FlatCounters,
-    sink: &mut dyn FnMut(&Env),
-) {
-    if k == steps.len() {
-        sink(env);
-        return;
-    }
-    match &steps[k] {
-        Step::Pos {
-            lit,
-            mask,
-            delta: is_delta,
-            flat,
-        } => {
-            debug_assert!(*flat, "parallel-safe rules have flat steps only");
-            let (pred, args) = match &lits[*lit] {
-                BodyLit::Pos(p, a) => (*p, a),
-                other => unreachable!("Pos step on {other:?}"),
-            };
-            let rel = if *is_delta {
-                &delta[pred.index()]
-            } else {
-                &full[pred.index()]
-            };
-            if *mask == 0 {
-                for row in 0..rel.len() as u32 {
-                    let mark = env.mark();
-                    if match_flat(args, rel.row(row), env) {
-                        run_flat_steps(lits, steps, k + 1, full, delta, env, counters, sink);
-                    }
-                    env.undo_to(mark);
-                }
-            } else {
-                // Same stack-buffer key build as the sequential path
-                // (ascending column order, arity ≤ 32, no allocation).
-                let mut m = *mask;
-                let first_col = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let mut key = [flat_key_col(&args[first_col], env); 32];
-                let mut klen = 1;
-                while m != 0 {
-                    let col = m.trailing_zeros() as usize;
-                    key[klen] = flat_key_col(&args[col], env);
-                    klen += 1;
-                    m &= m - 1;
-                }
-                counters.probes += 1;
-                let rows = rel.lookup(*mask, &key[..klen]);
-                counters.rows += rows.len() as u64;
-                for &row in rows {
-                    let mark = env.mark();
-                    if match_flat(args, rel.row(row), env) {
-                        run_flat_steps(lits, steps, k + 1, full, delta, env, counters, sink);
-                    }
-                    env.undo_to(mark);
-                }
-            }
-        }
-        Step::NegStep { lit } => {
-            let (pred, args) = match &lits[*lit] {
-                BodyLit::Neg(p, a) => (*p, a),
-                other => unreachable!("Neg step on {other:?}"),
-            };
-            let mut tuple = Vec::with_capacity(args.len());
-            for arg in args {
-                tuple.push(flat_key_col(arg, env));
-            }
-            if !full[pred.index()].contains(&tuple) {
-                run_flat_steps(lits, steps, k + 1, full, delta, env, counters, sink);
-            }
-        }
-        Step::BuiltinStep { .. } | Step::EnumUniverse { .. } => {
-            unreachable!("parallel-safe rules contain flat Pos/Neg steps only")
-        }
-    }
 }
 
 /// All match solutions of `patterns` against `tuple` under `env`,

@@ -14,7 +14,6 @@ use lps_term::{FxHashSet, TermId, TermStore};
 use crate::config::{EvalConfig, EvalStats, FixpointStrategy};
 use crate::error::EngineError;
 use crate::eval::{eval_rule_variant, ProbeCounters, QuantTrigger, RelViews, StepProfiler};
-use crate::parallel::{self, ParExec};
 use crate::pattern::Pattern;
 use crate::plan::CompiledRule;
 use crate::pred::PredId;
@@ -90,12 +89,9 @@ pub enum StratumStart {
 /// Run one stratum to fixpoint. `regular` are ordinary rules whose
 /// heads live in this stratum; `grouping` are LDL grouping rules
 /// (evaluated once, first — their bodies are complete lower strata;
-/// must be empty for a [`StratumStart::Seeded`] run). `exec` carries
-/// the session's worker pool for the parallel semi-naive join phase
-/// (E15); with `exec.threads() == 1` every path below is the exact
-/// sequential legacy code. `profiler` (when `config.profile` runs a
-/// query) receives per-literal probe attribution; profiled strata stay
-/// sequential so attribution is complete.
+/// must be empty for a [`StratumStart::Seeded`] run). `profiler`
+/// (when `config.profile` runs a query) receives per-literal probe
+/// attribution.
 #[allow(clippy::too_many_arguments)]
 pub fn run_stratum(
     store: &mut TermStore,
@@ -105,7 +101,6 @@ pub fn run_stratum(
     grouping: &[&CompiledRule],
     config: &EvalConfig,
     start: StratumStart,
-    exec: &mut ParExec,
     profiler: Option<&StepProfiler>,
 ) -> Result<EvalStats, EngineError> {
     let _stratum_span = config.trace.then(|| {
@@ -164,7 +159,7 @@ pub fn run_stratum(
             )?
         }
         FixpointStrategy::SemiNaive => seminaive(
-            store, full, delta, regular, config, start, &counters, profiler, &mut stats, exec,
+            store, full, delta, regular, config, start, &counters, profiler, &mut stats,
         )?,
     }
     stats.index_probes = counters.probes.get() as usize;
@@ -366,7 +361,6 @@ fn seminaive(
     counters: &ProbeCounters,
     profiler: Option<&StepProfiler>,
     stats: &mut EvalStats,
-    exec: &mut ParExec,
 ) -> Result<(), EngineError> {
     // Round-persistent buffers: the derivation buffer and the
     // ∀-trigger candidate set are cleared per round, not reallocated.
@@ -451,93 +445,31 @@ fn seminaive(
         }
 
         derived.clear();
-        // Profiled runs stay sequential: worker arenas never feed the
-        // profiler, so dispatching them would silently under-attribute.
-        let par_tasks = if exec.threads() > 1 && profiler.is_none() {
-            parallel::collect_tasks(regular, delta)
-        } else {
-            Vec::new()
-        };
+        round_passes(
+            regular,
+            universe_grew,
+            store,
+            full,
+            delta,
+            config,
+            &candidate_sets,
+            counters,
+            profiler,
+            &mut derived,
+            stats,
+        )?;
+        stats.iterations += 1;
+        stats.tuples_considered += derived.len();
+        for d in delta.iter_mut() {
+            d.clear();
+        }
         let mut changed = false;
-        if par_tasks.is_empty() {
-            // Sequential round — the exact legacy path.
-            round_passes(
-                regular,
-                &par_tasks,
-                universe_grew,
-                store,
-                full,
-                delta,
-                config,
-                &candidate_sets,
-                counters,
-                profiler,
-                &mut derived,
-                stats,
-            )?;
-            stats.iterations += 1;
-            stats.tuples_considered += derived.len();
-            for d in delta.iter_mut() {
-                d.clear();
+        for (pred, tuple) in derived.iter() {
+            if full[pred.index()].insert(tuple) {
+                stats.facts_derived += 1;
+                delta[pred.index()].insert(tuple);
+                changed = true;
             }
-            for (pred, tuple) in derived.iter() {
-                if full[pred.index()].insert(tuple) {
-                    stats.facts_derived += 1;
-                    delta[pred.index()].insert(tuple);
-                    changed = true;
-                }
-            }
-        } else {
-            // Parallel round: the pool-eligible delta joins fan out
-            // across the workers while the remaining passes run on the
-            // main thread inside the same scope; relations stay frozen
-            // until everyone is done.
-            let (seq, outcome) = exec.join_round(
-                &par_tasks,
-                regular,
-                full,
-                delta,
-                counters,
-                config.trace,
-                |full_s, delta_s| {
-                    round_passes(
-                        regular,
-                        &par_tasks,
-                        universe_grew,
-                        store,
-                        full_s,
-                        delta_s,
-                        config,
-                        &candidate_sets,
-                        counters,
-                        None,
-                        &mut derived,
-                        stats,
-                    )
-                },
-            );
-            seq?;
-            stats.parallel_rounds += 1;
-            stats.worker_imbalance = stats.worker_imbalance.max(outcome.imbalance);
-            stats.partitions_rebalanced += outcome.rebalanced;
-            stats.iterations += 1;
-            stats.tuples_considered += derived.len() + outcome.produced;
-            for d in delta.iter_mut() {
-                d.clear();
-            }
-            // Sequentially derived tuples first (the legacy loop), then
-            // the worker arenas in deterministic (task, worker, row)
-            // order. Parallel-safe rules intern nothing, so insertion
-            // order only affects row order within a relation — the
-            // model and every TermId match the sequential run.
-            for (pred, tuple) in derived.iter() {
-                if full[pred.index()].insert(tuple) {
-                    stats.facts_derived += 1;
-                    delta[pred.index()].insert(tuple);
-                    changed = true;
-                }
-            }
-            changed |= exec.merge(&par_tasks, regular, full, delta, stats, config.trace);
         }
         // No new facts: done — unless this round interned new sets, in
         // which case the top-of-loop universe trigger must get a look
@@ -548,14 +480,11 @@ fn seminaive(
     }
 }
 
-/// One round's sequential rule passes: the universe-growth pass, the
-/// delta variants — minus any in `par_tasks`, which are running on the
-/// worker pool concurrently — and the quantifier-trigger pass.
-/// `par_tasks` holds ascending `(rule, variant)` index pairs.
+/// One round's rule passes: the universe-growth pass, the delta
+/// variants and the quantifier-trigger pass.
 #[allow(clippy::too_many_arguments)]
 fn round_passes(
     regular: &[&CompiledRule],
-    par_tasks: &[(usize, usize)],
     universe_grew: bool,
     store: &mut TermStore,
     full: &[Relation],
@@ -567,7 +496,7 @@ fn round_passes(
     derived: &mut DerivedBuf,
     stats: &mut EvalStats,
 ) -> Result<(), EngineError> {
-    for (ri, cr) in regular.iter().enumerate() {
+    for cr in regular {
         // Universe-growth trigger: rules that enumerate the active
         // set universe must re-run against the enlarged universe.
         if universe_grew && cr.uses_active_universe {
@@ -578,11 +507,6 @@ fn round_passes(
         }
         // Delta variants: re-join from each recursive literal.
         for (vi, variant) in cr.variants.iter().enumerate().skip(1) {
-            if par_tasks.binary_search(&(ri, vi)).is_ok() {
-                // Running on the pool right now.
-                stats.rule_evaluations += 1;
-                continue;
-            }
             let dlit = variant.delta_lit.expect("non-full variants have a delta");
             let BodyLit::Pos(p, _) = &cr.rule.outer[dlit] else {
                 unreachable!("delta literal is positive");

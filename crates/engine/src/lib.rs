@@ -24,7 +24,6 @@
 //! * [`magic`] — the demand (magic-set) rewrite behind
 //!   [`Engine::query`];
 //! * [`eval`] / [`fixpoint`] — the executor and the drivers;
-//! * [`parallel`] — the scoped-pool join fan-out (E15);
 //! * [`engine`] — the public [`Engine`] session;
 //! * [`snapshot`] — epoch-published immutable snapshots for
 //!   single-writer / many-reader query serving (E17).
@@ -39,7 +38,6 @@ pub mod error;
 pub mod eval;
 pub mod fixpoint;
 pub mod magic;
-pub mod parallel;
 pub mod pattern;
 pub mod plan;
 pub mod pred;
@@ -53,7 +51,6 @@ pub use config::{EvalConfig, EvalStats, FixpointStrategy, SetUniverse};
 pub use engine::{Engine, EngineState, QueryPath, QueryResult, RowSet, Rows};
 pub use error::EngineError;
 pub use magic::{adornment_of, adornment_string, Adornment, SipsCost};
-pub use parallel::ParExec;
 pub use pred::{PredId, PredRegistry};
 pub use relation::{Relation, MAX_ARITY};
 pub use rule::{BodyLit, Builtin, GroupSpec, QuantGroup, Rule};

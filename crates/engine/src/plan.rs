@@ -19,7 +19,7 @@ use crate::builtin::{functional, mode_ok};
 use crate::config::SetUniverse;
 use crate::error::EngineError;
 use crate::pattern::{Pattern, VarId};
-use crate::pred::{PredId, PredRegistry};
+use crate::pred::PredId;
 use crate::relation::ColMask;
 use crate::rule::{BodyLit, Rule};
 use crate::stats::Stats;
@@ -96,14 +96,6 @@ pub struct Variant {
     /// group's coverage analysis (e.g. `¬C(X)` in the §4.2 set
     /// construction, where `X` is the quantifier domain).
     pub post_steps: Vec<Step>,
-    /// Delta-literal columns to partition on when this variant's join
-    /// is fanned across the worker pool (E15): the columns whose
-    /// variables feed later join steps, so rows sharing a probe key
-    /// land on one worker (locality, and skew becomes observable as
-    /// `worker_imbalance`). Falls back to every column (whole-row
-    /// hash) when the delta literal shares no variable with the rest
-    /// of the body. `0` for the full variant, which never partitions.
-    pub part_mask: ColMask,
 }
 
 /// Static plan for the quantifier group.
@@ -153,13 +145,6 @@ pub struct CompiledRule {
     /// set-sorted arguments). Such rules must be re-run when new sets
     /// are interned, even if no new facts arrived.
     pub uses_active_universe: bool,
-    /// Whether this rule's delta variants may run on the worker pool:
-    /// no quantifier group, no grouping head, every step a flat
-    /// (`Var`/`Ground`-only) positive join or negation check, and a
-    /// flat head — exactly the fragment whose evaluation never interns
-    /// a term, so workers need no access to the term store and
-    /// parallel runs stay bit-identical to sequential ones (E15).
-    pub parallel_safe: bool,
     /// Variants whose cost-based join order differs from the textual
     /// order — 0 when compiled without statistics, and 0 when the
     /// statistics agreed with the written order (E16 accounting,
@@ -218,7 +203,6 @@ pub struct CompiledProgram {
 pub fn compile_program(
     rules: &[Rule],
     num_preds: usize,
-    preds: &PredRegistry,
     names: &dyn Fn(PredId) -> String,
     idb: &FxHashSet<PredId>,
     policy: SetUniverse,
@@ -227,7 +211,7 @@ pub fn compile_program(
     let strat = stratify(rules, num_preds, names)?;
     let mut compiled: Vec<CompiledRule> = Vec::with_capacity(rules.len());
     for (i, rule) in rules.iter().enumerate() {
-        let mut cr = compile_rule(rule, preds, names, idb, policy, cost)?;
+        let mut cr = compile_rule(rule, names, idb, policy, cost)?;
         cr.id = i as u32;
         compiled.push(cr);
     }
@@ -340,7 +324,6 @@ impl CompiledProgram {
 /// is the exact textual planner.
 pub fn compile_rule(
     rule: &Rule,
-    preds: &PredRegistry,
     names: &dyn Fn(PredId) -> String,
     idb: &FxHashSet<PredId>,
     policy: SetUniverse,
@@ -629,28 +612,6 @@ pub fn compile_rule(
     index_requests.sort_unstable();
     index_requests.dedup();
 
-    let _ = preds; // registry currently only needed by callers; kept for signature stability
-
-    // Parallel safety: the flat, store-free fragment (see the field
-    // docs on [`CompiledRule::parallel_safe`]). `post_steps` are
-    // provably empty here when the rule has no quantifier group
-    // (deferral only triggers under `defer_ok`), but the check is kept
-    // explicit rather than relied on.
-    let parallel_safe = rule.quant.is_none()
-        && rule.group.is_none()
-        && rule
-            .head_args
-            .iter()
-            .all(|a| matches!(a, Pattern::Var(_) | Pattern::Ground(_)))
-        && variants.iter().all(|v| {
-            v.post_steps.is_empty()
-                && v.steps.iter().all(|s| match s {
-                    Step::Pos { flat, .. } => *flat,
-                    Step::NegStep { lit } => lit_flat(&rule.outer[*lit]),
-                    Step::BuiltinStep { .. } | Step::EnumUniverse { .. } => false,
-                })
-        });
-
     // Per-literal estimates of the full variant, in chosen join order
     // (the masks stored in the steps are exactly the probe masks the
     // planner scored, so re-asking the snapshot reproduces its
@@ -678,7 +639,6 @@ pub fn compile_rule(
         inner_preds,
         index_requests,
         uses_active_universe,
-        parallel_safe,
         reorders,
         estimated_rows,
         step_estimates,
@@ -752,44 +712,11 @@ fn order_steps(
             BodyLit::Pos(..) => unreachable!("positive literals are never deferred"),
         })
         .collect();
-    let part_mask = match delta_lit {
-        Some(d) => partition_mask(rule, &steps, &post_steps, d),
-        None => 0,
-    };
     Ok(Variant {
         delta_lit,
         steps,
         post_steps,
-        part_mask,
     })
-}
-
-/// The partition mask of a delta variant (see [`Variant::part_mask`]):
-/// delta-literal columns whose variables appear in some *other* step's
-/// literal — the probe keys the rest of the join will be driven by.
-fn partition_mask(rule: &Rule, steps: &[Step], post_steps: &[Step], d: usize) -> ColMask {
-    let args = match &rule.outer[d] {
-        BodyLit::Pos(_, a) => a,
-        other => unreachable!("delta literal must be positive, got {other:?}"),
-    };
-    let mut later: FxHashSet<VarId> = FxHashSet::default();
-    for step in steps.iter().chain(post_steps) {
-        match step.lit() {
-            Some(l) if l != d => later.extend(rule.outer[l].vars()),
-            _ => {}
-        }
-    }
-    let mut mask: ColMask = 0;
-    for (i, p) in args.iter().enumerate() {
-        if matches!(p, Pattern::Var(v) if later.contains(v)) {
-            mask |= 1 << i;
-        }
-    }
-    if mask == 0 && !args.is_empty() {
-        // No shared variable: partition on the whole row for balance.
-        mask = ((1u64 << args.len()) - 1) as ColMask;
-    }
-    mask
 }
 
 /// Greedy literal ordering. Scores (descending):
@@ -1011,17 +938,18 @@ fn bound_mask(lit: &BodyLit, bound: &FxHashSet<VarId>) -> ColMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pred::PredRegistry;
     use crate::rule::{Builtin, QuantGroup};
     use lps_term::SymbolTable;
 
-    fn setup() -> (PredRegistry, PredId, PredId, PredId) {
+    fn setup() -> (PredId, PredId, PredId) {
         let mut syms = SymbolTable::new();
         let (e, p, q) = (syms.intern("e"), syms.intern("p"), syms.intern("q"));
         let mut reg = PredRegistry::new();
         let pe = reg.register(e, 2);
         let pp = reg.register(p, 2);
         let pq = reg.register(q, 1);
-        (reg, pe, pp, pq)
+        (pe, pp, pq)
     }
 
     fn v(i: u32) -> Pattern {
@@ -1035,7 +963,7 @@ mod tests {
     #[test]
     fn transitive_closure_rule_plans_with_join_index() {
         // p(X, Z) :- e(X, Y), p(Y, Z).
-        let (reg, pe, pp, _) = setup();
+        let (pe, pp, _) = setup();
         let rule = Rule {
             head: pp,
             head_args: vec![v(0), v(2)],
@@ -1051,8 +979,7 @@ mod tests {
         };
         let mut idb = FxHashSet::default();
         idb.insert(pp);
-        let compiled =
-            compile_rule(&rule, &reg, &names, &idb, SetUniverse::Reject, None).expect("plans");
+        let compiled = compile_rule(&rule, &names, &idb, SetUniverse::Reject, None).expect("plans");
         // Full variant + delta variant for the one IDB literal.
         assert_eq!(compiled.variants.len(), 2);
         // Full variant: scan first literal, indexed lookup on second.
@@ -1064,45 +991,13 @@ mod tests {
         }
         // Index requests include the join column.
         assert!(!compiled.index_requests.is_empty());
-        // The flat recursive join is parallel-eligible, and its delta
-        // variant partitions on the probe key: `p(Y, Z)`'s first
-        // column, which drives the later `e(X, Y)` probe.
-        assert!(compiled.parallel_safe);
-        let delta = &compiled.variants[1];
-        assert_eq!(delta.delta_lit, Some(1));
-        assert_eq!(delta.part_mask, 0b01);
-        assert_eq!(
-            compiled.variants[0].part_mask, 0,
-            "full variant never partitions"
-        );
-    }
-
-    #[test]
-    fn partition_mask_falls_back_to_whole_row() {
-        // head(X, Y) :- e(X, Y).  — single literal, no join key.
-        let (reg, pe, pp, _) = setup();
-        let rule = Rule {
-            head: pp,
-            head_args: vec![v(0), v(1)],
-            group: None,
-            outer: vec![BodyLit::Pos(pe, vec![v(0), v(1)])],
-            quant: None,
-            num_vars: 2,
-            var_names: vec!["X".into(), "Y".into()],
-            var_sorts: vec![],
-        };
-        let mut idb = FxHashSet::default();
-        idb.insert(pe);
-        let compiled =
-            compile_rule(&rule, &reg, &names, &idb, SetUniverse::Reject, None).expect("plans");
-        assert!(compiled.parallel_safe);
-        assert_eq!(compiled.variants[1].part_mask, 0b11, "whole-row hash");
+        assert_eq!(compiled.variants[1].delta_lit, Some(1));
     }
 
     #[test]
     fn builtin_check_is_scheduled_after_binding() {
         // head(X, Y) :- e(X, Y), X != Y.   (Ne needs both bound)
-        let (reg, pe, pp, _) = setup();
+        let (pe, pp, _) = setup();
         let rule = Rule {
             head: pp,
             head_args: vec![v(0), v(1)],
@@ -1118,7 +1013,6 @@ mod tests {
         };
         let compiled = compile_rule(
             &rule,
-            &reg,
             &names,
             &FxHashSet::default(),
             SetUniverse::Reject,
@@ -1136,7 +1030,7 @@ mod tests {
         // With `X` bound, `X = Y` yields one row. Under statistics it
         // runs before the 40-row `e` scan, which becomes a keyed probe;
         // the textual planner keeps the generative-builtin tier.
-        let (reg, pe, pp, pq) = setup();
+        let (pe, pp, pq) = setup();
         let mut st = lps_term::TermStore::new();
         let ids: Vec<_> = (0..40).map(|i| st.atom(&format!("n{i}"))).collect();
         let mut e = crate::relation::Relation::new(2);
@@ -1164,7 +1058,6 @@ mod tests {
         let plan = |cost| {
             compile_rule(
                 &rule,
-                &reg,
                 &names,
                 &FxHashSet::default(),
                 SetUniverse::Reject,
@@ -1200,7 +1093,7 @@ mod tests {
     #[test]
     fn union_with_one_input_needs_set_enumeration() {
         // head(X, Y) :- e(X, Z), union(X, Y, Z).   (Y ranges over sets)
-        let (reg, pe, pp, _) = setup();
+        let (pe, pp, _) = setup();
         let rule = Rule {
             head: pp,
             head_args: vec![v(0), v(1)],
@@ -1214,8 +1107,7 @@ mod tests {
             var_names: vec!["X".into(), "Y".into(), "Z".into()],
             var_sorts: vec![],
         };
-        let compile =
-            |policy| compile_rule(&rule, &reg, &names, &FxHashSet::default(), policy, None);
+        let compile = |policy| compile_rule(&rule, &names, &FxHashSet::default(), policy, None);
         match compile(SetUniverse::Reject).unwrap_err() {
             EngineError::Unsafe { var, .. } => assert_eq!(var, "Y"),
             other => panic!("expected Unsafe, got {other:?}"),
@@ -1227,7 +1119,7 @@ mod tests {
     #[test]
     fn unbound_head_var_is_unsafe() {
         // head(X, Y) :- q(X).   (Y never bound)
-        let (reg, _, pp, pq) = setup();
+        let (_, pp, pq) = setup();
         let rule = Rule {
             head: pp,
             head_args: vec![v(0), v(1)],
@@ -1240,7 +1132,6 @@ mod tests {
         };
         let err = compile_rule(
             &rule,
-            &reg,
             &names,
             &FxHashSet::default(),
             SetUniverse::Reject,
@@ -1256,7 +1147,7 @@ mod tests {
     #[test]
     fn unbound_ne_is_unsafe() {
         // head(X) :- q(X), X != Y.   (Y never bound, Ne has no free mode)
-        let (reg, _, pp, pq) = setup();
+        let (_, pp, pq) = setup();
         let rule = Rule {
             head: pp,
             head_args: vec![v(0), v(0)],
@@ -1272,7 +1163,6 @@ mod tests {
         };
         let err = compile_rule(
             &rule,
-            &reg,
             &names,
             &FxHashSet::default(),
             SetUniverse::Reject,
@@ -1285,7 +1175,7 @@ mod tests {
     #[test]
     fn quantified_rule_with_bound_domain_plans_without_inner_join() {
         // head(X, Y) :- e(X, Y), (∀u ∈ X) u in Y.
-        let (reg, pe, pp, _) = setup();
+        let (pe, pp, _) = setup();
         let rule = Rule {
             head: pp,
             head_args: vec![v(0), v(1)],
@@ -1301,7 +1191,6 @@ mod tests {
         };
         let compiled = compile_rule(
             &rule,
-            &reg,
             &names,
             &FxHashSet::default(),
             SetUniverse::Reject,
@@ -1315,63 +1204,9 @@ mod tests {
     }
 
     #[test]
-    fn quantified_and_nonflat_rules_are_not_parallel_safe() {
-        // Quantifier group → sequential only.
-        let (reg, pe, pp, _) = setup();
-        let quant_rule = Rule {
-            head: pp,
-            head_args: vec![v(0), v(1)],
-            group: None,
-            outer: vec![BodyLit::Pos(pe, vec![v(0), v(1)])],
-            quant: Some(QuantGroup {
-                binders: vec![(VarId(2), v(0))],
-                inner: vec![BodyLit::Builtin(Builtin::In, vec![v(2), v(1)])],
-            }),
-            num_vars: 3,
-            var_names: vec!["X".into(), "Y".into(), "U".into()],
-            var_sorts: vec![],
-        };
-        let compiled = compile_rule(
-            &quant_rule,
-            &reg,
-            &names,
-            &FxHashSet::default(),
-            SetUniverse::Reject,
-            None,
-        )
-        .expect("plans");
-        assert!(!compiled.parallel_safe);
-
-        // Builtin step → sequential only (builtins may intern terms).
-        let builtin_rule = Rule {
-            head: pp,
-            head_args: vec![v(0), v(1)],
-            group: None,
-            outer: vec![
-                BodyLit::Pos(pe, vec![v(0), v(1)]),
-                BodyLit::Builtin(Builtin::Ne, vec![v(0), v(1)]),
-            ],
-            quant: None,
-            num_vars: 2,
-            var_names: vec!["X".into(), "Y".into()],
-            var_sorts: vec![],
-        };
-        let compiled = compile_rule(
-            &builtin_rule,
-            &reg,
-            &names,
-            &FxHashSet::default(),
-            SetUniverse::Reject,
-            None,
-        )
-        .expect("plans");
-        assert!(!compiled.parallel_safe);
-    }
-
-    #[test]
     fn unbound_quantifier_domain_requires_policy() {
         // head(X) :- (∀u ∈ X) q(u).   — Theorem 8's shape.
-        let (reg, _, pp, pq) = setup();
+        let (_, pp, pq) = setup();
         let rule = Rule {
             head: pp,
             head_args: vec![v(0), v(0)],
@@ -1388,7 +1223,6 @@ mod tests {
         // Rejected under the default policy…
         let err = compile_rule(
             &rule,
-            &reg,
             &names,
             &FxHashSet::default(),
             SetUniverse::Reject,
@@ -1399,7 +1233,6 @@ mod tests {
         // …planned under ActiveSets.
         let compiled = compile_rule(
             &rule,
-            &reg,
             &names,
             &FxHashSet::default(),
             SetUniverse::ActiveSets,
@@ -1412,7 +1245,7 @@ mod tests {
 
     #[test]
     fn grouping_var_must_be_bound() {
-        let (reg, _, pp, pq) = setup();
+        let (_, pp, pq) = setup();
         let rule = Rule {
             head: pp,
             head_args: vec![v(0), v(1)],
@@ -1428,7 +1261,6 @@ mod tests {
         };
         let err = compile_rule(
             &rule,
-            &reg,
             &names,
             &FxHashSet::default(),
             SetUniverse::Reject,

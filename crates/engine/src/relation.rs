@@ -59,14 +59,6 @@ fn hash_masked_row(arena: &[TermId], base: usize, mask: ColMask) -> u64 {
     h
 }
 
-/// Hash the `mask`-selected columns of a standalone tuple (the
-/// parallel evaluator's partition hash: rows sharing their probe-key
-/// columns map to the same worker).
-#[inline]
-pub(crate) fn hash_masked_tuple(tuple: &[TermId], mask: ColMask) -> u64 {
-    hash_masked_row(tuple, 0, mask)
-}
-
 /// Do the `mask`-selected columns of the row starting at `base` equal
 /// `key` (ascending column order)?
 #[inline]
@@ -327,24 +319,8 @@ impl Relation {
     /// is a hard check even in release builds (one compare per insert,
     /// off the per-column hot loop).
     pub fn insert(&mut self, tuple: &[TermId]) -> bool {
-        self.insert_hashed(hash_ids(tuple), tuple)
-    }
-
-    /// The dedup hash of a tuple, exposed so parallel workers can
-    /// compute it off-thread and the merge pass can reuse it for
-    /// [`Relation::insert_hashed`] / [`Relation::contains_hashed`] on
-    /// every relation (all relations share one hash function).
-    #[inline]
-    pub fn hash_tuple(tuple: &[TermId]) -> u64 {
-        hash_ids(tuple)
-    }
-
-    /// [`Relation::insert`] with a precomputed [`Relation::hash_tuple`]
-    /// hash — the parallel merge path, where workers hash their derived
-    /// tuples while the join is still running elsewhere.
-    pub fn insert_hashed(&mut self, hash: u64, tuple: &[TermId]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        debug_assert_eq!(hash, hash_ids(tuple), "stale precomputed hash");
+        let hash = hash_ids(tuple);
         self.dedup.reserve_one(&self.arena, self.arity);
         let (arena, arity) = (&self.arena, self.arity);
         let slot = find_slot(&self.dedup.slots, hash, |r| {
@@ -370,19 +346,11 @@ impl Relation {
 
     /// Membership test (in-place hash and compare; no allocation).
     pub fn contains(&self, tuple: &[TermId]) -> bool {
-        self.contains_hashed(hash_ids(tuple), tuple)
-    }
-
-    /// [`Relation::contains`] with a precomputed hash (see
-    /// [`Relation::hash_tuple`]): parallel workers pre-filter their
-    /// derived tuples against the frozen full relation so the
-    /// sequential merge pass mostly sees genuinely new rows.
-    pub fn contains_hashed(&self, hash: u64, tuple: &[TermId]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
-        debug_assert_eq!(hash, hash_ids(tuple), "stale precomputed hash");
         if self.dedup.slots.is_empty() {
             return false;
         }
+        let hash = hash_ids(tuple);
         let (arena, arity) = (&self.arena, self.arity);
         let slot = find_slot(&self.dedup.slots, hash, |r| {
             let base = r as usize * arity;
@@ -392,8 +360,9 @@ impl Relation {
     }
 
     /// Pre-grow the arena and dedup table for `additional` upcoming
-    /// inserts (a reserve/commit pattern): the merge pass reserves once
-    /// per fold instead of paying repeated doublings mid-loop. Inserts
+    /// inserts (a reserve/commit pattern): a bulk copy such as
+    /// `Relation::append_tail_from` reserves once instead of paying
+    /// repeated doublings mid-loop. Inserts
     /// beyond the reservation stay correct — growth simply resumes.
     pub fn reserve(&mut self, additional: usize) {
         self.arena.reserve(additional * self.arity);
@@ -685,27 +654,6 @@ mod tests {
         r.ensure_index(0b10);
         for &x in &ids {
             assert_eq!(r.lookup(0b10, &[x]).len(), 1);
-        }
-    }
-
-    #[test]
-    fn hashed_api_agrees_with_plain_inserts() {
-        let mut st = TermStore::new();
-        let ids: Vec<_> = (0..64).map(|i| st.int(i)).collect();
-        let mut r = Relation::new(2);
-        r.ensure_index(0b01);
-        for (i, &x) in ids.iter().enumerate() {
-            let tuple = [ids[i % 8], x];
-            let h = Relation::hash_tuple(&tuple);
-            assert!(!r.contains_hashed(h, &tuple));
-            assert!(r.insert_hashed(h, &tuple));
-            assert!(!r.insert_hashed(h, &tuple), "duplicate must be seen");
-            assert!(r.contains_hashed(h, &tuple));
-            assert!(r.contains(&tuple), "plain and hashed views agree");
-        }
-        assert_eq!(r.len(), 64);
-        for key in ids.iter().take(8) {
-            assert_eq!(r.lookup(0b01, &[*key]).len(), 8);
         }
     }
 

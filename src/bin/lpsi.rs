@@ -22,9 +22,6 @@
 //! :help                  this text
 //! :dialect NAME          purelps | lps | elps | stratified
 //! :universe POLICY       reject | active | subsets N
-//! :threads N|auto        worker threads for the join phase (1 =
-//!                        sequential, auto = one per core); models are
-//!                        bit-identical at any setting
 //! :demand on|cold|off    demand-driven (magic-set) query answering
 //!                        (on = retained demand spaces, cold = clear
 //!                        every demand space before each query)
@@ -300,7 +297,7 @@ impl Session {
 fn print_help() {
     println!(
         "Enter facts/rules ending in `.`; `?- goal, goal, ....` to query.\n\
-         :help :dialect :universe :threads :demand :planner :profile :explain :model :program \
+         :help :dialect :universe :demand :planner :profile :explain :model :program \
          :normalized :sorts :stats [reset] :reset :clear :quit"
     );
 }
@@ -513,7 +510,6 @@ fn main() -> io::Result<()> {
                          incr_runs={} seeded={} \
                          adorns={} magic_seeds={} demand_fb={} \
                          demand_cont={} evicted={} \
-                         par_rounds={} merge_rows={} imbalance={} rebalanced={} \
                          reorders={} est_rows={} stats_refresh={} misest_ratio={}",
                         s.facts_derived,
                         s.iterations,
@@ -529,10 +525,6 @@ fn main() -> io::Result<()> {
                         s.demand_fallbacks,
                         s.demand_continuations,
                         s.plans_evicted,
-                        s.parallel_rounds,
-                        s.merge_rows,
-                        s.worker_imbalance,
-                        s.partitions_rebalanced,
                         s.reorders_applied,
                         s.estimated_rows,
                         s.stats_refreshes,
@@ -633,33 +625,6 @@ fn main() -> io::Result<()> {
                         }
                     };
                     println!("dialect = {:?}", session.dialect);
-                }
-                ":threads" => {
-                    let show = |threads: usize| match threads {
-                        0 => "auto".to_string(),
-                        n => n.to_string(),
-                    };
-                    match arg {
-                        "" => {
-                            println!("threads = {}", show(session.config.threads));
-                            continue;
-                        }
-                        "auto" => session.config.threads = 0,
-                        n => match n.parse::<usize>() {
-                            Ok(n) if n >= 1 => session.config.threads = n,
-                            _ => {
-                                println!("usage: :threads N | auto (N >= 1)");
-                                continue;
-                            }
-                        },
-                    }
-                    // The join fan-out is invisible (bit-identical
-                    // models), so the live session — retained demand
-                    // spaces included — survives the change.
-                    if let Some(m) = session.model.as_mut() {
-                        m.engine_mut().set_threads(session.config.threads);
-                    }
-                    println!("threads = {}", show(session.config.threads));
                 }
                 ":universe" => {
                     session.invalidate();
