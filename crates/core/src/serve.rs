@@ -209,10 +209,29 @@ fn decode_reply(payload: &str) -> Reply {
     Ok(rows)
 }
 
-/// Render one value row the way both serving paths agree on.
-fn render_row(row: &[Value]) -> String {
-    let cells: Vec<String> = row.iter().map(Value::to_string).collect();
-    cells.join(", ")
+/// Render interned answer rows the way both serving paths agree on:
+/// rows sorted in [`Value`] order ([`TermStore::cmp_value_rows`]), each
+/// written straight into one line with cells joined by `", "`
+/// ([`TermStore::write_value`]). Byte-identical to lifting every row to
+/// `Vec<Value>`, sorting those, and joining each cell's `to_string` —
+/// without building a `Value` or a per-cell `String`.
+fn render_rows<'a>(store: &TermStore, rows: impl Iterator<Item = &'a [TermId]>) -> Vec<String> {
+    let mut rows: Vec<&[TermId]> = rows.collect();
+    // Stable merge sort: answer rows arrive in derivation order, whose
+    // long sorted runs it merges with a fraction of pdqsort's compares.
+    rows.sort_by(|a, b| store.cmp_value_rows(a, b));
+    rows.into_iter()
+        .map(|row| {
+            let mut line = String::new();
+            for (i, &id) in row.iter().enumerate() {
+                if i > 0 {
+                    line.push_str(", ");
+                }
+                store.write_value(id, &mut line);
+            }
+            line
+        })
+        .collect()
 }
 
 /// Resolve an already-interned [`Value`] in a read-only store. `None`
@@ -248,29 +267,21 @@ fn snapshot_answer(goal: &str, reader: &SnapshotReader) -> Option<Vec<String>> {
         }
     }
     let rows = snap.try_query(pred, &interned)?;
-    let mut vals: Vec<Vec<Value>> = rows
-        .iter()
-        .map(|r| {
-            r.iter()
-                .map(|&id| Value::from_store(snap.store(), id))
-                .collect()
-        })
-        .collect();
-    vals.sort();
-    Some(vals.iter().map(|r| render_row(r)).collect())
+    Some(render_rows(snap.store(), rows.iter()))
 }
 
 /// Answer `goal` on the live engine (the writer thread), mirroring the
-/// `lpsi` query pipeline: point queries take [`Model::query`] (full
-/// tuples in predicate shape), everything else compiles as a temporary
-/// conjunctive rule via [`Model::query_str`] (binding rows).
+/// `lpsi` query pipeline: point queries take [`Model::query_view`]
+/// (full tuples in predicate shape), everything else compiles as a
+/// temporary conjunctive rule via [`Model::query_str_view`] (binding
+/// rows). Both hand back interned rows for [`render_rows`].
 fn writer_query(model: &mut Model, goal: &str) -> Reply {
     let answers = match classify_goal(goal).map_err(|e| e.render(goal))? {
-        Goal::Point { pred, args } => model.query(&pred, &args),
-        Goal::Conjunctive => model.query_str(goal),
+        Goal::Point { pred, args } => model.query_view(&pred, &args),
+        Goal::Conjunctive => model.query_str_view(goal),
     }
     .map_err(|e| e.to_string())?;
-    Ok(answers.rows.iter().map(|r| render_row(r)).collect())
+    Ok(render_rows(answers.store(), answers.iter()))
 }
 
 /// Apply `text` as ground fact clauses on the live engine. Rules and

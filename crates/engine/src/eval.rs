@@ -162,17 +162,21 @@ pub fn eval_rule_variant(
                 },
             ),
             _ => {
-                let mut env2 = env.clone();
-                run_steps(
+                // Post-steps bind on the caller's env and are undone
+                // before the outer join resumes: no clone per solution.
+                let mark = env.mark();
+                let res = run_steps(
                     &rule.outer,
                     &variant.post_steps,
                     0,
                     store,
                     views,
                     policy,
-                    &mut env2,
-                    &mut |store, env2| sink(store, env2),
-                )
+                    env,
+                    &mut |store, env| sink(store, env),
+                );
+                env.undo_to(mark);
+                res
             }
         },
     )

@@ -366,6 +366,10 @@ fn seminaive(
     // ∀-trigger candidate set are cleared per round, not reallocated.
     let mut derived = DerivedBuf::default();
     let mut candidate_sets: FxHashSet<TermId> = FxHashSet::default();
+    // Only a quantified rule reads the candidate sets; a stratum with
+    // none (every transitive-closure stratum) skips the per-round scan.
+    let collect_candidates =
+        config.forall_trigger_index && regular.iter().any(|cr| !cr.inner_preds.is_empty());
 
     let mut sets_seen = match start {
         StratumStart::Batch => {
@@ -428,7 +432,7 @@ fn seminaive(
         // Candidate sets for the ∀-trigger: sets containing any newly
         // derived component.
         candidate_sets.clear();
-        if config.forall_trigger_index {
+        if collect_candidates {
             for d in delta.iter() {
                 for tuple in d.iter() {
                     for &component in tuple {

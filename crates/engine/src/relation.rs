@@ -121,17 +121,40 @@ impl RowTable {
         self.slots = slots;
     }
 
-    fn clear(&mut self) {
-        self.slots.fill(EMPTY_SLOT);
+    /// Empty the table in O(rows) when it is sparse, else by `fill`.
+    /// A sparse clear vacates the occupied slots newest row first: a
+    /// row's probe path crosses only older rows (inserts and rehashes
+    /// both place rows in row order), so every path still leads to its
+    /// row when that row is removed. Must run before the arena clears.
+    fn clear(&mut self, arena: &[TermId], arity: usize) {
+        if is_sparse(self.len, self.slots.len()) {
+            for row in (0..self.len as u32).rev() {
+                let base = row as usize * arity;
+                let i = find_slot(&self.slots, hash_ids(&arena[base..base + arity]), |r| {
+                    r == row
+                });
+                self.slots[i] = EMPTY_SLOT;
+            }
+        } else {
+            self.slots.fill(EMPTY_SLOT);
+        }
         self.len = 0;
     }
+}
+
+/// Whether an open-addressing table with `len` occupants in `cap`
+/// slots is cheaper to clear one occupant at a time than by `fill`.
+#[inline]
+fn is_sparse(len: usize, cap: usize) -> bool {
+    len * 4 < cap
 }
 
 /// A secondary index for one column mask: an open-addressing table of
 /// bucket ids, where each bucket lists the row ids sharing the same
 /// values on the `mask` columns, in insertion order. Probes hash the
 /// caller's bound values directly; stored keys are compared against a
-/// bucket's first row in place in the arena.
+/// bucket's first row in place in the arena. Clearing costs O(live
+/// buckets) on a sparse table (see [`ColIndex::clear`]).
 #[derive(Debug, Clone)]
 struct ColIndex {
     mask: ColMask,
@@ -207,8 +230,22 @@ impl ColIndex {
         }
     }
 
-    fn clear(&mut self) {
-        self.slots.fill(EMPTY_SLOT);
+    /// Empty the index, keeping its capacity. On a sparse table the
+    /// live buckets' slots are vacated in reverse creation order — the
+    /// [`RowTable::clear`] argument with buckets for rows, since growth
+    /// rehashes buckets in creation order too; a dense table is
+    /// `fill`ed. Must run before the arena clears.
+    fn clear(&mut self, arena: &[TermId], arity: usize) {
+        if is_sparse(self.live, self.slots.len()) {
+            for b in (0..self.live as u32).rev() {
+                let base = self.buckets[b as usize][0] as usize * arity;
+                let h = hash_masked_row(arena, base, self.mask);
+                let i = find_slot(&self.slots, h, |s| s == b);
+                self.slots[i] = EMPTY_SLOT;
+            }
+        } else {
+            self.slots.fill(EMPTY_SLOT);
+        }
         for bucket in &mut self.buckets[..self.live] {
             bucket.clear();
         }
@@ -510,14 +547,24 @@ impl Relation {
     /// Remove all tuples (keeping index *definitions* but emptying
     /// them). Used for delta relations between semi-naive iterations.
     /// Arena and table capacities are retained for reuse.
+    ///
+    /// Costs O(rows), not O(capacity): an empty relation only bumps its
+    /// version, and a table whose occupants fill under a quarter of its
+    /// slots vacates just those slots, so a delta that once grew large
+    /// and now carries one row per round clears in O(1). Dense tables
+    /// are `fill`ed. Every clear, of an empty relation too, moves
+    /// [`Relation::fingerprint`] and [`Relation::clear_mark`].
     pub fn clear(&mut self) {
+        self.version += 1;
+        if self.rows == 0 {
+            return;
+        }
+        self.dedup.clear(&self.arena, self.arity);
+        for index in &mut self.indexes {
+            index.clear(&self.arena, self.arity);
+        }
         self.arena.clear();
         self.rows = 0;
-        self.version += 1;
-        self.dedup.clear();
-        for index in &mut self.indexes {
-            index.clear();
-        }
     }
 
     /// `(identity, version)` fingerprint for content caching: equal
@@ -535,7 +582,7 @@ impl Relation {
     /// bumps the version while zeroing the rows. Equal marks on the
     /// same identity mean the relation has only grown in between, so an
     /// earlier copy's rows are a prefix of its rows.
-    pub(crate) fn clear_mark(&self) -> u64 {
+    pub fn clear_mark(&self) -> u64 {
         // Wrapping: a clone restarts `version` at 0 with its rows kept.
         self.version.wrapping_sub(u64::from(self.rows))
     }

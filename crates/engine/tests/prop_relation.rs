@@ -49,6 +49,16 @@ fn key_of(tuple: &[TermId], mask: ColMask) -> Vec<TermId> {
         .collect()
 }
 
+/// Clear `rel`, asserting that it ends empty and that the clear moved
+/// both its fingerprint and its clear mark.
+fn clear_moving_marks(rel: &mut Relation) {
+    let (fp, mark) = (rel.fingerprint(), rel.clear_mark());
+    rel.clear();
+    assert!(rel.is_empty());
+    assert_ne!(rel.fingerprint(), fp, "clear must move the fingerprint");
+    assert_ne!(rel.clear_mark(), mark, "clear must move the clear mark");
+}
+
 proptest! {
     /// insert/contains/lookup/clear agree with the reference model on
     /// random tuple streams over a small value universe (dense enough
@@ -139,6 +149,63 @@ proptest! {
         for a in &atoms {
             prop_assert_eq!(reused.lookup(0b01, &[*a]), fresh.lookup(0b01, &[*a]));
             prop_assert_eq!(reused.lookup(0b10, &[*a]), fresh.lookup(0b10, &[*a]));
+        }
+    }
+
+    /// Clearing a relation whose tables grew large but now hold few
+    /// rows (a delta after one big round) vacates only the occupied
+    /// slots. Each clear must leave the tables as if freshly emptied:
+    /// many small refill/clear cycles keep agreeing with the reference
+    /// model, and every clear — of an empty relation too — moves both
+    /// the fingerprint and the clear mark.
+    #[test]
+    fn sparse_clear_matches_reference_model(
+        grow in 65usize..200,
+        cycles in proptest::collection::vec(
+            proptest::collection::vec((0u8..64, 0u8..64), 0..40),
+            1..24,
+        ),
+        probes in proptest::collection::vec((0u8..64, 0u8..64), 0..24),
+    ) {
+        // Ids strided by a power of two share low hash bits, so home
+        // slots collide and probe paths cross other rows and buckets.
+        let mut store = TermStore::new();
+        let mut strided = |n: i64, stride: i64| -> Vec<TermId> {
+            let ids: Vec<TermId> = (0..n * stride).map(|i| store.int(i)).collect();
+            ids.into_iter().step_by(stride as usize).collect()
+        };
+        let keys = strided(64, 16);
+        let vals = strided(200, 4);
+        let mut rel = Relation::new(2);
+        rel.ensure_index(0b01);
+        rel.ensure_index(0b10);
+        for (i, &v) in vals.iter().enumerate().take(grow) {
+            prop_assert!(rel.insert(&[keys[i % 64], v]));
+        }
+        clear_moving_marks(&mut rel);
+        for (i, &v) in vals.iter().enumerate().take(grow) {
+            prop_assert!(!rel.contains(&[keys[i % 64], v]));
+        }
+        for cycle in &cycles {
+            let mut model = RefModel { rows: Vec::new() };
+            for &(k, v) in cycle {
+                let t = [keys[k as usize], vals[v as usize]];
+                prop_assert_eq!(rel.insert(&t), model.insert(&t));
+            }
+            prop_assert_eq!(rel.len(), model.rows.len());
+            // Probe this cycle's tuples, the random probes, and the
+            // grown rows (absent unless reinserted this cycle).
+            let grown = (0..grow).map(|i| ((i % 64) as u8, i as u8));
+            let all = cycle.iter().copied().chain(probes.iter().copied()).chain(grown);
+            for (k, v) in all {
+                let t = [keys[k as usize], vals[v as usize]];
+                prop_assert_eq!(rel.contains(&t), model.contains(&t));
+                prop_assert_eq!(rel.lookup(0b01, &t[..1]).to_vec(), model.lookup(0b01, &t[..1]));
+                prop_assert_eq!(rel.lookup(0b10, &t[1..]).to_vec(), model.lookup(0b10, &t[1..]));
+            }
+            clear_moving_marks(&mut rel);
+            // A second clear finds the relation empty: still a clear.
+            clear_moving_marks(&mut rel);
         }
     }
 }

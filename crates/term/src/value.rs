@@ -6,8 +6,10 @@
 //! query answers, serializing — while all *evaluation* happens on
 //! interned [`TermId`]s. Conversions in both directions are provided.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::store::{TermData, TermId, TermStore};
 
@@ -158,6 +160,105 @@ impl fmt::Display for Value {
                 f.write_str("}")
             }
         }
+    }
+}
+
+/// Id-level mirrors of [`Value`]'s `Ord` and `Display`: they order and
+/// print interned terms exactly as their lifted [`Value`]s would, with
+/// no owned tree and no per-atom `String`. A serving front end sorts
+/// and renders answer rows with these straight from the store.
+impl TermStore {
+    /// Compare two interned terms in [`Value`] order: the order of
+    /// `Value::from_store(self, a).cmp(&Value::from_store(self, b))`.
+    /// Variants rank Atom < Int < App < Set; atoms compare by name
+    /// bytes, ints numerically, apps by name then argument list, and
+    /// sets lexicographically over their elements taken in this same
+    /// order (not interning order).
+    pub fn cmp_value_order(&self, a: TermId, b: TermId) -> Ordering {
+        // Hash-consing: equal ids are exactly equal values.
+        if a == b {
+            return Ordering::Equal;
+        }
+        match (self.data(a), self.data(b)) {
+            (TermData::Atom(x), TermData::Atom(y)) => {
+                self.symbols().name(*x).cmp(self.symbols().name(*y))
+            }
+            (TermData::Int(x), TermData::Int(y)) => x.cmp(y),
+            (TermData::App(f, xs), TermData::App(g, ys)) => self
+                .symbols()
+                .name(*f)
+                .cmp(self.symbols().name(*g))
+                .then_with(|| self.cmp_value_rows(xs, ys)),
+            (TermData::Set(xs), TermData::Set(ys)) => {
+                self.cmp_value_rows(&self.value_ordered(xs), &self.value_ordered(ys))
+            }
+            (x, y) => variant_rank(x).cmp(&variant_rank(y)),
+        }
+    }
+
+    /// Compare two id slices lexicographically in [`Value`] order (a
+    /// shorter prefix sorts first) — the order of the lifted
+    /// `Vec<Value>` rows.
+    pub fn cmp_value_rows(&self, a: &[TermId], b: &[TermId]) -> Ordering {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| self.cmp_value_order(x, y))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.len().cmp(&b.len()))
+    }
+
+    /// Append the rendering of `id` to `out`, byte-identical to
+    /// `Value::from_store(self, id).to_string()`: set elements print in
+    /// [`Value`] order, not interning order (which is what
+    /// [`TermStore::display`] prints).
+    pub fn write_value(&self, id: TermId, out: &mut String) {
+        match self.data(id) {
+            TermData::Atom(sym) => out.push_str(self.symbols().name(*sym)),
+            TermData::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
+            TermData::App(f, args) => {
+                out.push_str(self.symbols().name(*f));
+                out.push('(');
+                self.write_value_list(args, out);
+                out.push(')');
+            }
+            TermData::Set(elems) => {
+                out.push('{');
+                self.write_value_list(&self.value_ordered(elems), out);
+                out.push('}');
+            }
+        }
+    }
+
+    fn write_value_list(&self, ids: &[TermId], out: &mut String) {
+        for (i, &id) in ids.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            self.write_value(id, out);
+        }
+    }
+
+    /// A set payload in [`Value`] order: borrowed when interning order
+    /// already agrees (the common case), a sorted copy otherwise.
+    fn value_ordered<'a>(&self, elems: &'a [TermId]) -> Cow<'a, [TermId]> {
+        if elems.is_sorted_by(|&x, &y| self.cmp_value_order(x, y).is_lt()) {
+            return Cow::Borrowed(elems);
+        }
+        let mut sorted = elems.to_vec();
+        sorted.sort_unstable_by(|&x, &y| self.cmp_value_order(x, y));
+        Cow::Owned(sorted)
+    }
+}
+
+/// Rank of a term's variant in [`Value`]'s derived order.
+fn variant_rank(data: &TermData) -> u8 {
+    match data {
+        TermData::Atom(_) => 0,
+        TermData::Int(_) => 1,
+        TermData::App(..) => 2,
+        TermData::Set(_) => 3,
     }
 }
 

@@ -11,7 +11,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use lps::core::serve::{read_frame, write_frame};
-use lps::core::{Client, Database, Dialect, Server};
+use lps::core::{Client, Database, Dialect, Server, Value};
 
 const CHAIN: &str = "e(a, b). e(b, c). e(c, d).\n\
                      t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).\n";
@@ -175,5 +175,70 @@ fn serve_supports_concurrent_clients() {
     for h in handles {
         h.join().expect("client thread");
     }
+    server.shutdown();
+}
+
+/// Render owned answer rows the way the wire promised before replies
+/// were rendered from interned ids: `Value` rows, sorted, each cell's
+/// `to_string` joined by `", "`.
+fn value_reference(rows: &[Vec<Value>]) -> Vec<String> {
+    let mut rows = rows.to_vec();
+    rows.sort();
+    rows.iter()
+        .map(|row| {
+            let cells: Vec<String> = row.iter().map(Value::to_string).collect();
+            cells.join(", ")
+        })
+        .collect()
+}
+
+#[test]
+fn serve_renders_sets_and_mixed_sorts_in_value_order() {
+    // `{b, a}` comes first, so `b` is interned before `a`: interning
+    // order and `Value` order disagree inside sets and between rows.
+    let program = "item(k, {b, a}). item(k, 3). item(k, -2). item(k, f(z, {c, b})).\n\
+                   item(k, a). item(k, {}). item(k, {{b}, a}). item(k, g). item(j, {a}).\n";
+    let mut db = Database::new(Dialect::Elps);
+    db.load_str(program).expect("load program");
+    let mut model = db.evaluate().expect("evaluate");
+    let k = Some(Value::atom("k"));
+    let ab = Some(Value::set([Value::atom("a"), Value::atom("b")]));
+    let cases = [
+        ("item(k, X).", model.query("item", &[k, None]).unwrap().rows),
+        (
+            "item(K, {a, b}).",
+            model.query("item", &[None, ab]).unwrap().rows,
+        ),
+    ];
+    let mut server = spawn_server(program);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for (goal, rows) in &cases {
+        let want = value_reference(rows);
+        let hits = server.snapshot_hits();
+        let first = client.query(goal).unwrap().unwrap();
+        assert_eq!(server.snapshot_hits(), hits, "{goal}: first ask funnels");
+        assert_eq!(first, want, "{goal}: writer reply");
+        let second = client.query(goal).unwrap().unwrap();
+        assert_eq!(server.snapshot_hits(), hits + 1, "{goal}: repeat hits");
+        assert_eq!(second, want, "{goal}: snapshot reply");
+    }
+    assert_eq!(
+        value_reference(&cases[0].1),
+        [
+            "k, a",
+            "k, g",
+            "k, -2",
+            "k, 3",
+            "k, f(z, {b, c})",
+            "k, {}",
+            "k, {a, b}",
+            "k, {a, {b}}",
+        ]
+    );
+    // Conjunctive goals always take the writer.
+    let goal = "item(K, X), K != j.";
+    let want = value_reference(&model.query_str(goal).unwrap().rows);
+    assert_eq!(want.len(), 8);
+    assert_eq!(client.query(goal).unwrap().unwrap(), want);
     server.shutdown();
 }
