@@ -282,7 +282,7 @@ impl Model {
     /// full model when the session has none (see
     /// [`Database::session`]). Unknown predicates register on the fly
     /// and answer with no rows. On a materialized session this reads
-    /// the maintained model (reconciling pending facts first).
+    /// the maintained model (reconciling new facts first).
     ///
     /// ```
     /// use lps_core::{Database, Dialect, Value};

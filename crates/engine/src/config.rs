@@ -39,7 +39,11 @@ pub enum SetUniverse {
     },
 }
 
-/// Evaluation settings.
+/// Evaluation settings, fixed for an engine's lifetime:
+/// [`crate::Engine::new`] is the only place an engine's configuration
+/// is set, so every compile, demand plan and model the engine caches
+/// was built under it. Evaluating under other settings takes another
+/// engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Fixpoint algorithm.
@@ -151,7 +155,8 @@ pub struct EvalStats {
     /// the observable guarantee of the arena storage layer (E11).
     pub probe_allocs: usize,
     /// Update passes that took the incremental path: the semi-naive
-    /// drivers were re-seeded from pending deltas and continued from
+    /// drivers were re-seeded from the facts past the EDB cursor and
+    /// continued from
     /// the retained model instead of recomputing it (E12). A full
     /// recompute — batch run or non-monotone fallback — contributes 0.
     pub incremental_runs: usize,

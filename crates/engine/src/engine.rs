@@ -1,10 +1,10 @@
 //! The public evaluation session: register predicates, load facts and
 //! rules, run to fixpoint, query results — and keep the result
-//! *maintainable*: facts added after a completed fixpoint accumulate
-//! as pending deltas, and [`Engine::update`] seeds the semi-naive
-//! drivers with them, re-running only from the lowest affected stratum
-//! onward over the retained relations instead of recomputing the model
-//! from scratch.
+//! *maintainable*: facts added after a completed fixpoint wait in the
+//! EDB past the session's per-predicate cursor, and [`Engine::update`]
+//! seeds the semi-naive drivers with them, re-running only from the
+//! lowest affected stratum onward over the retained relations instead
+//! of recomputing the model from scratch.
 //!
 //! Demand-driven queries get the same treatment. Point queries
 //! ([`Engine::query`]) and conjunctive goals ([`Engine::query_rule`])
@@ -36,39 +36,25 @@ use crate::stats::{Stats, StatsCache};
 /// Lifecycle of an [`Engine`] session.
 ///
 /// ```text
-/// Unprepared ──prepare──▶ Prepared ──run──▶ Materialized ──fact──▶ Dirty
-///      ▲                      ▲                  │  ▲                │
-///      └───────── rule ───────┴── reset_facts ───┘  └──── update ────┘
+/// Unmaterialized ──run──▶ Materialized ──fact──▶ Dirty
+///       ▲                    │     ▲               │
+///       │                    │     └─ update ──────┤
+///       └─ rule, reset_facts ┴─────────────────────┘
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineState {
-    /// Rules changed since the last prepare: the next run restratifies
-    /// and recompiles.
-    Unprepared,
-    /// Stratification, compiled rules, and index requests are cached;
-    /// no model is materialized yet (fresh prepare, or after
-    /// [`Engine::reset_facts`]).
-    Prepared,
+    /// No model is materialized: a fresh session, or one whose rules
+    /// or facts changed wholesale ([`Engine::rule`],
+    /// [`Engine::reset_facts`]). Queries take the demand path; the
+    /// next run compiles the rules unless a compile is cached, and
+    /// materializes the model from the EDB.
+    Unmaterialized,
     /// A least model is materialized and current.
     Materialized,
-    /// A model is materialized, but facts added since then wait in the
-    /// pending deltas; [`Engine::update`] reconciles incrementally.
+    /// A model is materialized, but EDB rows past the session's cursor
+    /// hold facts it has not absorbed; [`Engine::update`] reconciles
+    /// incrementally.
     Dirty,
-}
-
-/// Cached prepare-phase artifacts: everything derived from the rule
-/// set alone. Reused across batch runs and incremental updates;
-/// invalidated only when a rule is added (or the universe policy
-/// changes, which affects compilation).
-#[derive(Debug)]
-struct Prepared {
-    /// The loaded rule set, stratified and compiled.
-    program: CompiledProgram,
-    /// The universe policy the rules were compiled under.
-    policy: SetUniverse,
-    /// Whether the rules were compiled with cost-based join ordering
-    /// ([`EvalConfig::cost_planner`]); a flip recompiles.
-    cost_planner: bool,
 }
 
 /// Key of the demand plan cache: the queried predicate (or the
@@ -158,7 +144,7 @@ pub enum QueryPath {
     /// derived only tuples the query's bindings can reach.
     Demand,
     /// Answered from the maintained materialized model (reconciled
-    /// incrementally first if facts were pending).
+    /// incrementally first if new facts had arrived).
     Materialized,
     /// The demand rewrite was inapplicable; the engine fell back to a
     /// sound full materialization and filtered.
@@ -344,8 +330,9 @@ impl ExactSizeIterator for RowSetIter<'_> {}
 /// assert!(engine.holds(path, &[a, c]));
 /// assert_eq!(engine.tuples(path).count(), 3);
 /// // The session stays maintainable: a fact added after the fixpoint
-/// // queues as a pending delta, and `update` re-reaches the least
-/// // model incrementally instead of recomputing it.
+/// // waits in the EDB past the session's cursor, and `update`
+/// // re-reaches the least model incrementally instead of recomputing
+/// // it.
 /// let d = engine.store_mut().atom("d");
 /// engine.fact(edge, vec![c, d]).unwrap();
 /// let stats = engine.update().unwrap();
@@ -365,23 +352,28 @@ pub struct Engine {
     full: Vec<Relation>,
     /// Semi-naive working deltas.
     delta: Vec<Relation>,
-    /// Facts added after a completed fixpoint, awaiting
-    /// [`Engine::update`].
-    pending: Vec<Relation>,
-    /// Per-predicate count of EDB rows already mirrored into `full` by
-    /// the demand pipeline's [`Engine::sync_edb_to_full`]; reset with
-    /// the facts.
+    /// The EDB cursor, one per predicate: `full[i]` holds `edb[i]`'s
+    /// rows before `edb_synced[i]`, and every row past it is a fact the
+    /// model (or, in a demand session, the demand spaces) has not
+    /// absorbed yet. A batch run moves every cursor to the end of its
+    /// EDB; [`Engine::update`] and the demand pipeline's
+    /// [`Engine::sync_edb_to_full`] advance them as they splice rows
+    /// in; resetting the facts resets them to 0.
     edb_synced: Vec<u32>,
     rules: Vec<Rule>,
+    /// Fixed for the engine's lifetime: every cached compile, demand
+    /// plan and model was built under it.
     config: EvalConfig,
     state: EngineState,
-    prepared: Option<Prepared>,
+    /// The rule set, stratified and compiled — everything derived from
+    /// the rules alone. Reused across batch runs and incremental
+    /// updates; dropped only when a rule is added.
+    prepared: Option<CompiledProgram>,
     /// Per-adornment demand plans: the magic-rewritten, compiled
     /// program for each `(pred, bound-mask)` query pattern seen
     /// (conjunctive goals enter under their dedicated shape
     /// predicate). Bounded by [`EvalConfig::demand_plan_cache`];
-    /// invalidated with `prepared` on rule changes, and on universe
-    /// policy changes.
+    /// invalidated with `prepared` on rule changes.
     query_plans: FxHashMap<PlanKey, QueryEntry>,
     /// LRU order over `query_plans` keys, least-recently-used first.
     query_lru: Vec<PlanKey>,
@@ -393,12 +385,6 @@ pub struct Engine {
     /// so neither this map nor the registry grows with the number of
     /// distinct shapes ever queried — only with the live plan cache.
     conj_shapes: FxHashMap<String, PredId>,
-    /// The universe policy the cached query plans were compiled under.
-    query_policy: SetUniverse,
-    /// The [`EvalConfig::cost_planner`] flag the cached query plans
-    /// were compiled under; a flip drops and recompiles them (their
-    /// join orders and SIPS choices are planner-dependent).
-    query_planner: bool,
     /// Lazily refreshed per-predicate cardinality snapshot feeding the
     /// cost-based planner (E16): invalidated (cheaply) whenever facts
     /// move, re-read from the relations at the next compile that needs
@@ -413,21 +399,17 @@ pub struct Engine {
     /// a query whose rewrite is obstructed does not rebuild `full`,
     /// does not flip the session to `Materialized`, and — the point —
     /// does not put sibling plans' retained demand spaces back to
-    /// cold. Rebuilt lazily; [`Engine::fallback_config`] tracks
+    /// cold. Rebuilt lazily; [`Engine::fallback_fresh`] tracks
     /// staleness.
     fallback_full: Vec<Relation>,
     /// Semi-naive working deltas of the shadow model.
     fallback_delta: Vec<Relation>,
-    /// The configuration the shadow model was materialized under;
-    /// `None` = stale (facts or rules changed since, or never built).
-    fallback_config: Option<EvalConfig>,
+    /// Whether the shadow model is current (`false` when facts or
+    /// rules changed since it was built, or it never was).
+    fallback_fresh: bool,
     /// Interned-set count at the last completed materialization (the
     /// baseline for universe-growth triggers in incremental updates).
     sets_at_materialize: usize,
-    /// The configuration the model was materialized under: a
-    /// [`Engine::config_mut`] change after that voids the
-    /// `Materialized`/`Dirty` short-circuits and forces a rebuild.
-    config_at_materialize: EvalConfig,
     last_stats: EvalStats,
     cumulative_stats: EvalStats,
     /// Per-literal profile of the last query run with
@@ -486,24 +468,20 @@ impl Engine {
             edb: Vec::new(),
             full: Vec::new(),
             delta: Vec::new(),
-            pending: Vec::new(),
             edb_synced: Vec::new(),
             rules: Vec::new(),
             config,
-            state: EngineState::Unprepared,
+            state: EngineState::Unmaterialized,
             prepared: None,
             query_plans: FxHashMap::default(),
             query_lru: Vec::new(),
             conj_shapes: FxHashMap::default(),
-            query_policy: config.set_universe,
-            query_planner: config.cost_planner,
             stats_cache: StatsCache::default(),
             planner_pending: EvalStats::default(),
             fallback_full: Vec::new(),
             fallback_delta: Vec::new(),
-            fallback_config: None,
+            fallback_fresh: false,
             sets_at_materialize: 0,
-            config_at_materialize: config,
             last_stats: EvalStats::default(),
             cumulative_stats: EvalStats::default(),
             last_profile: None,
@@ -525,15 +503,10 @@ impl Engine {
         &mut self.store
     }
 
-    /// The evaluation configuration.
+    /// The evaluation configuration, fixed when the engine was built
+    /// ([`Engine::new`]).
     pub fn config(&self) -> &EvalConfig {
         &self.config
-    }
-
-    /// Mutable access to the configuration (before calling
-    /// [`Engine::run`]).
-    pub fn config_mut(&mut self) -> &mut EvalConfig {
-        &mut self.config
     }
 
     /// Always 1: evaluation runs one sequential semi-naive driver. Kept
@@ -552,10 +525,7 @@ impl Engine {
         if !self.config.cost_planner {
             return false;
         }
-        let (_, refreshed) = self.stats_cache.refreshed(&self.edb, &self.full);
-        if refreshed {
-            self.planner_pending.stats_refreshes += 1;
-        }
+        self.planner_stats();
         true
     }
 
@@ -625,7 +595,6 @@ impl Engine {
             self.edb.push(Relation::new(0));
             self.full.push(Relation::new(0));
             self.delta.push(Relation::new(0));
-            self.pending.push(Relation::new(0));
             self.edb_synced.push(0);
         }
         // (Re)size the relation if this is the first registration.
@@ -633,7 +602,6 @@ impl Engine {
             self.edb[id.index()] = Relation::new(arity);
             self.full[id.index()] = Relation::new(arity);
             self.delta[id.index()] = Relation::new(arity);
-            self.pending[id.index()] = Relation::new(arity);
         }
         id
     }
@@ -657,10 +625,11 @@ impl Engine {
         &self.preds
     }
 
-    /// Load a ground fact. Before the first run it joins the EDB to be
-    /// picked up by the next batch evaluation; after a completed
-    /// fixpoint it queues as a pending delta and marks the session
-    /// [`EngineState::Dirty`], to be reconciled by [`Engine::update`].
+    /// Load a ground fact. It joins the EDB past the predicate's
+    /// cursor: the next batch evaluation, demand query or
+    /// [`Engine::update`] absorbs it. After a completed fixpoint a
+    /// fact the model does not already hold marks the session
+    /// [`EngineState::Dirty`].
     pub fn fact(&mut self, pred: PredId, tuple: Vec<TermId>) -> Result<(), EngineError> {
         let arity = self.preds.info(pred).arity;
         if tuple.len() != arity {
@@ -672,11 +641,8 @@ impl Engine {
         }
         self.edb[pred.index()].insert(&tuple);
         self.stats_cache.invalidate();
-        self.fallback_config = None;
-        if matches!(self.state, EngineState::Materialized | EngineState::Dirty)
-            && !self.full[pred.index()].contains(&tuple)
-        {
-            self.pending[pred.index()].insert(&tuple);
+        self.fallback_fresh = false;
+        if self.state == EngineState::Materialized && !self.full[pred.index()].contains(&tuple) {
             self.state = EngineState::Dirty;
         }
         Ok(())
@@ -730,60 +696,49 @@ impl Engine {
         // model from the EDB; the next query re-derives its rewrite.
         self.prepared = None;
         self.clear_query_plans();
-        self.fallback_config = None;
-        self.state = EngineState::Unprepared;
+        self.fallback_fresh = false;
+        self.state = EngineState::Unmaterialized;
         Ok(())
     }
 
     /// Reach the least model.
     ///
-    /// * [`EngineState::Unprepared`] / [`EngineState::Prepared`]: batch
-    ///   evaluation — stratify and compile if not cached, rebuild the
-    ///   model from the EDB, run every stratum to fixpoint.
+    /// * [`EngineState::Unmaterialized`]: batch evaluation — stratify
+    ///   and compile if not cached, rebuild the model from the EDB, run
+    ///   every stratum to fixpoint.
     /// * [`EngineState::Dirty`]: delegates to [`Engine::update`] — the
-    ///   pending facts are reconciled incrementally.
+    ///   facts past the EDB cursor are reconciled incrementally.
     /// * [`EngineState::Materialized`]: a cheap no-op — the fixpoint is
     ///   already reached; returns zeroed stats and leaves the model
     ///   (and [`Engine::stats`]) untouched.
-    ///
-    /// A configuration changed via [`Engine::config_mut`] after a
-    /// materialization voids the short-circuits: the model is rebuilt
-    /// under the new settings.
     pub fn run(&mut self) -> Result<EvalStats, EngineError> {
-        if matches!(self.state, EngineState::Materialized | EngineState::Dirty)
-            && self.config != self.config_at_materialize
-        {
-            // The materialized model was computed under a different
-            // configuration; `prepare` re-checks the universe policy.
-            return self.run_batch();
-        }
         match self.state {
             EngineState::Materialized => Ok(EvalStats::default()),
             EngineState::Dirty => self.update_incremental(),
-            EngineState::Unprepared | EngineState::Prepared => self.run_batch(),
+            EngineState::Unmaterialized => self.run_batch(),
         }
     }
 
     /// Reconcile facts added since the last completed fixpoint.
     ///
-    /// Seeds the semi-naive drivers with the per-predicate pending
-    /// deltas and re-runs only from the lowest affected stratum onward,
+    /// Seeds the semi-naive drivers with the EDB rows past the cursor
+    /// and re-runs only from the lowest affected stratum onward,
     /// over the retained full relations. Falls back to a batch
     /// recompute (from the EDB) when a non-monotone rule — negation or
     /// grouping — sits at or above the restart stratum, since a
     /// monotone continuation cannot retract tuples. With no model
-    /// materialized yet this is a batch run; with nothing pending it is
-    /// a no-op returning zeroed stats. Equivalent to [`Engine::run`] —
-    /// both entry points resolve the session state the same way.
+    /// materialized yet this is a batch run; with no fact new to the
+    /// model it is a no-op returning zeroed stats. Equivalent to
+    /// [`Engine::run`] — both entry points resolve the session state
+    /// the same way.
     pub fn update(&mut self) -> Result<EvalStats, EngineError> {
         self.run()
     }
 
-    /// Drop all facts — EDB, pending deltas, and the materialized
-    /// model — while keeping the rules and their compiled *batch*
-    /// plans. The session returns to [`EngineState::Prepared`] (or
-    /// [`EngineState::Unprepared`] if it was never prepared), so the
-    /// next run skips restratification and recompilation.
+    /// Drop all facts — the EDB and the materialized model — while
+    /// keeping the rules and their compiled *batch* plans. The session
+    /// returns to [`EngineState::Unmaterialized`], and the next run
+    /// skips restratification and recompilation.
     ///
     /// Demand plans are routed through the eviction path
     /// ([`Engine::clear_query_plans`]): their retained fixpoints are
@@ -795,28 +750,22 @@ impl Engine {
         self.stats_cache.invalidate();
         self.fallback_full.clear();
         self.fallback_delta.clear();
-        self.fallback_config = None;
+        self.fallback_fresh = false;
         for i in 0..self.preds.len() {
             self.edb[i].clear();
             self.full[i].clear();
             self.delta[i].clear();
-            self.pending[i].clear();
             self.edb_synced[i] = 0;
         }
-        self.state = if self.prepared.is_some() {
-            EngineState::Prepared
-        } else {
-            EngineState::Unprepared
-        };
+        self.state = EngineState::Unmaterialized;
     }
 
     /// Evict every cached demand plan, reclaiming the memory of their
     /// adorned/magic relations and recycling their registry slots
     /// (recompiling a shape later re-registers it, typically into the
     /// freed slots). Returns the number of plans dropped. Called by
-    /// [`Engine::reset_facts`], on rule and universe-policy changes,
-    /// and available to hosts that want to bound a long-lived session
-    /// explicitly.
+    /// [`Engine::reset_facts`] and on rule changes, and available to
+    /// hosts that want to bound a long-lived session explicitly.
     pub fn clear_query_plans(&mut self) -> usize {
         let keys: Vec<PlanKey> = self.query_lru.drain(..).collect();
         let n = keys.len();
@@ -868,8 +817,8 @@ impl Engine {
     /// [`EvalStats::demand_fallbacks`].
     ///
     /// On a session that already holds a materialized model, the query
-    /// answers from it directly (reconciling pending facts through the
-    /// incremental update path first) — demand evaluation only pays
+    /// answers from it directly (reconciling unabsorbed facts through
+    /// the incremental update path first) — demand evaluation only pays
     /// off *before* the model exists.
     ///
     /// ```
@@ -920,10 +869,9 @@ impl Engine {
                 stats,
             });
         }
-        let evicted = self.refresh_query_cache_policy();
         let seed: Vec<TermId> = args.iter().flatten().copied().collect();
         let key = (pred, magic::adornment_of(args));
-        self.query_demand(key, None, &seed, 0, evicted, |e| {
+        self.query_demand(key, None, &seed, 0, |e| {
             let rows = filter_rows(&mut e.fallback_full[pred.index()], args);
             Ok((EvalStats::default(), rows))
         })
@@ -955,7 +903,6 @@ impl Engine {
             let rows = lookup_rows(&mut self.full[rule.head.index()], 0, &[], 0);
             return Ok(self.finish_query(run, extra, rows, QueryPath::Materialized));
         }
-        let evicted = self.refresh_query_cache_policy();
         let lifted = magic::lift_goal(&rule);
         let k = lifted.consts.len();
         let shape = match self.conj_shapes.get(&lifted.key) {
@@ -983,25 +930,18 @@ impl Engine {
         // The retained answer relation accumulates every seed's
         // answers; this call's rows are those whose seed columns match
         // its constants, seed columns stripped.
-        self.query_demand(
-            (shape, mask),
-            Some(canonical),
-            &lifted.consts,
-            k,
-            evicted,
-            |e| {
-                // Non-monotone goal: evaluate the original rule over the
-                // shadow model — sibling demand plans stay warm.
-                let extra = e.eval_single_rule(&rule, true)?;
-                let rows = lookup_rows(&mut e.fallback_full[rule.head.index()], 0, &[], 0);
-                Ok((extra, rows))
-            },
-        )
+        self.query_demand((shape, mask), Some(canonical), &lifted.consts, k, |e| {
+            // Non-monotone goal: evaluate the original rule over the
+            // shadow model — sibling demand plans stay warm.
+            let extra = e.eval_single_rule(&rule, true)?;
+            let rows = lookup_rows(&mut e.fallback_full[rule.head.index()], 0, &[], 0);
+            Ok((extra, rows))
+        })
     }
 
     /// Shared entry of both query front doors: check the goal's arity
     /// against `pred`'s, and on a session that holds a model reconcile
-    /// it (`run` resolves pending facts, incrementally when it can, and
+    /// it (`run` absorbs new facts, incrementally when it can, and
     /// is a no-op on a clean fixpoint), returning that pass's stats —
     /// the caller then answers from the model. `None` means the demand
     /// core answers.
@@ -1034,20 +974,16 @@ impl Engine {
     /// bound columns match the seed, the first `skip` columns dropped.
     /// When the plan is a fallback entry, `shadow` answers over the
     /// freshly ensured shadow model instead, returning its own work
-    /// and rows. `evicted` carries the plan evictions the caller's
-    /// cache maintenance already performed, so they stay visible in
-    /// the pass counters.
+    /// and rows.
     fn query_demand(
         &mut self,
         key: PlanKey,
         goal: Option<Rule>,
         seed: &[TermId],
         skip: usize,
-        evicted: usize,
         shadow: impl FnOnce(&mut Self) -> Result<(EvalStats, RowSet), EngineError>,
     ) -> Result<QueryResult, EngineError> {
-        let (fresh, inserted_evictions) = self.cached_plan(key, goal);
-        let evicted = evicted + inserted_evictions;
+        let (fresh, evicted) = self.cached_plan(key, goal);
         if matches!(self.query_plans[&key], QueryEntry::Fallback) {
             let mut stats = self.ensure_shadow()?;
             let (extra, rows) = shadow(self)?;
@@ -1114,10 +1050,10 @@ impl Engine {
     /// the model — fact and rule changes invalidate it — so stale-free
     /// growth just sizes the vectors.
     fn ensure_shadow(&mut self) -> Result<EvalStats, EngineError> {
-        if self.fallback_config != Some(self.config) {
+        if !self.fallback_fresh {
             self.materialize_universe()?;
             self.prepare()?;
-            let program = &self.prepared.as_ref().expect("prepare() just ran").program;
+            let program = self.prepared.as_ref().expect("prepare() just ran");
             let stats = materialize(
                 &mut self.store,
                 &self.edb,
@@ -1126,7 +1062,7 @@ impl Engine {
                 program,
                 &self.config,
             )?;
-            self.fallback_config = Some(self.config);
+            self.fallback_fresh = true;
             return Ok(stats);
         }
         for i in 0..self.preds.len() {
@@ -1272,7 +1208,6 @@ impl Engine {
         }
         self.materialize_universe()?;
         let mask = magic::adornment_of(args);
-        self.refresh_query_cache_policy();
         let key = (pred, mask);
         self.cached_plan(key, None);
         let mut out = String::new();
@@ -1502,16 +1437,13 @@ impl Engine {
     }
 
     /// Whether every loaded fact has been folded into the model and
-    /// the demand spaces: nothing pending for [`Engine::update`], no
-    /// EDB rows awaiting the demand pipeline's sync. Retained plan
+    /// the demand spaces: no EDB row is past its cursor. Retained plan
     /// answers are only publishable when this holds.
     pub(crate) fn demand_space_clean(&self) -> bool {
-        self.pending.iter().all(Relation::is_empty)
-            && self
-                .edb
-                .iter()
-                .zip(&self.edb_synced)
-                .all(|(e, &s)| e.len() <= s as usize)
+        self.edb
+            .iter()
+            .zip(&self.edb_synced)
+            .all(|(e, &s)| e.len() <= s as usize)
     }
 
     /// Mark the plan cache entry most recently used.
@@ -1600,7 +1532,6 @@ impl Engine {
                     self.edb[i] = Relation::new(arity);
                     self.full[i] = Relation::new(arity);
                     self.delta[i] = Relation::new(arity);
-                    self.pending[i] = Relation::new(arity);
                     self.edb_synced[i] = 0;
                 }
                 self.preds.release(p);
@@ -1635,22 +1566,27 @@ impl Engine {
     fn compile_rewritten(&mut self, rules: &[Rule]) -> Result<CompiledProgram, EngineError> {
         self.sync_relation_slots();
         let cost_on = self.refresh_planner_stats();
-        let names = {
-            let store = &self.store;
-            let preds = &self.preds;
-            move |p: PredId| store.symbols().name(preds.info(p).name).to_owned()
-        };
+        let program = self.compile_rules(rules, cost_on)?;
+        self.account_compile(program.reorders_applied, program.estimated_rows);
+        Ok(program)
+    }
+
+    /// Stratify and compile `rules` — the batch program or a magic
+    /// rewrite — with cost-based ordering when `cost_on`. Every
+    /// registered predicate can gain facts later in the session, so
+    /// every positive literal gets a delta variant and every
+    /// quantifier-inner predicate is a re-evaluation trigger (in batch
+    /// runs the extra variants skip on empty deltas).
+    fn compile_rules(&self, rules: &[Rule], cost_on: bool) -> Result<CompiledProgram, EngineError> {
         let growable: FxHashSet<PredId> = self.preds.ids().collect();
-        let program = compile_program(
+        compile_program(
             rules,
             self.preds.len(),
-            &names,
+            &|p| self.pred_name(p),
             &growable,
             self.config.set_universe,
             cost_on.then(|| self.stats_cache.current()),
-        )?;
-        self.account_compile(program.reorders_applied, program.estimated_rows);
-        Ok(program)
+        )
     }
 
     /// Evaluate one ad-hoc rule — a conjunctive goal — against either
@@ -1660,16 +1596,11 @@ impl Engine {
     /// live relations).
     fn eval_single_rule(&mut self, rule: &Rule, shadow: bool) -> Result<EvalStats, EngineError> {
         let cost_on = self.refresh_planner_stats();
-        let names = {
-            let store = &self.store;
-            let preds = &self.preds;
-            move |p: PredId| store.symbols().name(preds.info(p).name).to_owned()
-        };
         // Body relations are fixed during this evaluation: no delta
         // variants, no quantifier triggers.
         let cr = compile_rule(
             rule,
-            &names,
+            &|p| self.pred_name(p),
             &FxHashSet::default(),
             self.config.set_universe,
             cost_on.then(|| self.stats_cache.current()),
@@ -1711,47 +1642,29 @@ impl Engine {
         Ok(stats)
     }
 
-    /// Drop the per-adornment plan cache when the universe policy it
-    /// was compiled under changed, and enforce a shrunken cache bound.
-    /// Returns the number of bound-shrink evictions (policy-change
-    /// clears recompile everything and are not eviction-counted).
-    fn refresh_query_cache_policy(&mut self) -> usize {
-        if self.query_policy != self.config.set_universe
-            || self.query_planner != self.config.cost_planner
-        {
-            self.clear_query_plans();
-            self.query_policy = self.config.set_universe;
-            self.query_planner = self.config.cost_planner;
-        }
-        let bound = self.config.demand_plan_cache.max(1);
-        let mut evicted = 0;
-        while self.query_lru.len() > bound {
-            let victim = self.query_lru.remove(0);
-            self.evict_plan(victim);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Bring extensional facts into the shared `full` relations
-    /// without running the program — the demand pipeline reads base
-    /// predicates (and the EDB bridges of adorned predicates) from
-    /// `full`. In a session with no materialized model, `full` holds
-    /// nothing else for original predicates, so this is exactly the
-    /// EDB image; a later batch run rebuilds `full` from the EDB
-    /// regardless. EDB relations are append-only (until
-    /// [`Engine::reset_facts`] drops them and resets the cursors), so
-    /// a per-predicate synced-row cursor makes repeat syncs — one per
-    /// demand query — O(new facts), not O(EDB).
-    fn sync_edb_to_full(&mut self) {
+    /// Splice the EDB rows past the cursor into the shared `full`
+    /// relations without running the program, advance the cursor,
+    /// and return how many rows were new to `full` (a fact the model
+    /// already held, say a derived tuple loaded again as a fact, is
+    /// not). The demand pipeline reads base predicates (and the EDB
+    /// bridges of adorned predicates) from `full`; in a session with
+    /// no materialized model `full` holds nothing else for original
+    /// predicates, so this is exactly the EDB image. EDB relations are
+    /// append-only (until [`Engine::reset_facts`] drops them and
+    /// resets the cursors), so repeat syncs — one per demand query or
+    /// update — cost O(new facts), not O(EDB).
+    fn sync_edb_to_full(&mut self) -> usize {
+        let mut new = 0;
         for i in 0..self.preds.len() {
-            let len = self.edb[i].len();
-            for r in self.edb_synced[i] as usize..len {
-                let tuple = self.edb[i].row(r as u32);
-                self.full[i].insert(tuple);
+            let end = self.edb[i].len() as u32;
+            for r in self.edb_synced[i]..end {
+                if self.full[i].insert(self.edb[i].row(r)) {
+                    new += 1;
+                }
             }
-            self.edb_synced[i] = len as u32;
+            self.edb_synced[i] = end;
         }
+        new
     }
 
     /// Size the per-predicate relation vectors up to the registry —
@@ -1768,7 +1681,6 @@ impl Engine {
                 self.edb[i] = Relation::new(arity);
                 self.full[i] = Relation::new(arity);
                 self.delta[i] = Relation::new(arity);
-                self.pending[i] = Relation::new(arity);
                 self.edb_synced[i] = 0;
             }
         }
@@ -1777,7 +1689,6 @@ impl Engine {
             self.edb.push(Relation::new(arity));
             self.full.push(Relation::new(arity));
             self.delta.push(Relation::new(arity));
-            self.pending.push(Relation::new(arity));
             self.edb_synced.push(0);
         }
     }
@@ -1805,42 +1716,15 @@ impl Engine {
     }
 
     /// Stratify and compile the rule set, caching the result. A no-op
-    /// when a cache built under the current universe policy exists.
+    /// when a compile is cached.
     fn prepare(&mut self) -> Result<(), EngineError> {
-        if self.prepared.as_ref().is_some_and(|p| {
-            p.policy == self.config.set_universe && p.cost_planner == self.config.cost_planner
-        }) {
+        if self.prepared.is_some() {
             return Ok(());
         }
         let cost_on = self.refresh_planner_stats();
-        // Every registered predicate can gain facts later in the
-        // session, so every positive literal gets a delta variant and
-        // every quantifier-inner predicate is a re-evaluation trigger
-        // (in batch runs the extra variants skip on empty deltas).
-        let growable: FxHashSet<PredId> = self.preds.ids().collect();
-        let names = {
-            let store = &self.store;
-            let preds = &self.preds;
-            move |p: PredId| store.symbols().name(preds.info(p).name).to_owned()
-        };
-        let program = compile_program(
-            &self.rules,
-            self.preds.len(),
-            &names,
-            &growable,
-            self.config.set_universe,
-            cost_on.then(|| self.stats_cache.current()),
-        )?;
+        let program = self.compile_rules(&self.rules, cost_on)?;
         self.account_compile(program.reorders_applied, program.estimated_rows);
-
-        self.prepared = Some(Prepared {
-            program,
-            policy: self.config.set_universe,
-            cost_planner: self.config.cost_planner,
-        });
-        if self.state == EngineState::Unprepared {
-            self.state = EngineState::Prepared;
-        }
+        self.prepared = Some(program);
         Ok(())
     }
 
@@ -1852,10 +1736,11 @@ impl Engine {
         // The rebuild below resets every relation — including retained
         // demand spaces, whose plans must go cold.
         self.invalidate_retained_spaces();
-        for p in &mut self.pending {
-            p.clear();
+        // The rebuild absorbs every EDB row.
+        for (cursor, rel) in self.edb_synced.iter_mut().zip(&self.edb) {
+            *cursor = rel.len() as u32;
         }
-        let program = &self.prepared.as_ref().expect("prepare() just ran").program;
+        let program = self.prepared.as_ref().expect("prepare() just ran");
         let stats = materialize(
             &mut self.store,
             &self.edb,
@@ -1867,58 +1752,43 @@ impl Engine {
         self.finish(stats)
     }
 
-    /// Incremental update: splice the pending facts into the model,
-    /// then continue the semi-naive fixpoint from the lowest affected
-    /// stratum with the deltas seeded from exactly those new tuples.
+    /// Incremental update: splice the EDB rows past the cursor into the
+    /// model, then continue the semi-naive fixpoint from the lowest
+    /// affected stratum with the deltas seeded from exactly the rows
+    /// new to the model.
     fn update_incremental(&mut self) -> Result<EvalStats, EngineError> {
         self.materialize_universe()?;
         let npreds = self.preds.len();
-        let changed: Vec<PredId> = (0..npreds)
+        // Splice, remembering each relation's previous length: rows
+        // past the snapshot are this update's seed set, and the
+        // predicates they belong to decide the restart.
+        let snapshot: Vec<u32> = (0..npreds).map(|i| self.full[i].len() as u32).collect();
+        let seeded = self.sync_edb_to_full();
+        let changed = (0..npreds)
             .map(PredId::from_index)
-            .filter(|p| !self.pending[p.index()].is_empty())
-            .collect();
+            .filter(|p| self.full[p.index()].len() as u32 > snapshot[p.index()]);
         let universe_grew = self.store.set_ids().len() > self.sets_at_materialize;
-
-        let (start, fallback) = {
-            let program = &self
-                .prepared
-                .as_ref()
-                .expect("a materialized session is prepared")
-                .program;
-            // New interned sets can re-fire universe-enumerating rules
-            // even below the lowest fact-affected stratum;
-            // `restart_stratum` folds that in.
-            let start = program.restart_stratum(changed.iter().copied(), universe_grew);
-            let fallback =
-                start.is_some_and(|s0| program.max_nonmono_stratum.is_some_and(|m| m >= s0));
-            (start, fallback)
-        };
-        if fallback {
+        let program = self
+            .prepared
+            .as_ref()
+            .expect("a materialized session is prepared");
+        // New interned sets can re-fire universe-enumerating rules even
+        // below the lowest fact-affected stratum; `restart_stratum`
+        // folds that in.
+        let start = program.restart_stratum(changed, universe_grew);
+        if start.is_some_and(|s0| program.max_nonmono_stratum.is_some_and(|m| m >= s0)) {
             // Negation or grouping at/above the restart stratum: a
             // monotone continuation cannot retract, so recompute from
-            // the EDB (which already includes the pending facts).
+            // the EDB.
             return self.run_batch();
         }
 
-        let mut stats = EvalStats::default();
-        // Splice pending facts into the model, remembering each
-        // relation's previous length: rows past the snapshot are this
-        // update's seed set.
-        let snapshot: Vec<u32> = (0..npreds).map(|i| self.full[i].len() as u32).collect();
-        for &p in &changed {
-            let i = p.index();
-            for r in 0..self.pending[i].len() as u32 {
-                let tuple = self.pending[i].row(r);
-                if self.full[i].insert(tuple) {
-                    stats.delta_seed_facts += 1;
-                    stats.facts_derived += 1;
-                }
-            }
-            self.pending[i].clear();
-        }
-
+        let mut stats = EvalStats {
+            delta_seed_facts: seeded,
+            facts_derived: seeded,
+            ..EvalStats::default()
+        };
         if let Some(s0) = start {
-            let program = &self.prepared.as_ref().expect("checked above").program;
             stats.absorb(run_seeded(
                 &mut self.store,
                 &mut self.full,
@@ -1942,7 +1812,6 @@ impl Engine {
         self.stats_cache.invalidate();
         self.state = EngineState::Materialized;
         self.sets_at_materialize = self.store.set_ids().len();
-        self.config_at_materialize = self.config;
         stats.seal_misestimate();
         self.last_stats = stats;
         self.cumulative_stats.absorb(stats);
@@ -2557,7 +2426,12 @@ mod tests {
     }
 
     fn tc_engine() -> (Engine, PredId, PredId, Vec<TermId>) {
-        let mut e = Engine::new(EvalConfig::default());
+        tc_engine_with(EvalConfig::default())
+    }
+
+    /// The `edge`/`path` chain over `n0 → … → n4`, under `config`.
+    fn tc_engine_with(config: EvalConfig) -> (Engine, PredId, PredId, Vec<TermId>) {
+        let mut e = Engine::new(config);
         let edge = e.pred("edge", 2);
         let path = e.pred("path", 2);
         let ids: Vec<TermId> = (0..5)
@@ -2635,21 +2509,6 @@ mod tests {
     }
 
     #[test]
-    fn config_change_after_run_voids_the_noop_shortcircuit() {
-        let (mut e, _, path, _) = tc_engine();
-        e.run().unwrap();
-        e.config_mut().strategy = crate::config::FixpointStrategy::Naive;
-        let stats = e.run().unwrap();
-        assert!(
-            stats.iterations > 0,
-            "a changed config must rebuild, not return the stale model"
-        );
-        assert_eq!(e.rows(path).len(), 10);
-        // Unchanged config short-circuits again.
-        assert_eq!(e.run().unwrap(), EvalStats::default());
-    }
-
-    #[test]
     fn duplicate_fact_after_run_stays_clean() {
         let (mut e, edge, _, ids) = tc_engine();
         e.run().unwrap();
@@ -2657,6 +2516,109 @@ mod tests {
         e.fact(edge, vec![ids[0], ids[1]]).unwrap();
         assert_eq!(e.state(), crate::engine::EngineState::Materialized);
         assert_eq!(e.update().unwrap(), EvalStats::default());
+    }
+
+    /// Check the EDB cursor invariant — `full[i]` holds `edb[i]`'s rows
+    /// before the cursor — and report whether any EDB row is past it.
+    fn rows_past_cursor(e: &Engine) -> bool {
+        let mut past = false;
+        for (i, rel) in e.edb.iter().enumerate() {
+            let cursor = e.edb_synced[i];
+            for r in 0..cursor {
+                assert!(e.full[i].contains(rel.row(r)), "absorbed row missing");
+            }
+            past |= rel.len() > cursor as usize;
+        }
+        past
+    }
+
+    #[test]
+    fn edb_cursor_tracks_unabsorbed_facts_through_the_lifecycle() {
+        const CHAIN: [(usize, usize); 4] = [(0, 1), (1, 2), (2, 3), (3, 4)];
+        let (mut e, edge, path, ids) = tc_engine();
+        // `path` rows matching `args` in a fresh batch engine whose
+        // facts are exactly `edges` and `paths`.
+        let batch =
+            |edges: &[(usize, usize)], paths: &[(usize, usize)], args: [Option<usize>; 2]| {
+                let (mut b, bedge, bpath, bids) = tc_engine();
+                b.reset_facts();
+                for &(x, y) in edges {
+                    b.fact(bedge, vec![bids[x], bids[y]]).unwrap();
+                }
+                for &(x, y) in paths {
+                    b.fact(bpath, vec![bids[x], bids[y]]).unwrap();
+                }
+                b.run().unwrap();
+                b.query(bpath, &args.map(|a| a.map(|i| bids[i])))
+                    .unwrap()
+                    .rows
+                    .sorted()
+            };
+        let live = |e: &mut Engine, args: [Option<usize>; 2]| {
+            e.query(path, &args.map(|a| a.map(|i| ids[i]))).unwrap()
+        };
+        let clean = |e: &Engine| {
+            let clean = e.demand_space_clean();
+            assert_eq!(clean, !rows_past_cursor(e));
+            clean
+        };
+        let all = [None, None];
+        let mut edges = CHAIN.to_vec();
+
+        // 1. Demand session: a fact between two queries waits past the
+        //    cursor until the next query syncs it.
+        let res = live(&mut e, [Some(2), None]);
+        assert_eq!(res.rows.sorted(), batch(&edges, &[], [Some(2), None]));
+        assert!(clean(&e));
+        e.fact(edge, vec![ids[4], ids[2]]).unwrap();
+        edges.push((4, 2));
+        assert!(!clean(&e));
+        let res = live(&mut e, [Some(2), None]);
+        assert_eq!(res.path, QueryPath::Demand);
+        assert_eq!(res.rows.sorted(), batch(&edges, &[], [Some(2), None]));
+        assert!(clean(&e));
+
+        // 2. A batch run absorbs every EDB row, synced or not.
+        e.fact(edge, vec![ids[0], ids[3]]).unwrap();
+        edges.push((0, 3));
+        assert!(!clean(&e));
+        e.run().unwrap();
+        assert_eq!(e.state(), EngineState::Materialized);
+        assert!(clean(&e));
+        assert_eq!(live(&mut e, all).rows.sorted(), batch(&edges, &[], all));
+
+        // 3. A fact the model already holds (a derived path) joins the
+        //    EDB past the cursor, but the session stays materialized
+        //    and an update has nothing to do.
+        e.fact(path, vec![ids[0], ids[2]]).unwrap();
+        assert_eq!(e.state(), EngineState::Materialized);
+        assert!(!clean(&e));
+        assert_eq!(e.update().unwrap(), EvalStats::default());
+        let paths = [(0, 2)];
+        assert_eq!(live(&mut e, all).rows.sorted(), batch(&edges, &paths, all));
+
+        // 4. A new fact dirties the session; the update seeds exactly
+        //    that fact and moves every cursor to the end of its EDB.
+        e.fact(edge, vec![ids[2], ids[0]]).unwrap();
+        edges.push((2, 0));
+        assert_eq!(e.state(), EngineState::Dirty);
+        assert!(!clean(&e));
+        let stats = e.update().unwrap();
+        assert_eq!(stats.incremental_runs, 1);
+        assert_eq!(stats.delta_seed_facts, 1);
+        assert!(clean(&e));
+        assert_eq!(live(&mut e, all).rows.sorted(), batch(&edges, &paths, all));
+
+        // 5. Resetting the facts resets the cursors; the next query
+        //    demand-evaluates the facts loaded since.
+        e.reset_facts();
+        assert!(clean(&e));
+        e.fact(edge, vec![ids[1], ids[2]]).unwrap();
+        assert!(!clean(&e));
+        let res = live(&mut e, [Some(1), None]);
+        assert_eq!(res.path, QueryPath::Demand);
+        assert_eq!(res.rows.sorted(), batch(&[(1, 2)], &[], [Some(1), None]));
+        assert!(clean(&e));
     }
 
     #[test]
@@ -2729,7 +2691,7 @@ mod tests {
         let (mut e, edge, path, _) = tc_engine();
         e.run().unwrap();
         e.reset_facts();
-        assert_eq!(e.state(), crate::engine::EngineState::Prepared);
+        assert_eq!(e.state(), crate::engine::EngineState::Unmaterialized);
         assert_eq!(e.rows(path).len(), 0);
         // Fresh facts evaluate under the cached plans.
         let (a, b) = {
@@ -2916,7 +2878,7 @@ mod tests {
         // itself stays in the demand regime.
         assert_eq!(
             e.state(),
-            EngineState::Prepared,
+            EngineState::Unmaterialized,
             "shadow fallback leaves the session un-materialized"
         );
         // …so the monotone part still demand-evaluates.
@@ -3372,8 +3334,10 @@ mod tests {
         // `query#shape#…` head; evicting a shape's plan must release
         // that slot too, so a stream of one-off shapes cannot grow the
         // registry without bound.
-        let (mut e, edge, path, ids) = tc_engine();
-        e.config_mut().demand_plan_cache = 1;
+        let (mut e, edge, path, ids) = tc_engine_with(EvalConfig {
+            demand_plan_cache: 1,
+            ..EvalConfig::default()
+        });
         let mut sizes = Vec::new();
         for round in 0..4 {
             // A fresh shape every round: the join chain gets one literal
@@ -3405,8 +3369,10 @@ mod tests {
         // After an eviction drops one shape, a new shape of the same
         // arity must not be named like a shape that is still cached:
         // the shared head predicate would run the other shape's plan.
-        let (mut e, edge, path, ids) = tc_engine();
-        e.config_mut().demand_plan_cache = 2;
+        let (mut e, edge, path, ids) = tc_engine_with(EvalConfig {
+            demand_plan_cache: 2,
+            ..EvalConfig::default()
+        });
         let q = e.pred("query#goal", 1);
         let goal = |lit| plain_rule(q, vec![v(0)], vec![lit], 1);
         e.query_rule(goal(BodyLit::Pos(
@@ -3431,7 +3397,10 @@ mod tests {
         // share the `path#bf` / `m#path#bf` relations. A fresh plan
         // *rebases* over the shared rows instead of clearing them, so
         // the sibling stays live — and answers stay exact throughout.
-        let (mut e, edge, path, ids) = tc_engine();
+        let (mut e, edge, path, ids) = tc_engine_with(EvalConfig {
+            demand_plan_cache: 2,
+            ..EvalConfig::default()
+        });
         let s = e.pred("s", 2);
         e.rule(plain_rule(
             s,
@@ -3459,14 +3428,20 @@ mod tests {
         let s2 = e.query(s, &[Some(ids[0]), None]).unwrap();
         assert_eq!(s2.rows.len(), 3);
         assert_eq!(s2.stats.facts_derived, 0);
-        // Evicting one (cache shrunk to a single slot) reclaims its
-        // relations and puts the survivor back to cold — which must
-        // re-derive, never serve rows out of a reclaimed space.
-        e.config_mut().demand_plan_cache = 1;
+        // A third plan evicts the least recently used one (path):
+        // that reclaims the relations the s plan shares and puts it
+        // back to cold — it must re-derive, never serve rows out of a
+        // reclaimed space.
+        let third = e.query(edge, &[Some(ids[0]), None]).unwrap();
+        assert_eq!(third.stats.plans_evicted, 1, "bound 2 evicts the path plan");
         let s3 = e.query(s, &[Some(ids[1]), None]).unwrap();
+        assert_eq!(s3.stats.demand_continuations, 0, "the s plan went cold");
         assert_eq!(s3.rows.len(), 2, "n1 → {{n2, n3}} → successor");
         let p3 = e.query(path, &[Some(ids[0]), None]).unwrap();
-        assert!(p3.stats.plans_evicted >= 1, "bound 1 evicts the s plan");
+        assert_eq!(
+            p3.stats.plans_evicted, 1,
+            "recompiling path evicts the edge plan"
+        );
         let got = p3.rows.sorted();
         assert_eq!(got, want, "exact rows after eviction churn");
     }
@@ -3614,9 +3589,11 @@ mod tests {
 
     #[test]
     fn profiled_query_reports_estimated_vs_actual_per_literal() {
-        let (mut e, _, path, ids) = tc_engine();
-        e.config_mut().profile = true;
-        e.config_mut().cost_planner = true;
+        let (mut e, _, path, ids) = tc_engine_with(EvalConfig {
+            profile: true,
+            cost_planner: true,
+            ..EvalConfig::default()
+        });
         let res = e.query(path, &[Some(ids[0]), None]).unwrap();
         assert_eq!(res.path, QueryPath::Demand);
         assert_eq!(res.rows.len(), 4);
@@ -3638,9 +3615,11 @@ mod tests {
             .map(|l| l.probes)
             .sum();
         assert!(total_probes as usize >= res.stats.index_probes);
-        // An unprofiled query clears the stale profile.
-        e.config_mut().profile = false;
-        e.query(path, &[Some(ids[1]), None]).unwrap();
+        // A query that runs no demand plan (a model read) clears the
+        // stale profile.
+        e.run().unwrap();
+        let res = e.query(path, &[Some(ids[1]), None]).unwrap();
+        assert_eq!(res.path, QueryPath::Materialized);
         assert!(e.last_profile().is_none());
     }
 
@@ -3648,8 +3627,10 @@ mod tests {
     fn profiled_query_matches_unprofiled_answers() {
         let (mut e, _, path, ids) = tc_engine();
         let plain = e.query(path, &[Some(ids[0]), None]).unwrap();
-        let (mut p, _, ppath, pids) = tc_engine();
-        p.config_mut().profile = true;
+        let (mut p, _, ppath, pids) = tc_engine_with(EvalConfig {
+            profile: true,
+            ..EvalConfig::default()
+        });
         let profiled = p.query(ppath, &[Some(pids[0]), None]).unwrap();
         assert_eq!(plain.rows.sorted(), profiled.rows.sorted());
     }

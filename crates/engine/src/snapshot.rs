@@ -375,9 +375,9 @@ impl SnapshotPublisher {
                 plans.insert(key, SnapshotPlan { answer, magic });
             }
         }
-        // `Materialized` implies no pending facts (a `fact` call flips
-        // the state to `Dirty`), so the model relations are the least
-        // model as of this epoch.
+        // `Materialized` implies the model holds every fact (a `fact`
+        // call it does not already hold flips the state to `Dirty`),
+        // so the model relations are the least model as of this epoch.
         let model_servable = engine.state() == EngineState::Materialized;
         let cur = &self.current;
         let unchanged = Arc::ptr_eq(&store, &cur.store)

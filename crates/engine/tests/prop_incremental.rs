@@ -140,23 +140,46 @@ fn sorted_id_rows(e: &Engine, p: PredId) -> Vec<Vec<TermId>> {
 
 /// Drive one engine through the interleaving and one through a single
 /// batch load, then compare them on every predicate.
+///
+/// Each update is `(pair, action, kind)`. `kind % 4` picks the fact:
+/// 0 adds `e(pair)`; 1 re-adds an `e` fact loaded earlier; 2 adds
+/// `t(pair)`, derived or not; 3 adds a `t` tuple the model already
+/// derived. The last three are the duplicate and derived-predicate
+/// paths of the EDB cursor: facts the model may already hold.
 fn check_interleaving(
     initial: &[(u8, u8)],
-    updates: &[((u8, u8), u8)],
+    updates: &[((u8, u8), u8, u8)],
     with_join: bool,
     with_neg: bool,
     with_group: bool,
 ) {
     let (mut inc, ip) = build(with_join, with_neg, with_group);
     let ids = atoms(&mut inc);
+    let atom = |id: TermId| ids.iter().position(|&x| x == id).expect("a node atom") as u8;
+    // Every fact loaded, as `(is_t, a, b)`, to replay into the batch.
+    let mut loaded: Vec<(bool, u8, u8)> = initial.iter().map(|&(a, b)| (false, a, b)).collect();
     for &(a, b) in initial {
         inc.fact(ip.e, vec![ids[a as usize], ids[b as usize]])
             .unwrap();
     }
     inc.run().unwrap();
-    for &((a, b), action) in updates {
-        inc.fact(ip.e, vec![ids[a as usize], ids[b as usize]])
+    for &((a, b), action, kind) in updates {
+        let pick = usize::from(a) * 6 + usize::from(b);
+        let loaded_e: Vec<(bool, u8, u8)> = loaded.iter().copied().filter(|f| !f.0).collect();
+        let derived_t: Vec<(bool, u8, u8)> = inc
+            .rows(ip.t)
+            .map(|row| (true, atom(row[0]), atom(row[1])))
+            .collect();
+        let fact = match kind % 4 {
+            1 if !loaded_e.is_empty() => loaded_e[pick % loaded_e.len()],
+            2 => (true, a, b),
+            3 if !derived_t.is_empty() => derived_t[pick % derived_t.len()],
+            _ => (false, a, b),
+        };
+        let (pred, x, y) = (if fact.0 { ip.t } else { ip.e }, fact.1, fact.2);
+        inc.fact(pred, vec![ids[x as usize], ids[y as usize]])
             .unwrap();
+        loaded.push(fact);
         // action 0: let facts accumulate; 1: update; 2: run (which
         // must behave identically — dirty runs delegate to update).
         match action % 3 {
@@ -173,14 +196,10 @@ fn check_interleaving(
 
     let (mut batch, bp) = build(with_join, with_neg, with_group);
     let bids = atoms(&mut batch);
-    for &(a, b) in initial {
+    for &(is_t, a, b) in &loaded {
+        let pred = if is_t { bp.t } else { bp.e };
         batch
-            .fact(bp.e, vec![bids[a as usize], bids[b as usize]])
-            .unwrap();
-    }
-    for &((a, b), _) in updates {
-        batch
-            .fact(bp.e, vec![bids[a as usize], bids[b as usize]])
+            .fact(pred, vec![bids[a as usize], bids[b as usize]])
             .unwrap();
     }
     batch.run().unwrap();
@@ -261,7 +280,7 @@ proptest! {
     #[test]
     fn incremental_equals_batch_on_positive_programs(
         initial in proptest::collection::vec((0u8..6, 0u8..6), 0..12),
-        updates in proptest::collection::vec(((0u8..6, 0u8..6), 0u8..3), 0..12),
+        updates in proptest::collection::vec(((0u8..6, 0u8..6), 0u8..3, 0u8..4), 0..12),
         with_join in 0u8..2,
     ) {
         check_interleaving(&initial, &updates, with_join == 1, false, false);
@@ -272,7 +291,7 @@ proptest! {
     #[test]
     fn incremental_equals_batch_under_negation_and_grouping(
         initial in proptest::collection::vec((0u8..6, 0u8..6), 0..10),
-        updates in proptest::collection::vec(((0u8..6, 0u8..6), 0u8..3), 0..10),
+        updates in proptest::collection::vec(((0u8..6, 0u8..6), 0u8..3, 0u8..4), 0..10),
         with_neg in 0u8..2,
         with_group in 0u8..2,
     ) {

@@ -45,7 +45,12 @@ struct Preds {
 }
 
 fn build(with_neg: bool, with_group: bool) -> (Engine, Preds) {
-    let mut e = Engine::new(EvalConfig::default());
+    build_with(EvalConfig::default(), with_neg, with_group)
+}
+
+/// [`build`] under `config`.
+fn build_with(config: EvalConfig, with_neg: bool, with_group: bool) -> (Engine, Preds) {
+    let mut e = Engine::new(config);
     let preds = Preds {
         e: e.pred("e", 2),
         t: e.pred("t", 2),
@@ -318,8 +323,11 @@ fn check_interleaving(
     cache_bound: usize,
     retention: bool,
 ) {
-    let (mut live, lp) = build(with_neg, with_group);
-    live.config_mut().demand_plan_cache = cache_bound;
+    let config = EvalConfig {
+        demand_plan_cache: cache_bound,
+        ..EvalConfig::default()
+    };
+    let (mut live, lp) = build_with(config, with_neg, with_group);
     let lids = atoms(&mut live);
     let mut facts: Vec<(u8, u8)> = Vec::new();
     for (step, op) in ops.iter().enumerate() {
@@ -394,8 +402,11 @@ fn check_interleaving(
 /// interleaved with fact arrivals, each checked against a hand-rolled
 /// join over a freshly materialized model.
 fn check_conjunctive_stream(fact_stream: &[(u8, u8)], consts: &[u8], cache_bound: usize) {
-    let (mut live, lp) = build(false, false);
-    live.config_mut().demand_plan_cache = cache_bound;
+    let config = EvalConfig {
+        demand_plan_cache: cache_bound,
+        ..EvalConfig::default()
+    };
+    let (mut live, lp) = build_with(config, false, false);
     let lids = atoms(&mut live);
     let q = live.pred("query#goal", 2);
     let mut facts: Vec<(u8, u8)> = Vec::new();

@@ -32,7 +32,12 @@ use proptest::prelude::*;
 
 /// `edge`/`path` transitive closure over `0 → 1 → … → n`.
 fn chain_engine(n: i64) -> (Engine, PredId, PredId) {
-    let mut e = Engine::new(EvalConfig::default());
+    chain_engine_with(EvalConfig::default(), n)
+}
+
+/// [`chain_engine`] under `config`.
+fn chain_engine_with(config: EvalConfig, n: i64) -> (Engine, PredId, PredId) {
+    let mut e = Engine::new(config);
     let edge = e.pred("edge", 2);
     let path = e.pred("path", 2);
     let v = |i| Pattern::Var(VarId(i));
@@ -332,8 +337,11 @@ fn point_args(ids: &[TermId], mask: u8, a: i64, b: i64) -> [Option<TermId>; 2] {
 /// and check the published epoch against the engine and a reference
 /// least model.
 fn check_publish_stream(ops: &[Op], cache_bound: usize) {
-    let (mut e, edge, path) = chain_engine(2);
-    e.config_mut().demand_plan_cache = cache_bound;
+    let config = EvalConfig {
+        demand_plan_cache: cache_bound,
+        ..EvalConfig::default()
+    };
+    let (mut e, edge, path) = chain_engine_with(config, 2);
     let goal = e.pred("query#goal", 2);
     let ids: Vec<TermId> = (0..6).map(|i| e.store_mut().int(i)).collect();
     let mut facts: Vec<(i64, i64)> = vec![(0, 1), (1, 2)];

@@ -147,7 +147,8 @@ impl Session {
 
     /// Add program text (facts/rules), validating eagerly so errors
     /// point at the offending line. Ground facts flow into the live
-    /// session's pending deltas; anything else invalidates it.
+    /// session, which absorbs them incrementally; anything else
+    /// invalidates it.
     fn add(&mut self, text: &str) -> Result<(), String> {
         // Parse standalone first for a precise message.
         let parsed = parse_program(text).map_err(|e| e.render(text))?;
@@ -243,22 +244,22 @@ impl Session {
     /// `:profile <goal>` — run the goal with per-literal profiling on
     /// and print, for each rule of the chosen plan, the planner's
     /// estimated row count next to the actual probes and rows each
-    /// body literal produced. The session is rebuilt first so the goal
-    /// derives from a cold plan: on a retained (warm) demand space a
-    /// repeat query is a pure read and there would be no per-literal
-    /// work to attribute.
+    /// body literal produced. The goal runs on a one-off session built
+    /// with profiling on, so it derives from a cold plan (on a retained
+    /// demand space a repeat query is a pure read, with no per-literal
+    /// work to attribute); the next query rebuilds an unprofiled one.
     fn profile(&mut self, text: &str) -> Result<(), String> {
         self.invalidate();
-        self.ensure_session()?;
-        let model = self.model.as_mut().expect("just ensured");
-        model.engine_mut().config_mut().profile = true;
+        let config = self.config;
+        self.config.profile = true;
         let outcome = self.query(text);
-        let report = self.model.as_mut().map(|m| {
-            m.engine_mut().config_mut().profile = false;
-            m.engine().last_profile().cloned()
-        });
+        self.config = config;
+        let report = self
+            .model
+            .take()
+            .and_then(|m| m.engine().last_profile().cloned());
         outcome?;
-        match report.flatten() {
+        match report {
             Some(profile) if !profile.rules.is_empty() => {
                 println!("  profile (estimated vs actual rows per body literal):");
                 for rule in &profile.rules {

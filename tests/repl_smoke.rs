@@ -497,6 +497,7 @@ fn profile_explain_and_stats_reset_round_out_observability() {
         "e(a, b). e(b, c). e(c, d).\n\
          t(X, Y) :- e(X, Y).\n\
          t(X, Z) :- e(X, Y), t(Y, Z).\n\
+         ?- t(a, X).\n\
          :explain t(a, X).\n\
          :profile t(a, X).\n\
          ?- t(a, X).\n\
@@ -524,6 +525,23 @@ fn profile_explain_and_stats_reset_round_out_observability() {
         "per-literal estimated-vs-actual rows:\n{stdout}"
     );
     assert!(stdout.contains("3 answer(s)."), "answers:\n{stdout}");
+    // Profiling is confined to the :profile command: the plain query
+    // after it prints the same answers as the one before, unprofiled.
+    let replies: Vec<&str> = stdout.split("lps> ").collect();
+    let plain = replies
+        .iter()
+        .position(|r| r.contains("3 answer(s)."))
+        .expect("plain query reply");
+    let profiled = replies
+        .iter()
+        .position(|r| r.contains("profile (estimated"))
+        .expect("profile reply");
+    assert!(plain < profiled, "query order:\n{stdout}");
+    assert_eq!(
+        replies[profiled + 1],
+        replies[plain],
+        "plain query after :profile:\n{stdout}"
+    );
     // :stats reset zeroes the cumulative counters.
     assert!(stdout.contains("stats reset."), "reset notice:\n{stdout}");
     let after_reset = stdout
