@@ -65,26 +65,55 @@ pub fn functional(b: Builtin, bound: &[bool]) -> bool {
     }
 }
 
-/// Candidate ground argument tuples for `b`, given the already-known
-/// ground values in `known` (`None` = free). Guaranteed consistent
-/// with the bound positions, so the caller's pattern matching on bound
-/// positions always succeeds.
+/// The widest builtin (`union`, `+`, …): callers size their stack
+/// argument buffers with it.
+pub const MAX_BUILTIN_ARITY: usize = 3;
+
+/// Append the candidate ground argument tuples for `b`, given the
+/// already-known ground values in `known` (`None` = free), to `out`:
+/// one tuple after another, `b.arity()` ids each. Guaranteed
+/// consistent with the bound positions, so the caller's pattern
+/// matching on bound positions always succeeds.
 ///
-/// May intern new terms (computed unions, integers) into `store`.
+/// `out` is the executor's shared candidate stack: whatever it already
+/// holds is left untouched, and on `Err` nothing is appended. Checks
+/// and enumerations read set payloads in place, so the only
+/// allocations are those of terms the call interns into `store`
+/// (computed unions, new integers).
 pub fn enumerate(
     b: Builtin,
     known: &[Option<TermId>],
     store: &mut TermStore,
     policy: SetUniverse,
-) -> Result<Vec<Vec<TermId>>, EngineError> {
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     debug_assert_eq!(known.len(), b.arity());
+    let start = out.len();
+    let res = append_candidates(b, known, store, policy, out);
+    if res.is_err() {
+        out.truncate(start);
+    }
+    debug_assert_eq!((out.len() - start) % b.arity(), 0, "{}", b.name());
+    res
+}
+
+fn append_candidates(
+    b: Builtin,
+    known: &[Option<TermId>],
+    store: &mut TermStore,
+    policy: SetUniverse,
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     match b {
-        Builtin::Eq => eq(known),
+        Builtin::Eq => eq(known, out),
         Builtin::Ne => {
             let (x, y) = (req(b, known, 0)?, req(b, known, 1)?);
-            Ok(if x != y { vec![vec![x, y]] } else { vec![] })
+            if x != y {
+                out.extend_from_slice(&[x, y]);
+            }
+            Ok(())
         }
-        Builtin::In => member(known, store, policy),
+        Builtin::In => member(known, store, policy, out),
         Builtin::NotIn => {
             let (x, s) = (req(b, known, 0)?, req(b, known, 1)?);
             // ELPS (§5): atoms have no elements, so x ∉ atom holds.
@@ -92,22 +121,28 @@ pub fn enumerate(
                 Some(elems) => elems.binary_search(&x).is_err(),
                 None => true,
             };
-            Ok(if holds { vec![vec![x, s]] } else { vec![] })
+            if holds {
+                out.extend_from_slice(&[x, s]);
+            }
+            Ok(())
         }
-        Builtin::SubsetEq => subseteq(known, store, policy),
-        Builtin::Union => union(known, store, policy),
-        Builtin::DisjUnion => disj_union(known, store),
-        Builtin::Scons => scons(known, store),
-        Builtin::SconsMin => scons_min(known, store),
-        Builtin::Card => card(known, store),
-        Builtin::Add => add(known, store),
-        Builtin::Sub => sub(known, store),
-        Builtin::Mul => mul(known, store),
+        Builtin::SubsetEq => subseteq(known, store, policy, out),
+        Builtin::Union => union(known, store, policy, out),
+        Builtin::DisjUnion => disj_union(known, store, out),
+        Builtin::Scons => scons(known, store, out),
+        Builtin::SconsMin => scons_min(known, store, out),
+        Builtin::Card => card(known, store, out),
+        Builtin::Add => add(known, store, out),
+        Builtin::Sub => sub(known, store, out),
+        Builtin::Mul => mul(known, store, out),
         Builtin::Lt | Builtin::Le => {
             let (x, y) = (req(b, known, 0)?, req(b, known, 1)?);
             let (m, n) = (int_arg(b, store, x)?, int_arg(b, store, y)?);
             let holds = if b == Builtin::Lt { m < n } else { m <= n };
-            Ok(if holds { vec![vec![x, y]] } else { vec![] })
+            if holds {
+                out.extend_from_slice(&[x, y]);
+            }
+            Ok(())
         }
     }
 }
@@ -127,14 +162,12 @@ fn mode_string(known: &[Option<TermId>]) -> String {
     format!("({})", parts.join(", "))
 }
 
-fn set_arg(b: Builtin, store: &TermStore, id: TermId) -> Result<Vec<TermId>, EngineError> {
-    store
-        .set_elems(id)
-        .map(<[TermId]>::to_vec)
-        .ok_or_else(|| EngineError::TypeError {
-            builtin: b.name(),
-            detail: format!("expected a set, got `{}`", store.display(id)),
-        })
+/// The elements of set argument `id`, borrowed from the store.
+fn set_arg(b: Builtin, store: &TermStore, id: TermId) -> Result<&[TermId], EngineError> {
+    store.set_elems(id).ok_or_else(|| EngineError::TypeError {
+        builtin: b.name(),
+        detail: format!("expected a set, got `{}`", store.display(id)),
+    })
 }
 
 fn int_arg(b: Builtin, store: &TermStore, id: TermId) -> Result<i64, EngineError> {
@@ -144,62 +177,59 @@ fn int_arg(b: Builtin, store: &TermStore, id: TermId) -> Result<i64, EngineError
     })
 }
 
-fn is_set(store: &TermStore, id: TermId) -> bool {
-    store.is_set(id)
-}
-
-fn active_sets(store: &TermStore) -> Vec<TermId> {
-    store.set_ids().to_vec()
-}
-
-fn eq(known: &[Option<TermId>]) -> Result<Vec<Vec<TermId>>, EngineError> {
+fn eq(known: &[Option<TermId>], out: &mut Vec<TermId>) -> Result<(), EngineError> {
     match (known[0], known[1]) {
-        (Some(x), Some(y)) => Ok(if x == y { vec![vec![x, y]] } else { vec![] }),
-        (Some(x), None) => Ok(vec![vec![x, x]]),
-        (None, Some(y)) => Ok(vec![vec![y, y]]),
-        (None, None) => Err(EngineError::UnsupportedMode {
-            builtin: Builtin::Eq.name(),
-            mode: mode_string(known),
-        }),
+        (Some(x), Some(y)) => {
+            if x == y {
+                out.extend_from_slice(&[x, y]);
+            }
+        }
+        (Some(x), None) | (None, Some(x)) => out.extend_from_slice(&[x, x]),
+        (None, None) => {
+            return Err(EngineError::UnsupportedMode {
+                builtin: Builtin::Eq.name(),
+                mode: mode_string(known),
+            })
+        }
     }
+    Ok(())
 }
 
 fn member(
     known: &[Option<TermId>],
-    store: &mut TermStore,
+    store: &TermStore,
     policy: SetUniverse,
-) -> Result<Vec<Vec<TermId>>, EngineError> {
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     match (known[0], known[1]) {
         (Some(x), Some(s)) => {
             // ELPS (§5): membership in an atom is false, not an error.
-            let holds =
-                matches!(store.set_elems(s), Some(elems) if elems.binary_search(&x).is_ok());
-            Ok(if holds { vec![vec![x, s]] } else { vec![] })
+            if matches!(store.set_elems(s), Some(elems) if elems.binary_search(&x).is_ok()) {
+                out.extend_from_slice(&[x, s]);
+            }
         }
         (None, Some(s)) => {
-            let elems = store.set_elems(s).map(<[_]>::to_vec).unwrap_or_default();
-            Ok(elems.into_iter().map(|e| vec![e, s]).collect())
+            for &e in store.set_elems(s).unwrap_or_default() {
+                out.extend_from_slice(&[e, s]);
+            }
         }
         (Some(x), None) => {
             require_enumerable(Builtin::In, known, policy)?;
             // Inverted index: all active sets containing x.
-            Ok(store
-                .sets_containing(x)
-                .iter()
-                .map(|&s| vec![x, s])
-                .collect())
+            for &s in store.sets_containing(x) {
+                out.extend_from_slice(&[x, s]);
+            }
         }
         (None, None) => {
             require_enumerable(Builtin::In, known, policy)?;
-            let mut out = Vec::new();
-            for s in active_sets(store) {
+            for &s in store.set_ids() {
                 for &e in store.set_elems(s).expect("active sets are sets") {
-                    out.push(vec![e, s]);
+                    out.extend_from_slice(&[e, s]);
                 }
             }
-            Ok(out)
         }
     }
+    Ok(())
 }
 
 fn require_enumerable(
@@ -222,261 +252,258 @@ fn require_enumerable(
 
 fn subseteq(
     known: &[Option<TermId>],
-    store: &mut TermStore,
+    store: &TermStore,
     policy: SetUniverse,
-) -> Result<Vec<Vec<TermId>>, EngineError> {
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     let b = Builtin::SubsetEq;
     match (known[0], known[1]) {
         (Some(x), Some(y)) => {
             check_set(b, store, x)?;
             check_set(b, store, y)?;
-            Ok(if setops::subset(store, x, y) {
-                vec![vec![x, y]]
-            } else {
-                vec![]
-            })
+            if setops::subset(store, x, y) {
+                out.extend_from_slice(&[x, y]);
+            }
         }
         (None, Some(y)) => {
             check_set(b, store, y)?;
             require_enumerable(b, known, policy)?;
-            Ok(active_sets(store)
-                .into_iter()
-                .filter(|&s| setops::subset(store, s, y))
-                .map(|s| vec![s, y])
-                .collect())
+            for &s in store.set_ids() {
+                if setops::subset(store, s, y) {
+                    out.extend_from_slice(&[s, y]);
+                }
+            }
         }
         (Some(x), None) => {
             check_set(b, store, x)?;
             require_enumerable(b, known, policy)?;
-            Ok(active_sets(store)
-                .into_iter()
-                .filter(|&s| setops::subset(store, x, s))
-                .map(|s| vec![x, s])
-                .collect())
+            for &s in store.set_ids() {
+                if setops::subset(store, x, s) {
+                    out.extend_from_slice(&[x, s]);
+                }
+            }
         }
         (None, None) => {
             require_enumerable(b, known, policy)?;
-            let sets = active_sets(store);
-            let mut out = Vec::new();
-            for &x in &sets {
-                for &y in &sets {
+            let sets = store.set_ids();
+            for &x in sets {
+                for &y in sets {
                     if setops::subset(store, x, y) {
-                        out.push(vec![x, y]);
+                        out.extend_from_slice(&[x, y]);
                     }
                 }
             }
-            Ok(out)
         }
     }
+    Ok(())
 }
 
 fn check_set(b: Builtin, store: &TermStore, id: TermId) -> Result<(), EngineError> {
-    if is_set(store, id) {
-        Ok(())
-    } else {
-        Err(EngineError::TypeError {
-            builtin: b.name(),
-            detail: format!("expected a set, got `{}`", store.display(id)),
-        })
-    }
+    set_arg(b, store, id).map(|_| ())
 }
 
 fn union(
     known: &[Option<TermId>],
     store: &mut TermStore,
     policy: SetUniverse,
-) -> Result<Vec<Vec<TermId>>, EngineError> {
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     let b = Builtin::Union;
     match (known[0], known[1], known[2]) {
         (Some(x), Some(y), z) => {
             check_set(b, store, x)?;
             check_set(b, store, y)?;
             let u = setops::union(store, x, y);
-            Ok(match z {
-                Some(z) if z != u => vec![],
-                _ => vec![vec![x, y, u]],
-            })
+            if z.is_none_or(|z| z == u) {
+                out.extend_from_slice(&[x, y, u]);
+            }
         }
-        (Some(x), None, Some(z)) => {
+        (Some(x), None, Some(z)) | (None, Some(x), Some(z)) => {
+            // `union` is symmetric: the bound input `x` sits at its own
+            // position, the other input ranges over the active sets.
             check_set(b, store, x)?;
             check_set(b, store, z)?;
             if !setops::subset(store, x, z) {
-                return Ok(vec![]);
+                return Ok(());
             }
             require_enumerable(b, known, policy)?;
-            Ok(active_sets(store)
-                .into_iter()
-                .filter(|&y| setops::union(store, x, y) == z)
-                .map(|y| vec![x, y, z])
-                .collect())
-        }
-        (None, Some(y), Some(z)) => {
-            check_set(b, store, y)?;
-            check_set(b, store, z)?;
-            if !setops::subset(store, y, z) {
-                return Ok(vec![]);
+            let x_first = known[0].is_some();
+            // Index by position: computing a union may intern a new
+            // set, and only the sets active on entry are candidates.
+            for i in 0..store.set_ids().len() {
+                let other = store.set_ids()[i];
+                if setops::union(store, x, other) == z {
+                    let row = if x_first {
+                        [x, other, z]
+                    } else {
+                        [other, x, z]
+                    };
+                    out.extend_from_slice(&row);
+                }
             }
-            require_enumerable(b, known, policy)?;
-            Ok(active_sets(store)
-                .into_iter()
-                .filter(|&x| setops::union(store, x, y) == z)
-                .map(|x| vec![x, y, z])
-                .collect())
         }
         (None, None, Some(z)) => {
             check_set(b, store, z)?;
             require_enumerable(b, known, policy)?;
-            let candidates: Vec<TermId> = active_sets(store)
-                .into_iter()
+            let candidates: Vec<TermId> = store
+                .set_ids()
+                .iter()
+                .copied()
                 .filter(|&s| setops::subset(store, s, z))
                 .collect();
-            let mut out = Vec::new();
             for &x in &candidates {
                 for &y in &candidates {
                     if setops::union(store, x, y) == z {
-                        out.push(vec![x, y, z]);
+                        out.extend_from_slice(&[x, y, z]);
                     }
                 }
             }
-            Ok(out)
         }
-        _ => Err(EngineError::UnsupportedMode {
-            builtin: b.name(),
-            mode: mode_string(known),
-        }),
+        _ => {
+            return Err(EngineError::UnsupportedMode {
+                builtin: b.name(),
+                mode: mode_string(known),
+            })
+        }
     }
+    Ok(())
 }
 
 fn disj_union(
     known: &[Option<TermId>],
     store: &mut TermStore,
-) -> Result<Vec<Vec<TermId>>, EngineError> {
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     let b = Builtin::DisjUnion;
     match (known[0], known[1], known[2]) {
         (Some(x), Some(y), z) => {
             check_set(b, store, x)?;
             check_set(b, store, y)?;
             if !setops::disjoint(store, x, y) {
-                return Ok(vec![]);
+                return Ok(());
             }
             let u = setops::union(store, x, y);
-            Ok(match z {
-                Some(z) if z != u => vec![],
-                _ => vec![vec![x, y, u]],
-            })
+            if z.is_none_or(|z| z == u) {
+                out.extend_from_slice(&[x, y, u]);
+            }
         }
         (Some(x), None, Some(z)) => {
             check_set(b, store, x)?;
             check_set(b, store, z)?;
-            if !setops::subset(store, x, z) {
-                return Ok(vec![]);
+            if setops::subset(store, x, z) {
+                let y = setops::difference(store, z, x);
+                out.extend_from_slice(&[x, y, z]);
             }
-            let y = setops::difference(store, z, x);
-            Ok(vec![vec![x, y, z]])
         }
         (None, Some(y), Some(z)) => {
             check_set(b, store, y)?;
             check_set(b, store, z)?;
-            if !setops::subset(store, y, z) {
-                return Ok(vec![]);
+            if setops::subset(store, y, z) {
+                let x = setops::difference(store, z, y);
+                out.extend_from_slice(&[x, y, z]);
             }
-            let x = setops::difference(store, z, y);
-            Ok(vec![vec![x, y, z]])
         }
         (None, None, Some(z)) => {
             check_set(b, store, z)?;
             // The paper-faithful inverse mode (Example 5): all 2^|z|
             // ordered disjoint partitions.
-            Ok(setops::disjoint_union_decompositions(store, z)
-                .into_iter()
-                .map(|(x, y)| vec![x, y, z])
-                .collect())
+            for (x, y) in setops::disjoint_union_decompositions(store, z) {
+                out.extend_from_slice(&[x, y, z]);
+            }
         }
-        _ => Err(EngineError::UnsupportedMode {
-            builtin: b.name(),
-            mode: mode_string(known),
-        }),
+        _ => {
+            return Err(EngineError::UnsupportedMode {
+                builtin: b.name(),
+                mode: mode_string(known),
+            })
+        }
     }
+    Ok(())
 }
 
-fn scons(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId>>, EngineError> {
+fn scons(
+    known: &[Option<TermId>],
+    store: &mut TermStore,
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     let b = Builtin::Scons;
     match (known[0], known[1], known[2]) {
         (Some(x), Some(y), z) => {
             check_set(b, store, y)?;
             let s = setops::scons(store, x, y);
-            Ok(match z {
-                Some(z) if z != s => vec![],
-                _ => vec![vec![x, y, s]],
-            })
+            if z.is_none_or(|z| z == s) {
+                out.extend_from_slice(&[x, y, s]);
+            }
         }
         (None, None, Some(z)) => {
             check_set(b, store, z)?;
             // Z = {x} ∪ Y admits, per x ∈ Z, both Y = Z∖{x} and Y = Z.
-            let mut out = Vec::new();
             for (x, rest) in setops::scons_decompositions(store, z) {
-                out.push(vec![x, rest, z]);
-                out.push(vec![x, z, z]);
+                out.extend_from_slice(&[x, rest, z]);
+                out.extend_from_slice(&[x, z, z]);
             }
-            Ok(out)
         }
         (Some(x), None, Some(z)) => {
             check_set(b, store, z)?;
             if !setops::member(store, x, z) {
-                return Ok(vec![]);
+                return Ok(());
             }
             let singleton = store.set(vec![x]);
             let rest = setops::difference(store, z, singleton);
-            let mut out = vec![vec![x, rest, z]];
+            out.extend_from_slice(&[x, rest, z]);
             if rest != z {
-                out.push(vec![x, z, z]);
+                out.extend_from_slice(&[x, z, z]);
             }
-            Ok(out)
         }
         (None, Some(y), Some(z)) => {
             check_set(b, store, y)?;
             check_set(b, store, z)?;
             if !setops::subset(store, y, z) {
-                return Ok(vec![]);
+                return Ok(());
             }
             let extra = setops::difference(store, z, y);
-            let extra_elems = set_arg(b, store, extra)?;
-            match extra_elems.len() {
-                0 => {
-                    // Y = Z: any x ∈ Z works.
-                    let elems = set_arg(b, store, z)?;
-                    Ok(elems.into_iter().map(|x| vec![x, y, z]).collect())
+            match *set_arg(b, store, extra)? {
+                // Y = Z: any x ∈ Z works.
+                [] => {
+                    for &x in set_arg(b, store, z)? {
+                        out.extend_from_slice(&[x, y, z]);
+                    }
                 }
-                1 => Ok(vec![vec![extra_elems[0], y, z]]),
-                _ => Ok(vec![]),
+                [x] => out.extend_from_slice(&[x, y, z]),
+                _ => {}
             }
         }
-        _ => Err(EngineError::UnsupportedMode {
-            builtin: b.name(),
-            mode: mode_string(known),
-        }),
+        _ => {
+            return Err(EngineError::UnsupportedMode {
+                builtin: b.name(),
+                mode: mode_string(known),
+            })
+        }
     }
+    Ok(())
 }
 
 fn scons_min(
     known: &[Option<TermId>],
     store: &mut TermStore,
-) -> Result<Vec<Vec<TermId>>, EngineError> {
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     let b = Builtin::SconsMin;
     match (known[0], known[1], known[2]) {
         (x, y, Some(z)) if x.is_none() || y.is_none() => {
             check_set(b, store, z)?;
             // The one canonical decomposition, kept if it agrees with
             // whichever of `x` and `Y` is bound.
-            Ok(setops::scons_min_decomposition(store, z)
-                .filter(|&(min, rest)| x.is_none_or(|x| x == min) && y.is_none_or(|y| y == rest))
-                .map(|(min, rest)| vec![vec![min, rest, z]])
-                .unwrap_or_default())
+            if let Some((min, rest)) = setops::scons_min_decomposition(store, z) {
+                if x.is_none_or(|x| x == min) && y.is_none_or(|y| y == rest) {
+                    out.extend_from_slice(&[min, rest, z]);
+                }
+            }
         }
         (Some(x), Some(y), z) => {
             check_set(b, store, y)?;
             if setops::member(store, x, y) {
-                return Ok(vec![]);
+                return Ok(());
             }
             let s = setops::scons(store, x, y);
             let min = *store
@@ -484,75 +511,87 @@ fn scons_min(
                 .expect("scons returns a set")
                 .first()
                 .expect("nonempty by construction");
-            if min != x {
-                return Ok(vec![]);
+            if min == x && z.is_none_or(|z| z == s) {
+                out.extend_from_slice(&[x, y, s]);
             }
-            Ok(match z {
-                Some(z) if z != s => vec![],
-                _ => vec![vec![x, y, s]],
+        }
+        _ => {
+            return Err(EngineError::UnsupportedMode {
+                builtin: b.name(),
+                mode: mode_string(known),
             })
         }
-        _ => Err(EngineError::UnsupportedMode {
-            builtin: b.name(),
-            mode: mode_string(known),
-        }),
     }
+    Ok(())
 }
 
-fn card(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId>>, EngineError> {
+fn card(
+    known: &[Option<TermId>],
+    store: &mut TermStore,
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
     let b = Builtin::Card;
     match (known[0], known[1]) {
         (Some(s), n) => {
             let c = set_arg(b, store, s)?.len() as i64;
             let c_id = store.int(c);
-            Ok(match n {
-                Some(n) if n != c_id => vec![],
-                _ => vec![vec![s, c_id]],
-            })
+            if n.is_none_or(|n| n == c_id) {
+                out.extend_from_slice(&[s, c_id]);
+            }
         }
         (None, Some(n)) => {
             let want = int_arg(b, store, n)?;
-            if want < 0 {
-                return Ok(vec![]);
+            if let Ok(want) = usize::try_from(want) {
+                for &s in store.set_ids() {
+                    if store.card(s) == Some(want) {
+                        out.extend_from_slice(&[s, n]);
+                    }
+                }
             }
-            Ok(active_sets(store)
-                .into_iter()
-                .filter(|&s| store.card(s) == Some(want as usize))
-                .map(|s| vec![s, n])
-                .collect())
         }
-        (None, None) => Err(EngineError::UnsupportedMode {
-            builtin: b.name(),
-            mode: mode_string(known),
-        }),
+        (None, None) => {
+            return Err(EngineError::UnsupportedMode {
+                builtin: b.name(),
+                mode: mode_string(known),
+            })
+        }
     }
+    Ok(())
 }
 
+/// The integer builtins: `f` maps the known integer values to `None`
+/// (unsupported mode), `Some(None)` (no solution) or the one solution.
 fn arith3(
     b: Builtin,
     known: &[Option<TermId>],
     store: &mut TermStore,
+    out: &mut Vec<TermId>,
     f: impl Fn(Option<i64>, Option<i64>, Option<i64>) -> Option<Option<(i64, i64, i64)>>,
-) -> Result<Vec<Vec<TermId>>, EngineError> {
-    let vals: Vec<Option<i64>> = known
-        .iter()
-        .map(|k| k.map(|id| int_arg(b, store, id)).transpose())
-        .collect::<Result<_, _>>()?;
+) -> Result<(), EngineError> {
+    let mut vals = [None; MAX_BUILTIN_ARITY];
+    for (v, k) in vals.iter_mut().zip(known) {
+        *v = k.map(|id| int_arg(b, store, id)).transpose()?;
+    }
     match f(vals[0], vals[1], vals[2]) {
         None => Err(EngineError::UnsupportedMode {
             builtin: b.name(),
             mode: mode_string(known),
         }),
-        Some(None) => Ok(vec![]),
+        Some(None) => Ok(()),
         Some(Some((m, n, k))) => {
-            let ids = vec![store.int(m), store.int(n), store.int(k)];
-            Ok(vec![ids])
+            let ids = [store.int(m), store.int(n), store.int(k)];
+            out.extend_from_slice(&ids);
+            Ok(())
         }
     }
 }
 
-fn add(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId>>, EngineError> {
-    arith3(Builtin::Add, known, store, |m, n, k| match (m, n, k) {
+fn add(
+    known: &[Option<TermId>],
+    store: &mut TermStore,
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
+    arith3(Builtin::Add, known, store, out, |m, n, k| match (m, n, k) {
         (Some(m), Some(n), k) => {
             let sum = m.checked_add(n)?;
             Some(match k {
@@ -566,8 +605,12 @@ fn add(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId
     })
 }
 
-fn sub(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId>>, EngineError> {
-    arith3(Builtin::Sub, known, store, |m, n, k| match (m, n, k) {
+fn sub(
+    known: &[Option<TermId>],
+    store: &mut TermStore,
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
+    arith3(Builtin::Sub, known, store, out, |m, n, k| match (m, n, k) {
         (Some(m), Some(n), k) => {
             let diff = m.checked_sub(n)?;
             Some(match k {
@@ -581,8 +624,12 @@ fn sub(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId
     })
 }
 
-fn mul(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId>>, EngineError> {
-    arith3(Builtin::Mul, known, store, |m, n, k| match (m, n, k) {
+fn mul(
+    known: &[Option<TermId>],
+    store: &mut TermStore,
+    out: &mut Vec<TermId>,
+) -> Result<(), EngineError> {
+    arith3(Builtin::Mul, known, store, out, |m, n, k| match (m, n, k) {
         (Some(m), Some(n), k) => {
             let prod = m.checked_mul(n)?;
             Some(match k {
@@ -604,6 +651,38 @@ fn mul(known: &[Option<TermId>], store: &mut TermStore) -> Result<Vec<Vec<TermId
 mod tests {
     use super::*;
 
+    /// [`enumerate`]'s candidates as rows, appended to a stack that
+    /// already holds a one-id prefix (the executor's outer levels): the
+    /// prefix must survive, a success appends whole tuples and an
+    /// error appends nothing.
+    fn rows(
+        b: Builtin,
+        known: &[Option<TermId>],
+        st: &mut TermStore,
+        policy: SetUniverse,
+    ) -> Result<Vec<Vec<TermId>>, EngineError> {
+        let prefix: Vec<TermId> = st.ids().take(1).collect();
+        let mut stack = prefix.clone();
+        let res = enumerate(b, known, st, policy, &mut stack);
+        assert_eq!(
+            stack[..prefix.len()],
+            prefix[..],
+            "{}: prefix clobbered",
+            b.name()
+        );
+        let appended = &stack[prefix.len()..];
+        match res {
+            Ok(()) => {
+                assert_eq!(appended.len() % b.arity(), 0, "{}: ragged tuples", b.name());
+                Ok(appended.chunks(b.arity()).map(<[_]>::to_vec).collect())
+            }
+            Err(e) => {
+                assert!(appended.is_empty(), "{}: appended on error", b.name());
+                Err(e)
+            }
+        }
+    }
+
     fn store_abc() -> (TermStore, TermId, TermId, TermId) {
         let mut st = TermStore::new();
         let a = st.atom("a");
@@ -616,25 +695,25 @@ mod tests {
     fn eq_propagates_either_direction() {
         let (mut st, a, _, _) = store_abc();
         assert_eq!(
-            enumerate(Builtin::Eq, &[Some(a), None], &mut st, SetUniverse::Reject).unwrap(),
+            rows(Builtin::Eq, &[Some(a), None], &mut st, SetUniverse::Reject).unwrap(),
             vec![vec![a, a]]
         );
         assert_eq!(
-            enumerate(Builtin::Eq, &[None, Some(a)], &mut st, SetUniverse::Reject).unwrap(),
+            rows(Builtin::Eq, &[None, Some(a)], &mut st, SetUniverse::Reject).unwrap(),
             vec![vec![a, a]]
         );
-        assert!(enumerate(Builtin::Eq, &[None, None], &mut st, SetUniverse::Reject).is_err());
+        assert!(rows(Builtin::Eq, &[None, None], &mut st, SetUniverse::Reject).is_err());
     }
 
     #[test]
     fn member_enumerates_elements() {
         let (mut st, a, b, c) = store_abc();
         let s = st.set(vec![a, c]);
-        let sols = enumerate(Builtin::In, &[None, Some(s)], &mut st, SetUniverse::Reject).unwrap();
+        let sols = rows(Builtin::In, &[None, Some(s)], &mut st, SetUniverse::Reject).unwrap();
         assert_eq!(sols, vec![vec![a, s], vec![c, s]]);
         // Bound membership test.
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::In,
                 &[Some(b), Some(s)],
                 &mut st,
@@ -652,7 +731,7 @@ mod tests {
         let s1 = st.set(vec![a]);
         let s2 = st.set(vec![a, b]);
         let _s3 = st.set(vec![b]);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::In,
             &[Some(a), None],
             &mut st,
@@ -661,14 +740,14 @@ mod tests {
         .unwrap();
         assert_eq!(sols, vec![vec![a, s1], vec![a, s2]]);
         // Policy Reject refuses.
-        assert!(enumerate(Builtin::In, &[Some(a), None], &mut st, SetUniverse::Reject).is_err());
+        assert!(rows(Builtin::In, &[Some(a), None], &mut st, SetUniverse::Reject).is_err());
     }
 
     #[test]
     fn member_of_atom_is_false_not_error() {
         // ELPS (§5): atoms have no elements.
         let (mut st, a, b, _) = store_abc();
-        let sols = enumerate(
+        let sols = rows(
             Builtin::In,
             &[Some(a), Some(b)],
             &mut st,
@@ -676,7 +755,7 @@ mod tests {
         )
         .unwrap();
         assert!(sols.is_empty());
-        let sols = enumerate(
+        let sols = rows(
             Builtin::NotIn,
             &[Some(a), Some(b)],
             &mut st,
@@ -684,7 +763,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sols.len(), 1);
-        let sols = enumerate(Builtin::In, &[None, Some(b)], &mut st, SetUniverse::Reject).unwrap();
+        let sols = rows(Builtin::In, &[None, Some(b)], &mut st, SetUniverse::Reject).unwrap();
         assert!(sols.is_empty());
     }
 
@@ -694,7 +773,7 @@ mod tests {
         let xy = st.set(vec![a, b]);
         let yz = st.set(vec![b, c]);
         let all = st.set(vec![a, b, c]);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::Union,
             &[Some(xy), Some(yz), None],
             &mut st,
@@ -703,7 +782,7 @@ mod tests {
         .unwrap();
         assert_eq!(sols, vec![vec![xy, yz, all]]);
         // Check mode with wrong z fails.
-        let sols = enumerate(
+        let sols = rows(
             Builtin::Union,
             &[Some(xy), Some(yz), Some(xy)],
             &mut st,
@@ -720,7 +799,7 @@ mod tests {
         let sb = st.set(vec![b]);
         let sab = st.set(vec![a, b]);
         let empty = st.empty_set();
-        let sols = enumerate(
+        let sols = rows(
             Builtin::Union,
             &[None, None, Some(sab)],
             &mut st,
@@ -742,7 +821,7 @@ mod tests {
     fn disj_union_inverse_is_exponential_partition() {
         let (mut st, a, b, _) = store_abc();
         let sab = st.set(vec![a, b]);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::DisjUnion,
             &[None, None, Some(sab)],
             &mut st,
@@ -752,7 +831,7 @@ mod tests {
         assert_eq!(sols.len(), 4, "2^2 ordered partitions");
         // Forward mode refuses overlapping operands.
         let sa = st.set(vec![a]);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::DisjUnion,
             &[Some(sa), Some(sa), None],
             &mut st,
@@ -768,7 +847,7 @@ mod tests {
         let all = st.set(vec![a, b, c]);
         let sa = st.set(vec![a]);
         let sbc = st.set(vec![b, c]);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::DisjUnion,
             &[Some(sa), None, Some(all)],
             &mut st,
@@ -782,7 +861,7 @@ mod tests {
     fn scons_decomposition_includes_both_rest_variants() {
         let (mut st, a, b, _) = store_abc();
         let sab = st.set(vec![a, b]);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::Scons,
             &[None, None, Some(sab)],
             &mut st,
@@ -802,7 +881,7 @@ mod tests {
         let (mut st, a, b, _) = store_abc();
         let sab = st.set(vec![a, b]);
         let sb = st.set(vec![b]);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::SconsMin,
             &[None, None, Some(sab)],
             &mut st,
@@ -811,7 +890,7 @@ mod tests {
         .unwrap();
         assert_eq!(sols, vec![vec![a, sb, sab]]);
         let empty = st.empty_set();
-        let sols = enumerate(
+        let sols = rows(
             Builtin::SconsMin,
             &[None, None, Some(empty)],
             &mut st,
@@ -825,7 +904,7 @@ mod tests {
     fn card_computes_and_filters() {
         let (mut st, a, b, _) = store_abc();
         let sab = st.set(vec![a, b]);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::Card,
             &[Some(sab), None],
             &mut st,
@@ -837,7 +916,7 @@ mod tests {
         // Reverse: active sets of card 1.
         let sa = st.set(vec![a]);
         let one = st.int(1);
-        let sols = enumerate(
+        let sols = rows(
             Builtin::Card,
             &[None, Some(one)],
             &mut st,
@@ -856,7 +935,7 @@ mod tests {
         let i6 = st.int(6);
         // add
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::Add,
                 &[Some(i2), Some(i3), None],
                 &mut st,
@@ -866,7 +945,7 @@ mod tests {
             vec![vec![i2, i3, i5]]
         );
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::Add,
                 &[Some(i2), None, Some(i5)],
                 &mut st,
@@ -876,7 +955,7 @@ mod tests {
             vec![vec![i2, i3, i5]]
         );
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::Add,
                 &[None, Some(i3), Some(i5)],
                 &mut st,
@@ -887,7 +966,7 @@ mod tests {
         );
         // sub: 5 - 3 = 2
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::Sub,
                 &[Some(i5), Some(i3), None],
                 &mut st,
@@ -898,7 +977,7 @@ mod tests {
         );
         // mul: 2 * 3 = 6; inverse 6 / 2 = 3
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::Mul,
                 &[Some(i2), Some(i3), None],
                 &mut st,
@@ -908,7 +987,7 @@ mod tests {
             vec![vec![i2, i3, i6]]
         );
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::Mul,
                 &[Some(i2), None, Some(i6)],
                 &mut st,
@@ -918,7 +997,7 @@ mod tests {
             vec![vec![i2, i3, i6]]
         );
         // non-divisible product: no solutions.
-        assert!(enumerate(
+        assert!(rows(
             Builtin::Mul,
             &[Some(i2), None, Some(i5)],
             &mut st,
@@ -929,7 +1008,7 @@ mod tests {
         // -1 * n = i64::MIN overflows n: no solution, no panic.
         let minus_one = st.int(-1);
         let min = st.int(i64::MIN);
-        assert!(enumerate(
+        assert!(rows(
             Builtin::Mul,
             &[Some(minus_one), None, Some(min)],
             &mut st,
@@ -940,7 +1019,7 @@ mod tests {
         // 0 * n = 6 has no solution; 0 * n = 0 is an unsupported mode
         // (n unconstrained).
         let zero = st.int(0);
-        assert!(enumerate(
+        assert!(rows(
             Builtin::Mul,
             &[Some(zero), None, Some(i6)],
             &mut st,
@@ -948,7 +1027,7 @@ mod tests {
         )
         .unwrap()
         .is_empty());
-        assert!(enumerate(
+        assert!(rows(
             Builtin::Mul,
             &[Some(zero), None, Some(zero)],
             &mut st,
@@ -963,7 +1042,7 @@ mod tests {
         let i2 = st.int(2);
         let i3 = st.int(3);
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::Lt,
                 &[Some(i2), Some(i3)],
                 &mut st,
@@ -973,7 +1052,7 @@ mod tests {
             .len(),
             1
         );
-        assert!(enumerate(
+        assert!(rows(
             Builtin::Lt,
             &[Some(i3), Some(i2)],
             &mut st,
@@ -982,7 +1061,7 @@ mod tests {
         .unwrap()
         .is_empty());
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::Le,
                 &[Some(i2), Some(i2)],
                 &mut st,
@@ -994,7 +1073,7 @@ mod tests {
         );
         // Comparing a non-integer is a type error.
         let a = st.atom("a");
-        assert!(enumerate(
+        assert!(rows(
             Builtin::Lt,
             &[Some(a), Some(i2)],
             &mut st,
@@ -1010,7 +1089,7 @@ mod tests {
         let sab = st.set(vec![a, b]);
         // Both bound.
         assert_eq!(
-            enumerate(
+            rows(
                 Builtin::SubsetEq,
                 &[Some(sa), Some(sab)],
                 &mut st,
@@ -1022,7 +1101,7 @@ mod tests {
         );
         // Free left side: active subsets of {a,b} are {a} and {a,b}
         // (the empty set hasn't been interned yet).
-        let sols = enumerate(
+        let sols = rows(
             Builtin::SubsetEq,
             &[None, Some(sab)],
             &mut st,
@@ -1031,7 +1110,7 @@ mod tests {
         .unwrap();
         assert_eq!(sols.len(), 2);
         // Reject policy errors on the free mode.
-        assert!(enumerate(
+        assert!(rows(
             Builtin::SubsetEq,
             &[None, Some(sab)],
             &mut st,
@@ -1129,19 +1208,19 @@ mod tests {
                         if mul_zero_unbounded(&st, b, &known) {
                             continue;
                         }
-                        let rows = enumerate(b, &known, &mut st, policy).unwrap_or_else(|e| {
+                        let cands = rows(b, &known, &mut st, policy).unwrap_or_else(|e| {
                             panic!("{} {known:?} under {policy:?}: {e}", b.name())
                         });
                         if functional(b, &bound) {
-                            assert!(rows.len() <= 1, "{} {known:?}: {rows:?}", b.name());
+                            assert!(cands.len() <= 1, "{} {known:?}: {cands:?}", b.name());
                         }
-                        for row in rows {
+                        for row in cands {
                             for (k, &v) in known.iter().zip(&row) {
                                 assert!(k.is_none_or(|k| k == v), "{} {known:?}", b.name());
                             }
                             let all: Vec<Option<TermId>> = row.iter().copied().map(Some).collect();
                             assert_eq!(
-                                enumerate(b, &all, &mut st, policy).unwrap(),
+                                rows(b, &all, &mut st, policy).unwrap(),
                                 vec![row.clone()],
                                 "{} {known:?}: {row:?} fails the check mode",
                                 b.name()
@@ -1160,13 +1239,13 @@ mod tests {
         let sb = st.set(vec![b]);
         let sa = st.set(vec![a]);
         let r = SetUniverse::Reject;
-        let sols = enumerate(Builtin::SconsMin, &[Some(a), None, Some(sab)], &mut st, r);
+        let sols = rows(Builtin::SconsMin, &[Some(a), None, Some(sab)], &mut st, r);
         assert_eq!(sols.unwrap(), vec![vec![a, sb, sab]]);
-        let sols = enumerate(Builtin::SconsMin, &[Some(b), None, Some(sab)], &mut st, r);
+        let sols = rows(Builtin::SconsMin, &[Some(b), None, Some(sab)], &mut st, r);
         assert!(sols.unwrap().is_empty(), "b is not the minimum");
-        let sols = enumerate(Builtin::SconsMin, &[None, Some(sb), Some(sab)], &mut st, r);
+        let sols = rows(Builtin::SconsMin, &[None, Some(sb), Some(sab)], &mut st, r);
         assert_eq!(sols.unwrap(), vec![vec![a, sb, sab]]);
-        let sols = enumerate(Builtin::SconsMin, &[None, Some(sa), Some(sab)], &mut st, r);
+        let sols = rows(Builtin::SconsMin, &[None, Some(sa), Some(sab)], &mut st, r);
         assert!(sols.unwrap().is_empty(), "{{a}} is not the canonical rest");
     }
 

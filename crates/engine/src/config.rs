@@ -3,7 +3,8 @@
 /// Which fixpoint algorithm to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FixpointStrategy {
-    /// Semi-naive evaluation with delta relations (default).
+    /// Semi-naive evaluation: each round re-joins from the previous
+    /// round's new tuples (default).
     #[default]
     SemiNaive,
     /// Naive evaluation: every rule over full relations each round —
@@ -153,6 +154,8 @@ pub struct EvalStats {
     /// (set/function literals interned per probe) allocate; ordinary
     /// joins build keys into a stack buffer, so this is 0 for them —
     /// the observable guarantee of the arena storage layer (E11).
+    /// Builtin, negation and `∀`-check steps are allocation-free too
+    /// unless they intern a term (E19); they are not counted here.
     pub probe_allocs: usize,
     /// Update passes that took the incremental path: the semi-naive
     /// drivers were re-seeded from the facts past the EDB cursor and

@@ -29,7 +29,7 @@ use crate::fixpoint::{run_stratum, StratumStart};
 use crate::magic::{self, MagicOutcome};
 use crate::plan::{compile_program, compile_rule, CompiledProgram, Step};
 use crate::pred::{PredId, PredRegistry};
-use crate::relation::{ColMask, Relation};
+use crate::relation::{ColMask, Relation, RowWindow};
 use crate::rule::{BodyLit, Rule};
 use crate::stats::{Stats, StatsCache};
 
@@ -350,8 +350,6 @@ pub struct Engine {
     edb: Vec<Relation>,
     /// The materialized model: EDB plus derived tuples.
     full: Vec<Relation>,
-    /// Semi-naive working deltas.
-    delta: Vec<Relation>,
     /// The EDB cursor, one per predicate: `full[i]` holds `edb[i]`'s
     /// rows before `edb_synced[i]`, and every row past it is a fact the
     /// model (or, in a demand session, the demand spaces) has not
@@ -402,8 +400,6 @@ pub struct Engine {
     /// cold. Rebuilt lazily; [`Engine::fallback_fresh`] tracks
     /// staleness.
     fallback_full: Vec<Relation>,
-    /// Semi-naive working deltas of the shadow model.
-    fallback_delta: Vec<Relation>,
     /// Whether the shadow model is current (`false` when facts or
     /// rules changed since it was built, or it never was).
     fallback_fresh: bool,
@@ -467,7 +463,6 @@ impl Engine {
             preds: PredRegistry::new(),
             edb: Vec::new(),
             full: Vec::new(),
-            delta: Vec::new(),
             edb_synced: Vec::new(),
             rules: Vec::new(),
             config,
@@ -479,7 +474,6 @@ impl Engine {
             stats_cache: StatsCache::default(),
             planner_pending: EvalStats::default(),
             fallback_full: Vec::new(),
-            fallback_delta: Vec::new(),
             fallback_fresh: false,
             sets_at_materialize: 0,
             last_stats: EvalStats::default(),
@@ -594,14 +588,12 @@ impl Engine {
         while self.full.len() <= id.index() {
             self.edb.push(Relation::new(0));
             self.full.push(Relation::new(0));
-            self.delta.push(Relation::new(0));
             self.edb_synced.push(0);
         }
         // (Re)size the relation if this is the first registration.
         if self.full[id.index()].arity() != arity && self.full[id.index()].is_empty() {
             self.edb[id.index()] = Relation::new(arity);
             self.full[id.index()] = Relation::new(arity);
-            self.delta[id.index()] = Relation::new(arity);
         }
         id
     }
@@ -749,12 +741,10 @@ impl Engine {
         self.clear_query_plans();
         self.stats_cache.invalidate();
         self.fallback_full.clear();
-        self.fallback_delta.clear();
         self.fallback_fresh = false;
         for i in 0..self.preds.len() {
             self.edb[i].clear();
             self.full[i].clear();
-            self.delta[i].clear();
             self.edb_synced[i] = 0;
         }
         self.state = EngineState::Unmaterialized;
@@ -787,7 +777,6 @@ impl Engine {
             if let QueryEntry::Demand(plan) = entry {
                 for &p in &plan.space {
                     self.full[p.index()].clear();
-                    self.delta[p.index()].clear();
                 }
                 plan.live = false;
             }
@@ -1058,7 +1047,6 @@ impl Engine {
                 &mut self.store,
                 &self.edb,
                 &mut self.fallback_full,
-                &mut self.fallback_delta,
                 program,
                 &self.config,
             )?;
@@ -1069,12 +1057,10 @@ impl Engine {
             let arity = self.preds.info(PredId::from_index(i)).arity;
             if i >= self.fallback_full.len() {
                 self.fallback_full.push(Relation::new(arity));
-                self.fallback_delta.push(Relation::new(arity));
             } else if self.fallback_full[i].arity() != arity {
                 // A recycled registry slot re-registered at another
                 // arity; it was emptied on release, nothing is lost.
                 self.fallback_full[i] = Relation::new(arity);
-                self.fallback_delta[i] = Relation::new(arity);
             }
         }
         Ok(EvalStats::default())
@@ -1322,7 +1308,6 @@ impl Engine {
             run_program(
                 &mut self.store,
                 &mut self.full,
-                &mut self.delta,
                 &self.config,
                 &plan.program,
                 &plan.magic_preds,
@@ -1364,11 +1349,8 @@ impl Engine {
             demand_continuations: 1,
             ..EvalStats::default()
         };
-        for &(p, m, is_delta) in &plan.program.index_requests {
+        for &(p, m) in &plan.program.index_requests {
             self.full[p.index()].ensure_index(m);
-            if is_delta {
-                self.delta[p.index()].ensure_index(m);
-            }
         }
         debug_assert!(
             plan.program.max_nonmono_stratum.is_none(),
@@ -1378,7 +1360,6 @@ impl Engine {
             stats.absorb(run_seeded(
                 &mut self.store,
                 &mut self.full,
-                &mut self.delta,
                 &self.config,
                 &plan.program,
                 s0,
@@ -1490,7 +1471,6 @@ impl Engine {
             for &p in &plan.space {
                 let arity = self.preds.info(p).arity;
                 self.full[p.index()] = Relation::new(arity);
-                self.delta[p.index()] = Relation::new(arity);
             }
             self.invalidate_overlapping(&plan.space);
             self.release_plan_preds(&plan.space, key.0);
@@ -1531,7 +1511,6 @@ impl Engine {
                     let arity = self.preds.info(p).arity;
                     self.edb[i] = Relation::new(arity);
                     self.full[i] = Relation::new(arity);
-                    self.delta[i] = Relation::new(arity);
                     self.edb_synced[i] = 0;
                 }
                 self.preds.release(p);
@@ -1606,30 +1585,26 @@ impl Engine {
             cost_on.then(|| self.stats_cache.current()),
         )?;
         self.account_compile(cr.reorders, cr.estimated_rows);
-        let (full, delta) = if shadow {
-            (&mut self.fallback_full, &mut self.fallback_delta)
+        let full = if shadow {
+            &mut self.fallback_full
         } else {
-            (&mut self.full, &mut self.delta)
+            &mut self.full
         };
         let h = rule.head.index();
         let arity = rule.head_args.len();
         if full[h].arity() != arity {
             full[h] = Relation::new(arity);
-            delta[h] = Relation::new(arity);
         } else {
             full[h].clear();
-            delta[h].clear();
         }
-        for &(p, m, is_delta) in &cr.index_requests {
+        for &(p, m) in &cr.index_requests {
             full[p.index()].ensure_index(m);
-            if is_delta {
-                delta[p.index()].ensure_index(m);
-            }
         }
+        let mut delta = vec![RowWindow::default(); full.len()];
         let stats = run_stratum(
             &mut self.store,
             full,
-            delta,
+            &mut delta,
             &[&cr],
             &[],
             &self.config,
@@ -1680,7 +1655,6 @@ impl Engine {
             if self.full[i].arity() != arity && self.full[i].is_empty() {
                 self.edb[i] = Relation::new(arity);
                 self.full[i] = Relation::new(arity);
-                self.delta[i] = Relation::new(arity);
                 self.edb_synced[i] = 0;
             }
         }
@@ -1688,7 +1662,6 @@ impl Engine {
             let arity = self.preds.info(PredId::from_index(i)).arity;
             self.edb.push(Relation::new(arity));
             self.full.push(Relation::new(arity));
-            self.delta.push(Relation::new(arity));
             self.edb_synced.push(0);
         }
     }
@@ -1745,7 +1718,6 @@ impl Engine {
             &mut self.store,
             &self.edb,
             &mut self.full,
-            &mut self.delta,
             program,
             &self.config,
         )?;
@@ -1754,8 +1726,8 @@ impl Engine {
 
     /// Incremental update: splice the EDB rows past the cursor into the
     /// model, then continue the semi-naive fixpoint from the lowest
-    /// affected stratum with the deltas seeded from exactly the rows
-    /// new to the model.
+    /// affected stratum with the delta windows opened on exactly the
+    /// rows new to the model.
     fn update_incremental(&mut self) -> Result<EvalStats, EngineError> {
         self.materialize_universe()?;
         let npreds = self.preds.len();
@@ -1792,7 +1764,6 @@ impl Engine {
             stats.absorb(run_seeded(
                 &mut self.store,
                 &mut self.full,
-                &mut self.delta,
                 &self.config,
                 program,
                 s0,
@@ -1862,30 +1833,25 @@ impl Engine {
     }
 }
 
-/// Batch-evaluate a compiled program over (`full`, `delta`) as they
-/// stand: satisfy its index requests, load its ground fact rules
-/// (counting the real insertions into `magic_preds` as demand seeds),
-/// and run every stratum to fixpoint. Shared by model rebuilds
-/// ([`materialize`]) and demand plans outside a warm continuation,
-/// which *rebase* over whatever sound rows their space already holds.
-/// A free function over the engine's disjoint fields so callers can
-/// keep a borrow on the program itself.
-#[allow(clippy::too_many_arguments)]
+/// Batch-evaluate a compiled program over `full` as it stands: satisfy
+/// its index requests, load its ground fact rules (counting the real
+/// insertions into `magic_preds` as demand seeds), and run every
+/// stratum to fixpoint. Shared by model rebuilds ([`materialize`]) and
+/// demand plans outside a warm continuation, which *rebase* over
+/// whatever sound rows their space already holds. A free function over
+/// the engine's disjoint fields so callers can keep a borrow on the
+/// program itself.
 fn run_program(
     store: &mut TermStore,
     full: &mut [Relation],
-    delta: &mut [Relation],
     config: &EvalConfig,
     program: &CompiledProgram,
     magic_preds: &[PredId],
     profiler: Option<&StepProfiler>,
 ) -> Result<EvalStats, EngineError> {
     let mut stats = EvalStats::default();
-    for &(p, m, is_delta) in &program.index_requests {
+    for &(p, m) in &program.index_requests {
         full[p.index()].ensure_index(m);
-        if is_delta {
-            delta[p.index()].ensure_index(m);
-        }
     }
     for &i in &program.fact_rules {
         let cr = &program.compiled[i];
@@ -1897,11 +1863,12 @@ fn run_program(
             }
         }
     }
+    let mut delta = vec![RowWindow::default(); full.len()];
     for s in 0..program.strat.num_strata {
         stats.absorb(run_stratum(
             store,
             full,
-            delta,
+            &mut delta,
             &program.regular(s),
             &program.grouping(s),
             config,
@@ -1912,41 +1879,37 @@ fn run_program(
     Ok(stats)
 }
 
-/// Rebuild a model in (`full`, `delta`) from the EDB: reset `full` to
-/// the extensional facts (which count as derived — they are part of
+/// Rebuild a model in `full` from the EDB: reset `full` to the
+/// extensional facts (which count as derived — they are part of
 /// `T_P ↑ ω`'s base) and run the prepared `program` over them. Serves
 /// both the live model and the shadow fallback model.
 fn materialize(
     store: &mut TermStore,
     edb: &[Relation],
     full: &mut Vec<Relation>,
-    delta: &mut Vec<Relation>,
     program: &CompiledProgram,
     config: &EvalConfig,
 ) -> Result<EvalStats, EngineError> {
     let mut stats = EvalStats::default();
     full.clear();
-    delta.clear();
     for rel in edb {
         stats.facts_derived += rel.len();
         full.push(rel.clone());
-        delta.push(Relation::new(rel.arity()));
     }
-    stats.absorb(run_program(store, full, delta, config, program, &[], None)?);
+    stats.absorb(run_program(store, full, config, program, &[], None)?);
     Ok(stats)
 }
 
 /// Seeded semi-naive restart from stratum `s0` on, shared by
-/// incremental updates and demand continuations: each stratum's deltas
-/// are re-seeded with every row past `base(p)` of the predicates it
-/// reads — everything the restart has added so far, lower-stratum
-/// derivations included; the delta variants and quantifier triggers
-/// consult no others. The deltas are left empty.
+/// incremental updates and demand continuations. Each stratum's delta
+/// windows open on every row past `base(p)` of the predicates it reads
+/// — everything the restart has added so far, lower-stratum derivations
+/// included — and are empty for all others: the delta variants and
+/// quantifier triggers consult no others. No row is copied.
 #[allow(clippy::too_many_arguments)]
 fn run_seeded(
     store: &mut TermStore,
     full: &mut [Relation],
-    delta: &mut [Relation],
     config: &EvalConfig,
     program: &CompiledProgram,
     s0: usize,
@@ -1955,29 +1918,25 @@ fn run_seeded(
     profiler: Option<&StepProfiler>,
 ) -> Result<EvalStats, EngineError> {
     let mut stats = EvalStats::default();
+    let mut delta = vec![RowWindow::default(); full.len()];
     for s in s0..program.strat.num_strata {
-        for d in delta.iter_mut() {
-            d.clear();
+        for (w, rel) in delta.iter_mut().zip(full.iter()) {
+            *w = RowWindow::empty_at(rel.len());
         }
         for &p in program.strat.reads(s) {
-            let i = p.index();
-            for r in base(p)..full[i].len() as u32 {
-                delta[i].insert(full[i].row(r));
-            }
+            let w = &mut delta[p.index()];
+            w.lo = base(p).min(w.hi);
         }
         stats.absorb(run_stratum(
             store,
             full,
-            delta,
+            &mut delta,
             &program.regular(s),
             &[],
             config,
             StratumStart::Seeded { sets_baseline },
             profiler,
         )?);
-    }
-    for d in delta.iter_mut() {
-        d.clear();
     }
     Ok(stats)
 }
@@ -2174,6 +2133,54 @@ mod tests {
         let semi = build(crate::config::FixpointStrategy::SemiNaive);
         assert_eq!(naive, semi);
         assert_eq!(naive.len(), 36, "complete digraph on the 6-cycle");
+    }
+
+    /// A delta literal with a ground column probes the full relation's
+    /// index narrowed to last round's window: each round must see only
+    /// the one row the previous round added.
+    #[test]
+    fn windowed_delta_probe_sees_only_last_round() {
+        let build = |strategy| {
+            let mut e = Engine::new(EvalConfig {
+                strategy,
+                ..EvalConfig::default()
+            });
+            let edge = e.pred("edge", 2);
+            let reach = e.pred("reach", 2);
+            let ids: Vec<TermId> = (0..6)
+                .map(|i| e.store_mut().atom(&format!("n{i}")))
+                .collect();
+            for i in 0..5 {
+                e.fact(edge, vec![ids[i], ids[i + 1]]).unwrap();
+            }
+            let src = Pattern::Ground(ids[0]);
+            // reach(n0, Y) :- edge(n0, Y).
+            e.rule(plain_rule(
+                reach,
+                vec![src.clone(), v(0)],
+                vec![BodyLit::Pos(edge, vec![src.clone(), v(0)])],
+                1,
+            ))
+            .unwrap();
+            // reach(n0, Z) :- reach(n0, Y), edge(Y, Z).
+            e.rule(plain_rule(
+                reach,
+                vec![src.clone(), v(1)],
+                vec![
+                    BodyLit::Pos(reach, vec![src, v(0)]),
+                    BodyLit::Pos(edge, vec![v(0), v(1)]),
+                ],
+                2,
+            ))
+            .unwrap();
+            let stats = e.run().unwrap();
+            (e.extension(reach), stats.tuples_considered)
+        };
+        let (naive, _) = build(crate::config::FixpointStrategy::Naive);
+        let (semi, considered) = build(crate::config::FixpointStrategy::SemiNaive);
+        assert_eq!(naive, semi);
+        assert_eq!(semi.len(), 5);
+        assert_eq!(considered, 5, "one candidate per new fact, none re-derived");
     }
 
     #[test]
@@ -3571,8 +3578,8 @@ mod tests {
         assert_eq!(mat.path, QueryPath::Materialized);
         let rows = mat.rows.sorted();
         assert_eq!(rows, vec![vec![ids[3]], vec![ids[4]]], "no stale n0 rows");
-        // Back again with the first constant — full and delta of the
-        // head were both cleared, so the join restarts clean.
+        // Back again with the first constant — the head relation was
+        // cleared, so the join restarts clean.
         let mat2 = e.query_rule(goal(ids[0])).unwrap();
         let rows = mat2.rows.sorted();
         assert_eq!(

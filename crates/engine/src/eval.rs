@@ -22,17 +22,31 @@
 //! 4. With unbound free variables, the inner conjunction is evaluated
 //!    as a join and grouped into a **coverage map**; a free-variable
 //!    binding qualifies iff the whole product is covered.
+//!
+//! ## Per-tuple work allocates nothing
+//!
+//! A delta literal walks a [`RowWindow`] of the full relation (or
+//! probes the full relation's index narrowed to it), so delta tuples
+//! are never copied. Builtins append their candidate tuples to one
+//! candidate stack that each stratum run lends through
+//! [`RelViews::cands`]: each builtin step remembers the stack's length,
+//! walks its own candidates by index — copying each to a stack array
+//! before recursing, because deeper steps push onto the same stack —
+//! and truncates back before returning. Negation and quantified checks build their tuples in
+//! stack buffers, and the `∀` walk reads set elements in place. What
+//! still allocates is interning a new term (a computed union, a new
+//! integer, a compound probe key) and the non-flat pattern matcher.
 
 use std::cell::{Cell, RefCell};
 
 use lps_term::{FxHashMap, FxHashSet, Sort, TermId, TermStore};
 
-use crate::builtin;
+use crate::builtin::{self, MAX_BUILTIN_ARITY};
 use crate::config::SetUniverse;
 use crate::error::EngineError;
 use crate::pattern::{match_tuple, Env, Pattern, VarId};
 use crate::plan::{QuantPlan, Step, Variant};
-use crate::relation::Relation;
+use crate::relation::{Relation, RowWindow, MAX_ARITY};
 use crate::rule::{BodyLit, QuantGroup, Rule};
 
 /// Interior-mutable counters for the indexed-join probe path, threaded
@@ -94,11 +108,15 @@ impl StepProfiler {
 pub struct RelViews<'a> {
     /// Full relations, indexed by `PredId::index()`.
     pub full: &'a [Relation],
-    /// Delta relations (last iteration's new tuples), same indexing.
-    /// Empty relations when running naive.
-    pub delta: &'a [Relation],
+    /// Delta windows (last round's new tuples, as rows of `full`), same
+    /// indexing. Empty when running naive.
+    pub delta: &'a [RowWindow],
     /// Probe counters for this evaluation pass.
     pub counters: &'a ProbeCounters,
+    /// The candidate stack builtin steps append to and truncate back
+    /// (see the module docs). Interior-mutable for the same reason as
+    /// [`ProbeCounters`]; empty between evaluations.
+    pub cands: &'a RefCell<Vec<TermId>>,
     /// Per-literal attribution, tagged with the id of the rule being
     /// evaluated. `None` outside `:profile` runs — the hot path pays
     /// one branch.
@@ -128,6 +146,24 @@ pub fn eval_rule_variant(
     sink: &mut dyn FnMut(&mut TermStore, &Env) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
     let mut env = Env::new(rule.num_vars);
+    // Post-group checks (literals whose variables the group binds, e.g.
+    // the ¬C(X) of §4.2) bind on the caller's env and are undone before
+    // the join resumes: no clone per solution.
+    let mut post = |store: &mut TermStore, env: &mut Env| {
+        let mark = env.mark();
+        let res = run_steps(
+            &rule.outer,
+            &variant.post_steps,
+            0,
+            store,
+            views,
+            policy,
+            env,
+            &mut |store, env| sink(store, env),
+        );
+        env.undo_to(mark);
+        res
+    };
     run_steps(
         &rule.outer,
         &variant.steps,
@@ -137,47 +173,10 @@ pub fn eval_rule_variant(
         policy,
         &mut env,
         &mut |store, env| match (&rule.quant, quant_plan) {
-            (Some(group), Some(plan)) => eval_quant(
-                group,
-                plan,
-                store,
-                views,
-                policy,
-                trigger,
-                env,
-                &mut |store, env| {
-                    // Post-group checks: literals whose variables the
-                    // group just bound (e.g. the ¬C(X) of §4.2).
-                    let mut env2 = env.clone();
-                    run_steps(
-                        &rule.outer,
-                        &variant.post_steps,
-                        0,
-                        store,
-                        views,
-                        policy,
-                        &mut env2,
-                        &mut |store, env2| sink(store, env2),
-                    )
-                },
-            ),
-            _ => {
-                // Post-steps bind on the caller's env and are undone
-                // before the outer join resumes: no clone per solution.
-                let mark = env.mark();
-                let res = run_steps(
-                    &rule.outer,
-                    &variant.post_steps,
-                    0,
-                    store,
-                    views,
-                    policy,
-                    env,
-                    &mut |store, env| sink(store, env),
-                );
-                env.undo_to(mark);
-                res
+            (Some(group), Some(plan)) => {
+                eval_quant(group, plan, store, views, policy, trigger, env, &mut post)
             }
+            _ => post(store, env),
         },
     )
 }
@@ -208,16 +207,19 @@ fn run_steps(
                 BodyLit::Pos(p, a) => (*p, a),
                 other => unreachable!("Pos step on {other:?}"),
             };
-            let rel = if *delta {
-                &views.delta[pred.index()]
-            } else {
-                &views.full[pred.index()]
-            };
+            let rel = &views.full[pred.index()];
+            // A delta literal reads last round's window of the full
+            // relation.
+            let window = delta.then(|| views.delta[pred.index()]);
             if *mask == 0 {
+                let rows = window.unwrap_or(RowWindow {
+                    lo: 0,
+                    hi: rel.len() as u32,
+                });
                 if let Some((prof, rid)) = views.profile {
-                    prof.record(rid, *lit as u32, 1, rel.len() as u64);
+                    prof.record(rid, *lit as u32, 1, rows.len() as u64);
                 }
-                for row in 0..rel.len() as u32 {
+                for row in rows.lo..rows.hi {
                     match_row_then_continue(
                         lits,
                         steps,
@@ -248,7 +250,10 @@ fn run_steps(
                     m &= m - 1;
                 }
                 ProbeCounters::bump(&views.counters.probes, 1);
-                let rows = rel.lookup(*mask, &key[..klen]);
+                let rows = match window {
+                    Some(w) => rel.lookup_window(*mask, &key[..klen], w.lo, w.hi),
+                    None => rel.lookup(*mask, &key[..klen]),
+                };
                 ProbeCounters::bump(&views.counters.rows, rows.len() as u64);
                 if let Some((prof, rid)) = views.profile {
                     prof.record(rid, *lit as u32, 1, rows.len() as u64);
@@ -276,40 +281,56 @@ fn run_steps(
                 BodyLit::Builtin(b, a) => (*b, a),
                 other => unreachable!("Builtin step on {other:?}"),
             };
-            let known: Vec<Option<TermId>> = args
-                .iter()
-                .map(|p| {
-                    if p.is_bound(env) {
-                        p.build(store, env)
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            let candidates = builtin::enumerate(b, &known, store, policy)?;
-            for cand in candidates {
-                match_row_then_continue(
-                    lits, steps, k, store, views, policy, env, sink, args, &cand, *flat,
-                )?;
+            let n = args.len();
+            debug_assert!(n <= MAX_BUILTIN_ARITY);
+            let mut known = [None; MAX_BUILTIN_ARITY];
+            for (slot, p) in known.iter_mut().zip(args) {
+                if p.is_bound(env) {
+                    *slot = p.build(store, env);
+                }
             }
-            Ok(())
+            // This level's candidates are the stack's `start..end`;
+            // deeper levels push above `end` and truncate back to it.
+            let start = views.cands.borrow().len();
+            builtin::enumerate(b, &known[..n], store, policy, &mut views.cands.borrow_mut())?;
+            let end = views.cands.borrow().len();
+            let mut res = Ok(());
+            for at in (start..end).step_by(n) {
+                let cand = {
+                    let stack = views.cands.borrow();
+                    let mut cand = [stack[at]; MAX_BUILTIN_ARITY];
+                    cand[..n].copy_from_slice(&stack[at..at + n]);
+                    cand
+                };
+                res = match_row_then_continue(
+                    lits,
+                    steps,
+                    k,
+                    store,
+                    views,
+                    policy,
+                    env,
+                    sink,
+                    args,
+                    &cand[..n],
+                    *flat,
+                );
+                if res.is_err() {
+                    break;
+                }
+            }
+            views.cands.borrow_mut().truncate(start);
+            res
         }
         Step::NegStep { lit } => {
             let (pred, args) = match &lits[*lit] {
                 BodyLit::Neg(p, a) => (*p, a),
                 other => unreachable!("Neg step on {other:?}"),
             };
-            let mut tuple = Vec::with_capacity(args.len());
-            for arg in args {
-                tuple.push(
-                    arg.build(store, env)
-                        .expect("planner guarantees negation is ground"),
-                );
+            if with_ground_tuple(args, store, env, |t| views.full[pred.index()].contains(t)) {
+                return Ok(());
             }
-            if !views.full[pred.index()].contains(&tuple) {
-                run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
-            }
-            Ok(())
+            run_steps(lits, steps, k + 1, store, views, policy, env, sink)
         }
         Step::EnumUniverse { var, sort } => {
             let universe = universe_of_sort(store, *sort);
@@ -440,21 +461,20 @@ fn eval_quant(
     policy: SetUniverse,
     trigger: Option<&QuantTrigger<'_>>,
     env: &mut Env,
-    sink: &mut dyn FnMut(&mut TermStore, &Env) -> Result<(), EngineError>,
+    sink: &mut dyn FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
     // Case 1: bind the first genuinely unbound domain from the active
     // universe. A domain whose variables are earlier binder variables
     // is *dependent*, not unbound — the walk below binds it.
-    let mut earlier_binders: Vec<VarId> = Vec::new();
-    for (qv, dom) in &group.binders {
-        let mut dvars = Vec::new();
-        dom.collect_vars(&mut dvars);
-        let unbound = dvars
-            .iter()
-            .any(|v| env.get(*v).is_none() && !earlier_binders.contains(v));
+    for (i, (_, dom)) in group.binders.iter().enumerate() {
+        let earlier = &group.binders[..i];
+        let unbound =
+            dom.any_var(&|v| env.get(v).is_none() && earlier.iter().all(|(q, _)| *q != v));
         if unbound {
-            let snapshot: Vec<TermId> = store.set_ids().to_vec();
-            for set_id in snapshot {
+            // Only the sets active on entry are candidates (matching
+            // may intern more).
+            for at in 0..store.set_ids().len() {
+                let set_id = store.set_ids()[at];
                 let sols = match_solutions(store, std::slice::from_ref(dom), &[set_id], env);
                 for bindings in sols {
                     let mark = env.mark();
@@ -465,7 +485,6 @@ fn eval_quant(
             }
             return Ok(());
         }
-        earlier_binders.push(*qv);
     }
 
     // Trigger pruning (sound only when every domain is independent of
@@ -473,30 +492,18 @@ fn eval_quant(
     // a re-derivation driven by new inner facts needs some domain to
     // contain a newly derived element.
     if let Some(t) = trigger {
-        let mut ids = Vec::with_capacity(group.binders.len());
-        let mut all_independent = true;
-        for (_, dom) in &group.binders {
-            if dom.is_bound(env) {
-                ids.push(dom.build(store, env).expect("bound domain"));
-            } else {
-                all_independent = false;
-                break;
-            }
-        }
-        if all_independent && !ids.iter().any(|id| t.candidate_sets.contains(id)) {
+        let all_independent = group.binders.iter().all(|(_, dom)| dom.is_bound(env));
+        if all_independent
+            && !group.binders.iter().any(|(_, dom)| {
+                let id = dom.build(store, env).expect("bound domain");
+                t.candidate_sets.contains(&id)
+            })
+        {
             return Ok(());
         }
     }
 
-    // Which free variables are still unbound right now?
-    let unbound_free: Vec<VarId> = plan
-        .unbound_free
-        .iter()
-        .copied()
-        .filter(|v| env.get(*v).is_none())
-        .collect();
-
-    if unbound_free.is_empty() {
+    if plan.unbound_free.iter().all(|v| env.get(*v).is_some()) {
         // Case 2/3: dependent walk with a direct check at each leaf.
         // Vacuous levels (empty/atomic domains) succeed trivially.
         if walk_check(group, 0, store, views, policy, env)? {
@@ -504,6 +511,13 @@ fn eval_quant(
         }
         return Ok(());
     }
+    // The free variables still unbound right now.
+    let unbound_free: Vec<VarId> = plan
+        .unbound_free
+        .iter()
+        .copied()
+        .filter(|v| env.get(*v).is_none())
+        .collect();
 
     // Case 4: coverage analysis. Join the inner conjunction over
     // (quantified vars ∪ unbound free vars), group covered q-tuples by
@@ -582,14 +596,28 @@ fn eval_quant(
     Ok(())
 }
 
-/// Elements of the `level`-th domain under the current bindings. An
-/// atomic value has no elements (ELPS §5) — vacuous subtree.
-fn domain_elems(group: &QuantGroup, level: usize, store: &mut TermStore, env: &Env) -> Vec<TermId> {
+/// The `level`-th domain under the current bindings and its element
+/// count; an atomic value has no elements (ELPS §5) — vacuous subtree.
+/// The walks read element `i` in place with [`domain_elem`]: an
+/// interned payload never changes, so the subtree may intern freely.
+fn domain_of(
+    group: &QuantGroup,
+    level: usize,
+    store: &mut TermStore,
+    env: &Env,
+) -> (TermId, usize) {
     let id = group.binders[level]
         .1
         .build(store, env)
         .expect("walk binds earlier levels first");
-    store.set_elems(id).map(<[_]>::to_vec).unwrap_or_default()
+    (id, store.card(id).unwrap_or(0))
+}
+
+/// Element `i` of a domain returned by [`domain_of`].
+fn domain_elem(store: &TermStore, dom: TermId, i: usize) -> TermId {
+    store
+        .set_elems(dom)
+        .expect("a domain with elements is a set")[i]
 }
 
 /// Dependent product walk, checking the inner literals at each leaf.
@@ -604,8 +632,9 @@ fn walk_check(
     if level == group.binders.len() {
         return check_lits(&group.inner, store, views, policy, env);
     }
-    let elems = domain_elems(group, level, store, env);
-    for e in elems {
+    let (dom, n) = domain_of(group, level, store, env);
+    for i in 0..n {
+        let e = domain_elem(store, dom, i);
         let mark = env.mark();
         env.bind(group.binders[level].0, e);
         let ok = walk_check(group, level + 1, store, views, policy, env)?;
@@ -627,8 +656,9 @@ fn walk_has_leaf(
     if level == group.binders.len() {
         return Ok(true);
     }
-    let elems = domain_elems(group, level, store, env);
-    for e in elems {
+    let (dom, n) = domain_of(group, level, store, env);
+    for i in 0..n {
+        let e = domain_elem(store, dom, i);
         let mark = env.mark();
         env.bind(group.binders[level].0, e);
         let found = walk_has_leaf(group, level + 1, store, env)?;
@@ -653,8 +683,9 @@ fn walk_covered(
     if level == group.binders.len() {
         return Ok(covered.contains(qstack));
     }
-    let elems = domain_elems(group, level, store, env);
-    for e in elems {
+    let (dom, n) = domain_of(group, level, store, env);
+    for i in 0..n {
+        let e = domain_elem(store, dom, i);
         let mark = env.mark();
         env.bind(group.binders[level].0, e);
         qstack.push(e);
@@ -684,7 +715,7 @@ fn enum_free(
     k: usize,
     store: &mut TermStore,
     env: &mut Env,
-    sink: &mut dyn FnMut(&mut TermStore, &Env) -> Result<(), EngineError>,
+    sink: &mut dyn FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
     if k == vars.len() {
         return sink(store, env);
@@ -711,28 +742,37 @@ fn check_lits(
     for lit in lits {
         let ok = match lit {
             BodyLit::Pos(pred, args) => {
-                let mut tuple = Vec::with_capacity(args.len());
-                for a in args {
-                    tuple.push(a.build(store, env).expect("check requires bound literals"));
-                }
-                views.full[pred.index()].contains(&tuple)
+                with_ground_tuple(args, store, env, |t| views.full[pred.index()].contains(t))
             }
             BodyLit::Neg(pred, args) => {
-                let mut tuple = Vec::with_capacity(args.len());
-                for a in args {
-                    tuple.push(a.build(store, env).expect("check requires bound literals"));
-                }
-                !views.full[pred.index()].contains(&tuple)
+                !with_ground_tuple(args, store, env, |t| views.full[pred.index()].contains(t))
             }
             BodyLit::Builtin(b, args) => {
-                let known: Vec<Option<TermId>> = args.iter().map(|p| p.build(store, env)).collect();
-                if known.iter().any(Option::is_none) {
+                let n = args.len();
+                let mut known = [None; MAX_BUILTIN_ARITY];
+                for (slot, p) in known.iter_mut().zip(args) {
+                    *slot = p.build(store, env);
+                }
+                if known[..n].iter().any(Option::is_none) {
                     return Err(EngineError::UnsupportedMode {
                         builtin: b.name(),
                         mode: "unbound argument in quantified check".to_owned(),
                     });
                 }
-                !builtin::enumerate(*b, &known, store, policy)?.is_empty()
+                // The check holds iff the builtin appends a candidate;
+                // give the stack back either way.
+                let start = views.cands.borrow().len();
+                builtin::enumerate(
+                    *b,
+                    &known[..n],
+                    store,
+                    policy,
+                    &mut views.cands.borrow_mut(),
+                )?;
+                let mut stack = views.cands.borrow_mut();
+                let holds = stack.len() > start;
+                stack.truncate(start);
+                holds
             }
         };
         if !ok {
@@ -740,6 +780,29 @@ fn check_lits(
         }
     }
     Ok(true)
+}
+
+/// Run `f` on the ground tuple of a fully bound literal, built in a
+/// stack buffer (arity ≤ [`MAX_ARITY`]): negation and quantified
+/// checks allocate nothing.
+fn with_ground_tuple<R>(
+    args: &[Pattern],
+    store: &mut TermStore,
+    env: &Env,
+    f: impl FnOnce(&[TermId]) -> R,
+) -> R {
+    let Some((first, rest)) = args.split_first() else {
+        return f(&[]);
+    };
+    let mut build = |p: &Pattern| {
+        p.build(store, env)
+            .expect("planner guarantees checked literals are ground")
+    };
+    let mut buf = [build(first); MAX_ARITY];
+    for (slot, p) in buf[1..].iter_mut().zip(rest) {
+        *slot = build(p);
+    }
+    f(&buf[..args.len()])
 }
 
 #[cfg(test)]

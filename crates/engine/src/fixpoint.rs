@@ -8,6 +8,15 @@
 //! re-evaluated when those predicates grow, restricted — when the
 //! element→set inverted index applies — to domain sets containing a
 //! newly derived element (experiment E9).
+//!
+//! Within a stratum run the full relations only grow, and derived
+//! tuples are inserted only between rounds, so a round's delta is the
+//! [`RowWindow`] between a relation's lengths before and after the
+//! previous round's inserts. No tuple is copied into a separate delta
+//! relation, and a delta probe narrows the full relation's index to the
+//! window.
+
+use std::cell::RefCell;
 
 use lps_term::{FxHashSet, TermId, TermStore};
 
@@ -17,7 +26,7 @@ use crate::eval::{eval_rule_variant, ProbeCounters, QuantTrigger, RelViews, Step
 use crate::pattern::Pattern;
 use crate::plan::CompiledRule;
 use crate::pred::PredId;
-use crate::relation::Relation;
+use crate::relation::{Relation, RowWindow};
 use crate::rule::BodyLit;
 
 /// Reusable buffer of derived head tuples: one flat `TermId` pool plus
@@ -62,6 +71,46 @@ impl DerivedBuf {
     }
 }
 
+/// What every rule evaluation of one stratum run borrows through its
+/// [`RelViews`]: the probe counters, the builtin candidate stack
+/// (capacity kept across rounds, like [`DerivedBuf`]), and the
+/// `:profile` attribution.
+struct Scratch<'p> {
+    counters: ProbeCounters,
+    cands: RefCell<Vec<TermId>>,
+    profiler: Option<&'p StepProfiler>,
+}
+
+impl Scratch<'_> {
+    /// The views of one evaluation of rule `cr`.
+    fn views<'a>(
+        &'a self,
+        full: &'a [Relation],
+        delta: &'a [RowWindow],
+        cr: &CompiledRule,
+    ) -> RelViews<'a> {
+        RelViews {
+            full,
+            delta,
+            counters: &self.counters,
+            cands: &self.cands,
+            profile: self.profiler.map(|p| (p, cr.id)),
+        }
+    }
+}
+
+/// Move every delta window past the rows inserted since it was set:
+/// with `w.hi` at each relation's length before this round's inserts,
+/// the new window is exactly the rows this round added.
+fn advance_windows(delta: &mut [RowWindow], full: &[Relation]) {
+    for (w, rel) in delta.iter_mut().zip(full) {
+        *w = RowWindow {
+            lo: w.hi,
+            hi: rel.len() as u32,
+        };
+    }
+}
+
 /// How a stratum run starts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StratumStart {
@@ -69,10 +118,11 @@ pub enum StratumStart {
     /// opens with a full round over the complete relations.
     Batch,
     /// Incremental continuation: the full relations already hold a
-    /// completed fixpoint plus newly inserted facts, and the delta
-    /// relations are pre-seeded with exactly those new tuples. The
-    /// grouping pass and the full round 0 are skipped; the semi-naive
-    /// driver drains the seeded deltas to the new fixpoint. Sound only
+    /// completed fixpoint plus newly inserted facts, and the caller's
+    /// delta windows cover exactly those new rows (each ending at its
+    /// relation's length). The grouping pass and the full round 0 are
+    /// skipped; the semi-naive loop drains the seeded windows to the
+    /// new fixpoint. Sound only
     /// for monotone rules — the engine falls back to a batch run when
     /// negation or grouping sits at or above the restart stratum.
     /// Driven both by `Engine::update` (E12) and by the retained
@@ -89,14 +139,15 @@ pub enum StratumStart {
 /// Run one stratum to fixpoint. `regular` are ordinary rules whose
 /// heads live in this stratum; `grouping` are LDL grouping rules
 /// (evaluated once, first — their bodies are complete lower strata;
-/// must be empty for a [`StratumStart::Seeded`] run). `profiler`
-/// (when `config.profile` runs a query) receives per-literal probe
-/// attribution.
+/// must be empty for a [`StratumStart::Seeded`] run). `delta` holds
+/// one window per relation: a batch run resets it, a seeded run reads
+/// the caller's windows. `profiler` (when `config.profile` runs a
+/// query) receives per-literal probe attribution.
 #[allow(clippy::too_many_arguments)]
 pub fn run_stratum(
     store: &mut TermStore,
     full: &mut [Relation],
-    delta: &mut [Relation],
+    delta: &mut [RowWindow],
     regular: &[&CompiledRule],
     grouping: &[&CompiledRule],
     config: &EvalConfig,
@@ -119,32 +170,34 @@ pub fn run_stratum(
         strata: 1,
         ..EvalStats::default()
     };
-    let counters = ProbeCounters::default();
+    let scratch = Scratch {
+        counters: ProbeCounters::default(),
+        cands: RefCell::default(),
+        profiler,
+    };
 
     // Grouping rules first (Definition 14): body strata are final.
     debug_assert!(
         grouping.is_empty() || start == StratumStart::Batch,
         "seeded continuations never re-run grouping rules"
     );
+    debug_assert_eq!(delta.len(), full.len(), "one delta window per relation");
     let mut derived = DerivedBuf::default();
     for cr in grouping {
         derived.clear();
-        eval_grouping(
-            cr,
-            store,
-            full,
-            delta,
-            config,
-            &counters,
-            profiler,
-            &mut derived,
-        )?;
+        eval_grouping(cr, store, full, delta, config, &scratch, &mut derived)?;
         stats.rule_evaluations += 1;
         stats.tuples_considered += derived.len();
         for (pred, tuple) in derived.iter() {
             if full[pred.index()].insert(tuple) {
                 stats.facts_derived += 1;
             }
+        }
+    }
+    if start == StratumStart::Batch {
+        // Nothing is new yet: every window is empty, at the end.
+        for (w, rel) in delta.iter_mut().zip(full.iter()) {
+            *w = RowWindow::empty_at(rel.len());
         }
     }
 
@@ -154,17 +207,19 @@ pub fn run_stratum(
             // relations until quiescent, so a seeded continuation needs
             // no delta plumbing: resuming from the retained model is
             // already its semantics (`T_P` is monotone on this path).
-            naive(
-                store, full, delta, regular, config, &counters, profiler, &mut stats,
-            )?
+            naive(store, full, delta, regular, config, &scratch, &mut stats)?
         }
         FixpointStrategy::SemiNaive => seminaive(
-            store, full, delta, regular, config, start, &counters, profiler, &mut stats,
+            store, full, delta, regular, config, start, &scratch, &mut stats,
         )?,
     }
-    stats.index_probes = counters.probes.get() as usize;
-    stats.probe_rows = counters.rows.get() as usize;
-    stats.probe_allocs = counters.allocs.get() as usize;
+    debug_assert!(
+        scratch.cands.borrow().is_empty(),
+        "builtin steps truncate back"
+    );
+    stats.index_probes = scratch.counters.probes.get() as usize;
+    stats.probe_rows = scratch.counters.rows.get() as usize;
+    stats.probe_allocs = scratch.counters.allocs.get() as usize;
     Ok(stats)
 }
 
@@ -174,19 +229,13 @@ fn collect_variant(
     variant_idx: usize,
     store: &mut TermStore,
     full: &[Relation],
-    delta: &[Relation],
+    delta: &[RowWindow],
     config: &EvalConfig,
     trigger: Option<&QuantTrigger<'_>>,
-    counters: &ProbeCounters,
-    profiler: Option<&StepProfiler>,
+    scratch: &Scratch<'_>,
     out: &mut DerivedBuf,
 ) -> Result<(), EngineError> {
-    let views = RelViews {
-        full,
-        delta,
-        counters,
-        profile: profiler.map(|p| (p, cr.id)),
-    };
+    let views = scratch.views(full, delta, cr);
     let rule = &cr.rule;
     eval_rule_variant(
         rule,
@@ -218,20 +267,14 @@ fn eval_grouping(
     cr: &CompiledRule,
     store: &mut TermStore,
     full: &[Relation],
-    delta: &[Relation],
+    delta: &[RowWindow],
     config: &EvalConfig,
-    counters: &ProbeCounters,
-    profiler: Option<&StepProfiler>,
+    scratch: &Scratch<'_>,
     out: &mut DerivedBuf,
 ) -> Result<(), EngineError> {
     let rule = &cr.rule;
     let group = rule.group.as_ref().expect("grouping rule");
-    let views = RelViews {
-        full,
-        delta,
-        counters,
-        profile: profiler.map(|p| (p, cr.id)),
-    };
+    let views = scratch.views(full, delta, cr);
     // key (non-group head args) → collected group values.
     let mut groups: lps_term::FxHashMap<Vec<TermId>, Vec<TermId>> = lps_term::FxHashMap::default();
     eval_rule_variant(
@@ -279,11 +322,10 @@ fn eval_grouping(
 fn naive(
     store: &mut TermStore,
     full: &mut [Relation],
-    delta: &mut [Relation],
+    delta: &[RowWindow],
     regular: &[&CompiledRule],
     config: &EvalConfig,
-    counters: &ProbeCounters,
-    profiler: Option<&StepProfiler>,
+    scratch: &Scratch<'_>,
     stats: &mut EvalStats,
 ) -> Result<(), EngineError> {
     // One derivation buffer for the whole fixpoint, cleared per round.
@@ -308,8 +350,7 @@ fn naive(
                 delta,
                 config,
                 None,
-                counters,
-                profiler,
+                scratch,
                 &mut derived,
             )?;
             stats.rule_evaluations += 1;
@@ -354,12 +395,11 @@ fn quant_trigger_safe(cr: &CompiledRule) -> bool {
 fn seminaive(
     store: &mut TermStore,
     full: &mut [Relation],
-    delta: &mut [Relation],
+    delta: &mut [RowWindow],
     regular: &[&CompiledRule],
     config: &EvalConfig,
     start: StratumStart,
-    counters: &ProbeCounters,
-    profiler: Option<&StepProfiler>,
+    scratch: &Scratch<'_>,
     stats: &mut EvalStats,
 ) -> Result<(), EngineError> {
     // Round-persistent buffers: the derivation buffer and the
@@ -387,27 +427,23 @@ fn seminaive(
                     delta,
                     config,
                     None,
-                    counters,
-                    profiler,
+                    scratch,
                     &mut derived,
                 )?;
                 stats.rule_evaluations += 1;
             }
             stats.iterations += 1;
             stats.tuples_considered += derived.len();
-            for d in delta.iter_mut() {
-                d.clear();
-            }
             for (pred, tuple) in derived.iter() {
                 if full[pred.index()].insert(tuple) {
                     stats.facts_derived += 1;
-                    delta[pred.index()].insert(tuple);
                 }
             }
+            advance_windows(delta, full);
             sets_seen
         }
-        // Seeded continuation: the caller pre-filled the deltas with the
-        // newly inserted facts; go straight to the delta rounds. The
+        // Seeded continuation: the caller's windows cover the newly
+        // inserted facts; go straight to the delta rounds. The
         // universe baseline is the set count at the last completed
         // materialization, so growth since then re-triggers
         // universe-enumerating rules.
@@ -417,7 +453,7 @@ fn seminaive(
     loop {
         let universe_grew = store.set_ids().len() > sets_seen;
         sets_seen = store.set_ids().len();
-        if delta.iter().all(Relation::is_empty) && !universe_grew {
+        if delta.iter().all(|w| w.is_empty()) && !universe_grew {
             return Ok(());
         }
         if stats.iterations >= config.max_iterations {
@@ -433,9 +469,9 @@ fn seminaive(
         // derived component.
         candidate_sets.clear();
         if collect_candidates {
-            for d in delta.iter() {
-                for tuple in d.iter() {
-                    for &component in tuple {
+            for (w, rel) in delta.iter().zip(full.iter()) {
+                for row in w.lo..w.hi {
+                    for &component in rel.row(row) {
                         candidate_sets.extend(store.sets_containing(component));
                         // A newly derived set value can also *be* a
                         // domain (e.g. the domain variable is an
@@ -457,24 +493,20 @@ fn seminaive(
             delta,
             config,
             &candidate_sets,
-            counters,
-            profiler,
+            scratch,
             &mut derived,
             stats,
         )?;
         stats.iterations += 1;
         stats.tuples_considered += derived.len();
-        for d in delta.iter_mut() {
-            d.clear();
-        }
         let mut changed = false;
         for (pred, tuple) in derived.iter() {
             if full[pred.index()].insert(tuple) {
                 stats.facts_derived += 1;
-                delta[pred.index()].insert(tuple);
                 changed = true;
             }
         }
+        advance_windows(delta, full);
         // No new facts: done — unless this round interned new sets, in
         // which case the top-of-loop universe trigger must get a look
         // (the naive driver already rechecks growth before exiting).
@@ -492,11 +524,10 @@ fn round_passes(
     universe_grew: bool,
     store: &mut TermStore,
     full: &[Relation],
-    delta: &[Relation],
+    delta: &[RowWindow],
     config: &EvalConfig,
     candidate_sets: &FxHashSet<TermId>,
-    counters: &ProbeCounters,
-    profiler: Option<&StepProfiler>,
+    scratch: &Scratch<'_>,
     derived: &mut DerivedBuf,
     stats: &mut EvalStats,
 ) -> Result<(), EngineError> {
@@ -504,9 +535,7 @@ fn round_passes(
         // Universe-growth trigger: rules that enumerate the active
         // set universe must re-run against the enlarged universe.
         if universe_grew && cr.uses_active_universe {
-            collect_variant(
-                cr, 0, store, full, delta, config, None, counters, profiler, derived,
-            )?;
+            collect_variant(cr, 0, store, full, delta, config, None, scratch, derived)?;
             stats.rule_evaluations += 1;
         }
         // Delta variants: re-join from each recursive literal.
@@ -518,9 +547,7 @@ fn round_passes(
             if delta[p.index()].is_empty() {
                 continue;
             }
-            collect_variant(
-                cr, vi, store, full, delta, config, None, counters, profiler, derived,
-            )?;
+            collect_variant(cr, vi, store, full, delta, config, None, scratch, derived)?;
             stats.rule_evaluations += 1;
         }
         // Quantifier trigger: inner predicates grew.
@@ -532,9 +559,7 @@ fn round_passes(
             } else {
                 None
             };
-            collect_variant(
-                cr, 0, store, full, delta, config, trigger, counters, profiler, derived,
-            )?;
+            collect_variant(cr, 0, store, full, delta, config, trigger, scratch, derived)?;
             stats.rule_evaluations += 1;
         }
     }

@@ -60,6 +60,16 @@ impl Pattern {
         }
     }
 
+    /// Whether some variable of the pattern satisfies `f` (no
+    /// allocation, unlike [`Pattern::collect_vars`]).
+    pub fn any_var(&self, f: &impl Fn(VarId) -> bool) -> bool {
+        match self {
+            Pattern::Var(v) => f(*v),
+            Pattern::Ground(_) => false,
+            Pattern::App(_, ps) | Pattern::Set(ps) => ps.iter().any(|p| p.any_var(f)),
+        }
+    }
+
     /// Whether every variable in the pattern is bound in `env`.
     pub fn is_bound(&self, env: &Env) -> bool {
         match self {

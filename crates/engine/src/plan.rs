@@ -30,13 +30,13 @@ use crate::strata::{stratify, Stratification};
 pub enum Step {
     /// Evaluate a positive atom: index lookup on `mask` columns (or a
     /// scan when `mask == 0`), then pattern-match the rest. `delta`
-    /// selects the delta relation instead of the full one.
+    /// restricts the step to the relation's delta window.
     Pos {
         /// Index into `rule.outer`.
         lit: usize,
         /// Columns fully bound before this step.
         mask: ColMask,
-        /// Read from the delta relation (semi-naive variants).
+        /// Read only last round's new rows (semi-naive variants).
         delta: bool,
         /// All argument patterns are plain `Var`/`Ground` (precomputed
         /// here so the executor can take its allocation-free
@@ -86,8 +86,8 @@ impl Step {
 /// An ordered evaluation strategy for the outer literals.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Variant {
-    /// Which outer literal reads from the delta relation (`None` for
-    /// the full variant).
+    /// Which outer literal reads only the delta window (`None` for the
+    /// full variant).
     pub delta_lit: Option<usize>,
     /// Steps in execution order.
     pub steps: Vec<Step>,
@@ -138,8 +138,9 @@ pub struct CompiledRule {
     /// IDB predicates appearing inside the quantifier group (trigger
     /// set for semi-naive re-evaluation).
     pub inner_preds: Vec<PredId>,
-    /// `(pred, mask, delta)` index requests to satisfy before running.
-    pub index_requests: Vec<(PredId, ColMask, bool)>,
+    /// `(pred, mask)` index requests to satisfy before running. Delta
+    /// steps probe the same index, narrowed to their window.
+    pub index_requests: Vec<(PredId, ColMask)>,
     /// Whether evaluation enumerates the active set universe (unbound
     /// quantifier domains/free vars, or builtin modes with free
     /// set-sorted arguments). Such rules must be re-run when new sets
@@ -183,8 +184,8 @@ pub struct CompiledProgram {
     pub grouping_by_stratum: Vec<Vec<usize>>,
     /// Indices into `compiled` of ground-head fact rules.
     pub fact_rules: Vec<usize>,
-    /// Deduplicated `(pred, mask, delta)` index requests.
-    pub index_requests: Vec<(PredId, ColMask, bool)>,
+    /// Deduplicated `(pred, mask)` index requests.
+    pub index_requests: Vec<(PredId, ColMask)>,
     /// Highest stratum holding a non-monotone rule (negation anywhere
     /// in the body, or a grouping head); `None` for monotone programs.
     pub max_nonmono_stratum: Option<usize>,
@@ -585,13 +586,10 @@ pub fn compile_rule(
     let mut index_requests = Vec::new();
     let mut push_requests = |steps: &[Step], lits: &[BodyLit]| {
         for step in steps {
-            if let Step::Pos {
-                lit, mask, delta, ..
-            } = step
-            {
+            if let Step::Pos { lit, mask, .. } = step {
                 if *mask != 0 {
                     if let BodyLit::Pos(p, _) = &lits[*lit] {
-                        index_requests.push((*p, *mask, *delta));
+                        index_requests.push((*p, *mask));
                     }
                 }
             }

@@ -17,7 +17,11 @@
 //!
 //! Secondary indexes are built per *column mask* (the set of columns
 //! bound at a join step) the first time a plan needs them, and
-//! maintained incrementally on insert thereafter.
+//! maintained incrementally on insert thereafter. Every bucket lists
+//! its row ids in ascending order (rows are appended, and a late index
+//! is built in row order), so [`Relation::lookup_window`] narrows a
+//! probe to a [`RowWindow`] with two binary searches: the semi-naive
+//! delta of a round is such a window of the full relation.
 
 use lps_term::{fx_fold, TermId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -160,10 +164,10 @@ struct ColIndex {
     mask: ColMask,
     /// Bucket ids (or [`EMPTY_SLOT`]); length is a power of two.
     slots: Box<[u32]>,
-    /// Row ids per distinct key, insertion-ordered. Only the first
-    /// `live` buckets are in use; the tail is emptied buckets kept for
-    /// reuse, so `clear` + refill (delta relations, every semi-naive
-    /// round) reallocates nothing at steady state.
+    /// Row ids per distinct key, in ascending (insertion) order. Only
+    /// the first `live` buckets are in use; the tail is emptied buckets
+    /// kept for reuse, so `clear` + refill (a demand space cleared and
+    /// re-derived per query) reallocates nothing at steady state.
     buckets: Vec<Vec<u32>>,
     /// Buckets currently reachable from `slots`.
     live: usize,
@@ -265,6 +269,37 @@ fn masked_rows_equal(arena: &[TermId], b1: usize, b2: usize, mask: ColMask) -> b
         m &= m - 1;
     }
     true
+}
+
+/// A half-open range `[lo, hi)` of row ids of one relation. Within a
+/// stratum run a relation only grows, so the tuples one semi-naive
+/// round added are exactly the window between its lengths before and
+/// after that round's inserts: the delta is a view of the full
+/// relation, not a copy.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowWindow {
+    /// First row in the window.
+    pub lo: u32,
+    /// One past the last row in the window.
+    pub hi: u32,
+}
+
+impl RowWindow {
+    /// The empty window at row `at`.
+    pub fn empty_at(at: usize) -> Self {
+        let at = at as u32;
+        RowWindow { lo: at, hi: at }
+    }
+
+    /// Number of rows in the window.
+    pub fn len(self) -> usize {
+        (self.hi - self.lo) as usize
+    }
+
+    /// Whether the window holds no rows.
+    pub fn is_empty(self) -> bool {
+        self.lo == self.hi
+    }
 }
 
 /// The extension of one predicate: a flat `TermId` arena with stride =
@@ -466,6 +501,20 @@ impl Relation {
             .lookup(&self.arena, self.arity, key)
     }
 
+    /// [`Relation::lookup`] narrowed to the row ids in `lo..hi`, in the
+    /// same (ascending) order. Buckets list rows in ascending order, so
+    /// the bounds are found by two binary searches — a delta probe
+    /// reuses the full relation's index (see [`RowWindow`]).
+    ///
+    /// # Panics
+    /// Panics if the index for `mask` does not exist.
+    pub fn lookup_window(&self, mask: ColMask, key: &[TermId], lo: u32, hi: u32) -> &[u32] {
+        let rows = self.lookup(mask, key);
+        let start = rows.partition_point(|&r| r < lo);
+        let len = rows[start..].partition_point(|&r| r < hi);
+        &rows[start..start + len]
+    }
+
     /// Whether an index for `mask` exists.
     pub fn has_index(&self, mask: ColMask) -> bool {
         self.indexes.iter().any(|i| i.mask == mask)
@@ -545,14 +594,15 @@ impl Relation {
     }
 
     /// Remove all tuples (keeping index *definitions* but emptying
-    /// them). Used for delta relations between semi-naive iterations.
+    /// them). Used when facts are reset, when a demand space goes cold,
+    /// and for an ad-hoc goal's head relation before each evaluation.
     /// Arena and table capacities are retained for reuse.
     ///
     /// Costs O(rows), not O(capacity): an empty relation only bumps its
     /// version, and a table whose occupants fill under a quarter of its
-    /// slots vacates just those slots, so a delta that once grew large
-    /// and now carries one row per round clears in O(1). Dense tables
-    /// are `fill`ed. Every clear, of an empty relation too, moves
+    /// slots vacates just those slots, so a goal relation that once
+    /// grew large and now holds a few answers clears in O(answers).
+    /// Dense tables are `fill`ed. Every clear, of an empty relation too, moves
     /// [`Relation::fingerprint`] and [`Relation::clear_mark`].
     pub fn clear(&mut self) {
         self.version += 1;

@@ -3,7 +3,8 @@
 //! insert/clear operations, then membership and indexed-lookup
 //! agreement across every column mask — with indexes created both
 //! before and after the stream, so incremental maintenance and bulk
-//! build are exercised on the same data.
+//! build are exercised on the same data — and windowed lookups (the
+//! semi-naive delta probe) against the filtered full lookup.
 
 use proptest::prelude::*;
 
@@ -153,7 +154,7 @@ proptest! {
     }
 
     /// Clearing a relation whose tables grew large but now hold few
-    /// rows (a delta after one big round) vacates only the occupied
+    /// rows (a goal relation after one big answer) vacates only the occupied
     /// slots. Each clear must leave the tables as if freshly emptied:
     /// many small refill/clear cycles keep agreeing with the reference
     /// model, and every clear — of an empty relation too — moves both
@@ -206,6 +207,66 @@ proptest! {
             clear_moving_marks(&mut rel);
             // A second clear finds the relation empty: still a clear.
             clear_moving_marks(&mut rel);
+        }
+    }
+
+    /// `lookup_window(mask, key, lo, hi)` is `lookup(mask, key)`
+    /// filtered to row ids in `lo..hi`, for indexes built before the
+    /// inserts, after them, and after a `clear` and regrowth. The
+    /// binary searches rely on every bucket listing its rows in
+    /// ascending order, which is asserted directly too.
+    #[test]
+    fn lookup_window_matches_filtered_lookup(
+        arity in 1usize..4,
+        tuples in proptest::collection::vec((0u8..5, 0u8..5, 0u8..5), 1..80),
+        garbage in proptest::collection::vec((0u8..5, 0u8..5, 0u8..5), 0..40),
+        windows in proptest::collection::vec((0u8..90, 0u8..90), 1..12),
+    ) {
+        let mut store = TermStore::new();
+        let atoms: Vec<TermId> = (0..5).map(|i| store.atom(&format!("a{i}"))).collect();
+        let tuple = |&(v0, v1, v2): &(u8, u8, u8)| {
+            [atoms[v0 as usize], atoms[v1 as usize], atoms[v2 as usize]]
+        };
+        let masks: Vec<ColMask> = (1..(1u32 << arity)).collect();
+
+        let mut before = Relation::new(arity);
+        for &m in &masks {
+            before.ensure_index(m);
+        }
+        let mut regrown = Relation::new(arity);
+        for &m in &masks {
+            regrown.ensure_index(m);
+        }
+        for t in &garbage {
+            regrown.insert(&tuple(t)[..arity]);
+        }
+        regrown.clear();
+        let mut after = Relation::new(arity);
+        for t in &tuples {
+            let t = tuple(t);
+            let fresh = before.insert(&t[..arity]);
+            prop_assert_eq!(after.insert(&t[..arity]), fresh);
+            prop_assert_eq!(regrown.insert(&t[..arity]), fresh);
+        }
+        for &m in &masks {
+            after.ensure_index(m);
+        }
+
+        for rel in [&before, &after, &regrown] {
+            for probe in &tuples {
+                let probe = tuple(probe);
+                for &m in &masks {
+                    let key = key_of(&probe[..arity], m);
+                    let rows = rel.lookup(m, &key);
+                    prop_assert!(rows.windows(2).all(|w| w[0] < w[1]), "bucket not ascending");
+                    for &(a, b) in &windows {
+                        let (lo, hi) = (u32::from(a.min(b)), u32::from(a.max(b)));
+                        let want: Vec<u32> =
+                            rows.iter().copied().filter(|r| (lo..hi).contains(r)).collect();
+                        prop_assert_eq!(rel.lookup_window(m, &key, lo, hi).to_vec(), want);
+                    }
+                }
+            }
         }
     }
 }
