@@ -4,12 +4,14 @@
 //! engine's snapshot layer ([`lps_engine::snapshot`]) put on the
 //! network: one **writer thread** owns the live [`Model`] and its
 //! [`SnapshotPublisher`]; one blocking **handler thread per
-//! connection** answers queries lock-free from the latest published
-//! [`EngineSnapshot`](lps_engine::EngineSnapshot) whenever it can, and
-//! funnels everything else (cold adornments, new seed constants,
-//! conjunctive goals, fact additions) to the writer over an mpsc
-//! channel. After every write or funneled query that changed the engine
-//! the writer republishes, so later readers hit.
+//! connection** answers queries from the latest published
+//! [`EngineSnapshot`](lps_engine::EngineSnapshot) whenever it can —
+//! holding the snapshot read lock only to clone the epoch's `Arc`,
+//! never waiting on the writer — and funnels everything else (cold
+//! adornments, new seed constants, conjunctive goals, fact additions)
+//! to the writer over an mpsc channel. After every write or funneled
+//! query that changed the engine the writer republishes, so later
+//! readers hit.
 //!
 //! # Wire format
 //!
@@ -485,7 +487,7 @@ impl Server {
         self.addr
     }
 
-    /// Queries answered lock-free from a published snapshot.
+    /// Queries answered from a published snapshot, without the writer.
     pub fn snapshot_hits(&self) -> u64 {
         self.metrics.hits.load(Ordering::Relaxed)
     }
@@ -624,7 +626,7 @@ mod tests {
         let rows = client.query("t(a, X).").unwrap().unwrap();
         assert_eq!(rows, vec!["a, b", "a, c", "a, d"]);
         assert_eq!(server.snapshot_hits(), 0);
-        // Warm: the republished epoch serves the repeat lock-free.
+        // Warm: the republished epoch serves the repeat, no funnel.
         let rows = client.query("t(a, X).").unwrap().unwrap();
         assert_eq!(rows, vec!["a, b", "a, c", "a, d"]);
         assert_eq!(server.snapshot_hits(), 1);

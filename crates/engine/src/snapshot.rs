@@ -5,16 +5,17 @@
 //! `update`, rule changes) and anything that grows a demand space
 //! belong to the one owning thread. What this module adds is a way for
 //! that writer to *publish* a frozen, shareable view of the session —
-//! an [`EngineSnapshot`] behind a vendored arc-swap-style epoch
-//! pointer ([`lps_epoch::EpochCell`]) — that any number of reader
-//! threads can query concurrently without locks:
+//! an [`EngineSnapshot`] behind a shared `RwLock<Arc<EngineSnapshot>>`
+//! — that any number of reader threads can query concurrently. A
+//! reader holds the read lock only to clone the current `Arc`; every
+//! lookup and query runs on its own `Arc` after the lock is released:
 //!
 //! ```text
 //!            writer thread                    reader threads
 //!   fact/update/query ──► Engine
 //!            │ publish()                      current() ──► Arc<EngineSnapshot>
-//!            ▼                                   │ try_query()   (lock-free)
-//!   SnapshotPublisher ──► EpochCell ◄────────────┘
+//!            ▼                                   │ try_query()   (no lock held)
+//!   SnapshotPublisher ──► RwLock<Arc<_>> ◄───────┘
 //!            (epoch n+1 swaps in;     hit  → answer rows, no writer involved
 //!             epoch n lives until     miss → funnel the query to the writer,
 //!             its last reader drops)         which answers with `&mut Engine`
@@ -57,18 +58,19 @@
 //! only when it grew, and a publish that would change nothing a
 //! snapshot holds mints no epoch at all.
 //!
-//! Readers never observe a torn epoch: the epoch pointer swap is
-//! atomic, and a reader's `Arc` keeps its whole snapshot (store,
-//! registry, relations, plans) alive together until dropped
-//! (property-tested in `tests/prop_serve.rs`).
+//! Readers never observe a torn epoch: the epoch swap happens under
+//! the write lock, and a reader's `Arc` keeps its whole snapshot
+//! (store, registry, relations, plans) alive together until dropped
+//! (property-tested in `tests/prop_serve.rs`). The writer builds each
+//! epoch before taking the lock and frees the superseded one after
+//! releasing it, so the lock is held for a pointer swap only.
 
 use crate::engine::{Engine, EngineState, RowSet};
 use crate::magic;
 use crate::pred::{PredId, PredRegistry};
 use crate::relation::{ColMask, Relation};
-use lps_epoch::EpochCell;
 use lps_term::{FxHashMap, TermId, TermStore};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One servable demand plan in a snapshot: the retained answer
 /// relation and the magic relation that records which seeds its
@@ -296,7 +298,10 @@ impl Slot {
 /// clones to reader threads.
 #[derive(Debug)]
 pub struct SnapshotPublisher {
-    cell: Arc<EpochCell<EngineSnapshot>>,
+    /// The published epoch, shared with every [`SnapshotReader`]. Its
+    /// only write is one `Arc` swap, so even a poisoned lock holds a
+    /// whole epoch: both sides recover the guard instead of panicking.
+    cell: Arc<RwLock<Arc<EngineSnapshot>>>,
     /// The epoch readers currently load (also held by `cell`).
     current: Arc<EngineSnapshot>,
     /// Published/spare buffer pair per relation slot.
@@ -317,7 +322,7 @@ impl SnapshotPublisher {
             model_servable: false,
         });
         let mut publisher = SnapshotPublisher {
-            cell: Arc::new(EpochCell::new(Arc::clone(&current))),
+            cell: Arc::new(RwLock::new(Arc::clone(&current))),
             current,
             slots: Vec::new(),
         };
@@ -397,26 +402,34 @@ impl SnapshotPublisher {
             plans,
             model_servable,
         });
-        self.cell.store(Arc::clone(&next));
+        // Only the swap runs under the write lock: the guard is a
+        // temporary of this statement, and both of the writer's
+        // references to the superseded epoch (`superseded` and
+        // `self.current`) are dropped after it is released.
+        let superseded = std::mem::replace(
+            &mut *self.cell.write().unwrap_or_else(PoisonError::into_inner),
+            Arc::clone(&next),
+        );
+        drop(superseded);
         self.current = next;
         self.current.epoch
     }
 }
 
 /// The reader-side handle: clone one per reader thread; each
-/// [`SnapshotReader::current`] call acquires the latest published
-/// epoch lock-free.
+/// [`SnapshotReader::current`] call takes the shared read lock only
+/// long enough to clone the latest published epoch's `Arc`.
 #[derive(Debug, Clone)]
 pub struct SnapshotReader {
-    cell: Arc<EpochCell<EngineSnapshot>>,
+    cell: Arc<RwLock<Arc<EngineSnapshot>>>,
 }
 
 impl SnapshotReader {
     /// The latest published snapshot. The returned `Arc` pins its
     /// epoch alive for as long as the caller holds it, independent of
-    /// later publishes.
+    /// later publishes; the read lock is already released.
     pub fn current(&self) -> Arc<EngineSnapshot> {
-        self.cell.load()
+        Arc::clone(&self.cell.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -464,6 +477,14 @@ mod tests {
             e.fact(edge, vec![a, b]).unwrap();
         }
         (e, edge, path)
+    }
+
+    /// Append the edge `n → n+1` to `chain_engine`'s chain and reconcile.
+    fn extend_chain(e: &mut Engine, edge: PredId, n: i64) {
+        let a = e.store_mut().int(n);
+        let b = e.store_mut().int(n + 1);
+        e.fact(edge, vec![a, b]).unwrap();
+        e.update().unwrap();
     }
 
     #[test]
@@ -625,6 +646,44 @@ mod tests {
         assert_eq!(publisher.publish(&mut e), s1.epoch() + 1);
     }
 
+    #[test]
+    fn superseded_epochs_are_freed_once_no_reader_holds_them() {
+        let (mut e, edge, path) = chain_engine(4);
+        e.run().unwrap();
+        let mut publisher = SnapshotPublisher::new(&mut e);
+        let reader = publisher.reader();
+        let zero = e.store_mut().int(0);
+        let rows_from_zero = |s: &EngineSnapshot| s.try_query(path, &[Some(zero), None]).unwrap();
+        let pinned = reader.current();
+        let pinned_rows = rows_from_zero(&pinned).sorted();
+        let pinned_weak = Arc::downgrade(&pinned);
+        let mut unpinned = Vec::new();
+        for n in 4..8 {
+            extend_chain(&mut e, edge, n);
+            publisher.publish(&mut e);
+            unpinned.push(Arc::downgrade(&reader.current()));
+        }
+        // Every unpinned epoch but the current one was freed by the
+        // publish that superseded it.
+        let (current, superseded) = unpinned.split_last().unwrap();
+        assert!(superseded.iter().all(|w| w.upgrade().is_none()));
+        assert_eq!(current.upgrade().unwrap().epoch(), publisher.epoch());
+        // The pinned epoch outlived four publishes and answers as it did.
+        assert!(pinned.epoch() < publisher.epoch());
+        assert_eq!(rows_from_zero(&pinned).sorted(), pinned_rows);
+        assert_eq!(
+            rows_from_zero(&reader.current()).len(),
+            pinned_rows.len() + 4
+        );
+        // Dropping the last pin frees it; the next publish frees the
+        // epoch that was current.
+        drop(pinned);
+        assert!(pinned_weak.upgrade().is_none());
+        extend_chain(&mut e, edge, 8);
+        publisher.publish(&mut e);
+        assert!(current.upgrade().is_none());
+    }
+
     /// The published relation of `pred` equals a fresh clone of the
     /// engine's: rows in order, index masks in order.
     fn assert_published_equals_clone(snap: &EngineSnapshot, e: &Engine, pred: PredId) {
@@ -648,11 +707,8 @@ mod tests {
         // (process-unique per relation object, fresh on every clone).
         // Identities, not `Arc`s: holding an epoch would pin its buffer.
         let mut step = |e: &mut Engine, publisher: &mut SnapshotPublisher| {
-            let a = e.store_mut().int(next);
-            let b = e.store_mut().int(next + 1);
+            extend_chain(e, edge, next);
             next += 1;
-            e.fact(edge, vec![a, b]).unwrap();
-            e.update().unwrap();
             publisher.publish(e);
             let snap = publisher.reader().current();
             assert_published_equals_clone(&snap, e, path);

@@ -10,9 +10,10 @@
 //! concurrently on `ADDR` (e.g. `127.0.0.1:7171`; port `0` picks a
 //! free port, printed as `listening on <addr>`): one writer thread
 //! owns the engine, every connection gets a handler thread answering
-//! point queries lock-free from epoch-published snapshots
-//! (`lps_core::serve`). `--client` connects a line-oriented REPL to a
-//! running server: `?- goal.` queries, bare fact clauses add facts.
+//! point queries from epoch-published snapshots without waiting on the
+//! writer (`lps_core::serve`). `--client` connects a line-oriented
+//! REPL to a running server: `?- goal.` queries, bare fact clauses add
+//! facts.
 //!
 //! Without those flags, program files (and stdin lines ending in `.`)
 //! accumulate facts and rules; `?- literal.` queries evaluate the
@@ -71,6 +72,8 @@
 //! scratch. Rules, dialect, or universe changes rebuild the session;
 //! `:reset` keeps rules and batch plans but evicts demand plans,
 //! reclaiming their relation space.
+
+#![forbid(unsafe_code)]
 
 use std::io::{self, BufRead, Write};
 
