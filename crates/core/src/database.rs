@@ -62,11 +62,6 @@ impl Database {
         self.dialect
     }
 
-    /// Evaluation settings (mutable until [`Database::evaluate`]).
-    pub fn config_mut(&mut self) -> &mut EvalConfig {
-        &mut self.config
-    }
-
     /// Parse and append program text (declarations, facts, rules).
     pub fn load_str(&mut self, src: &str) -> Result<&mut Self, CoreError> {
         let parsed = parse_program(src)?;
@@ -364,16 +359,14 @@ impl Model {
         ))
     }
 
-    /// Does `pred(args…)` hold in the least model?
-    pub fn holds(&mut self, pred: &str, args: &[Value]) -> bool {
+    /// Does `pred(args…)` hold in the least model? Interns nothing: an
+    /// argument the store has never seen cannot occur in the model.
+    pub fn holds(&self, pred: &str, args: &[Value]) -> bool {
         let Some(id) = self.engine.lookup_pred(pred, args.len()) else {
             return false;
         };
-        let tuple: Vec<_> = args
-            .iter()
-            .map(|v| v.intern(self.engine.store_mut()))
-            .collect();
-        self.engine.holds(id, &tuple)
+        let tuple: Option<Vec<_>> = args.iter().map(|v| v.find(self.engine.store())).collect();
+        tuple.is_some_and(|t| self.engine.holds(id, &t))
     }
 
     /// The full extension of a predicate, as sorted owned rows. The
@@ -422,7 +415,7 @@ mod tests {
              sub(X, Y) :- pair(X, Y), forall U in X: U in Y.",
         )
         .unwrap();
-        let mut m = db.evaluate().unwrap();
+        let m = db.evaluate().unwrap();
         let ab = Value::set([Value::atom("a"), Value::atom("b")]);
         let c = Value::set([Value::atom("c")]);
         let bc = Value::set([Value::atom("b"), Value::atom("c")]);
@@ -450,7 +443,7 @@ mod tests {
                  (forall W in Z: (W in X ; W in Y)).",
         )
         .unwrap();
-        let mut m = db.evaluate().unwrap();
+        let m = db.evaluate().unwrap();
         let a = Value::set([Value::atom("a")]);
         let b = Value::set([Value::atom("b")]);
         let ab = Value::set([Value::atom("a"), Value::atom("b")]);
@@ -477,7 +470,7 @@ mod tests {
         );
         db.load_str("a(c1). a(c2). item(c3). b(X) :- forall U in X: a(U).")
             .unwrap();
-        let mut m = db.evaluate().unwrap();
+        let m = db.evaluate().unwrap();
         // b holds for every subset of {x : a(x)} — Theorem 8's point:
         // the defining clause admits all subsets, not just the full set.
         let c1 = Value::atom("c1");
@@ -488,6 +481,23 @@ mod tests {
         assert!(m.holds("b", &[Value::set([c1.clone(), c2.clone()])]));
         assert!(!m.holds("b", &[Value::set([Value::atom("c3")])]));
         assert!(!m.holds("b", &[Value::set([c1, Value::atom("c3")])]));
+    }
+
+    #[test]
+    fn holds_on_a_fresh_constant_leaves_the_store_unchanged() {
+        let mut db = Database::new(Dialect::Elps);
+        db.load_str("e(a, {b}). t(X, S) :- e(X, S).").unwrap();
+        let m = db.evaluate().unwrap();
+        let b = Value::set([Value::atom("b")]);
+        assert!(m.holds("t", &[Value::atom("a"), b.clone()]));
+        let before = m.engine().store().len();
+        assert!(!m.holds("t", &[Value::atom("never_seen"), b]));
+        assert!(!m.holds("t", &[Value::atom("a"), Value::set([Value::int(7)])]));
+        assert!(!m.holds(
+            "t",
+            &[Value::atom("a"), Value::app("f", [Value::atom("a")])]
+        ));
+        assert_eq!(m.engine().store().len(), before, "holds interns nothing");
     }
 
     #[test]
@@ -502,7 +512,7 @@ mod tests {
         );
         db.load_str("rich(P) :- owns(P, S), card(S, N), N >= 2.")
             .unwrap();
-        let mut m = db.evaluate().unwrap();
+        let m = db.evaluate().unwrap();
         assert!(m.holds("rich", &[Value::atom("alice")]));
     }
 

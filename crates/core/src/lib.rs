@@ -28,7 +28,7 @@
 //!     "pair({a, b}, {c}). pair({a}, {a, b}).
 //!      disj(X, Y) :- pair(X, Y), forall U in X, forall V in Y: U != V.",
 //! ).unwrap();
-//! let mut model = db.evaluate().unwrap();
+//! let model = db.evaluate().unwrap();
 //! let ab = Value::set([Value::atom("a"), Value::atom("b")]);
 //! let c = Value::set([Value::atom("c")]);
 //! assert!(model.holds("disj", &[ab, c]));

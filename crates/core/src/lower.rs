@@ -615,6 +615,6 @@ mod tests {
         load_program(&mut engine, &program).unwrap();
         engine.run().unwrap();
         let path = engine.lookup_pred("path", 2).unwrap();
-        assert_eq!(engine.tuples(path).count(), 3);
+        assert_eq!(engine.rows(path).count(), 3);
     }
 }

@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use lps_engine::{SnapshotPublisher, SnapshotReader};
 use lps_syntax::parse_program;
-use lps_term::{TermId, TermStore, Value};
+use lps_term::{TermId, TermStore};
 
 use crate::database::{ground_facts, Database, Model};
 use crate::error::CoreError;
@@ -236,21 +236,6 @@ fn render_rows<'a>(store: &TermStore, rows: impl Iterator<Item = &'a [TermId]>) 
         .collect()
 }
 
-/// Resolve an already-interned [`Value`] in a read-only store. `None`
-/// for `App` terms (no read-only finder — funnel) and for constants
-/// the store has never interned.
-fn find_value(store: &TermStore, v: &Value) -> Option<TermId> {
-    match v {
-        Value::Atom(a) => store.find_atom(a),
-        Value::Int(i) => store.find_int(*i),
-        Value::Set(elems) => {
-            let ids: Option<Vec<TermId>> = elems.iter().map(|e| find_value(store, e)).collect();
-            store.find_set(ids?)
-        }
-        Value::App(..) => None,
-    }
-}
-
 /// Try to answer `goal` from the latest published snapshot alone.
 /// `None` funnels to the writer: non-point goals, predicates or
 /// constants the snapshot has never seen, cold adornments, unseeded
@@ -265,7 +250,7 @@ fn snapshot_answer(goal: &str, reader: &SnapshotReader) -> Option<Vec<String>> {
     for a in &args {
         match a {
             None => interned.push(None),
-            Some(v) => interned.push(Some(find_value(snap.store(), v)?)),
+            Some(v) => interned.push(Some(v.find(snap.store())?)),
         }
     }
     let rows = snap.try_query(pred, &interned)?;

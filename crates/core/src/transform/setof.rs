@@ -71,7 +71,7 @@ mod tests {
     fn constructs_exactly_the_full_set() {
         // {x | a(x)} = {c1, c2}.
         let db = setof_database("a(c1). a(c2). other(c3).", "a", "the_set", 3).unwrap();
-        let mut m = db.evaluate().unwrap();
+        let m = db.evaluate().unwrap();
         let rows = m.extension("the_set");
         assert_eq!(
             rows,
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn empty_extension_yields_empty_set() {
         let db = setof_database("other(c1).", "a", "the_set", 2).unwrap();
-        let mut m = db.evaluate().unwrap();
+        let m = db.evaluate().unwrap();
         assert!(m.holds("the_set", &[Value::empty_set()]));
         assert_eq!(m.count("the_set", 1), 1);
     }
@@ -99,13 +99,13 @@ mod tests {
         // — and in particular M_{P2} ⊉ M_{P1} on B, which is exactly
         // why no *monotone* (negation-free) program can do this.
         let db1 = setof_database("a(c1). dom(c2).", "a", "b", 2).unwrap();
-        let mut m1 = db1.evaluate().unwrap();
+        let m1 = db1.evaluate().unwrap();
         let c1set = Value::set([Value::atom("c1")]);
         assert!(m1.holds("b", std::slice::from_ref(&c1set)));
         assert_eq!(m1.count("b", 1), 1);
 
         let db2 = setof_database("a(c1). a(c2).", "a", "b", 2).unwrap();
-        let mut m2 = db2.evaluate().unwrap();
+        let m2 = db2.evaluate().unwrap();
         assert!(!m2.holds("b", &[c1set]), "P2 must NOT keep B({{c1}})");
         assert!(m2.holds("b", &[Value::set([Value::atom("c1"), Value::atom("c2")])]));
         assert_eq!(m2.count("b", 1), 1);

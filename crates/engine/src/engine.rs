@@ -62,17 +62,6 @@ pub enum EngineState {
 /// position mask.
 type PlanKey = (PredId, ColMask);
 
-/// One entry of the per-adornment demand plan cache.
-#[derive(Debug)]
-enum QueryEntry {
-    /// The magic-rewritten, compiled program for this query pattern.
-    Demand(Box<QueryPlan>),
-    /// The rewrite is inapplicable (non-monotone construct reachable
-    /// from the query) or unplannable: queries with this pattern
-    /// evaluate by full materialization.
-    Fallback,
-}
-
 /// A compiled demand plan: the specialized program for one
 /// `(predicate, adornment)` query pattern, together with the state of
 /// its *retained* demand space (the adorned/magic relations kept alive
@@ -146,8 +135,9 @@ pub enum QueryPath {
     /// Answered from the maintained materialized model (reconciled
     /// incrementally first if new facts had arrived).
     Materialized,
-    /// The demand rewrite was inapplicable; the engine fell back to a
-    /// sound full materialization and filtered.
+    /// The demand rewrite was inapplicable: the engine materialized
+    /// the session's model and read it, as [`QueryPath::Materialized`]
+    /// does. Later queries take that path.
     Fallback,
 }
 
@@ -328,7 +318,7 @@ impl ExactSizeIterator for RowSetIter<'_> {}
 /// }).unwrap();
 /// engine.run().unwrap();
 /// assert!(engine.holds(path, &[a, c]));
-/// assert_eq!(engine.tuples(path).count(), 3);
+/// assert_eq!(engine.rows(path).count(), 3);
 /// // The session stays maintainable: a fact added after the fixpoint
 /// // waits in the EDB past the session's cursor, and `update`
 /// // re-reaches the least model incrementally instead of recomputing
@@ -345,8 +335,8 @@ pub struct Engine {
     store: TermStore,
     preds: PredRegistry,
     /// Extensional facts loaded via [`Engine::fact`] — the session's
-    /// EDB, kept apart from derived tuples so batch runs (and the
-    /// non-monotone fallback) can rebuild the model from scratch.
+    /// EDB, kept apart from derived tuples so batch runs can rebuild
+    /// the model from scratch.
     edb: Vec<Relation>,
     /// The materialized model: EDB plus derived tuples.
     full: Vec<Relation>,
@@ -372,7 +362,7 @@ pub struct Engine {
     /// (conjunctive goals enter under their dedicated shape
     /// predicate). Bounded by [`EvalConfig::demand_plan_cache`];
     /// invalidated with `prepared` on rule changes.
-    query_plans: FxHashMap<PlanKey, QueryEntry>,
+    query_plans: FxHashMap<PlanKey, QueryPlan>,
     /// LRU order over `query_plans` keys, least-recently-used first.
     query_lru: Vec<PlanKey>,
     /// Conjunctive goal shapes ([`magic::goal_shape_key`]) → the
@@ -392,17 +382,6 @@ pub struct Engine {
     /// accumulated by compiles since the last pass epilogue; flushed
     /// into that pass's [`EvalStats`].
     planner_pending: EvalStats,
-    /// Shadow model for non-monotone (fallback) queries: a full
-    /// materialization kept *beside* the live relations, so answering
-    /// a query whose rewrite is obstructed does not rebuild `full`,
-    /// does not flip the session to `Materialized`, and — the point —
-    /// does not put sibling plans' retained demand spaces back to
-    /// cold. Rebuilt lazily; [`Engine::fallback_fresh`] tracks
-    /// staleness.
-    fallback_full: Vec<Relation>,
-    /// Whether the shadow model is current (`false` when facts or
-    /// rules changed since it was built, or it never was).
-    fallback_fresh: bool,
     /// Interned-set count at the last completed materialization (the
     /// baseline for universe-growth triggers in incremental updates).
     sets_at_materialize: usize,
@@ -410,8 +389,8 @@ pub struct Engine {
     cumulative_stats: EvalStats,
     /// Per-literal profile of the last query run with
     /// [`EvalConfig::profile`] on; `None` when the last query was not
-    /// profiled (or fell back to the shadow model, which runs no
-    /// demand plan to attribute).
+    /// profiled or read the model, which runs no demand plan to
+    /// attribute.
     last_profile: Option<QueryProfile>,
 }
 
@@ -473,8 +452,6 @@ impl Engine {
             conj_shapes: FxHashMap::default(),
             stats_cache: StatsCache::default(),
             planner_pending: EvalStats::default(),
-            fallback_full: Vec::new(),
-            fallback_fresh: false,
             sets_at_materialize: 0,
             last_stats: EvalStats::default(),
             cumulative_stats: EvalStats::default(),
@@ -575,8 +552,8 @@ impl Engine {
 
     /// The per-literal profile of the most recent query run with
     /// [`EvalConfig::profile`] on; `None` if the last query was not
-    /// profiled or took the fallback path (no demand plan to
-    /// attribute).
+    /// profiled or read the model (the materialized and fallback
+    /// paths run no demand plan to attribute).
     pub fn last_profile(&self) -> Option<&QueryProfile> {
         self.last_profile.as_ref()
     }
@@ -633,7 +610,6 @@ impl Engine {
         }
         self.edb[pred.index()].insert(&tuple);
         self.stats_cache.invalidate();
-        self.fallback_fresh = false;
         if self.state == EngineState::Materialized && !self.full[pred.index()].contains(&tuple) {
             self.state = EngineState::Dirty;
         }
@@ -688,7 +664,6 @@ impl Engine {
         // model from the EDB; the next query re-derives its rewrite.
         self.prepared = None;
         self.clear_query_plans();
-        self.fallback_fresh = false;
         self.state = EngineState::Unmaterialized;
         Ok(())
     }
@@ -740,8 +715,6 @@ impl Engine {
     pub fn reset_facts(&mut self) {
         self.clear_query_plans();
         self.stats_cache.invalidate();
-        self.fallback_full.clear();
-        self.fallback_fresh = false;
         for i in 0..self.preds.len() {
             self.edb[i].clear();
             self.full[i].clear();
@@ -773,13 +746,11 @@ impl Engine {
     /// the per-query cold run that E14 measures retention against
     /// (`:demand cold` in `lpsi` calls this before each query).
     pub fn clear_demand_spaces(&mut self) {
-        for entry in self.query_plans.values_mut() {
-            if let QueryEntry::Demand(plan) = entry {
-                for &p in &plan.space {
-                    self.full[p.index()].clear();
-                }
-                plan.live = false;
+        for plan in self.query_plans.values_mut() {
+            for &p in &plan.space {
+                self.full[p.index()].clear();
             }
+            plan.live = false;
         }
     }
 
@@ -801,9 +772,10 @@ impl Engine {
     /// re-deriving. The cache is LRU-bounded by
     /// [`EvalConfig::demand_plan_cache`]. When the rewrite is
     /// inapplicable (negation or grouping reachable from the query, or
-    /// an unplannable rewrite) the engine soundly falls back to full
-    /// materialization and filters, counting
-    /// [`EvalStats::demand_fallbacks`].
+    /// an unplannable rewrite) the engine materializes the session's
+    /// model and filters it, counting [`EvalStats::demand_fallbacks`]
+    /// and reporting [`QueryPath::Fallback`]; the session is then
+    /// [`EngineState::Materialized`], as after [`Engine::run`].
     ///
     /// On a session that already holds a materialized model, the query
     /// answers from it directly (reconciling unabsorbed facts through
@@ -860,10 +832,16 @@ impl Engine {
         }
         let seed: Vec<TermId> = args.iter().flatten().copied().collect();
         let key = (pred, magic::adornment_of(args));
-        self.query_demand(key, None, &seed, 0, |e| {
-            let rows = filter_rows(&mut e.fallback_full[pred.index()], args);
-            Ok((EvalStats::default(), rows))
-        })
+        if let Some(res) = self.query_demand(key, None, &seed, 0)? {
+            return Ok(res);
+        }
+        let run = self.run()?;
+        let rows = filter_rows(&mut self.full[pred.index()], args);
+        let work = EvalStats {
+            demand_fallbacks: 1,
+            ..EvalStats::default()
+        };
+        Ok(self.finish_query(run, work, rows, QueryPath::Fallback))
     }
 
     /// Evaluate an ad-hoc query *rule* — the compiled form of a
@@ -886,11 +864,7 @@ impl Engine {
     /// over the maintained model.
     pub fn query_rule(&mut self, rule: Rule) -> Result<QueryResult, EngineError> {
         if let Some(run) = self.begin_query(rule.head, rule.head_args.len())? {
-            // `run` accounted for its own work (no-op, incremental, or
-            // rebuild); only the goal evaluation is new here.
-            let extra = self.eval_single_rule(&rule, false)?;
-            let rows = lookup_rows(&mut self.full[rule.head.index()], 0, &[], 0);
-            return Ok(self.finish_query(run, extra, rows, QueryPath::Materialized));
+            return self.goal_from_model(run, &rule, QueryPath::Materialized);
         }
         let lifted = magic::lift_goal(&rule);
         let k = lifted.consts.len();
@@ -919,13 +893,28 @@ impl Engine {
         // The retained answer relation accumulates every seed's
         // answers; this call's rows are those whose seed columns match
         // its constants, seed columns stripped.
-        self.query_demand((shape, mask), Some(canonical), &lifted.consts, k, |e| {
-            // Non-monotone goal: evaluate the original rule over the
-            // shadow model — sibling demand plans stay warm.
-            let extra = e.eval_single_rule(&rule, true)?;
-            let rows = lookup_rows(&mut e.fallback_full[rule.head.index()], 0, &[], 0);
-            Ok((extra, rows))
-        })
+        if let Some(res) = self.query_demand((shape, mask), Some(canonical), &lifted.consts, k)? {
+            return Ok(res);
+        }
+        let run = self.run()?;
+        self.goal_from_model(run, &rule, QueryPath::Fallback)
+    }
+
+    /// Answer a conjunctive goal over the session's model, which `run`
+    /// (its stats, already recorded) just made current: evaluate the
+    /// goal rule once and read its head relation. On the
+    /// [`QueryPath::Fallback`] path the call counts one demand
+    /// fallback.
+    fn goal_from_model(
+        &mut self,
+        run: EvalStats,
+        rule: &Rule,
+        path: QueryPath,
+    ) -> Result<QueryResult, EngineError> {
+        let mut work = self.eval_single_rule(rule)?;
+        work.demand_fallbacks = usize::from(path == QueryPath::Fallback);
+        let rows = lookup_rows(&mut self.full[rule.head.index()], 0, &[], 0);
+        Ok(self.finish_query(run, work, rows, path))
     }
 
     /// Shared entry of both query front doors: check the goal's arity
@@ -961,26 +950,18 @@ impl Engine {
     /// (`goal` is the extra rule a conjunctive shape adds to the
     /// program), run it seeded with `seed`, and read the answers whose
     /// bound columns match the seed, the first `skip` columns dropped.
-    /// When the plan is a fallback entry, `shadow` answers over the
-    /// freshly ensured shadow model instead, returning its own work
-    /// and rows.
+    /// `None` means the rewrite is obstructed and the caller answers
+    /// from the materialized model.
     fn query_demand(
         &mut self,
         key: PlanKey,
         goal: Option<Rule>,
         seed: &[TermId],
         skip: usize,
-        shadow: impl FnOnce(&mut Self) -> Result<(EvalStats, RowSet), EngineError>,
-    ) -> Result<QueryResult, EngineError> {
-        let (fresh, evicted) = self.cached_plan(key, goal);
-        if matches!(self.query_plans[&key], QueryEntry::Fallback) {
-            let mut stats = self.ensure_shadow()?;
-            let (extra, rows) = shadow(self)?;
-            stats.absorb(extra);
-            stats.demand_fallbacks = 1;
-            stats.plans_evicted += evicted;
-            return Ok(self.finish_query(EvalStats::default(), stats, rows, QueryPath::Fallback));
-        }
+    ) -> Result<Option<QueryResult>, EngineError> {
+        let Some((fresh, evicted)) = self.cached_plan(key, goal) else {
+            return Ok(None);
+        };
         self.sync_edb_to_full();
         let profiler = self.config.profile.then(StepProfiler::default);
         let (mut stats, answer, adornments) = self.run_plan(key, seed, profiler.as_ref())?;
@@ -992,19 +973,21 @@ impl Engine {
             stats.adornments_compiled = adornments;
         }
         let rows = lookup_rows(&mut self.full[answer.index()], key.1, seed, skip);
-        Ok(self.finish_query(EvalStats::default(), stats, rows, QueryPath::Demand))
+        let res = self.finish_query(EvalStats::default(), stats, rows, QueryPath::Demand);
+        Ok(Some(res))
     }
 
     /// Compile-or-touch: make the plan under `key` the most recently
     /// used cache entry, compiling it first if absent. Returns whether
-    /// it was compiled and how many plans the insertion evicted.
-    fn cached_plan(&mut self, key: PlanKey, goal: Option<Rule>) -> (bool, usize) {
+    /// it was compiled and how many plans the insertion evicted, or
+    /// `None` when the rewrite is obstructed (nothing is cached).
+    fn cached_plan(&mut self, key: PlanKey, goal: Option<Rule>) -> Option<(bool, usize)> {
         if self.query_plans.contains_key(&key) {
             self.touch_query_plan(key);
-            return (false, 0);
+            return Some((false, 0));
         }
-        let entry = self.compile_plan(key, goal);
-        (true, self.insert_query_plan(key, entry))
+        let plan = self.compile_plan(key, goal)?;
+        Some((true, self.insert_query_plan(key, plan)))
     }
 
     /// The epilogue of the demand, fallback and materialized-goal
@@ -1032,48 +1015,16 @@ impl Engine {
         QueryResult { rows, path, stats }
     }
 
-    /// Bring the shadow fallback model up to date, returning the
-    /// statistics of the materialization pass (zeroed when the shadow
-    /// was already fresh). Registry growth since the last build (new
-    /// predicates, adorned relations of later rewrites) cannot change
-    /// the model — fact and rule changes invalidate it — so stale-free
-    /// growth just sizes the vectors.
-    fn ensure_shadow(&mut self) -> Result<EvalStats, EngineError> {
-        if !self.fallback_fresh {
-            self.materialize_universe()?;
-            self.prepare()?;
-            let program = self.prepared.as_ref().expect("prepare() just ran");
-            let stats = materialize(
-                &mut self.store,
-                &self.edb,
-                &mut self.fallback_full,
-                program,
-                &self.config,
-            )?;
-            self.fallback_fresh = true;
-            return Ok(stats);
-        }
-        for i in 0..self.preds.len() {
-            let arity = self.preds.info(PredId::from_index(i)).arity;
-            if i >= self.fallback_full.len() {
-                self.fallback_full.push(Relation::new(arity));
-            } else if self.fallback_full[i].arity() != arity {
-                // A recycled registry slot re-registered at another
-                // arity; it was emptied on release, nothing is lost.
-                self.fallback_full[i] = Relation::new(arity);
-            }
-        }
-        Ok(EvalStats::default())
-    }
-
     /// Compile the demand plan under `key`: the magic rewrite rooted at
     /// `key.0` with the `key.1` columns bound, over the program plus —
     /// for a conjunctive shape — the canonical `goal` rule. Registers
-    /// the adorned/magic predicates and sizes their relations; any
-    /// obstruction or planning failure yields the fallback entry
-    /// instead of an error (the batch pipeline will surface real
-    /// program errors).
-    fn compile_plan(&mut self, (pred, mask): PlanKey, goal: Option<Rule>) -> QueryEntry {
+    /// the adorned/magic predicates and sizes their relations. An
+    /// obstruction or planning failure yields `None` instead of an
+    /// error (the batch run the caller falls back to surfaces real
+    /// program errors) and releases what the attempt registered: the
+    /// shape predicate of a conjunctive goal, and the rewrite's
+    /// predicates no cached plan shares.
+    fn compile_plan(&mut self, (pred, mask): PlanKey, goal: Option<Rule>) -> Option<QueryPlan> {
         let _compile_span = self.config.trace.then(|| {
             lps_trace::span("demand_compile")
                 .arg("pred", self.pred_name(pred))
@@ -1100,13 +1051,19 @@ impl Engine {
                 policy,
             }),
         ) {
-            MagicOutcome::Obstructed(_) => return QueryEntry::Fallback,
+            MagicOutcome::Obstructed(_) => {
+                self.release_plan_preds(&[], pred);
+                return None;
+            }
             MagicOutcome::Rewritten(mp) => mp,
         };
         self.planner_pending.reorders_applied += mp.reorders;
         match self.compile_rewritten(&mp.rules) {
-            Ok(program) => QueryEntry::Demand(Box::new(make_plan(program, mp))),
-            Err(_) => QueryEntry::Fallback,
+            Ok(program) => Some(make_plan(program, mp)),
+            Err(_) => {
+                self.release_plan_preds(&mp.space, pred);
+                None
+            }
         }
     }
 
@@ -1121,13 +1078,14 @@ impl Engine {
         seed: &[TermId],
         profiler: Option<&StepProfiler>,
     ) -> Result<(EvalStats, PredId, usize), EngineError> {
-        let Some(QueryEntry::Demand(mut plan)) = self.query_plans.remove(&key) else {
-            unreachable!("run_plan is called on a cached demand entry");
-        };
+        let mut plan = self
+            .query_plans
+            .remove(&key)
+            .expect("run_plan is called on a cached plan");
         let result = self.drive_plan(&mut plan, seed, profiler);
         let answer = plan.answer;
         let adornments = plan.adornments;
-        self.query_plans.insert(key, QueryEntry::Demand(plan));
+        self.query_plans.insert(key, plan);
         result.map(|stats| (stats, answer, adornments))
     }
 
@@ -1137,7 +1095,7 @@ impl Engine {
     /// next to the probes/rows actually observed.
     fn build_profile(&self, key: PlanKey, prof: &StepProfiler) -> QueryProfile {
         let mut rules = Vec::new();
-        if let Some(QueryEntry::Demand(plan)) = self.query_plans.get(&key) {
+        if let Some(plan) = self.query_plans.get(&key) {
             for cr in &plan.program.compiled {
                 if cr.step_estimates.is_empty() {
                     continue;
@@ -1211,14 +1169,14 @@ impl Engine {
                 "textual (left-to-right)"
             }
         ));
-        match &self.query_plans[&key] {
-            QueryEntry::Fallback => {
+        match self.query_plans.get(&key) {
+            None => {
                 out.push_str(
                     "plan: fallback — rewrite obstructed; \
-                     the query materializes the shadow model\n",
+                     the query materializes the session's model\n",
                 );
             }
-            QueryEntry::Demand(plan) => {
+            Some(plan) => {
                 out.push_str(&format!(
                     "plan: demand — {} adornments, answer relation {}\n",
                     plan.adornments,
@@ -1380,10 +1338,8 @@ impl Engine {
         let answers: Vec<(PredId, ColMask)> = self
             .query_plans
             .iter()
-            .filter_map(|(&(_, mask), e)| match e {
-                QueryEntry::Demand(p) if p.live => Some((p.answer, mask)),
-                _ => None,
-            })
+            .filter(|(_, p)| p.live)
+            .map(|(&(_, mask), p)| (p.answer, mask))
             .collect();
         for (answer, mask) in answers {
             if mask != 0 {
@@ -1403,12 +1359,8 @@ impl Engine {
         let sets = self.store.set_ids().len();
         self.query_plans
             .iter()
-            .filter_map(|(&key, e)| match e {
-                QueryEntry::Demand(p) if p.live && p.restart_from(&self.full, sets).is_none() => {
-                    Some((key, p.answer, p.magic_seed))
-                }
-                _ => None,
-            })
+            .filter(|(_, p)| p.live && p.restart_from(&self.full, sets).is_none())
+            .map(|(&key, p)| (key, p.answer, p.magic_seed))
             .collect()
     }
 
@@ -1438,8 +1390,8 @@ impl Engine {
     /// Insert a freshly compiled entry and evict least-recently-used
     /// plans beyond [`EvalConfig::demand_plan_cache`] (clamped to ≥ 1).
     /// Returns the number of plans evicted.
-    fn insert_query_plan(&mut self, key: PlanKey, entry: QueryEntry) -> usize {
-        self.query_plans.insert(key, entry);
+    fn insert_query_plan(&mut self, key: PlanKey, plan: QueryPlan) -> usize {
+        self.query_plans.insert(key, plan);
         self.query_lru.push(key);
         let bound = self.config.demand_plan_cache.max(1);
         let mut evicted = 0;
@@ -1461,22 +1413,18 @@ impl Engine {
                 .arg("pred", self.pred_name(key.0))
                 .arg("mask", key.1)
         });
-        let Some(entry) = self.query_plans.remove(&key) else {
+        let Some(plan) = self.query_plans.remove(&key) else {
             return;
         };
         if let Some(pos) = self.query_lru.iter().position(|&k| k == key) {
             self.query_lru.remove(pos);
         }
-        if let QueryEntry::Demand(plan) = entry {
-            for &p in &plan.space {
-                let arity = self.preds.info(p).arity;
-                self.full[p.index()] = Relation::new(arity);
-            }
-            self.invalidate_overlapping(&plan.space);
-            self.release_plan_preds(&plan.space, key.0);
-        } else {
-            self.release_plan_preds(&[], key.0);
+        for &p in &plan.space {
+            let arity = self.preds.info(p).arity;
+            self.full[p.index()] = Relation::new(arity);
         }
+        self.invalidate_overlapping(&plan.space);
+        self.release_plan_preds(&plan.space, key.0);
     }
 
     /// Recycle the registry slots an evicted plan no longer needs: its
@@ -1498,10 +1446,10 @@ impl Engine {
             candidates.push(key_pred);
         }
         for p in candidates {
-            let referenced = self.query_plans.values().any(|e| match e {
-                QueryEntry::Demand(pl) => pl.space.contains(&p) || pl.tracked.contains(&p),
-                QueryEntry::Fallback => false,
-            });
+            let referenced = self
+                .query_plans
+                .values()
+                .any(|pl| pl.space.contains(&p) || pl.tracked.contains(&p));
             if !referenced {
                 // Leave the slot's relations empty so a re-register at
                 // a different arity can swap them cleanly
@@ -1521,11 +1469,9 @@ impl Engine {
     /// Put every retained fixpoint that reads one of `cleared`'s
     /// relations back to cold: its next query re-derives from scratch.
     fn invalidate_overlapping(&mut self, cleared: &[PredId]) {
-        for entry in self.query_plans.values_mut() {
-            if let QueryEntry::Demand(plan) = entry {
-                if plan.live && plan.tracked.iter().any(|p| cleared.contains(p)) {
-                    plan.live = false;
-                }
+        for plan in self.query_plans.values_mut() {
+            if plan.live && plan.tracked.iter().any(|p| cleared.contains(p)) {
+                plan.live = false;
             }
         }
     }
@@ -1533,10 +1479,8 @@ impl Engine {
     /// Put every retained demand fixpoint back to cold (a batch run
     /// rebuilt the relation vectors out from under them).
     fn invalidate_retained_spaces(&mut self) {
-        for entry in self.query_plans.values_mut() {
-            if let QueryEntry::Demand(plan) = entry {
-                plan.live = false;
-            }
+        for plan in self.query_plans.values_mut() {
+            plan.live = false;
         }
     }
 
@@ -1568,12 +1512,9 @@ impl Engine {
         )
     }
 
-    /// Evaluate one ad-hoc rule — a conjunctive goal — against either
-    /// the live model (`shadow = false`, used by [`Engine::query_rule`]
-    /// once a model exists) or the shadow fallback model (`shadow =
-    /// true`, for non-monotone goals answered without disturbing the
-    /// live relations).
-    fn eval_single_rule(&mut self, rule: &Rule, shadow: bool) -> Result<EvalStats, EngineError> {
+    /// Evaluate one ad-hoc rule — a conjunctive goal — against the
+    /// materialized model, into the rule's (cleared) head relation.
+    fn eval_single_rule(&mut self, rule: &Rule) -> Result<EvalStats, EngineError> {
         let cost_on = self.refresh_planner_stats();
         // Body relations are fixed during this evaluation: no delta
         // variants, no quantifier triggers.
@@ -1585,11 +1526,7 @@ impl Engine {
             cost_on.then(|| self.stats_cache.current()),
         )?;
         self.account_compile(cr.reorders, cr.estimated_rows);
-        let full = if shadow {
-            &mut self.fallback_full
-        } else {
-            &mut self.full
-        };
+        let full = &mut self.full;
         let h = rule.head.index();
         let arity = rule.head_args.len();
         if full[h].arity() != arity {
@@ -1611,9 +1548,7 @@ impl Engine {
             StratumStart::Batch,
             None,
         )?;
-        if !shadow {
-            self.stats_cache.invalidate();
-        }
+        self.stats_cache.invalidate();
         Ok(stats)
     }
 
@@ -1713,14 +1648,23 @@ impl Engine {
         for (cursor, rel) in self.edb_synced.iter_mut().zip(&self.edb) {
             *cursor = rel.len() as u32;
         }
+        // Reset the model to the extensional facts, which count as
+        // derived (they are part of `T_P ↑ ω`'s base), and run the
+        // prepared program over them.
+        self.full.clone_from(&self.edb);
+        let mut stats = EvalStats {
+            facts_derived: self.edb.iter().map(Relation::len).sum(),
+            ..EvalStats::default()
+        };
         let program = self.prepared.as_ref().expect("prepare() just ran");
-        let stats = materialize(
+        stats.absorb(run_program(
             &mut self.store,
-            &self.edb,
             &mut self.full,
-            program,
             &self.config,
-        )?;
+            program,
+            &[],
+            None,
+        )?);
         self.finish(stats)
     }
 
@@ -1799,11 +1743,6 @@ impl Engine {
         self.full[pred.index()].contains(tuple)
     }
 
-    /// Iterate over the tuples of a predicate.
-    pub fn tuples(&self, pred: PredId) -> impl Iterator<Item = &[TermId]> {
-        self.rows(pred)
-    }
-
     /// Borrowing, exact-size iterator over a predicate's tuples: rows
     /// are read straight out of the relation arena, nothing is
     /// allocated, and `len()` is O(1) — the cheap counterpart of
@@ -1836,8 +1775,8 @@ impl Engine {
 /// Batch-evaluate a compiled program over `full` as it stands: satisfy
 /// its index requests, load its ground fact rules (counting the real
 /// insertions into `magic_preds` as demand seeds), and run every
-/// stratum to fixpoint. Shared by model rebuilds ([`materialize`]) and
-/// demand plans outside a warm continuation, which *rebase* over
+/// stratum to fixpoint. Shared by model rebuilds ([`Engine::run_batch`])
+/// and demand plans outside a warm continuation, which *rebase* over
 /// whatever sound rows their space already holds. A free function over
 /// the engine's disjoint fields so callers can keep a borrow on the
 /// program itself.
@@ -1876,27 +1815,6 @@ fn run_program(
             profiler,
         )?);
     }
-    Ok(stats)
-}
-
-/// Rebuild a model in `full` from the EDB: reset `full` to the
-/// extensional facts (which count as derived — they are part of
-/// `T_P ↑ ω`'s base) and run the prepared `program` over them. Serves
-/// both the live model and the shadow fallback model.
-fn materialize(
-    store: &mut TermStore,
-    edb: &[Relation],
-    full: &mut Vec<Relation>,
-    program: &CompiledProgram,
-    config: &EvalConfig,
-) -> Result<EvalStats, EngineError> {
-    let mut stats = EvalStats::default();
-    full.clear();
-    for rel in edb {
-        stats.facts_derived += rel.len();
-        full.push(rel.clone());
-    }
-    stats.absorb(run_program(store, full, config, program, &[], None)?);
     Ok(stats)
 }
 
@@ -2087,7 +2005,7 @@ mod tests {
         .unwrap();
         let stats = e.run().unwrap();
         // 4+3+2+1 = 10 paths.
-        assert_eq!(e.tuples(path).count(), 10);
+        assert_eq!(e.rows(path).count(), 10);
         assert!(e.holds(path, &[ids[0], ids[4]]));
         assert!(!e.holds(path, &[ids[4], ids[0]]));
         assert!(stats.iterations >= 3, "chain of length 4 needs rounds");
@@ -2249,7 +2167,7 @@ mod tests {
         e.run().unwrap();
         assert!(e.holds(s, &[x1, p]));
         assert!(e.holds(s, &[x1, q]));
-        assert_eq!(e.tuples(s).count(), 2);
+        assert_eq!(e.rows(s).count(), 2);
     }
 
     #[test]
@@ -2329,7 +2247,7 @@ mod tests {
         let set_bob = e.store_mut().set(vec![c3]);
         assert!(e.holds(owns, &[alice, set_alice]));
         assert!(e.holds(owns, &[bob, set_bob]));
-        assert_eq!(e.tuples(owns).count(), 2);
+        assert_eq!(e.rows(owns).count(), 2);
     }
 
     #[test]
@@ -2416,7 +2334,7 @@ mod tests {
         assert!(e.holds(sum, &[whole, seventeen]));
         // Sums are functional: one value per set.
         let whole_sums: Vec<_> = e
-            .tuples(sum)
+            .rows(sum)
             .filter(|t| t[0] == whole)
             .map(|t| t[1])
             .collect();
@@ -2715,11 +2633,11 @@ mod tests {
     fn rows_is_exact_size_and_matches_tuples() {
         let (mut e, _, path, _) = tc_engine();
         e.run().unwrap();
-        let rows = e.rows(path);
+        let mut rows = e.rows(path);
         assert_eq!(rows.len(), 10);
-        let collected: Vec<&[TermId]> = rows.collect();
-        let via_tuples: Vec<&[TermId]> = e.tuples(path).collect();
-        assert_eq!(collected, via_tuples);
+        rows.next();
+        assert_eq!(rows.len(), 9, "len counts the rows left");
+        assert_eq!(rows.count(), 9);
     }
 
     #[test]
@@ -2880,23 +2798,18 @@ mod tests {
         let res = e.query(unreach, &[Some(ids[2])]).unwrap();
         assert_eq!(res.path, QueryPath::Fallback);
         assert_eq!(res.stats.demand_fallbacks, 1);
+        assert!(res.stats.facts_derived > 0, "the model was materialized");
         assert_eq!(res.rows, vec![vec![ids[2]]]);
-        // The fallback materializes a *shadow* model: the session
-        // itself stays in the demand regime.
-        assert_eq!(
-            e.state(),
-            EngineState::Unmaterialized,
-            "shadow fallback leaves the session un-materialized"
-        );
-        // …so the monotone part still demand-evaluates.
+        // The fallback materialized the session's one model…
+        assert_eq!(e.state(), EngineState::Materialized);
+        // …so the monotone part now reads it too.
         let res = e.query(reach, &[Some(ids[1])]).unwrap();
-        assert_eq!(res.path, QueryPath::Demand);
+        assert_eq!(res.path, QueryPath::Materialized);
         assert_eq!(res.rows, vec![vec![ids[1]]]);
-        // A repeat non-monotone query reads the fresh shadow: no
-        // re-materialization.
+        // A repeat non-monotone query is a pure model read.
         let res = e.query(unreach, &[Some(ids[2])]).unwrap();
-        assert_eq!(res.path, QueryPath::Fallback);
-        assert_eq!(res.stats.facts_derived, 0, "shadow model is reused");
+        assert_eq!(res.path, QueryPath::Materialized);
+        assert_eq!(res.stats, EvalStats::default(), "no re-materialization");
         assert_eq!(res.rows, vec![vec![ids[2]]]);
     }
 
@@ -3103,15 +3016,15 @@ mod tests {
         assert_eq!(other.stats.facts_derived, 0, "already propagated");
     }
 
-    #[test]
-    fn shadow_fallback_keeps_sibling_demand_spaces_live() {
+    /// [`left_linear_engine`] plus `node` facts for every constant and
+    /// the obstructed rule `unreachable(X) :- node(X), ¬t(X, X)`.
+    fn left_linear_with_negation() -> (Engine, PredId, PredId, PredId, Vec<TermId>) {
         let (mut e, edge, t, ids) = left_linear_engine();
         let node = e.pred("node", 1);
         let unreach = e.pred("unreachable", 1);
         for &n in &ids {
             e.fact(node, vec![n]).unwrap();
         }
-        // unreachable(X) :- node(X), ¬t(X, X) — obstructed rewrite.
         e.rule(plain_rule(
             unreach,
             vec![v(0)],
@@ -3122,35 +3035,86 @@ mod tests {
             1,
         ))
         .unwrap();
+        (e, edge, t, unreach, ids)
+    }
+
+    #[test]
+    fn fallback_materializes_the_session_for_later_queries() {
+        let (mut e, edge, t, unreach, ids) = left_linear_with_negation();
         // Warm a monotone demand plan…
         let first = e.query(t, &[Some(ids[1]), None]).unwrap();
         assert_eq!(first.path, QueryPath::Demand);
         assert_eq!(first.rows.len(), 4, "n1 reaches n2..n5");
-        // …interleave a non-monotone query…
+        // …then a non-monotone point query materializes the model.
         let nm = e.query(unreach, &[Some(ids[2])]).unwrap();
         assert_eq!(nm.path, QueryPath::Fallback);
+        assert_eq!(nm.stats.demand_fallbacks, 1);
         assert_eq!(nm.rows, vec![vec![ids[2]]]);
-        // …and the sibling plan stayed live: a repeat of the monotone
-        // query is still a zero-work read of its retained space.
+        assert_eq!(e.state(), EngineState::Materialized);
+        assert_eq!(e.cumulative_stats().demand_fallbacks, 1);
+        // The warm sibling now reads the same rows off the model.
         let repeat = e.query(t, &[Some(ids[1]), None]).unwrap();
-        assert_eq!(repeat.path, QueryPath::Demand);
-        assert_eq!(
-            repeat.stats.facts_derived, 0,
-            "retained demand space survived the fallback query"
-        );
-        assert_eq!(repeat.rows, first.rows);
-        // An EDB extension reaches the retained space as a seeded
-        // continuation — the fallback interleave did not force a cold
-        // rebuild — and marks the shadow model stale.
+        assert_eq!(repeat.path, QueryPath::Materialized);
+        assert_eq!(repeat.rows.sorted(), first.rows.sorted());
+        // A later fact is absorbed by `update`, and the session's
+        // model equals a freshly batch-run engine's.
         let x = e.store_mut().atom("x");
         e.fact(edge, vec![ids[5], x]).unwrap();
+        assert_eq!(e.state(), EngineState::Dirty);
+        e.update().unwrap();
+        assert_eq!(e.state(), EngineState::Materialized);
+        let (mut batch, bedge, bt, bunreach, bids) = left_linear_with_negation();
+        let bx = batch.store_mut().atom("x");
+        batch.fact(bedge, vec![bids[5], bx]).unwrap();
+        batch.run().unwrap();
+        for (p, bp) in [(t, bt), (unreach, bunreach)] {
+            assert_eq!(e.extension(p), batch.extension(bp));
+        }
         let extended = e.query(t, &[Some(ids[1]), None]).unwrap();
-        assert_eq!(extended.stats.demand_continuations, 1);
+        assert_eq!(extended.path, QueryPath::Materialized);
         assert_eq!(extended.rows.len(), 5, "n1 now also reaches x");
         let nm2 = e.query(unreach, &[Some(ids[2])]).unwrap();
-        assert_eq!(nm2.path, QueryPath::Fallback);
-        assert!(nm2.stats.facts_derived > 0, "stale shadow rebuilt");
+        assert_eq!(nm2.path, QueryPath::Materialized);
         assert_eq!(nm2.rows, vec![vec![ids[2]]]);
+    }
+
+    #[test]
+    fn obstructed_conjunctive_goal_releases_its_shape() {
+        // A goal that reaches negation compiles no plan, so its
+        // `query#shape#…` head and naming entry must not outlive the
+        // attempt. A different shape every cycle would otherwise take
+        // a fresh registry slot each time.
+        let (mut e, edge, _, unreach, ids) = left_linear_with_negation();
+        let node = e.lookup_pred("node", 1).unwrap();
+        let q = e.pred("query#goal", 1);
+        let mut sizes = Vec::new();
+        for cycle in 0..3 {
+            e.reset_facts();
+            for w in ids.windows(2) {
+                e.fact(edge, vec![w[0], w[1]]).unwrap();
+            }
+            for &n in &ids {
+                e.fact(node, vec![n]).unwrap();
+            }
+            // ?- unreachable(X), node(X), …, node(X), edge(n0, n1).
+            let mut body = vec![BodyLit::Pos(unreach, vec![v(0)])];
+            body.extend((0..cycle).map(|_| BodyLit::Pos(node, vec![v(0)])));
+            body.push(BodyLit::Pos(
+                edge,
+                vec![Pattern::Ground(ids[0]), Pattern::Ground(ids[1])],
+            ));
+            let res = e.query_rule(plain_rule(q, vec![v(0)], body, 1)).unwrap();
+            assert_eq!(res.path, QueryPath::Fallback, "cycle {cycle}");
+            assert_eq!(res.stats.demand_fallbacks, 1);
+            assert_eq!(res.rows.len(), ids.len(), "no node reaches itself");
+            assert!(e.conj_shapes.is_empty(), "cycle {cycle}");
+            assert!(e.query_plans.is_empty(), "cycle {cycle}");
+            sizes.push(e.preds().len());
+        }
+        assert!(
+            sizes.iter().all(|&n| n == sizes[0]),
+            "registry stays flat: {sizes:?}"
+        );
     }
 
     #[test]

@@ -932,8 +932,8 @@ mod tests {
         .unwrap();
         e.run().unwrap();
         // Y ranges over sets only: one set in the store → 2 seeds × 1.
-        assert_eq!(e.tuples(pairs).count(), 2);
-        for t in e.tuples(pairs) {
+        assert_eq!(e.rows(pairs).count(), 2);
+        for t in e.rows(pairs) {
             assert!(e.store().is_set(t[1]), "Y must be a set");
         }
     }

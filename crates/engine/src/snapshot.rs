@@ -33,10 +33,12 @@
 //!   from `&mut self` LRU state into a read-mostly map: a query whose
 //!   `(pred, bound-mask)` plan is live *and* whose seed tuple is
 //!   already in the plan's magic relation is a pure indexed read of
-//!   the retained answer relation. Anything else — a cold adornment, a
-//!   new seed constant, a non-monotone fallback — returns `None` and
-//!   funnels to the writer (which evaluates, then republishes so later
-//!   readers hit).
+//!   the retained answer relation. Anything else — a cold adornment or
+//!   a new seed constant — returns `None` and funnels to the writer
+//!   (which evaluates, then republishes so later readers hit). A
+//!   non-monotone query funnels only until the writer answers it: that
+//!   answer materializes the session's model, and from the next
+//!   publish on the snapshot serves every point query from the model.
 //!
 //! A publish costs the rows added since the last one, not the size of
 //! what changed. Each relation slot keeps two buffers: the one the

@@ -250,6 +250,15 @@ impl TermStore {
             .copied()
     }
 
+    /// Look up an already-interned application `f(args…)` without
+    /// interning (see [`TermStore::find_atom`]).
+    pub fn find_app(&self, f: &str, args: Vec<TermId>) -> Option<TermId> {
+        let sym = self.symbols.get(f)?;
+        self.dedup
+            .get(&TermData::App(sym, args.into_boxed_slice()))
+            .copied()
+    }
+
     /// The integer payload of `id` if it is an `Int` atom.
     pub fn as_int(&self, id: TermId) -> Option<i64> {
         match self.data(id) {

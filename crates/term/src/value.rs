@@ -118,6 +118,25 @@ impl Value {
         }
     }
 
+    /// This value's id in `store` if it is already interned, without
+    /// interning anything: `None` means the store has never seen it,
+    /// so no relation over `store` can hold it. Read-only — usable
+    /// against a shared snapshot of the store.
+    pub fn find(&self, store: &TermStore) -> Option<TermId> {
+        match self {
+            Value::Atom(name) => store.find_atom(name),
+            Value::Int(v) => store.find_int(*v),
+            Value::App(f, args) => {
+                let ids = args.iter().map(|a| a.find(store)).collect::<Option<_>>()?;
+                store.find_app(f, ids)
+            }
+            Value::Set(elems) => {
+                let ids = elems.iter().map(|e| e.find(store)).collect::<Option<_>>()?;
+                store.find_set(ids)
+            }
+        }
+    }
+
     /// Reconstruct the owned tree for an interned term.
     pub fn from_store(store: &TermStore, id: TermId) -> Self {
         match store.data(id) {
@@ -317,6 +336,29 @@ mod tests {
         // Interning twice yields the same id (hash-consing through the
         // owned-tree path too).
         assert_eq!(v.intern(&mut store), id);
+    }
+
+    #[test]
+    fn find_resolves_only_interned_values() {
+        let mut store = TermStore::new();
+        let v = Value::set([
+            Value::atom("a"),
+            Value::app("f", [Value::int(2)]),
+            Value::set([Value::atom("b")]),
+        ]);
+        let id = v.intern(&mut store);
+        let before = store.len();
+        assert_eq!(v.find(&store), Some(id));
+        for absent in [
+            Value::atom("fresh"),
+            Value::int(99),
+            Value::app("f", [Value::int(3)]),
+            Value::app("g", [Value::int(2)]),
+            Value::set([Value::atom("a")]),
+        ] {
+            assert_eq!(absent.find(&store), None, "{absent}");
+        }
+        assert_eq!(store.len(), before, "find interns nothing");
     }
 
     #[test]

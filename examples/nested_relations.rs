@@ -47,7 +47,7 @@ fn main() {
     )
     .expect("loads");
 
-    let mut model = db.evaluate().expect("evaluates");
+    let model = db.evaluate().expect("evaluates");
 
     println!("== takes = unnest(enrolled) ==");
     for row in model.extension("takes") {

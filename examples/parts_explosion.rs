@@ -87,7 +87,7 @@ fn main() {
         let mut db = Database::new(Dialect::Elps);
         db.load_str(&edb()).unwrap();
         db.load_str(rules).unwrap();
-        let mut model = db.evaluate().unwrap();
+        let model = db.evaluate().unwrap();
         for (obj, cost) in expected {
             assert!(
                 model.holds("obj_cost", &[Value::atom(obj), Value::int(cost)]),

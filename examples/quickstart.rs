@@ -38,7 +38,7 @@ fn main() {
     )
     .expect("program parses and validates");
 
-    let mut model = db.evaluate().expect("evaluates to the least model");
+    let model = db.evaluate().expect("evaluates to the least model");
 
     println!("== disj (Example 1) ==");
     for row in model.extension("disj") {

@@ -86,7 +86,7 @@ fn main() {
         },
     );
     tdb.load_program(translated);
-    let mut tmodel = tdb.evaluate().unwrap();
+    let tmodel = tdb.evaluate().unwrap();
     assert!(tmodel.holds(
         "collected",
         &[

@@ -17,7 +17,7 @@
 //!     disj(X, Y) :- pair(X, Y), forall U in X, forall V in Y: U != V.
 //!     ",
 //! ).unwrap();
-//! let mut model = db.evaluate().unwrap();
+//! let model = db.evaluate().unwrap();
 //! let ab = Value::set([Value::atom("a"), Value::atom("b")]);
 //! let c = Value::set([Value::atom("c")]);
 //! let bc = Value::set([Value::atom("b"), Value::atom("c")]);

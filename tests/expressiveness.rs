@@ -66,7 +66,7 @@ fn theorem_8_proof_counterexample() {
     );
     db1.load_str(&format!("a(c1). seen(c2). {candidate}"))
         .unwrap();
-    let mut m1 = db1.evaluate().unwrap();
+    let m1 = db1.evaluate().unwrap();
     assert!(m1.holds("b", &[set(&["c1"])]));
 
     let mut db2 = Database::with_config(
@@ -77,7 +77,7 @@ fn theorem_8_proof_counterexample() {
         },
     );
     db2.load_str(&format!("a(c1). a(c2). {candidate}")).unwrap();
-    let mut m2 = db2.evaluate().unwrap();
+    let m2 = db2.evaluate().unwrap();
     // Monotonicity keeps the stale fact — the candidate FAILS to
     // define exact set construction, as the theorem demands.
     assert!(
@@ -92,12 +92,12 @@ fn section_4_2_negation_recovers_set_construction() {
     // The paper's resolution: with stratified negation the exact
     // construction IS definable — and it inverts the counterexample.
     let db1 = setof_database("a(c1). seen(c2).", "a", "b", 2).unwrap();
-    let mut m1 = db1.evaluate().unwrap();
+    let m1 = db1.evaluate().unwrap();
     assert!(m1.holds("b", &[set(&["c1"])]));
     assert_eq!(m1.count("b", 1), 1);
 
     let db2 = setof_database("a(c1). a(c2).", "a", "b", 2).unwrap();
-    let mut m2 = db2.evaluate().unwrap();
+    let m2 = db2.evaluate().unwrap();
     assert!(!m2.holds("b", &[set(&["c1"])]), "non-monotone: retracted");
     assert!(m2.holds("b", &[set(&["c1", "c2"])]));
     assert_eq!(m2.count("b", 1), 1);
@@ -131,7 +131,7 @@ fn theorem_7_case_3_quantifier_over_z_forces_empty_union() {
          one({a}).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     // p({a}, Y, {}) for every active Y — including Y where
     // {a} ∪ Y ≠ {}: contradiction with union semantics.
     assert!(m.holds("p", &[set(&["a"]), set(&["b"]), set(&[])]));
@@ -157,7 +157,7 @@ fn theorem_7_case_4_variable_arguments_force_overgeneralization() {
          p(X, Y, Z) :- forall W in X: W in Z.",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     // p(∅, Y, Z) for arbitrary Y, Z — absurd for union.
     assert!(m.holds("p", &[set(&[]), set(&["a"]), set(&["b"])]));
     assert!(m.holds("p", &[set(&[]), set(&["a", "b"]), set(&[])]));
@@ -191,7 +191,7 @@ fn theorem_7_quantifier_free_rules_cannot_reach_large_sets() {
          p({X}, {Y}, {X, Y}) :- atom3(X), atom3(Y).",
     )
     .unwrap();
-    let mut m2 = db2.evaluate().unwrap();
+    let m2 = db2.evaluate().unwrap();
     assert!(m2.holds("p", &[set(&["a"]), set(&["b"]), set(&["a", "b"])]));
     // …but can never cover 2-element operands, which union requires.
     assert!(!m2.holds("p", &[set(&["a", "b"]), set(&["c"]), set(&["a", "b", "c"])]));
@@ -217,7 +217,7 @@ fn theorem_6_auxiliaries_do_define_union() {
              (forall W in Z: (W in X ; W in Y)).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     // Spot-check the union table on the full powerset of 3 atoms.
     assert!(m.holds("u", &[set(&["a"]), set(&["b"]), set(&["a", "b"])]));
     assert!(m.holds(

@@ -20,7 +20,7 @@ fn example_1_disjointness() {
          disj(X, Y) :- pair(X, Y), forall U in X, forall V in Y: U != V.",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("disj", &[set(&["a", "b"]), set(&["c", "d"])]));
     assert!(!m.holds("disj", &[set(&["a", "b"]), set(&["b"])]));
     assert!(m.holds("disj", &[set(&[]), set(&[])]));
@@ -37,7 +37,7 @@ fn example_2_subset() {
          subset(X, Y) :- pair(X, Y), forall U in X: U in Y.",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("subset", &[set(&["a"]), set(&["a", "b"])]));
     assert!(!m.holds("subset", &[set(&["a", "b"]), set(&["a"])]));
     assert!(m.holds("subset", &[set(&[]), set(&["z"])]));
@@ -61,7 +61,7 @@ fn example_3_union_via_positive_body() {
              (forall W in Z: (W in X ; W in Y)).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("u", &[set(&["a"]), set(&["b"]), set(&["a", "b"])]));
     assert!(!m.holds("u", &[set(&["a"]), set(&["b"]), set(&["a", "b", "c"])]));
     assert!(!m.holds("u", &[set(&["a"]), set(&["b"]), set(&["a"])]));
@@ -110,7 +110,7 @@ fn example_5_sum_of_a_set_of_numbers() {
                       sum(X, M), sum(Y, N), M + N = K.",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     let input = Value::set([Value::int(3), Value::int(5), Value::int(9)]);
     assert!(m.holds("sum", &[input.clone(), Value::int(17)]));
     // Functional: exactly one sum per visited set.
@@ -144,7 +144,7 @@ fn example_6_parts_cost() {
          obj_cost(X, N) :- parts(X, Y), sum_costs(Y, N).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("obj_cost", &[atom("widget"), Value::int(10)]));
     assert!(m.holds("obj_cost", &[atom("gadget"), Value::int(9)]));
     assert!(m.holds("obj_cost", &[atom("trinket"), Value::int(1)]));
@@ -217,7 +217,7 @@ fn definition_4_empty_domain_is_vacuously_true() {
          pred flag. pred flag2.",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("ok", &[set(&[])]));
     assert!(!m.holds("ok", &[set(&["a"])]));
     // flag is false: inside({}) still holds (vacuous), outside({}) fails.

@@ -20,7 +20,7 @@ fn multi_strata_pipeline() {
          report(summary, <X>) :- unreached(X).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.stats().strata >= 3);
     assert!(m.holds("report", &[atom("summary"), Value::set([atom("d")])]));
     assert_eq!(m.count("report", 2), 1);
@@ -35,7 +35,7 @@ fn grouping_by_multiple_keys() {
          daily(S, D, <I>) :- sale(S, D, I).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert_eq!(m.count("daily", 3), 3);
     assert!(m.holds(
         "daily",
@@ -63,7 +63,7 @@ fn grouping_feeds_further_rules() {
          all_logic(S) :- load(S, Cs), forall C in Cs: C = logic.",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("heavy", &[atom("ada")]));
     assert!(!m.holds("heavy", &[atom("boole")]));
     assert!(m.holds("all_logic", &[atom("boole")]));
@@ -81,7 +81,7 @@ fn negation_over_quantified_predicates() {
          uncovered(S) :- g(S), not covered(S).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("uncovered", &[Value::set([atom("a"), atom("b")])]));
     assert!(!m.holds("uncovered", &[Value::set([atom("a")])]));
     assert!(
@@ -121,7 +121,7 @@ fn doubly_nested_sets_in_elps() {
          flat(X) :- member_set(S), X in S.",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("member_set", &[Value::set([atom("a"), atom("b")])]));
     assert_eq!(m.count("flat", 1), 3);
 }
@@ -137,7 +137,7 @@ fn nested_quantifier_over_nested_sets() {
          all_good(F) :- family(F), forall S in F: (forall X in S: good(X)).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     let f1 = Value::set([Value::set([atom("a"), atom("b")]), Value::set([atom("c")])]);
     let f2 = Value::set([Value::set([atom("d")])]);
     assert!(m.holds("all_good", &[f1]));
@@ -156,7 +156,7 @@ fn function_symbols_as_records() {
          wide(C) :- cloud(C), exists P in C: P = p(3, 4).",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     let p34 = Value::app("p", [Value::int(3), Value::int(4)]);
     let p12 = Value::app("p", [Value::int(1), Value::int(2)]);
     let cloud = Value::set([p12, p34]);
@@ -174,7 +174,7 @@ fn stratified_setof_respects_universe_cap() {
         2, // cap below |{c1,c2,c3}|
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     // With only ≤2-card subsets materialized, the "maximal" covered
     // sets are the three 2-element subsets.
     assert_eq!(m.count("b", 1), 3);
@@ -190,7 +190,7 @@ fn negated_membership_and_comparisons() {
          small(S) :- g(S), card(S, N), not N >= 2.",
     )
     .unwrap();
-    let mut m = db.evaluate().unwrap();
+    let m = db.evaluate().unwrap();
     assert!(m.holds("without_one", &[Value::set([Value::int(2), Value::int(3)])]));
     assert!(m.holds("without_one", &[Value::empty_set()]));
     assert!(!m.holds("without_one", &[Value::set([Value::int(1), Value::int(2)])]));
