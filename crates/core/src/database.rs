@@ -1,21 +1,25 @@
 //! High-level API: parse → validate → sort-check → compile (Theorem 6)
-//! → lower → evaluate → query.
+//! → lower → evaluate → query. Ground facts skip every stage after
+//! parsing: they load as interned rows (the `facts` module).
 
-use lps_engine::{Engine, EvalConfig, EvalStats};
-use lps_syntax::{parse_program, Clause, HeadArg, HeadAtom, Item, Program, Span, Term};
+use lps_engine::{Engine, EvalConfig, EvalStats, PredId};
+use lps_syntax::{GroundFact, Item, Program, Span};
+use lps_term::{TermId, TermStore};
 
 use crate::dialect::Dialect;
 use crate::error::CoreError;
+use crate::facts::{check_fact, intern_args, value_fact, Facts};
+use crate::fresh::FreshNames;
 use crate::lower::{load_program_sorted, register_pred};
-use crate::sorts::{infer_sorts, SortTable};
+use crate::sorts::{infer_with_facts, SortTable};
 use crate::transform::magic::{QueryAnswers, QueryAnswersRef};
-use crate::transform::positive::normalize_program;
+use crate::transform::positive::normalize_with;
 use crate::validate::validate_program;
 
 pub use lps_term::Value;
 
-/// A logic-programming-with-sets database: program text plus facts,
-/// evaluated on demand.
+/// A logic-programming-with-sets database: rules plus a base of ground
+/// facts, evaluated on demand.
 ///
 /// ```
 /// use lps_core::{Database, Dialect, Value};
@@ -34,18 +38,21 @@ pub use lps_term::Value;
 pub struct Database {
     dialect: Dialect,
     config: EvalConfig,
-    program: Program,
+    /// Declarations and rules.
+    rules: Program,
+    /// The ground facts' terms, which a session's engine starts from.
+    store: TermStore,
+    facts: Facts,
+    /// The first fact [`Database::load_program`] or
+    /// [`Database::add_fact`] rejected; [`Database::check`] reports it.
+    rejected: Option<CoreError>,
 }
 
 impl Database {
     /// Empty database in the given dialect with default evaluation
     /// settings.
     pub fn new(dialect: Dialect) -> Self {
-        Database {
-            dialect,
-            config: EvalConfig::default(),
-            program: Program { items: Vec::new() },
-        }
+        Self::with_config(dialect, EvalConfig::default())
     }
 
     /// Empty database with explicit evaluation settings.
@@ -53,7 +60,10 @@ impl Database {
         Database {
             dialect,
             config,
-            program: Program { items: Vec::new() },
+            rules: Program { items: Vec::new() },
+            store: TermStore::new(),
+            facts: Facts::default(),
+            rejected: None,
         }
     }
 
@@ -63,51 +73,72 @@ impl Database {
     }
 
     /// Parse and append program text (declarations, facts, rules).
+    /// Ground facts are checked against Definition 5 and load straight
+    /// into the fact base; on any error nothing of `src` is kept.
     pub fn load_str(&mut self, src: &str) -> Result<&mut Self, CoreError> {
-        let parsed = parse_program(src)?;
-        self.program.items.extend(parsed.items);
+        let rules = self
+            .facts
+            .parse(src, self.dialect, &mut self.store, false)?;
+        self.rules.items.extend(rules.items);
         Ok(self)
     }
 
-    /// Append an already-parsed program.
+    /// Append an already-parsed program: its ground facts go to the
+    /// fact base, everything else joins the rules.
     pub fn load_program(&mut self, program: Program) -> &mut Self {
-        self.program.items.extend(program.items);
+        let mut nodes = Vec::new();
+        for item in &program.items {
+            let fact = match item {
+                Item::Clause(c) if c.body.is_none() => c.head.ground_fact(&mut nodes),
+                _ => None,
+            };
+            match fact {
+                Some(fact) => self.load_fact(fact),
+                None => self.rules.items.push(item.clone()),
+            }
+        }
         self
     }
 
     /// Append one ground fact built from owned values.
     pub fn add_fact(&mut self, pred: &str, args: &[Value]) -> &mut Self {
-        let head = HeadAtom {
-            pred: pred.to_owned(),
-            args: args
-                .iter()
-                .map(|v| HeadArg::Term(value_to_term(v)))
-                .collect(),
-            span: Span::default(),
-        };
-        self.program.items.push(Item::Clause(Clause {
-            head,
-            body: None,
-            span: Span::default(),
-        }));
+        self.load_fact(value_fact(pred, args, &mut Vec::new()));
         self
     }
 
-    /// The accumulated source program.
+    fn load_fact(&mut self, fact: GroundFact<'_, '_>) {
+        if let Err(e) = self.facts.load(&mut self.store, self.dialect, fact) {
+            self.rejected.get_or_insert(e);
+        }
+    }
+
+    /// The declarations and rules; ground facts are not clauses.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.rules
     }
 
-    /// Validate and sort-check without evaluating.
+    /// Validate and sort-check without evaluating. The facts take part
+    /// as their per-column sort summary.
     pub fn check(&self) -> Result<SortTable, CoreError> {
-        validate_program(&self.program, self.dialect)?;
-        infer_sorts(&self.program, self.dialect)
+        self.rejected.clone().map_or(Ok(()), Err)?;
+        validate_program(&self.rules, self.dialect)?;
+        infer_with_facts(&self.rules, self.dialect, &self.facts, &self.store)
     }
 
-    /// The Theorem-6-normalized program that will actually be lowered.
+    /// The Theorem-6-normalized declarations and rules that will
+    /// actually be lowered.
     pub fn normalized(&self) -> Result<Program, CoreError> {
         self.check()?;
-        normalize_program(&self.program)
+        normalize_with(&self.rules, self.fresh_names())
+    }
+
+    /// Fresh names clear of every rule's and every fact's names.
+    pub(crate) fn fresh_names(&self) -> FreshNames {
+        let mut fresh = FreshNames::for_program(&self.rules);
+        for p in self.facts.batch.preds() {
+            fresh.reserve_pred(self.store.symbols().name(p.name));
+        }
+        fresh
     }
 
     /// Validate, compile, evaluate to the least model. The returned
@@ -137,70 +168,21 @@ impl Database {
     /// the maintained model.
     pub fn session(&self) -> Result<Model, CoreError> {
         let normalized = self.normalized()?;
-        // Re-infer sorts over the *normalized* program so auxiliary
+        // Re-infer sorts over the *normalized* rules so auxiliary
         // predicates introduced by the Theorem-6 compiler carry sort
         // information too; universe enumeration in the engine respects
         // it (lenient inference: never fails here).
-        let sorts = infer_sorts(&normalized, crate::Dialect::StratifiedElps).ok();
-        let mut engine = Engine::new(self.config);
+        let lenient = Dialect::StratifiedElps;
+        let sorts = infer_with_facts(&normalized, lenient, &self.facts, &self.store).ok();
+        // The engine starts from the fact base's terms and rows.
+        let mut engine = Engine::with_store(self.config, self.store.clone());
+        engine.load_batch(&self.facts.batch)?;
         load_program_sorted(&mut engine, &normalized, sorts.as_ref())?;
-        Ok(Model { engine })
+        Ok(Model {
+            engine,
+            dialect: self.dialect,
+        })
     }
-}
-
-fn value_to_term(v: &Value) -> Term {
-    match v {
-        Value::Atom(a) => Term::Const(a.clone(), Span::default()),
-        Value::Int(i) => Term::Int(*i, Span::default()),
-        Value::App(f, args) => Term::App(
-            f.clone(),
-            args.iter().map(value_to_term).collect(),
-            Span::default(),
-        ),
-        Value::Set(elems) => {
-            Term::SetLit(elems.iter().map(value_to_term).collect(), Span::default())
-        }
-    }
-}
-
-/// Convert a ground surface term to a [`Value`] (`None` for variables
-/// and arithmetic).
-pub(crate) fn term_to_value(t: &Term) -> Option<Value> {
-    match t {
-        Term::Var(..) | Term::BinOp(..) => None,
-        Term::Const(c, _) => Some(Value::atom(c.clone())),
-        Term::Int(i, _) => Some(Value::int(*i)),
-        Term::App(f, args, _) => {
-            let vals: Option<Vec<_>> = args.iter().map(term_to_value).collect();
-            Some(Value::app(f.clone(), vals?))
-        }
-        Term::SetLit(elems, _) => {
-            let vals: Option<Vec<_>> = elems.iter().map(term_to_value).collect();
-            Some(Value::set(vals?))
-        }
-    }
-}
-
-/// The `(pred, args)` pairs of a program made only of ground fact
-/// clauses, ready for [`Model::add_fact`]; `None` when any item is a
-/// rule, a declaration, or a fact with variables or a grouping head.
-pub fn ground_facts(program: &Program) -> Option<Vec<(String, Vec<Value>)>> {
-    let mut out = Vec::new();
-    for item in &program.items {
-        let Item::Clause(Clause {
-            head, body: None, ..
-        }) = item
-        else {
-            return None;
-        };
-        let mut args = Vec::with_capacity(head.args.len());
-        for arg in &head.args {
-            let HeadArg::Term(t) = arg else { return None };
-            args.push(term_to_value(t)?);
-        }
-        out.push((head.pred.clone(), args));
-    }
-    Some(out)
 }
 
 /// The least (stratified-perfect) model of a database: queryable, and
@@ -209,7 +191,8 @@ pub fn ground_facts(program: &Program) -> Option<Vec<(String, Vec<Value>)>> {
 /// incremental path rather than a from-scratch recompute.
 #[derive(Debug)]
 pub struct Model {
-    engine: Engine,
+    pub(crate) engine: Engine,
+    dialect: Dialect,
 }
 
 impl Model {
@@ -235,15 +218,28 @@ impl Model {
         &mut self.engine
     }
 
-    /// Queue one ground fact into the live session. The model stays on
+    /// Queue one ground fact into the live session, checked against
+    /// Definition 5 under the database's dialect. The model stays on
     /// its previous fixpoint until [`Model::update`] reconciles; use
     /// [`Model::needs_update`] to check. Unknown predicates register on
-    /// the fly. Note this bypasses dialect validation — the fact is
-    /// ground by construction, which every dialect admits.
+    /// the fly.
     pub fn add_fact(&mut self, pred: &str, args: &[Value]) -> Result<(), CoreError> {
-        let id = register_pred(&mut self.engine, pred, args.len(), Span::default())?;
-        self.engine.fact_values(id, args)?;
-        Ok(())
+        let (mut nodes, mut row) = (Vec::new(), Vec::new());
+        let fact = value_fact(pred, args, &mut nodes);
+        check_fact(&fact, self.dialect)?;
+        intern_args(self.engine.store_mut(), &fact, &mut row);
+        let id = self.engine.pred(pred, args.len());
+        Ok(self.engine.fact(id, row)?)
+    }
+
+    /// Queue the ground facts of `src` (surface syntax) into the live
+    /// session, each checked against Definition 5. All or nothing: a
+    /// syntax error, a rejected fact or a rule anywhere in `src` leaves
+    /// the session and its store as they were.
+    pub fn load_facts(&mut self, src: &str) -> Result<(), CoreError> {
+        let mut facts = Facts::default();
+        facts.parse(src, self.dialect, self.engine.store_mut(), true)?;
+        Ok(self.engine.load_batch(&facts.batch)?)
     }
 
     /// Re-reach the least model after queued fact additions: seeds the
@@ -310,11 +306,7 @@ impl Model {
         pred: &str,
         args: &[Option<Value>],
     ) -> Result<QueryAnswersRef<'_>, CoreError> {
-        let id = register_pred(&mut self.engine, pred, args.len(), Span::default())?;
-        let interned: Vec<Option<lps_term::TermId>> = args
-            .iter()
-            .map(|a| a.as_ref().map(|v| v.intern(self.engine.store_mut())))
-            .collect();
+        let (id, interned) = self.point_goal(pred, args)?;
         let res = self.engine.query(id, &interned)?;
         Ok(QueryAnswersRef::from_result(
             self.engine.store(),
@@ -329,12 +321,24 @@ impl Model {
     /// [`Model::query`] with the same shape reuses it (`:explain` in
     /// `lpsi`).
     pub fn explain(&mut self, pred: &str, args: &[Option<Value>]) -> Result<String, CoreError> {
-        let id = register_pred(&mut self.engine, pred, args.len(), Span::default())?;
-        let interned: Vec<Option<lps_term::TermId>> = args
-            .iter()
-            .map(|a| a.as_ref().map(|v| v.intern(self.engine.store_mut())))
-            .collect();
+        let (id, interned) = self.point_goal(pred, args)?;
         Ok(self.engine.explain(id, &interned)?)
+    }
+
+    /// Register `pred` and intern the bound arguments of a point goal.
+    fn point_goal(
+        &mut self,
+        pred: &str,
+        args: &[Option<Value>],
+    ) -> Result<(PredId, Vec<Option<TermId>>), CoreError> {
+        let id = register_pred(&mut self.engine, pred, args.len(), Span::default())?;
+        let store = self.engine.store_mut();
+        Ok((
+            id,
+            args.iter()
+                .map(|a| a.as_ref().map(|v| v.intern(store)))
+                .collect(),
+        ))
     }
 
     /// Demand-driven conjunctive query from surface syntax: the goal
@@ -658,6 +662,46 @@ mod tests {
         // Demand answers and model answers agree on the monotone part.
         let ans = s.query("reach", &[Some(Value::atom("b"))]).unwrap();
         assert_eq!(ans.rows, vec![vec![Value::atom("b")]]);
+    }
+
+    #[test]
+    fn auxiliary_predicates_never_take_a_fact_predicates_name() {
+        // The normalizer's first auxiliary would be `aux_0/1`; a fact
+        // predicate of that name must not leak into the quantifier.
+        let mut db = Database::new(Dialect::Lps);
+        db.load_str(
+            "aux_0(c). s({a, c}). s({a, b}).
+             q(S) :- s(S), forall X in S: (X = a ; X = b).",
+        )
+        .unwrap();
+        let normalized = db.normalized().unwrap();
+        assert!(normalized.clauses().all(|c| c.head.pred != "aux_0"));
+        let ab = Value::set([Value::atom("a"), Value::atom("b")]);
+        assert_eq!(db.evaluate().unwrap().extension("q"), vec![vec![ab]]);
+    }
+
+    #[test]
+    fn rejected_facts_from_infallible_loads_surface_from_check() {
+        let mut db = Database::new(Dialect::Lps);
+        db.add_fact("p", &[Value::set([Value::empty_set()])]);
+        let err = db.check().unwrap_err();
+        assert!(err.to_string().contains("nested set"), "{err}");
+        let mut db = Database::new(Dialect::Elps);
+        let program = lps_syntax::parse_program("q(a). card({a}, 1). r(X) :- q(X).").unwrap();
+        db.load_program(program);
+        assert_eq!(db.program().items.len(), 1, "only the rule is a clause");
+        let err = db.evaluate().unwrap_err();
+        assert!(err.to_string().contains("Definition 5"), "{err}");
+    }
+
+    #[test]
+    fn a_predicate_used_at_two_arities_is_an_error_not_a_panic() {
+        for src in ["p(a). p(a, b).", "p(a). p(X, Y) :- p(X), p(Y)."] {
+            let mut db = Database::new(Dialect::Elps);
+            db.load_str(src).unwrap();
+            let err = db.check().unwrap_err();
+            assert!(err.to_string().contains("arguments"), "{src}: {err}");
+        }
     }
 
     #[test]

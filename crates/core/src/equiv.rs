@@ -5,6 +5,8 @@
 //! compares the least models restricted to a chosen predicate list,
 //! reporting any one-sided facts.
 
+use std::collections::BTreeSet;
+
 use lps_term::Value;
 
 use crate::database::Database;
@@ -43,41 +45,12 @@ pub fn compare_on(
     let rm = right.evaluate()?;
     let mut reports = Vec::with_capacity(preds.len());
     for &(name, arity) in preds {
-        let lrows = lm.extension_n(name, arity);
-        let rrows = rm.extension_n(name, arity);
-        let mut left_only = Vec::new();
-        let mut right_only = Vec::new();
-        let mut common = 0usize;
-        let (mut i, mut j) = (0usize, 0usize);
-        // Both sides are sorted (Model::extension_n sorts).
-        while i < lrows.len() || j < rrows.len() {
-            match (lrows.get(i), rrows.get(j)) {
-                (Some(l), Some(r)) => match l.cmp(r) {
-                    std::cmp::Ordering::Equal => {
-                        common += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Less => {
-                        left_only.push(l.clone());
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        right_only.push(r.clone());
-                        j += 1;
-                    }
-                },
-                (Some(l), None) => {
-                    left_only.push(l.clone());
-                    i += 1;
-                }
-                (None, Some(r)) => {
-                    right_only.push(r.clone());
-                    j += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
+        // Extensions are duplicate-free, so as sets they lose nothing.
+        let lrows: BTreeSet<Vec<Value>> = lm.extension_n(name, arity).into_iter().collect();
+        let rrows: BTreeSet<Vec<Value>> = rm.extension_n(name, arity).into_iter().collect();
+        let left_only = lrows.difference(&rrows).cloned().collect();
+        let right_only = rrows.difference(&lrows).cloned().collect();
+        let common = lrows.intersection(&rrows).count();
         reports.push(EquivReport {
             pred: name.to_owned(),
             arity,

@@ -44,20 +44,13 @@ impl FreshNames {
         match f {
             Formula::Lit(Literal::Pred(name, args, _)) => {
                 self.used_preds.insert(name.clone());
-                for a in args {
-                    self.scan_term(a);
-                }
+                args.iter().for_each(|a| self.scan_term(a));
             }
             Formula::Lit(Literal::Cmp(_, l, r, _)) => {
-                self.scan_term(l);
-                self.scan_term(r);
+                [l, r].into_iter().for_each(|t| self.scan_term(t))
             }
             Formula::Not(inner, _) => self.scan_formula(inner),
-            Formula::And(fs) | Formula::Or(fs) => {
-                for f in fs {
-                    self.scan_formula(f);
-                }
-            }
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|f| self.scan_formula(f)),
             Formula::Forall { var, set, body, .. } | Formula::Exists { var, set, body, .. } => {
                 self.used_vars.insert(var.clone());
                 self.scan_term(set);
@@ -71,28 +64,24 @@ impl FreshNames {
             Term::Var(v, _) => {
                 self.used_vars.insert(v.clone());
             }
-            Term::Const(c, _) => {
-                // Constants share the lowercase namespace with
-                // predicates in the surface syntax; avoid both.
-                self.used_preds.insert(c.clone());
+            // Constants share the lowercase namespace with predicates
+            // in the surface syntax; avoid both.
+            Term::Const(f, _) | Term::App(f, _, _) => {
+                self.used_preds.insert(f.clone());
+                if let Term::App(_, args, _) = t {
+                    args.iter().for_each(|a| self.scan_term(a));
+                }
             }
             Term::Int(..) => {}
-            Term::App(f, args, _) => {
-                self.used_preds.insert(f.clone());
-                for a in args {
-                    self.scan_term(a);
-                }
-            }
-            Term::SetLit(elems, _) => {
-                for e in elems {
-                    self.scan_term(e);
-                }
-            }
-            Term::BinOp(_, l, r, _) => {
-                self.scan_term(l);
-                self.scan_term(r);
-            }
+            Term::SetLit(elems, _) => elems.iter().for_each(|e| self.scan_term(e)),
+            Term::BinOp(_, l, r, _) => [l, r].into_iter().for_each(|t| self.scan_term(t)),
         }
+    }
+
+    /// Keep `name` from being generated: a predicate the program has
+    /// outside its clauses (a loaded fact's).
+    pub fn reserve_pred(&mut self, name: &str) {
+        self.used_preds.insert(name.to_owned());
     }
 
     /// A fresh predicate name with the given stem (e.g. `aux`).

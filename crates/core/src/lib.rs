@@ -41,6 +41,7 @@ pub mod database;
 pub mod dialect;
 pub mod equiv;
 pub mod error;
+mod facts;
 pub mod fresh;
 pub mod lower;
 pub mod serve;
@@ -48,7 +49,7 @@ pub mod sorts;
 pub mod transform;
 pub mod validate;
 
-pub use database::{ground_facts, Database, Model};
+pub use database::{Database, Model};
 pub use dialect::Dialect;
 pub use error::CoreError;
 pub use lps_engine::QueryPath;

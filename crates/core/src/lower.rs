@@ -41,18 +41,11 @@ pub(crate) fn register_pred(
     Ok(engine.pred(name, arity))
 }
 
-/// Lower a normalized program into `engine`, registering predicates
-/// and adding rules/facts.
-pub fn load_program(engine: &mut Engine, program: &Program) -> Result<(), CoreError> {
-    load_program_sorted(engine, program, None)
-}
-
-/// Lower with sort annotations from the two-sorted inference (§2.1):
+/// Lower a normalized program's declarations and rules into `engine`,
+/// with sort annotations from the two-sorted inference (§2.1):
 /// engine-level universe enumeration then respects variable sorts.
-///
-/// Ground facts load through [`Engine::fact`] — the engine's EDB layer
-/// — rather than as bodyless rules, so an engine session can reset or
-/// extend its fact base without touching the compiled rule plans.
+/// Ground facts do not come this way: they load as interned rows
+/// ([`Engine::load_batch`]), the engine's EDB layer.
 pub fn load_program_sorted(
     engine: &mut Engine,
     program: &Program,
@@ -63,19 +56,7 @@ pub fn load_program_sorted(
     }
     for clause in program.clauses() {
         let rule = lower_clause_sorted(engine, clause, sorts)?;
-        if rule.is_fact() {
-            let tuple = rule
-                .head_args
-                .iter()
-                .map(|p| match p {
-                    Pattern::Ground(id) => *id,
-                    _ => unreachable!("is_fact guarantees a ground head"),
-                })
-                .collect();
-            engine.fact(rule.head, tuple)?;
-        } else {
-            engine.rule(rule)?;
-        }
+        engine.rule(rule)?;
     }
     Ok(())
 }
@@ -110,42 +91,27 @@ impl Lowering<'_> {
             Term::Var(v, _) => Ok(Pattern::Var(self.var(v))),
             Term::Const(c, _) => Ok(Pattern::Ground(self.engine.store_mut().atom(c))),
             Term::Int(i, _) => Ok(Pattern::Ground(self.engine.store_mut().int(*i))),
-            Term::App(f, args, _) => {
+            Term::App(_, args, _) | Term::SetLit(args, _) => {
                 let ps: Vec<Pattern> = args
                     .iter()
                     .map(|a| self.term(a))
                     .collect::<Result<_, _>>()?;
-                if ps.iter().all(|p| matches!(p, Pattern::Ground(_))) {
-                    let ids: Vec<_> = ps
-                        .iter()
-                        .map(|p| match p {
-                            Pattern::Ground(id) => *id,
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    Ok(Pattern::Ground(self.engine.store_mut().app(f, ids)))
-                } else {
-                    let sym = self.engine.store_mut().symbols_mut().intern(f);
-                    Ok(Pattern::App(sym, ps.into_boxed_slice()))
-                }
-            }
-            Term::SetLit(elems, _) => {
-                let ps: Vec<Pattern> = elems
+                let ground: Option<Vec<_>> = ps
                     .iter()
-                    .map(|e| self.term(e))
-                    .collect::<Result<_, _>>()?;
-                if ps.iter().all(|p| matches!(p, Pattern::Ground(_))) {
-                    let ids: Vec<_> = ps
-                        .iter()
-                        .map(|p| match p {
-                            Pattern::Ground(id) => *id,
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    Ok(Pattern::Ground(self.engine.store_mut().set(ids)))
-                } else {
-                    Ok(Pattern::Set(ps.into_boxed_slice()))
-                }
+                    .map(|p| match p {
+                        Pattern::Ground(id) => Some(*id),
+                        _ => None,
+                    })
+                    .collect();
+                let store = self.engine.store_mut();
+                Ok(match (t, ground) {
+                    (Term::App(f, ..), Some(ids)) => Pattern::Ground(store.app(f, ids)),
+                    (Term::App(f, ..), None) => {
+                        Pattern::App(store.symbols_mut().intern(f), ps.into_boxed_slice())
+                    }
+                    (_, Some(ids)) => Pattern::Ground(store.set(ids)),
+                    (_, None) => Pattern::Set(ps.into_boxed_slice()),
+                })
             }
             Term::BinOp(_, _, _, span) => Err(CoreError::invalid(
                 *span,
@@ -163,12 +129,10 @@ impl Lowering<'_> {
                 let pl = self.arith(l, lits)?;
                 let pr = self.arith(r, lits)?;
                 let out = Pattern::Var(self.temp());
-                let b = match op {
-                    ArithOp::Add => Builtin::Add,
-                    ArithOp::Sub => Builtin::Sub,
-                    ArithOp::Mul => Builtin::Mul,
-                };
-                lits.push(BodyLit::Builtin(b, vec![pl, pr, out.clone()]));
+                lits.push(BodyLit::Builtin(
+                    arith_builtin(*op),
+                    vec![pl, pr, out.clone()],
+                ));
                 Ok(out)
             }
             other => self.term(other),
@@ -301,13 +265,8 @@ fn span_of(f: &Formula) -> lps_syntax::Span {
     }
 }
 
-/// Lower one normalized clause to a rule (untyped).
-pub fn lower_clause(engine: &mut Engine, clause: &Clause) -> Result<Rule, CoreError> {
-    lower_clause_sorted(engine, clause, None)
-}
-
 /// Lower one normalized clause, annotating variable sorts from the
-/// predicate signature table when available.
+/// predicate signature table when available (untyped without one).
 pub fn lower_clause_sorted(
     engine: &mut Engine,
     clause: &Clause,
@@ -508,7 +467,7 @@ mod tests {
         let mut engine = Engine::new(EvalConfig::default());
         let rules: Vec<Rule> = program
             .clauses()
-            .map(|c| lower_clause(&mut engine, c).unwrap())
+            .map(|c| lower_clause_sorted(&mut engine, c, None).unwrap())
             .collect();
         (engine, rules)
     }
@@ -591,7 +550,8 @@ mod tests {
     fn special_head_rejected() {
         let program = parse_program("union(X, Y, Z) :- p(X, Y, Z).").unwrap();
         let mut engine = Engine::new(EvalConfig::default());
-        let err = lower_clause(&mut engine, program.clauses().next().unwrap()).unwrap_err();
+        let err =
+            lower_clause_sorted(&mut engine, program.clauses().next().unwrap(), None).unwrap_err();
         assert!(matches!(err, CoreError::InvalidClause { .. }));
     }
 
@@ -599,20 +559,25 @@ mod tests {
     fn negating_builtin_pred_name_is_rejected() {
         let program = parse_program("p(X) :- q(X, Y, Z), not union(X, Y, Z).").unwrap();
         let mut engine = Engine::new(EvalConfig::default());
-        let err = lower_clause(&mut engine, program.clauses().next().unwrap()).unwrap_err();
+        let err =
+            lower_clause_sorted(&mut engine, program.clauses().next().unwrap(), None).unwrap_err();
         assert!(matches!(err, CoreError::InvalidClause { .. }));
     }
 
     #[test]
     fn end_to_end_via_engine() {
         let program = parse_program(
-            "edge(a, b). edge(b, c).\n\
-             path(X, Y) :- edge(X, Y).\n\
+            "path(X, Y) :- edge(X, Y).\n\
              path(X, Z) :- edge(X, Y), path(Y, Z).",
         )
         .unwrap();
         let mut engine = Engine::new(EvalConfig::default());
-        load_program(&mut engine, &program).unwrap();
+        load_program_sorted(&mut engine, &program, None).unwrap();
+        let edge = engine.lookup_pred("edge", 2).unwrap();
+        let st = engine.store_mut();
+        let (a, b, c) = (st.atom("a"), st.atom("b"), st.atom("c"));
+        engine.fact(edge, vec![a, b]).unwrap();
+        engine.fact(edge, vec![b, c]).unwrap();
         engine.run().unwrap();
         let path = engine.lookup_pred("path", 2).unwrap();
         assert_eq!(engine.rows(path).count(), 3);

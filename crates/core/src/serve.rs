@@ -56,10 +56,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lps_engine::{SnapshotPublisher, SnapshotReader};
-use lps_syntax::parse_program;
 use lps_term::{TermId, TermStore};
 
-use crate::database::{ground_facts, Database, Model};
+use crate::database::{Database, Model};
 use crate::error::CoreError;
 use crate::transform::magic::{classify_goal, Goal};
 
@@ -271,14 +270,11 @@ fn writer_query(model: &mut Model, goal: &str) -> Reply {
     Ok(render_rows(answers.store(), answers.iter()))
 }
 
-/// Apply `text` as ground fact clauses on the live engine. Rules and
-/// declarations are rejected — the served program is fixed at spawn.
+/// Apply `text` as ground facts on the live engine, all or nothing.
+/// Rules and declarations are rejected — the served program is fixed
+/// at spawn.
 fn writer_fact(model: &mut Model, text: &str) -> Reply {
-    let parsed = parse_program(text).map_err(|e| e.render(text))?;
-    let facts = ground_facts(&parsed).ok_or("only ground facts can be added over the wire")?;
-    for (pred, args) in &facts {
-        model.add_fact(pred, args).map_err(|e| e.to_string())?;
-    }
+    model.load_facts(text).map_err(|e| e.render(text))?;
     Ok(Vec::new())
 }
 

@@ -20,9 +20,11 @@
 use std::collections::HashMap;
 
 use lps_syntax::{CmpOp, Formula, HeadArg, Literal, Program, SortAnn, Span, Term};
+use lps_term::TermStore;
 
 use crate::dialect::Dialect;
 use crate::error::CoreError;
+use crate::facts::Facts;
 
 /// Inferred signatures: predicate name → per-argument sort.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -111,10 +113,7 @@ impl Unifier {
                     return;
                 }
                 match (self.vars[rx], self.vars[ry]) {
-                    (Some(c), None) => {
-                        self.links[ry] = Some(rx);
-                        let _ = c;
-                    }
+                    (Some(_), None) => self.links[ry] = Some(rx),
                     (None, _) => self.links[rx] = Some(ry),
                     (Some(cx), Some(cy)) => {
                         self.links[rx] = Some(ry);
@@ -176,6 +175,19 @@ struct Inference {
 
 /// Infer (and in LPS mode, check) sorts for a program.
 pub fn infer_sorts(program: &Program, dialect: Dialect) -> Result<SortTable, CoreError> {
+    infer_with_facts(program, dialect, &Facts::default(), &TermStore::new())
+}
+
+/// [`infer_sorts`] over a program's rules plus ground facts interned
+/// in `store`, which take part as a per-column summary: a column's
+/// first sort and span, and whether another sort occurs in it. Facts
+/// count as preceding the rules.
+pub(crate) fn infer_with_facts(
+    program: &Program,
+    dialect: Dialect,
+    facts: &Facts,
+    store: &TermStore,
+) -> Result<SortTable, CoreError> {
     let mut inf = Inference {
         u: Unifier {
             lenient: dialect.allows_nesting(),
@@ -198,10 +210,27 @@ pub fn infer_sorts(program: &Program, dialect: Dialect) -> Result<SortTable, Cor
         }
     }
 
+    for (pred, (span, cols)) in facts.batch.preds().iter().zip(&facts.sorts) {
+        let name = store.symbols().name(pred.name);
+        let vars = inf.arity_checked(name, pred.arity, *span)?;
+        for (c, (&v, &(set, span))) in vars.iter().zip(cols).enumerate() {
+            let sort = |set| if set { SConst::Set } else { SConst::Atom };
+            inf.u.assign(v, sort(set), span, name);
+            // Only a lenient column can mix sorts: the loader rejects it.
+            if pred.rows().any(|row| store.is_set(row[c]) != set) {
+                inf.u.assign(v, sort(!set), span, name);
+            }
+        }
+    }
+    if let Some(err) = inf.u.conflict.take() {
+        return Err(CoreError::sort(err.0, err.1));
+    }
+
     for clause in program.clauses() {
         let mut env: VarEnv = HashMap::new();
         // Head.
-        let head_vars = inf.pred_vars(&clause.head.pred, clause.head.args.len());
+        let head = &clause.head;
+        let head_vars = inf.arity_checked(&head.pred, head.args.len(), head.span)?;
         for (i, arg) in clause.head.args.iter().enumerate() {
             let slot = head_vars[i];
             match arg {
@@ -248,6 +277,22 @@ impl Inference {
         self.preds[name].clone()
     }
 
+    /// [`Inference::pred_vars`], rejecting a use of `name` at another
+    /// arity than its first.
+    fn arity_checked(&mut self, name: &str, n: usize, span: Span) -> Result<Vec<usize>, CoreError> {
+        let vars = self.pred_vars(name, n);
+        if vars.len() != n {
+            return Err(CoreError::invalid(
+                span,
+                format!(
+                    "`{name}` used with {n} arguments but declared/used elsewhere with {}",
+                    vars.len()
+                ),
+            ));
+        }
+        Ok(vars)
+    }
+
     fn var_slot(&mut self, env: &mut VarEnv, name: &str) -> usize {
         if let Some(&v) = env.get(name) {
             return v;
@@ -261,7 +306,7 @@ impl Inference {
         match t {
             Term::Var(v, _) => Ok(S::Var(self.var_slot(env, v))),
             Term::Const(..) | Term::Int(..) => Ok(S::Atom),
-            Term::App(f, args, span) => {
+            Term::App(f, args, _) => {
                 for a in args {
                     let s = self.term_sort(a, env)?;
                     if !self.dialect.allows_nesting() {
@@ -270,10 +315,9 @@ impl Inference {
                             .unify(s, S::Atom, a.span(), &format!("argument of `{f}`"));
                     }
                 }
-                let _ = span;
                 Ok(S::Atom)
             }
-            Term::SetLit(elems, span) => {
+            Term::SetLit(elems, _) => {
                 for e in elems {
                     let s = self.term_sort(e, env)?;
                     if !self.dialect.allows_nesting() {
@@ -282,7 +326,6 @@ impl Inference {
                             .unify(s, S::Atom, e.span(), "set element in LPS mode");
                     }
                 }
-                let _ = span;
                 Ok(S::Set)
             }
             Term::BinOp(_, l, r, _) => {
@@ -339,17 +382,7 @@ impl Inference {
     fn literal(&mut self, lit: &Literal, env: &mut VarEnv) -> Result<(), CoreError> {
         match lit {
             Literal::Pred(name, args, span) => {
-                let vars = self.pred_vars(name, args.len());
-                if vars.len() != args.len() {
-                    return Err(CoreError::invalid(
-                        *span,
-                        format!(
-                            "`{name}` used with {} arguments but declared/used elsewhere with {}",
-                            args.len(),
-                            vars.len()
-                        ),
-                    ));
-                }
+                let vars = self.arity_checked(name, args.len(), *span)?;
                 for (i, a) in args.iter().enumerate() {
                     let s = self.term_sort(a, env)?;
                     self.u.unify(S::Var(vars[i]), s, a.span(), name);
@@ -382,35 +415,28 @@ impl Inference {
     }
 }
 
+/// The error for a set literal nested in another in a non-nesting
+/// dialect.
+pub(crate) fn nested_set_error(span: Span) -> CoreError {
+    CoreError::sort(
+        span,
+        "nested set literal: LPS allows one level of nesting (use the ELPS dialect)",
+    )
+}
+
 /// Ensure the program is within LPS's one-level set discipline (used
 /// by validation when the dialect forbids nesting): no nested set
 /// literals anywhere.
 pub fn check_flat_sets(program: &Program) -> Result<(), CoreError> {
     fn check_term(t: &Term, inside_set: bool) -> Result<(), CoreError> {
         match t {
-            Term::SetLit(elems, span) => {
-                if inside_set {
-                    return Err(CoreError::sort(
-                        *span,
-                        "nested set literal: LPS allows one level of nesting (use the ELPS dialect)",
-                    ));
-                }
-                for e in elems {
-                    check_term(e, true)?;
-                }
-                Ok(())
-            }
-            Term::App(_, args, _) => {
-                for a in args {
-                    check_term(a, inside_set)?;
-                }
-                Ok(())
-            }
-            Term::BinOp(_, l, r, _) => {
-                check_term(l, inside_set)?;
-                check_term(r, inside_set)
-            }
-            _ => Ok(()),
+            Term::SetLit(_, span) if inside_set => Err(nested_set_error(*span)),
+            Term::SetLit(elems, _) => elems.iter().try_for_each(|e| check_term(e, true)),
+            Term::App(_, args, _) => args.iter().try_for_each(|a| check_term(a, inside_set)),
+            Term::BinOp(_, l, r, _) => [l, r]
+                .into_iter()
+                .try_for_each(|t| check_term(t, inside_set)),
+            Term::Var(..) | Term::Const(..) | Term::Int(..) => Ok(()),
         }
     }
     fn check_formula(f: &Formula) -> Result<(), CoreError> {
@@ -419,8 +445,7 @@ pub fn check_flat_sets(program: &Program) -> Result<(), CoreError> {
                 args.iter().try_for_each(|t| check_term(t, false))
             }
             Formula::Lit(Literal::Cmp(_, l, r, _)) => {
-                check_term(l, false)?;
-                check_term(r, false)
+                [l, r].into_iter().try_for_each(|t| check_term(t, false))
             }
             Formula::Not(inner, _) => check_formula(inner),
             Formula::And(fs) | Formula::Or(fs) => fs.iter().try_for_each(check_formula),
@@ -436,9 +461,7 @@ pub fn check_flat_sets(program: &Program) -> Result<(), CoreError> {
                 check_term(t, false)?;
             }
         }
-        if let Some(body) = &clause.body {
-            check_formula(body)?;
-        }
+        clause.body.iter().try_for_each(check_formula)?;
     }
     Ok(())
 }

@@ -42,9 +42,8 @@ use lps_engine::{Engine, EvalStats, QueryPath, QueryResult, RowSet, Rule};
 use lps_syntax::{parse_program, Clause, Formula, Item, Literal, Span, Term};
 use lps_term::{TermId, TermStore, Value};
 
-use crate::database::term_to_value;
 use crate::error::CoreError;
-use crate::lower::{lower_clause, register_pred};
+use crate::lower::{lower_clause_sorted, register_pred};
 
 /// A compiled conjunctive goal: the temporary rule to hand to
 /// [`Engine::query_rule`], plus the answer column names.
@@ -163,7 +162,7 @@ impl<'a> QueryAnswersRef<'a> {
 /// existential and do not appear).
 pub fn compile_query(engine: &mut Engine, body: &str) -> Result<QueryGoal, CoreError> {
     let clause = parse_goal(body)?;
-    let mut rule = lower_clause(engine, &clause)?;
+    let mut rule = lower_clause_sorted(engine, &clause, None)?;
 
     // Answer columns: free variables of the goal — outer-literal
     // variables plus the quantifier group's free variables — in first
@@ -266,7 +265,7 @@ pub fn classify_goal(goal: &str) -> Result<Goal, CoreError> {
                 seen.push(v);
                 values.push(None);
             }
-            other => match term_to_value(other) {
+            other => match other.to_value() {
                 Some(v) => values.push(Some(v)),
                 None => return Ok(Goal::Conjunctive),
             },
@@ -281,13 +280,11 @@ pub fn classify_goal(goal: &str) -> Result<Goal, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lps_engine::EvalConfig;
 
     fn engine_with(src: &str) -> Engine {
-        let program = parse_program(src).unwrap();
-        let mut engine = Engine::new(EvalConfig::default());
-        crate::lower::load_program(&mut engine, &program).unwrap();
-        engine
+        let mut db = crate::Database::new(crate::Dialect::Elps);
+        db.load_str(src).unwrap();
+        db.session().unwrap().engine
     }
 
     #[test]

@@ -214,7 +214,11 @@ enum Flat {
 /// paper's unguarded construction, recorded in DESIGN.md §4; the
 /// unguarded construction is available as [`compile_positive_paper`]).
 pub fn normalize_program(program: &Program) -> Result<Program, CoreError> {
-    let mut fresh = FreshNames::for_program(program);
+    normalize_with(program, FreshNames::for_program(program))
+}
+
+/// [`normalize_program`] drawing auxiliary names from `fresh`.
+pub fn normalize_with(program: &Program, mut fresh: FreshNames) -> Result<Program, CoreError> {
     let mut items = Vec::new();
     for item in &program.items {
         match item {
@@ -344,12 +348,8 @@ fn emit_aux_with_ctx(
     let vars = formula.free_vars();
     let mut guarded = ctx.to_vec();
     guarded.push(formula.clone());
-    for c in normalize_clause(
-        &clause(head_of(&n, &vars), Some(Formula::and(guarded))),
-        fresh,
-    )? {
-        aux.push(c);
-    }
+    let aux_clause = clause(head_of(&n, &vars), Some(Formula::and(guarded)));
+    aux.extend(normalize_clause(&aux_clause, fresh)?);
     lits.push(pred_lit(&n, &vars));
     Ok(())
 }
@@ -425,12 +425,8 @@ fn flatten(
             for disjunct in fs {
                 let mut guarded = ctx.to_vec();
                 guarded.push(disjunct);
-                for c in normalize_clause(
-                    &clause(head_of(&n, &vars), Some(Formula::and(guarded))),
-                    fresh,
-                )? {
-                    aux.push(c);
-                }
+                let aux_clause = clause(head_of(&n, &vars), Some(Formula::and(guarded)));
+                aux.extend(normalize_clause(&aux_clause, fresh)?);
             }
             Ok(vec![Flat::Lit(Literal::Pred(
                 n,
@@ -530,107 +526,42 @@ fn flatten(
 }
 
 /// Rename free occurrences of `from` to `to` in a formula.
-fn rename_var(f: Formula, from: &str, to: &str) -> Formula {
-    match f {
-        Formula::Lit(l) => Formula::Lit(rename_lit(l, from, to)),
-        Formula::Not(inner, span) => Formula::Not(Box::new(rename_var(*inner, from, to)), span),
-        Formula::And(fs) => Formula::And(fs.into_iter().map(|f| rename_var(f, from, to)).collect()),
-        Formula::Or(fs) => Formula::Or(fs.into_iter().map(|f| rename_var(f, from, to)).collect()),
-        Formula::Forall {
-            var,
-            set,
-            body,
-            span,
-        } => {
-            let set = rename_term(set, from, to);
-            if var == from {
-                // Shadowed below: stop renaming in the body.
-                Formula::Forall {
-                    var,
-                    set,
-                    body,
-                    span,
-                }
-            } else {
-                Formula::Forall {
-                    var,
-                    set,
-                    body: Box::new(rename_var(*body, from, to)),
-                    span,
-                }
+fn rename_var(mut f: Formula, from: &str, to: &str) -> Formula {
+    fn formula(f: &mut Formula, from: &str, to: &str) {
+        match f {
+            Formula::Lit(Literal::Pred(_, args, _)) => {
+                args.iter_mut().for_each(|t| term(t, from, to))
             }
-        }
-        Formula::Exists {
-            var,
-            set,
-            body,
-            span,
-        } => {
-            let set = rename_term(set, from, to);
-            if var == from {
-                Formula::Exists {
-                    var,
-                    set,
-                    body,
-                    span,
-                }
-            } else {
-                Formula::Exists {
-                    var,
-                    set,
-                    body: Box::new(rename_var(*body, from, to)),
-                    span,
+            Formula::Lit(Literal::Cmp(_, l, r, _)) => {
+                term(l, from, to);
+                term(r, from, to);
+            }
+            Formula::Not(inner, _) => formula(inner, from, to),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter_mut().for_each(|f| formula(f, from, to)),
+            Formula::Forall { var, set, body, .. } | Formula::Exists { var, set, body, .. } => {
+                term(set, from, to);
+                // A binder of the same name shadows `from` in its body.
+                if var != from {
+                    formula(body, from, to);
                 }
             }
         }
     }
-}
-
-fn rename_lit(l: Literal, from: &str, to: &str) -> Literal {
-    match l {
-        Literal::Pred(p, args, span) => Literal::Pred(
-            p,
-            args.into_iter().map(|t| rename_term(t, from, to)).collect(),
-            span,
-        ),
-        Literal::Cmp(op, lhs, rhs, span) => Literal::Cmp(
-            op,
-            rename_term(lhs, from, to),
-            rename_term(rhs, from, to),
-            span,
-        ),
-    }
-}
-
-fn rename_term(t: Term, from: &str, to: &str) -> Term {
-    match t {
-        Term::Var(v, span) => {
-            if v == from {
-                Term::Var(to.to_owned(), span)
-            } else {
-                Term::Var(v, span)
+    fn term(t: &mut Term, from: &str, to: &str) {
+        match t {
+            Term::Var(v, _) if v == from => *v = to.to_owned(),
+            Term::App(_, args, _) | Term::SetLit(args, _) => {
+                args.iter_mut().for_each(|t| term(t, from, to));
             }
+            Term::BinOp(_, l, r, _) => {
+                term(l, from, to);
+                term(r, from, to);
+            }
+            Term::Var(..) | Term::Const(..) | Term::Int(..) => {}
         }
-        Term::App(f, args, span) => Term::App(
-            f,
-            args.into_iter().map(|t| rename_term(t, from, to)).collect(),
-            span,
-        ),
-        Term::SetLit(elems, span) => Term::SetLit(
-            elems
-                .into_iter()
-                .map(|t| rename_term(t, from, to))
-                .collect(),
-            span,
-        ),
-        Term::BinOp(op, l, r, span) => Term::BinOp(
-            op,
-            Box::new(rename_term(*l, from, to)),
-            Box::new(rename_term(*r, from, to)),
-            span,
-        ),
-        other => other,
     }
+    formula(&mut f, from, to);
+    f
 }
 
 /// Count clauses and distinct auxiliary predicates introduced relative

@@ -26,7 +26,10 @@ use crate::fresh::FreshNames;
 /// source(x)}` for a unary predicate `source`. Returns the clause
 /// block to append to a program.
 pub fn setof_clauses(program: &Program, source: &str, target: &str) -> Result<Program, CoreError> {
-    let mut fresh = FreshNames::for_program(program);
+    setof_with(FreshNames::for_program(program), source, target)
+}
+
+fn setof_with(mut fresh: FreshNames, source: &str, target: &str) -> Result<Program, CoreError> {
     let psub = fresh.pred("proper_subset");
     let covered = fresh.pred("covered");
     let bigger = fresh.pred("bigger_covered");
@@ -57,7 +60,7 @@ pub fn setof_database(
         },
     );
     db.load_str(facts)?;
-    let block = setof_clauses(db.program(), source, target)?;
+    let block = setof_with(db.fresh_names(), source, target)?;
     db.load_program(block);
     Ok(db)
 }

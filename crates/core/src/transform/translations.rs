@@ -307,69 +307,30 @@ fn replace_builtin_calls(
     let new_pred = fresh.pred(&format!("def_{name}"));
     let mut used = false;
 
-    fn rewrite(f: &Formula, name: &str, arity: usize, new_pred: &str, used: &mut bool) -> Formula {
+    fn rewrite(f: &mut Formula, name: &str, arity: usize, new_pred: &str, used: &mut bool) {
         match f {
-            Formula::Lit(Literal::Pred(p, args, span)) if p == name && args.len() == arity => {
+            Formula::Lit(Literal::Pred(p, args, _)) if p == name && args.len() == arity => {
                 *used = true;
-                Formula::Lit(Literal::Pred(new_pred.to_owned(), args.clone(), *span))
+                *p = new_pred.to_owned();
             }
-            Formula::Lit(_) => f.clone(),
-            Formula::Not(inner, span) => {
-                Formula::Not(Box::new(rewrite(inner, name, arity, new_pred, used)), *span)
+            Formula::Lit(_) => {}
+            Formula::Not(inner, _) => rewrite(inner, name, arity, new_pred, used),
+            Formula::And(fs) | Formula::Or(fs) => {
+                fs.iter_mut()
+                    .for_each(|f| rewrite(f, name, arity, new_pred, used));
             }
-            Formula::And(fs) => Formula::And(
-                fs.iter()
-                    .map(|f| rewrite(f, name, arity, new_pred, used))
-                    .collect(),
-            ),
-            Formula::Or(fs) => Formula::Or(
-                fs.iter()
-                    .map(|f| rewrite(f, name, arity, new_pred, used))
-                    .collect(),
-            ),
-            Formula::Forall {
-                var,
-                set,
-                body,
-                span,
-            } => Formula::Forall {
-                var: var.clone(),
-                set: set.clone(),
-                body: Box::new(rewrite(body, name, arity, new_pred, used)),
-                span: *span,
-            },
-            Formula::Exists {
-                var,
-                set,
-                body,
-                span,
-            } => Formula::Exists {
-                var: var.clone(),
-                set: set.clone(),
-                body: Box::new(rewrite(body, name, arity, new_pred, used)),
-                span: *span,
-            },
+            Formula::Forall { body, .. } | Formula::Exists { body, .. } => {
+                rewrite(body, name, arity, new_pred, used);
+            }
         }
     }
 
-    let mut items = Vec::new();
-    for item in &program.items {
-        match item {
-            Item::Decl(d) => items.push(Item::Decl(d.clone())),
-            Item::Clause(c) => {
-                let body = c
-                    .body
-                    .as_ref()
-                    .map(|b| rewrite(b, name, arity, &new_pred, &mut used));
-                items.push(Item::Clause(Clause {
-                    head: c.head.clone(),
-                    body,
-                    span: c.span,
-                }));
-            }
+    let mut out = program.clone();
+    for item in &mut out.items {
+        if let Item::Clause(Clause { body: Some(b), .. }) = item {
+            rewrite(b, name, arity, &new_pred, &mut used);
         }
     }
-    let mut out = Program { items };
     if used {
         let def_src = def(&new_pred);
         let def_prog = parse_program(&def_src).map_err(|e| {

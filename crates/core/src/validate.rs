@@ -12,7 +12,7 @@
 //! * Arithmetic expressions may appear only inside comparisons.
 
 use lps_engine::Builtin;
-use lps_syntax::{Clause, Formula, HeadArg, Literal, Program, Term};
+use lps_syntax::{Clause, Formula, HeadArg, Literal, Program, Span, Term};
 
 use crate::dialect::Dialect;
 use crate::error::CoreError;
@@ -22,6 +22,21 @@ use crate::sorts::check_flat_sets;
 /// Names that may not appear as clause heads.
 pub fn is_special_pred(name: &str, arity: usize) -> bool {
     Builtin::from_pred_name(name, arity).is_some()
+}
+
+/// Definition 5 for a head `name/arity`: at most `MAX_ARITY` arguments
+/// (the widest relation the engine indexes), and not a builtin.
+pub(crate) fn check_head(name: &str, arity: usize, span: Span) -> Result<(), CoreError> {
+    check_arity(name, arity, span)?;
+    if is_special_pred(name, arity) {
+        return Err(CoreError::invalid(
+            span,
+            format!(
+                "`{name}` is a special (builtin) predicate and cannot be redefined (Definition 5)"
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Validate a whole program under `dialect`.
@@ -38,16 +53,7 @@ pub fn validate_program(program: &Program, dialect: Dialect) -> Result<(), CoreE
 /// Validate one clause under `dialect`.
 pub fn validate_clause(clause: &Clause, dialect: Dialect) -> Result<(), CoreError> {
     // Head checks.
-    check_arity(&clause.head.pred, clause.head.args.len(), clause.head.span)?;
-    if is_special_pred(&clause.head.pred, clause.head.args.len()) {
-        return Err(CoreError::invalid(
-            clause.head.span,
-            format!(
-                "`{}` is a special (builtin) predicate and cannot be redefined (Definition 5)",
-                clause.head.pred
-            ),
-        ));
-    }
+    check_head(&clause.head.pred, clause.head.args.len(), clause.head.span)?;
     let group_slots = clause
         .head
         .args
@@ -68,12 +74,7 @@ pub fn validate_clause(clause: &Clause, dialect: Dialect) -> Result<(), CoreErro
     }
     for arg in &clause.head.args {
         if let HeadArg::Term(t) = arg {
-            if t.has_arith() {
-                return Err(CoreError::invalid(
-                    t.span(),
-                    "arithmetic expressions are only allowed inside comparisons",
-                ));
-            }
+            no_arith(t)?;
         }
     }
     if group_slots == 1 && clause.body.is_none() {
@@ -111,30 +112,26 @@ fn check_formula(f: &Formula, dialect: Dialect) -> Result<(), CoreError> {
         }
         Formula::And(fs) | Formula::Or(fs) => fs.iter().try_for_each(|f| check_formula(f, dialect)),
         Formula::Forall { set, body, .. } | Formula::Exists { set, body, .. } => {
-            if set.has_arith() {
-                return Err(CoreError::invalid(
-                    set.span(),
-                    "arithmetic expressions are only allowed inside comparisons",
-                ));
-            }
+            no_arith(set)?;
             check_formula(body, dialect)
         }
     }
+}
+
+/// Arithmetic may appear only inside comparisons.
+fn no_arith(t: &Term) -> Result<(), CoreError> {
+    if t.has_arith() {
+        let msg = "arithmetic expressions are only allowed inside comparisons";
+        return Err(CoreError::invalid(t.span(), msg));
+    }
+    Ok(())
 }
 
 fn check_literal(lit: &Literal) -> Result<(), CoreError> {
     match lit {
         Literal::Pred(name, args, span) => {
             check_arity(name, args.len(), *span)?;
-            for a in args {
-                if a.has_arith() {
-                    return Err(CoreError::invalid(
-                        a.span(),
-                        "arithmetic expressions are only allowed inside comparisons",
-                    ));
-                }
-            }
-            Ok(())
+            args.iter().try_for_each(no_arith)
         }
         Literal::Cmp(..) => Ok(()),
     }

@@ -20,8 +20,9 @@
 //! bounded ([`EvalConfig::demand_plan_cache`]); evicting a plan
 //! reclaims its relation slots.
 
-use lps_term::{setops, FxHashMap, FxHashSet, TermId, TermStore, Value};
+use lps_term::{setops, FxHashMap, FxHashSet, Symbol, TermId, TermStore, Value};
 
+use crate::batch::FactBatch;
 use crate::config::{EvalConfig, EvalStats, SetUniverse};
 use crate::error::EngineError;
 use crate::eval::StepProfiler;
@@ -392,6 +393,9 @@ pub struct Engine {
     /// profiled or read the model, which runs no demand plan to
     /// attribute.
     last_profile: Option<QueryProfile>,
+    /// Atom-domain scans by [`Engine::materialize_universe`].
+    #[cfg(test)]
+    universe_scans: usize,
 }
 
 /// Estimated-vs-actual accounting for one positive body literal of a
@@ -437,8 +441,14 @@ const MAX_POWERSET_ATOMS: usize = 20;
 impl Engine {
     /// New session with the given configuration.
     pub fn new(config: EvalConfig) -> Self {
+        Self::with_store(config, TermStore::new())
+    }
+
+    /// New session over `store` — a fact base's interned terms, whose
+    /// rows [`Engine::load_batch`] then loads.
+    pub fn with_store(config: EvalConfig, store: TermStore) -> Self {
         Engine {
-            store: TermStore::new(),
+            store,
             preds: PredRegistry::new(),
             edb: Vec::new(),
             full: Vec::new(),
@@ -456,6 +466,8 @@ impl Engine {
             last_stats: EvalStats::default(),
             cumulative_stats: EvalStats::default(),
             last_profile: None,
+            #[cfg(test)]
+            universe_scans: 0,
         }
     }
 
@@ -561,6 +573,12 @@ impl Engine {
     /// Register (or look up) a predicate by name and arity.
     pub fn pred(&mut self, name: &str, arity: usize) -> PredId {
         let sym = self.store.symbols_mut().intern(name);
+        self.pred_sym(sym, arity)
+    }
+
+    /// [`Engine::pred`] for a name already interned in this engine's
+    /// store.
+    fn pred_sym(&mut self, sym: Symbol, arity: usize) -> PredId {
         let id = self.preds.register(sym, arity);
         while self.full.len() <= id.index() {
             self.edb.push(Relation::new(0));
@@ -600,26 +618,43 @@ impl Engine {
     /// fact the model does not already hold marks the session
     /// [`EngineState::Dirty`].
     pub fn fact(&mut self, pred: PredId, tuple: Vec<TermId>) -> Result<(), EngineError> {
+        self.facts(pred, [tuple.as_slice()])
+    }
+
+    /// [`Engine::fact`] for rows already interned in this engine's
+    /// store, without a `Vec` per row.
+    fn facts<'r>(
+        &mut self,
+        pred: PredId,
+        rows: impl IntoIterator<Item = &'r [TermId]>,
+    ) -> Result<(), EngineError> {
         let arity = self.preds.info(pred).arity;
-        if tuple.len() != arity {
-            return Err(EngineError::ArityMismatch {
-                pred: self.pred_name(pred),
-                expected: arity,
-                got: tuple.len(),
-            });
-        }
-        self.edb[pred.index()].insert(&tuple);
         self.stats_cache.invalidate();
-        if self.state == EngineState::Materialized && !self.full[pred.index()].contains(&tuple) {
-            self.state = EngineState::Dirty;
+        for row in rows {
+            if row.len() != arity {
+                return Err(EngineError::ArityMismatch {
+                    pred: self.pred_name(pred),
+                    expected: arity,
+                    got: row.len(),
+                });
+            }
+            self.edb[pred.index()].insert(row);
+            if self.state == EngineState::Materialized && !self.full[pred.index()].contains(row) {
+                self.state = EngineState::Dirty;
+            }
         }
         Ok(())
     }
 
-    /// Convenience: load a fact with owned [`Value`] arguments.
-    pub fn fact_values(&mut self, pred: PredId, values: &[Value]) -> Result<(), EngineError> {
-        let tuple: Vec<TermId> = values.iter().map(|v| v.intern(&mut self.store)).collect();
-        self.fact(pred, tuple)
+    /// Load every row of `batch`, interned in this engine's store,
+    /// registering its predicates: the bulk entry that seeds a session
+    /// from a fact base.
+    pub fn load_batch(&mut self, batch: &FactBatch) -> Result<(), EngineError> {
+        for p in batch.preds() {
+            let id = self.pred_sym(p.name, p.arity);
+            self.facts(id, p.rows())?;
+        }
+        Ok(())
     }
 
     /// Add a rule. Arity consistency is checked against the registry.
@@ -679,10 +714,13 @@ impl Engine {
     ///   already reached; returns zeroed stats and leaves the model
     ///   (and [`Engine::stats`]) untouched.
     pub fn run(&mut self) -> Result<EvalStats, EngineError> {
+        if self.state == EngineState::Materialized {
+            return Ok(EvalStats::default());
+        }
+        self.materialize_universe()?;
         match self.state {
-            EngineState::Materialized => Ok(EvalStats::default()),
             EngineState::Dirty => self.update_incremental(),
-            EngineState::Unmaterialized => self.run_batch(),
+            _ => self.run_batch(),
         }
     }
 
@@ -835,7 +873,8 @@ impl Engine {
         if let Some(res) = self.query_demand(key, None, &seed, 0)? {
             return Ok(res);
         }
-        let run = self.run()?;
+        // `begin_query` materialized the universe for this pass.
+        let run = self.run_batch()?;
         let rows = filter_rows(&mut self.full[pred.index()], args);
         let work = EvalStats {
             demand_fallbacks: 1,
@@ -896,7 +935,7 @@ impl Engine {
         if let Some(res) = self.query_demand((shape, mask), Some(canonical), &lifted.consts, k)? {
             return Ok(res);
         }
-        let run = self.run()?;
+        let run = self.run_batch()?;
         self.goal_from_model(run, &rule, QueryPath::Fallback)
     }
 
@@ -1476,14 +1515,6 @@ impl Engine {
         }
     }
 
-    /// Put every retained demand fixpoint back to cold (a batch run
-    /// rebuilt the relation vectors out from under them).
-    fn invalidate_retained_spaces(&mut self) {
-        for plan in self.query_plans.values_mut() {
-            plan.live = false;
-        }
-    }
-
     /// Stratify and compile a magic-rewritten rule set, sizing the
     /// relation vectors for the predicates the rewrite registered.
     fn compile_rewritten(&mut self, rules: &[Rule]) -> Result<CompiledProgram, EngineError> {
@@ -1602,11 +1633,17 @@ impl Engine {
     }
 
     /// Materialize the bounded powerset universe if configured. Run
-    /// before every evaluation pass: idempotent, and monotone in the
+    /// once before every evaluation pass (by [`Engine::run`], or by
+    /// [`Engine::begin_query`] for a demand pass and the batch run an
+    /// obstructed query falls back to): idempotent, and monotone in the
     /// atom domain, so incremental updates that intern new atoms extend
     /// the universe in place.
     fn materialize_universe(&mut self) -> Result<(), EngineError> {
         if let SetUniverse::ActiveSubsets { max_card } = self.config.set_universe {
+            #[cfg(test)]
+            {
+                self.universe_scans += 1;
+            }
             let atoms: Vec<TermId> = self
                 .store
                 .ids()
@@ -1637,13 +1674,15 @@ impl Engine {
     }
 
     /// Batch evaluation: rebuild the model from the EDB and run every
-    /// stratum to fixpoint with the cached plans.
+    /// stratum to fixpoint with the cached plans. The caller has
+    /// materialized the universe for this pass.
     fn run_batch(&mut self) -> Result<EvalStats, EngineError> {
-        self.materialize_universe()?;
         self.prepare()?;
-        // The rebuild below resets every relation — including retained
-        // demand spaces, whose plans must go cold.
-        self.invalidate_retained_spaces();
+        // A materialized session answers every query from its model
+        // until a fact reset or a rule change, and both evict the
+        // demand plans anyway: evict them now, reclaiming their
+        // relations and registry slots.
+        self.clear_query_plans();
         // The rebuild absorbs every EDB row.
         for (cursor, rel) in self.edb_synced.iter_mut().zip(&self.edb) {
             *cursor = rel.len() as u32;
@@ -1671,9 +1710,9 @@ impl Engine {
     /// Incremental update: splice the EDB rows past the cursor into the
     /// model, then continue the semi-naive fixpoint from the lowest
     /// affected stratum with the delta windows opened on exactly the
-    /// rows new to the model.
+    /// rows new to the model. The caller has materialized the
+    /// universe for this pass.
     fn update_incremental(&mut self) -> Result<EvalStats, EngineError> {
-        self.materialize_universe()?;
         let npreds = self.preds.len();
         // Splice, remembering each relation's previous length: rows
         // past the snapshot are this update's seed set, and the
@@ -3041,8 +3080,11 @@ mod tests {
     #[test]
     fn fallback_materializes_the_session_for_later_queries() {
         let (mut e, edge, t, unreach, ids) = left_linear_with_negation();
+        let live = |e: &Engine| e.preds().len() - e.preds().free_slots();
+        let live_before = live(&e);
         // Warm a monotone demand plan…
         let first = e.query(t, &[Some(ids[1]), None]).unwrap();
+        assert!(live(&e) > live_before, "the plan registered its rewrite");
         assert_eq!(first.path, QueryPath::Demand);
         assert_eq!(first.rows.len(), 4, "n1 reaches n2..n5");
         // …then a non-monotone point query materializes the model.
@@ -3052,6 +3094,11 @@ mod tests {
         assert_eq!(nm.rows, vec![vec![ids[2]]]);
         assert_eq!(e.state(), EngineState::Materialized);
         assert_eq!(e.cumulative_stats().demand_fallbacks, 1);
+        // The batch run evicted the plan it made dead, and released
+        // its rewrite's registry slots.
+        assert!(e.query_plans.is_empty());
+        assert!(e.query_lru.is_empty());
+        assert_eq!(live(&e), live_before);
         // The warm sibling now reads the same rows off the model.
         let repeat = e.query(t, &[Some(ids[1]), None]).unwrap();
         assert_eq!(repeat.path, QueryPath::Materialized);
@@ -3644,5 +3691,39 @@ mod tests {
         e.run().unwrap();
         // ∅, {a}, {b}, {a,b} all interned.
         assert_eq!(e.store().set_ids().len(), 4);
+    }
+
+    #[test]
+    fn each_evaluation_pass_scans_the_atom_domain_once() {
+        let mut e = Engine::new(EvalConfig {
+            set_universe: SetUniverse::ActiveSubsets { max_card: 2 },
+            ..EvalConfig::default()
+        });
+        let item = e.pred("item", 1);
+        let tagged = e.pred("tagged", 1);
+        let odd = e.pred("odd", 1);
+        let a = e.store_mut().atom("a");
+        e.fact(item, vec![a]).unwrap();
+        e.rule(plain_rule(
+            odd,
+            vec![v(0)],
+            vec![
+                BodyLit::Pos(item, vec![v(0)]),
+                BodyLit::Neg(tagged, vec![v(0)]),
+            ],
+            1,
+        ))
+        .unwrap();
+        // An obstructed query on an unmaterialized session: the demand
+        // attempt and the batch run it falls back to are one pass.
+        let res = e.query(odd, &[None]).unwrap();
+        assert_eq!(res.path, QueryPath::Fallback);
+        assert_eq!(e.universe_scans, 1);
+        // An update whose restart reaches the negation falls back to a
+        // batch run: still one pass.
+        e.fact(tagged, vec![a]).unwrap();
+        e.update().unwrap();
+        assert_eq!(e.universe_scans, 2);
+        assert!(e.rows(odd).next().is_none());
     }
 }

@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod batch;
 pub mod builtin;
 pub mod config;
 pub mod engine;
@@ -47,6 +48,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod strata;
 
+pub use batch::{BatchPred, FactBatch};
 pub use config::{EvalConfig, EvalStats, FixpointStrategy, SetUniverse};
 pub use engine::{Engine, EngineState, QueryPath, QueryResult, RowSet, Rows};
 pub use error::EngineError;

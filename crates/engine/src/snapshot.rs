@@ -356,8 +356,10 @@ impl SnapshotPublisher {
         // Build the bound-column indexes the reader hit path probes
         // while we still have `&mut` — published relations are frozen.
         engine.prepare_publish();
-        // The store is append-only: unchanged `(terms, symbols)`
-        // lengths mean an unchanged store, whose `Arc` is reused.
+        // The store only grows between publishes (a failed fact load
+        // rolls back to where it started): unchanged `(terms,
+        // symbols)` lengths mean an unchanged store, whose `Arc` is
+        // reused.
         let store_key = |st: &TermStore| (st.len(), st.symbols().len());
         let store = if store_key(engine.store()) == store_key(&self.current.store) {
             Arc::clone(&self.current.store)

@@ -11,6 +11,8 @@
 //! * [`Literal::Cmp`] — the special predicates `=`, `∈` of
 //!   Definition 1 plus the derived/builtin comparisons.
 
+use lps_term::{TermNode, Value};
+
 use crate::error::Span;
 
 /// A parsed program: declarations and clauses in source order.
@@ -47,6 +49,16 @@ pub enum Item {
     Clause(Clause),
 }
 
+impl Item {
+    /// Source location of the whole item.
+    pub fn span(&self) -> Span {
+        match self {
+            Item::Decl(d) => d.span,
+            Item::Clause(c) => c.span,
+        }
+    }
+}
+
 /// Sort annotation in a predicate declaration: the `αᵢ` strings of
 /// Definition 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,6 +69,46 @@ pub enum SortAnn {
     Set,
     /// Unconstrained (ELPS is untyped; also used before inference).
     Any,
+}
+
+/// One node of a ground fact's arguments, in prefix order
+/// ([`TermNode`]), with the source span of the whole subterm it heads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FactNode<'a> {
+    /// The node.
+    pub term: TermNode<'a>,
+    /// Where the subterm it heads came from.
+    pub span: Span,
+}
+
+/// A ground fact as a fact sink receives it
+/// ([`crate::parser::parse_program_with`]): no clause and no owned
+/// term, only borrowed token data.
+#[derive(Clone, Copy, Debug)]
+pub struct GroundFact<'b, 'a> {
+    /// Predicate name.
+    pub pred: &'a str,
+    /// Number of top-level arguments.
+    pub arity: usize,
+    /// Source location of the head, as [`HeadAtom::span`].
+    pub span: Span,
+    /// The arguments, each in prefix order.
+    pub args: &'b [FactNode<'a>],
+}
+
+impl<'b, 'a> GroundFact<'b, 'a> {
+    /// The node heading each top-level argument.
+    pub fn top_args(&self) -> impl Iterator<Item = &'b FactNode<'a>> {
+        let mut inside = 0usize;
+        self.args.iter().filter(move |n| {
+            let top = inside == 0;
+            inside = inside.saturating_sub(1);
+            if let TermNode::App(_, k) | TermNode::Set(k) = n.term {
+                inside += k;
+            }
+            top
+        })
+    }
 }
 
 /// `pred name(atom, set, …).` — optional sort declaration for a
@@ -97,6 +149,40 @@ impl HeadAtom {
     /// Whether any argument is an LDL grouping slot `<X>`.
     pub fn has_grouping(&self) -> bool {
         self.args.iter().any(|a| matches!(a, HeadArg::Group(..)))
+    }
+
+    /// This head as the ground fact a fact sink would receive, its
+    /// arguments written into `out`; `None` when an argument is not a
+    /// ground term.
+    pub fn ground_fact<'b, 'h>(
+        &'h self,
+        out: &'b mut Vec<FactNode<'h>>,
+    ) -> Option<GroundFact<'b, 'h>> {
+        fn walk<'h>(t: &'h Term, out: &mut Vec<FactNode<'h>>) -> bool {
+            let (term, kids) = match t {
+                Term::Var(..) | Term::BinOp(..) => return false,
+                Term::Const(c, _) => (TermNode::Atom(c), &[][..]),
+                Term::Int(i, _) => (TermNode::Int(*i), &[][..]),
+                Term::App(f, args, _) => (TermNode::App(f, args.len()), &args[..]),
+                Term::SetLit(elems, _) => (TermNode::Set(elems.len()), &elems[..]),
+            };
+            out.push(FactNode {
+                term,
+                span: t.span(),
+            });
+            kids.iter().all(|k| walk(k, out))
+        }
+        out.clear();
+        let ground = self.args.iter().all(|a| match a {
+            HeadArg::Term(t) => walk(t, out),
+            HeadArg::Group(..) => false,
+        });
+        ground.then_some(GroundFact {
+            pred: &self.pred,
+            arity: self.args.len(),
+            span: self.span,
+            args: out,
+        })
     }
 }
 
@@ -378,6 +464,24 @@ impl Term {
             Term::BinOp(_, l, r, _) => {
                 l.collect_vars_excluding(bound, out);
                 r.collect_vars_excluding(bound, out);
+            }
+        }
+    }
+
+    /// The [`Value`] of a ground term; `None` for variables and
+    /// arithmetic.
+    pub fn to_value(&self) -> Option<Value> {
+        match self {
+            Term::Var(..) | Term::BinOp(..) => None,
+            Term::Const(c, _) => Some(Value::atom(c.clone())),
+            Term::Int(i, _) => Some(Value::int(*i)),
+            Term::App(f, args, _) => {
+                let vals: Option<Vec<_>> = args.iter().map(Term::to_value).collect();
+                Some(Value::app(f.clone(), vals?))
+            }
+            Term::SetLit(elems, _) => {
+                let vals: Option<Vec<_>> = elems.iter().map(Term::to_value).collect();
+                Some(Value::set(vals?))
             }
         }
     }

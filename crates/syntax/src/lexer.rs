@@ -9,7 +9,7 @@ use crate::error::{Span, SyntaxError};
 use crate::token::{Token, TokenKind};
 
 /// Tokenize `src` completely, ending with an [`TokenKind::Eof`] token.
-pub fn lex(src: &str) -> Result<Vec<Token>, SyntaxError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, SyntaxError> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
     let mut pos = 0usize;
@@ -119,13 +119,13 @@ pub fn lex(src: &str) -> Result<Vec<Token>, SyntaxError> {
     Ok(tokens)
 }
 
-fn single(kind: TokenKind, pos: &mut usize) -> Token {
+fn single<'a>(kind: TokenKind<'a>, pos: &mut usize) -> Token<'a> {
     let span = Span::new(*pos, *pos + 1);
     *pos += 1;
     Token { kind, span }
 }
 
-fn double(kind: TokenKind, pos: &mut usize) -> Token {
+fn double<'a>(kind: TokenKind<'a>, pos: &mut usize) -> Token<'a> {
     let span = Span::new(*pos, *pos + 2);
     *pos += 2;
     Token { kind, span }
@@ -135,7 +135,7 @@ fn double(kind: TokenKind, pos: &mut usize) -> Token {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -145,14 +145,14 @@ mod tests {
         assert_eq!(
             kinds("p(X) :- q(X)."),
             vec![
-                Name("p".into()),
+                Name("p"),
                 LParen,
-                Var("X".into()),
+                Var("X"),
                 RParen,
                 Turnstile,
-                Name("q".into()),
+                Name("q"),
                 LParen,
-                Var("X".into()),
+                Var("X"),
                 RParen,
                 Dot,
                 Eof
@@ -167,16 +167,16 @@ mod tests {
             kinds("forall U in X: U != y, {a, 1}"),
             vec![
                 Forall,
-                Var("U".into()),
+                Var("U"),
                 In,
-                Var("X".into()),
+                Var("X"),
                 Colon,
-                Var("U".into()),
+                Var("U"),
                 Ne,
-                Name("y".into()),
+                Name("y"),
                 Comma,
                 LBrace,
-                Name("a".into()),
+                Name("a"),
                 Comma,
                 Int(1),
                 RBrace,
@@ -199,7 +199,7 @@ mod tests {
         use TokenKind::*;
         assert_eq!(
             kinds("p. % trailing comment\n% full line\nq."),
-            vec![Name("p".into()), Dot, Name("q".into()), Dot, Eof]
+            vec![Name("p"), Dot, Name("q"), Dot, Eof]
         );
     }
 

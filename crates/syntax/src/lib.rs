@@ -62,11 +62,12 @@ pub mod pretty;
 pub mod token;
 
 pub use ast::{
-    ArithOp, Clause, CmpOp, Formula, HeadArg, HeadAtom, Item, Literal, PredDecl, Program, SortAnn,
-    Term,
+    ArithOp, Clause, CmpOp, FactNode, Formula, GroundFact, HeadArg, HeadAtom, Item, Literal,
+    PredDecl, Program, SortAnn, Term,
 };
 pub use error::{Span, SyntaxError};
-pub use parser::parse_program;
+pub use lps_term::TermNode;
+pub use parser::{parse_program, parse_program_with};
 pub use pretty::pretty_program;
 
 /// Parse a single clause (convenience for tests and examples).

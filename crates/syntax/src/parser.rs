@@ -5,10 +5,18 @@
 //! introduces a grouping slot `<X>` (two tokens of lookahead
 //! distinguish it from a comparison, which cannot start a head
 //! argument anyway).
+//!
+//! [`parse_program_with`] adds a fast path for ground facts: an item
+//! that is a name applied to ground terms, with no variables, grouping
+//! or arithmetic, goes to a fact sink as a flat [`FactNode`] stream
+//! instead of becoming a [`Clause`]. Anything else rewinds and parses
+//! as a clause, so every error is the clause parser's.
+
+use lps_term::TermNode;
 
 use crate::ast::{
-    ArithOp, Clause, CmpOp, Formula, HeadArg, HeadAtom, Item, Literal, PredDecl, Program, SortAnn,
-    Term,
+    ArithOp, Clause, CmpOp, FactNode, Formula, GroundFact, HeadArg, HeadAtom, Item, Literal,
+    PredDecl, Program, SortAnn, Term,
 };
 use crate::error::{Span, SyntaxError};
 use crate::lexer::lex;
@@ -16,42 +24,80 @@ use crate::token::{Token, TokenKind};
 
 /// Parse a full program.
 pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
+    parse_items(src, None)
+}
+
+/// Parse a full program, handing each ground fact to `sink` — in
+/// source order, borrowed from one reused buffer — instead of building
+/// a clause for it. The returned program holds the declarations and
+/// every other clause. On a syntax error the sink may already have
+/// seen the facts before it.
+pub fn parse_program_with<'s>(
+    src: &'s str,
+    sink: &mut dyn FnMut(GroundFact<'_, 's>),
+) -> Result<Program, SyntaxError> {
+    parse_items(src, Some(sink))
+}
+
+fn parse_items<'s>(
+    src: &'s str,
+    mut sink: Option<&mut dyn FnMut(GroundFact<'_, 's>)>,
+) -> Result<Program, SyntaxError> {
     let tokens = lex(src)?;
     let mut p = Parser { tokens, pos: 0 };
     let mut items = Vec::new();
+    let mut nodes = Vec::new();
     while !p.at(&TokenKind::Eof) {
+        if let Some(sink) = sink.as_mut() {
+            if let Some((pred, arity, span)) = p.ground_fact(&mut nodes) {
+                sink(GroundFact {
+                    pred,
+                    arity,
+                    span,
+                    args: &nodes,
+                });
+                continue;
+            }
+        }
         items.push(p.item()?);
     }
     Ok(Program { items })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos]
     }
 
-    fn peek2(&self) -> &Token {
+    fn peek2(&self) -> &Token<'a> {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
     }
 
-    fn at(&self, kind: &TokenKind) -> bool {
+    fn at(&self, kind: &TokenKind<'_>) -> bool {
         &self.peek().kind == kind
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Consume the current token. Tokens borrow their text from the
+    /// source, so this is a copy that allocates nothing.
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, SyntaxError> {
+    /// Consume the current token if it is `kind`, returning its span.
+    fn eat(&mut self, kind: &TokenKind<'_>) -> Option<Span> {
+        self.at(kind).then(|| self.bump().span)
+    }
+
+    fn expect(&mut self, kind: &TokenKind<'_>) -> Result<Token<'a>, SyntaxError> {
         if self.at(kind) {
             Ok(self.bump())
         } else {
@@ -63,15 +109,9 @@ impl Parser {
         }
     }
 
-    fn name(&mut self) -> Result<(String, Span), SyntaxError> {
-        match &self.peek().kind {
-            TokenKind::Name(_) => {
-                let t = self.bump();
-                match t.kind {
-                    TokenKind::Name(n) => Ok((n, t.span)),
-                    _ => unreachable!(),
-                }
-            }
+    fn name(&mut self) -> Result<(&'a str, Span), SyntaxError> {
+        match self.peek().kind {
+            TokenKind::Name(n) => Ok((n, self.bump().span)),
             _ => {
                 let found = self.peek();
                 Err(SyntaxError::new(
@@ -82,15 +122,9 @@ impl Parser {
         }
     }
 
-    fn var(&mut self) -> Result<(String, Span), SyntaxError> {
-        match &self.peek().kind {
-            TokenKind::Var(_) => {
-                let t = self.bump();
-                match t.kind {
-                    TokenKind::Var(v) => Ok((v, t.span)),
-                    _ => unreachable!(),
-                }
-            }
+    fn var(&mut self) -> Result<(&'a str, Span), SyntaxError> {
+        match self.peek().kind {
+            TokenKind::Var(v) => Ok((v, self.bump().span)),
             _ => {
                 let found = self.peek();
                 Err(SyntaxError::new(
@@ -98,6 +132,93 @@ impl Parser {
                     format!("expected a variable, found {found}"),
                 ))
             }
+        }
+    }
+
+    /// The ground-fact fast path at an item start:
+    /// `NAME ("(" ground ("," ground)* ")")? "."`. On a match `out`
+    /// holds the arguments in prefix order and the result is the
+    /// predicate, its arity and the head span (the clause parser's
+    /// spans, term for term). Anything else rewinds and yields `None`.
+    fn ground_fact(&mut self, out: &mut Vec<FactNode<'a>>) -> Option<(&'a str, usize, Span)> {
+        let start = self.pos;
+        out.clear();
+        let fact = self.ground_fact_at(out);
+        if fact.is_none() {
+            self.pos = start;
+        }
+        fact
+    }
+
+    fn ground_fact_at(&mut self, out: &mut Vec<FactNode<'a>>) -> Option<(&'a str, usize, Span)> {
+        let TokenKind::Name(pred) = self.peek().kind else {
+            return None;
+        };
+        let mut span = self.bump().span;
+        let mut arity = 0;
+        if self.eat(&TokenKind::LParen).is_some() {
+            arity = self.ground_list(out, &TokenKind::RParen)?;
+            span = span.merge(self.eat(&TokenKind::RParen)?);
+        }
+        self.eat(&TokenKind::Dot)?;
+        Some((pred, arity, span))
+    }
+
+    /// `ground ("," ground)*`, or nothing before `}`; returns the count.
+    fn ground_list(&mut self, out: &mut Vec<FactNode<'a>>, close: &TokenKind<'_>) -> Option<usize> {
+        if close == &TokenKind::RBrace && self.at(close) {
+            return Some(0);
+        }
+        let mut n = 1;
+        self.ground_term(out)?;
+        while self.eat(&TokenKind::Comma).is_some() {
+            self.ground_term(out)?;
+            n += 1;
+        }
+        Some(n)
+    }
+
+    /// One ground term: a name, an integer (optionally negated), an
+    /// application or a set literal, not followed by an arithmetic
+    /// operator.
+    fn ground_term(&mut self, out: &mut Vec<FactNode<'a>>) -> Option<()> {
+        let tok = self.bump();
+        let node = |term, span| FactNode { term, span };
+        match tok.kind {
+            TokenKind::Int(i) => out.push(node(TermNode::Int(i), tok.span)),
+            TokenKind::Minus => {
+                let TokenKind::Int(i) = self.peek().kind else {
+                    return None;
+                };
+                out.push(node(TermNode::Int(-i), tok.span.merge(self.bump().span)));
+            }
+            TokenKind::Name(n) if !self.at(&TokenKind::LParen) => {
+                out.push(node(TermNode::Atom(n), tok.span));
+            }
+            TokenKind::Name(_) | TokenKind::LBrace => {
+                // `f(…)` (the `(` is next) or `{…}`: the node heads its
+                // arguments' nodes, so it is filled in once they are
+                // counted.
+                let close = if tok.kind == TokenKind::LBrace {
+                    TokenKind::RBrace
+                } else {
+                    self.bump();
+                    TokenKind::RParen
+                };
+                let slot = out.len();
+                out.push(node(TermNode::Set(0), tok.span));
+                let n = self.ground_list(out, &close)?;
+                let span = tok.span.merge(self.eat(&close)?);
+                out[slot] = match tok.kind {
+                    TokenKind::Name(f) => node(TermNode::App(f, n), span),
+                    _ => node(TermNode::Set(n), span),
+                };
+            }
+            _ => return None,
+        }
+        match self.peek().kind {
+            TokenKind::Plus | TokenKind::Minus | TokenKind::Star => None,
+            _ => Some(()),
         }
     }
 
@@ -113,13 +234,13 @@ impl Parser {
     // decl := "pred" NAME "(" sort ("," sort)* ")" "."
     fn decl(&mut self) -> Result<PredDecl, SyntaxError> {
         let start = self.expect(&TokenKind::Pred)?.span;
-        let (name, _) = self.name()?;
+        let name = self.name()?.0.to_owned();
         let mut sorts = Vec::new();
         if self.at(&TokenKind::LParen) {
             self.bump();
             loop {
                 let (sort_name, sort_span) = self.name()?;
-                sorts.push(match sort_name.as_str() {
+                sorts.push(match sort_name {
                     "atom" => SortAnn::Atom,
                     "set" => SortAnn::Set,
                     "any" => SortAnn::Any,
@@ -163,6 +284,7 @@ impl Parser {
     // head := NAME ("(" headarg ("," headarg)* ")")?
     fn head(&mut self) -> Result<HeadAtom, SyntaxError> {
         let (pred, name_span) = self.name()?;
+        let pred = pred.to_owned();
         let mut args = Vec::new();
         let mut span = name_span;
         if self.at(&TokenKind::LParen) {
@@ -184,7 +306,7 @@ impl Parser {
     fn head_arg(&mut self) -> Result<HeadArg, SyntaxError> {
         if self.at(&TokenKind::Lt) {
             let start = self.bump().span;
-            let (v, _) = self.var()?;
+            let v = self.var()?.0.to_owned();
             let end = self.expect(&TokenKind::Gt)?.span;
             Ok(HeadArg::Group(v, start.merge(end)))
         } else {
@@ -241,7 +363,7 @@ impl Parser {
     fn quant(&mut self) -> Result<Formula, SyntaxError> {
         let is_forall = self.at(&TokenKind::Forall);
         let start = self.bump().span;
-        let (var, _) = self.var()?;
+        let var = self.var()?.0.to_owned();
         self.expect(&TokenKind::In)?;
         let set = self.term()?;
         let body = if self.at(&TokenKind::Comma)
@@ -340,10 +462,10 @@ impl Parser {
     // term := VAR | INT | "-" INT | NAME ("(" term ("," term)* ")")?
     //       | "{" (term ("," term)*)? "}"
     fn term(&mut self) -> Result<Term, SyntaxError> {
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Var(v) => {
                 let t = self.bump();
-                Ok(Term::Var(v, t.span))
+                Ok(Term::Var(v.to_owned(), t.span))
             }
             TokenKind::Int(i) => {
                 let t = self.bump();
@@ -351,7 +473,7 @@ impl Parser {
             }
             TokenKind::Minus => {
                 let start = self.bump().span;
-                match self.peek().kind.clone() {
+                match self.peek().kind {
                     TokenKind::Int(i) => {
                         let t = self.bump();
                         Ok(Term::Int(-i, start.merge(t.span)))
@@ -380,9 +502,9 @@ impl Parser {
                         }
                     }
                     span = span.merge(self.expect(&TokenKind::RParen)?.span);
-                    Ok(Term::App(n, args, span))
+                    Ok(Term::App(n.to_owned(), args, span))
                 } else {
-                    Ok(Term::Const(n, span))
+                    Ok(Term::Const(n.to_owned(), span))
                 }
             }
             TokenKind::LBrace => {
@@ -629,6 +751,69 @@ mod tests {
     #[test]
     fn error_on_dangling_comparison() {
         assert!(parse_program("p :- 1 <.").is_err());
+    }
+
+    /// Rebuild the clause the fast path skipped from its node stream.
+    fn clause_of(fact: &GroundFact<'_, '_>) -> Clause {
+        fn term(nodes: &mut std::slice::Iter<'_, FactNode<'_>>) -> Term {
+            let n = nodes.next().expect("stream is complete");
+            match n.term {
+                TermNode::Atom(a) => Term::Const(a.into(), n.span),
+                TermNode::Int(i) => Term::Int(i, n.span),
+                TermNode::App(f, k) => {
+                    Term::App(f.into(), (0..k).map(|_| term(nodes)).collect(), n.span)
+                }
+                TermNode::Set(k) => Term::SetLit((0..k).map(|_| term(nodes)).collect(), n.span),
+            }
+        }
+        let mut nodes = fact.args.iter();
+        let args = (0..fact.arity)
+            .map(|_| HeadArg::Term(term(&mut nodes)))
+            .collect();
+        assert!(nodes.next().is_none(), "no trailing nodes");
+        Clause {
+            head: HeadAtom {
+                pred: fact.pred.into(),
+                args,
+                span: fact.span,
+            },
+            body: None,
+            span: fact.span,
+        }
+    }
+
+    #[test]
+    fn fact_sink_sees_exactly_the_ground_facts() {
+        let src = "pred p(atom, set).\n\
+                   p(a, {b, -3, f(c, {})}). halt. q(X). r(1 + 2). s(<X>) :- t(X).\n\
+                   u({{a}, {}}, g(h(-7)), {a, a}). v(- 4) :- w. p(a, {}).";
+        let all = parse_program(src).unwrap();
+        let mut facts = Vec::new();
+        let rest = parse_program_with(src, &mut |f| facts.push(clause_of(&f))).unwrap();
+        let (ground, other): (Vec<&Item>, Vec<&Item>) = all.items.iter().partition(|i| {
+            matches!(i, Item::Clause(c) if c.body.is_none()
+                && c.head.args.iter().all(|a| matches!(a, HeadArg::Term(t) if t.is_ground() && !t.has_arith())))
+        });
+        assert_eq!(rest.items.iter().collect::<Vec<_>>(), other);
+        assert_eq!(facts.len(), 4);
+        for (fact, item) in facts.iter().zip(ground) {
+            let Item::Clause(c) = item else {
+                unreachable!()
+            };
+            assert_eq!(fact.head, c.head, "same names, terms and spans");
+        }
+    }
+
+    #[test]
+    fn fact_sink_defers_every_error_to_the_clause_parser() {
+        for src in [
+            "p(a", "p(a b).", "p().", "p(-x).", "p({a,}).", "p(f()).", "p(a) q.",
+        ] {
+            let mut facts = 0;
+            let err = parse_program_with(src, &mut |_| facts += 1).unwrap_err();
+            assert_eq!(err, parse_program(src).unwrap_err(), "{src}");
+            assert_eq!(facts, 0, "{src}");
+        }
     }
 
     #[test]

@@ -4,14 +4,15 @@ use std::fmt;
 
 use crate::error::Span;
 
-/// Kinds of tokens produced by the lexer.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TokenKind {
+/// Kinds of tokens produced by the lexer. Identifiers borrow their
+/// text from the source, so lexing allocates nothing per token.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TokenKind<'a> {
     /// Lowercase-initial identifier: constant, function, or predicate
     /// name.
-    Name(String),
+    Name(&'a str),
     /// Uppercase- or `_`-initial identifier: a variable.
-    Var(String),
+    Var(&'a str),
     /// Integer literal (non-negative; unary minus is handled by the
     /// parser).
     Int(i64),
@@ -72,9 +73,9 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl<'a> TokenKind<'a> {
     /// Classify an identifier: keyword, variable, or name.
-    pub fn classify_ident(text: &str) -> TokenKind {
+    pub fn classify_ident(text: &'a str) -> TokenKind<'a> {
         match text {
             "forall" => TokenKind::Forall,
             "exists" => TokenKind::Exists,
@@ -85,9 +86,9 @@ impl TokenKind {
             _ => {
                 let first = text.chars().next().expect("non-empty ident");
                 if first.is_uppercase() || first == '_' {
-                    TokenKind::Var(text.to_owned())
+                    TokenKind::Var(text)
                 } else {
-                    TokenKind::Name(text.to_owned())
+                    TokenKind::Name(text)
                 }
             }
         }
@@ -129,15 +130,15 @@ impl TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Token<'a> {
     /// What kind of token.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where it came from.
     pub span: Span,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.kind.describe())
     }
@@ -156,22 +157,13 @@ mod tests {
 
     #[test]
     fn classify_variables_and_names() {
-        assert_eq!(
-            TokenKind::classify_ident("X"),
-            TokenKind::Var("X".to_owned())
-        );
-        assert_eq!(
-            TokenKind::classify_ident("_tmp"),
-            TokenKind::Var("_tmp".to_owned())
-        );
+        assert_eq!(TokenKind::classify_ident("X"), TokenKind::Var("X"));
+        assert_eq!(TokenKind::classify_ident("_tmp"), TokenKind::Var("_tmp"));
         assert_eq!(
             TokenKind::classify_ident("widget"),
-            TokenKind::Name("widget".to_owned())
+            TokenKind::Name("widget")
         );
         // Keyword-prefixed names are still names.
-        assert_eq!(
-            TokenKind::classify_ident("input"),
-            TokenKind::Name("input".to_owned())
-        );
+        assert_eq!(TokenKind::classify_ident("input"), TokenKind::Name("input"));
     }
 }

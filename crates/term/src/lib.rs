@@ -48,7 +48,7 @@ mod display;
 
 pub use display::DisplayTerm;
 pub use fxhash::fx_fold;
-pub use store::{StoreStats, TermData, TermId, TermStore};
+pub use store::{StoreMark, StoreStats, TermData, TermId, TermNode, TermStore};
 pub use symbol::{Symbol, SymbolTable};
 pub use value::{Sort, Value};
 

@@ -12,6 +12,9 @@
 //! program can mention, and `Uˢ` is materialized lazily as evaluation
 //! constructs sets.
 
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
+
 use crate::symbol::{Symbol, SymbolTable};
 use crate::FxHashMap;
 
@@ -34,7 +37,7 @@ impl TermId {
 }
 
 /// The shape of an interned term.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TermData {
     /// A named constant of sort *a* (`c_i` in Definition 1).
     Atom(Symbol),
@@ -49,6 +52,96 @@ pub enum TermData {
     /// A finite set `{t₁, …, tₙ}` — the `{ₙ` constructors of
     /// Definition 1. Payload is sorted by `TermId` and deduplicated.
     Set(Box<[TermId]>),
+}
+
+/// Unnameable outside the crate: lets [`TermData`] be borrowed as a
+/// `dyn AsKey` for allocation-free lookups.
+mod key {
+    use super::{Symbol, TermId};
+
+    /// A borrowed view of a term's shape. The dedup table is probed
+    /// with it, so finding an existing set or application needs no
+    /// owned payload.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum TermKey<'a> {
+        Atom(Symbol),
+        Int(i64),
+        App(Symbol, &'a [TermId]),
+        Set(&'a [TermId]),
+    }
+
+    pub trait AsKey {
+        fn key(&self) -> TermKey<'_>;
+    }
+}
+use key::{AsKey, TermKey};
+
+impl AsKey for TermData {
+    fn key(&self) -> TermKey<'_> {
+        match self {
+            TermData::Atom(s) => TermKey::Atom(*s),
+            TermData::Int(i) => TermKey::Int(*i),
+            TermData::App(f, args) => TermKey::App(*f, args),
+            TermData::Set(elems) => TermKey::Set(elems),
+        }
+    }
+}
+
+impl AsKey for TermKey<'_> {
+    fn key(&self) -> TermKey<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn AsKey + 'a> for TermData {
+    fn borrow(&self) -> &(dyn AsKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn AsKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn AsKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn AsKey + '_ {}
+
+/// Hashes as its borrowed key view, as the `Borrow` lookups require.
+impl Hash for TermData {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+/// One node of a ground term written in prefix order: an application
+/// or a set is followed by its arguments or elements. Names are
+/// borrowed, so a parser can hand a term to a store without owning it
+/// ([`TermStore::intern_nodes`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TermNode<'a> {
+    /// A named constant.
+    Atom(&'a str),
+    /// An integer constant.
+    Int(i64),
+    /// `f(…)` with this many arguments.
+    App(&'a str, usize),
+    /// A set literal with this many elements (duplicates included).
+    Set(usize),
+}
+
+/// A point a [`TermStore`] can be rolled back to
+/// ([`TermStore::rollback`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StoreMark {
+    terms: usize,
+    symbols: usize,
 }
 
 /// Counters describing store contents, used by benches and tests.
@@ -68,7 +161,8 @@ pub struct StoreStats {
     pub set_elements: usize,
 }
 
-/// Append-only hash-consing store for ground terms.
+/// Hash-consing store for ground terms: append-only, except that
+/// [`TermStore::rollback`] can undo the latest additions.
 #[derive(Default, Debug, Clone)]
 pub struct TermStore {
     symbols: SymbolTable,
@@ -103,6 +197,24 @@ impl TermStore {
         if let Some(&id) = self.dedup.get(&data) {
             return id;
         }
+        self.insert(data)
+    }
+
+    /// Intern the term `key` views, building its owned payload only
+    /// when the term is new.
+    fn intern_key(&mut self, key: TermKey<'_>) -> TermId {
+        if let Some(&id) = self.dedup.get(&key as &dyn AsKey) {
+            return id;
+        }
+        self.insert(match key {
+            TermKey::Atom(s) => TermData::Atom(s),
+            TermKey::Int(i) => TermData::Int(i),
+            TermKey::App(f, args) => TermData::App(f, args.into()),
+            TermKey::Set(elems) => TermData::Set(elems.into()),
+        })
+    }
+
+    fn insert(&mut self, data: TermData) -> TermId {
         let id = TermId::from_index(self.terms.len());
         if let TermData::Set(elems) = &data {
             debug_assert!(elems.windows(2).all(|w| w[0] < w[1]), "set not canonical");
@@ -158,6 +270,91 @@ impl TermStore {
     pub fn set_canonical(&mut self, elems: Vec<TermId>) -> TermId {
         debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
         self.intern(TermData::Set(elems.into_boxed_slice()))
+    }
+
+    /// Intern an application from a borrowed argument list; allocates
+    /// only when the application is new.
+    pub fn app_slice(&mut self, f: Symbol, args: &[TermId]) -> TermId {
+        self.intern_key(TermKey::App(f, args))
+    }
+
+    /// Intern a set from a borrowed element list already sorted and
+    /// deduplicated; allocates only when the set is new.
+    pub fn set_canonical_slice(&mut self, elems: &[TermId]) -> TermId {
+        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
+        self.intern_key(TermKey::Set(elems))
+    }
+
+    /// Intern the term whose prefix-order nodes `nodes` yields,
+    /// consuming exactly those. `stack` holds the arguments of the
+    /// applications and sets under construction, so a term the store
+    /// already holds costs no allocation.
+    pub fn intern_nodes<'a>(
+        &mut self,
+        nodes: &mut impl Iterator<Item = TermNode<'a>>,
+        stack: &mut Vec<TermId>,
+    ) -> TermId {
+        let node = nodes.next().expect("a complete term");
+        let n = match node {
+            TermNode::Atom(a) => return self.atom(a),
+            TermNode::Int(i) => return self.int(i),
+            TermNode::App(_, n) | TermNode::Set(n) => n,
+        };
+        let base = stack.len();
+        for _ in 0..n {
+            let id = self.intern_nodes(nodes, stack);
+            stack.push(id);
+        }
+        let id = if let TermNode::App(f, _) = node {
+            let f = self.symbols.intern(f);
+            self.app_slice(f, &stack[base..])
+        } else {
+            stack[base..].sort_unstable();
+            let mut len = base;
+            for i in base..stack.len() {
+                if len == base || stack[i] != stack[len - 1] {
+                    stack[len] = stack[i];
+                    len += 1;
+                }
+            }
+            self.set_canonical_slice(&stack[base..len])
+        };
+        stack.truncate(base);
+        id
+    }
+
+    /// The current extent of the store, to [`TermStore::rollback`] to.
+    pub fn mark(&self) -> StoreMark {
+        StoreMark {
+            terms: self.terms.len(),
+            symbols: self.symbols.len(),
+        }
+    }
+
+    /// Forget every term and symbol interned since `mark` — the undo
+    /// of a load that failed partway. Ids handed out since the mark
+    /// become invalid; nothing else may hold them.
+    pub fn rollback(&mut self, mark: StoreMark) {
+        while self.terms.len() > mark.terms {
+            let data = self.terms.pop().expect("len checked");
+            let id = TermId::from_index(self.terms.len());
+            if let TermData::Set(elems) = &data {
+                for e in elems.iter() {
+                    let sets = self.containing_sets.get_mut(e).expect("indexed");
+                    debug_assert_eq!(sets.last(), Some(&id));
+                    sets.pop();
+                    if sets.is_empty() {
+                        self.containing_sets.remove(e);
+                    }
+                }
+                self.set_ids.pop();
+                if self.empty_set == Some(id) {
+                    self.empty_set = None;
+                }
+            }
+            self.dedup.remove(&data);
+        }
+        self.symbols.truncate(mark.symbols);
     }
 
     /// The empty set `∅` (the `{₀` constructor).
@@ -455,6 +652,83 @@ mod tests {
         assert_eq!(s.find_set(vec![b, a, b]), Some(ab));
         assert_eq!(s.find_set(vec![a]), None);
         assert_eq!(s.len(), before, "find must not intern");
+    }
+
+    #[test]
+    fn slice_interning_agrees_with_owned_interning() {
+        let mut s = TermStore::new();
+        let a = s.atom("a");
+        let b = s.atom("b");
+        let ab = s.set(vec![b, a]);
+        let f = s.symbols_mut().intern("f");
+        let fab = s.app("f", vec![a, b]);
+        let before = s.len();
+        assert_eq!(s.set_canonical_slice(&[a, b]), ab);
+        assert_eq!(s.app_slice(f, &[a, b]), fab);
+        assert_eq!(s.len(), before, "existing terms are found, not re-added");
+        let ba = s.app_slice(f, &[b, a]);
+        assert_eq!(s.app("f", vec![b, a]), ba);
+        let just_b = s.set_canonical_slice(&[b]);
+        assert_eq!(s.set(vec![b, b]), just_b);
+    }
+
+    #[test]
+    fn prefix_nodes_intern_like_owned_values() {
+        use crate::Value;
+        let v = Value::app(
+            "f",
+            [
+                Value::set([Value::atom("a"), Value::int(-2)]),
+                Value::set([Value::empty_set(), Value::set([Value::atom("a")])]),
+            ],
+        );
+        let mut nodes = Vec::new();
+        v.write_nodes(&mut |n| nodes.push(n));
+        assert_eq!(nodes[0], TermNode::App("f", 2));
+        let mut s = TermStore::new();
+        let mut stack = Vec::new();
+        let id = s.intern_nodes(&mut nodes.iter().copied(), &mut stack);
+        assert!(stack.is_empty());
+        assert_eq!(Value::from_store(&s, id), v);
+        assert_eq!(v.intern(&mut s), id);
+        // Duplicate elements collapse, in any order.
+        let dup = [
+            TermNode::Set(3),
+            TermNode::Int(1),
+            TermNode::Int(0),
+            TermNode::Int(1),
+        ];
+        let id = s.intern_nodes(&mut dup.iter().copied(), &mut stack);
+        assert_eq!(
+            Value::from_store(&s, id),
+            Value::set([Value::int(0), Value::int(1)])
+        );
+    }
+
+    #[test]
+    fn rollback_forgets_everything_since_the_mark() {
+        let mut s = TermStore::new();
+        let a = s.atom("a");
+        let sa = s.set(vec![a]);
+        let mark = s.mark();
+        let b = s.atom("b");
+        let sab = s.set(vec![a, b]);
+        let e = s.empty_set();
+        s.app("g", vec![sab]);
+        s.int(7);
+        s.rollback(mark);
+        assert_eq!(s.mark(), mark);
+        assert_eq!(s.find_atom("b"), None);
+        assert_eq!(s.symbols().get("g"), None);
+        assert_eq!(s.find_int(7), None);
+        assert_eq!(s.set_ids(), &[sa]);
+        assert_eq!(s.sets_containing(a), &[sa]);
+        assert!(s.sets_containing(b).is_empty());
+        // Re-interning after the rollback reuses the freed ids.
+        assert_eq!(s.atom("b"), b);
+        assert_eq!(s.set(vec![b, a]), sab);
+        assert_eq!(s.empty_set(), e);
+        assert_eq!(s.sets_containing(a), &[sa, sab]);
     }
 
     #[test]

@@ -81,6 +81,14 @@ impl SymbolTable {
         self.names.is_empty()
     }
 
+    /// Forget every name interned after the first `len`
+    /// ([`crate::TermStore::rollback`]).
+    pub fn truncate(&mut self, len: usize) {
+        for name in self.names.drain(len.min(self.names.len())..) {
+            self.index.remove(&name);
+        }
+    }
+
     /// Generate a symbol guaranteed not to collide with any name that
     /// can be written in the surface syntax (used by the Theorem-6
     /// compiler for auxiliary predicates). The `$` prefix is reserved:

@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 
-use crate::store::{TermData, TermId, TermStore};
+use crate::store::{TermData, TermId, TermNode, TermStore};
 
 /// The two sorts of the LPS logic (§2.1): `a` for individual objects
 /// and `s` for sets.
@@ -99,6 +99,23 @@ impl Value {
             Value::Atom(_) | Value::Int(_) => true,
             Value::App(_, args) => args.iter().all(|a| a.sort() == Sort::Atom && a.is_lps()),
             Value::Set(elems) => elems.iter().all(|e| e.sort() == Sort::Atom && e.is_lps()),
+        }
+    }
+
+    /// Hand this value to `out` in prefix order, as
+    /// [`TermStore::intern_nodes`] reads it.
+    pub fn write_nodes<'a>(&'a self, out: &mut impl FnMut(TermNode<'a>)) {
+        match self {
+            Value::Atom(a) => out(TermNode::Atom(a)),
+            Value::Int(i) => out(TermNode::Int(*i)),
+            Value::App(f, args) => {
+                out(TermNode::App(f, args.len()));
+                args.iter().for_each(|a| a.write_nodes(out));
+            }
+            Value::Set(elems) => {
+                out(TermNode::Set(elems.len()));
+                elems.iter().for_each(|e| e.write_nodes(out));
+            }
         }
     }
 

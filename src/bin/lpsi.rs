@@ -77,7 +77,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use lps::core::{classify_goal, ground_facts, Goal};
+use lps::core::{classify_goal, Goal};
 use lps::{Database, Dialect, EvalConfig, EvalStats, Model, SetUniverse};
 use lps_syntax::{parse_program, pretty_program, Clause, Item, Program};
 
@@ -149,12 +149,12 @@ impl Session {
     }
 
     /// Add program text (facts/rules), validating eagerly so errors
-    /// point at the offending line. Ground facts flow into the live
-    /// session, which absorbs them incrementally; anything else
-    /// invalidates it.
+    /// point at the offending line. Text made only of ground facts
+    /// flows into the live session, which absorbs it incrementally;
+    /// anything else invalidates it.
     fn add(&mut self, text: &str) -> Result<(), String> {
         // Parse standalone first for a precise message.
-        let parsed = parse_program(text).map_err(|e| e.render(text))?;
+        parse_program(text).map_err(|e| e.render(text))?;
         let mut candidate = self.source.clone();
         candidate.push_str(text);
         candidate.push('\n');
@@ -162,15 +162,8 @@ impl Session {
         db.load_str(&candidate).map_err(|e| e.to_string())?;
         db.check().map_err(|e| e.to_string())?;
         self.source = candidate;
-        if self.model.is_some() {
-            let mut keep_session = false;
-            if let Some(facts) = ground_facts(&parsed) {
-                let model = self.model.as_mut().expect("checked above");
-                keep_session = facts
-                    .iter()
-                    .all(|(pred, args)| model.add_fact(pred, args).is_ok());
-            }
-            if !keep_session {
+        if let Some(model) = self.model.as_mut() {
+            if model.load_facts(text).is_err() {
                 self.invalidate();
             }
         }
