@@ -8,7 +8,7 @@ use lps_term::{TermId, TermStore};
 
 use crate::dialect::Dialect;
 use crate::error::CoreError;
-use crate::facts::{check_fact, intern_args, value_fact, Facts};
+use crate::facts::{check_fact, intern_args, value_fact, Facts, FactsMark};
 use crate::fresh::FreshNames;
 use crate::lower::{load_program_sorted, register_pred};
 use crate::sorts::{infer_with_facts, SortTable};
@@ -46,6 +46,15 @@ pub struct Database {
     /// The first fact [`Database::load_program`] or
     /// [`Database::add_fact`] rejected; [`Database::check`] reports it.
     rejected: Option<CoreError>,
+}
+
+/// A point a [`Database`] can be rolled back to
+/// ([`Database::rollback`]).
+#[derive(Clone, Debug)]
+pub struct DatabaseMark {
+    facts: FactsMark,
+    rules: usize,
+    rejected: bool,
 }
 
 impl Database {
@@ -109,6 +118,26 @@ impl Database {
     fn load_fact(&mut self, fact: GroundFact<'_, '_>) {
         if let Err(e) = self.facts.load(&mut self.store, self.dialect, fact) {
             self.rejected.get_or_insert(e);
+        }
+    }
+
+    /// The current extent of the database, to [`Database::rollback`]
+    /// to.
+    pub fn mark(&self) -> DatabaseMark {
+        DatabaseMark {
+            facts: self.facts.mark(&self.store),
+            rules: self.rules.items.len(),
+            rejected: self.rejected.is_some(),
+        }
+    }
+
+    /// Forget every rule, fact and term loaded since `mark` — the undo
+    /// of an addition that [`Database::check`] rejected.
+    pub fn rollback(&mut self, mark: DatabaseMark) {
+        self.facts.rollback(&mut self.store, &mark.facts);
+        self.rules.items.truncate(mark.rules);
+        if !mark.rejected {
+            self.rejected = None;
         }
     }
 

@@ -6,7 +6,7 @@
 
 use lps_engine::FactBatch;
 use lps_syntax::{parse_program_with, FactNode, GroundFact, Program, Span};
-use lps_term::{TermId, TermNode, TermStore, Value};
+use lps_term::{StoreMark, TermId, TermNode, TermStore, Value};
 
 use crate::dialect::Dialect;
 use crate::error::CoreError;
@@ -25,7 +25,23 @@ pub(crate) struct Facts {
     row: Vec<TermId>,
 }
 
+/// A point [`Facts::rollback`] returns the facts and their store to.
+#[derive(Clone, Debug)]
+pub(crate) struct FactsMark(StoreMark, Vec<usize>, usize);
+
 impl Facts {
+    /// The current extent of the facts and of `store`.
+    pub fn mark(&self, store: &TermStore) -> FactsMark {
+        FactsMark(store.mark(), self.batch.mark(), self.sorts.len())
+    }
+
+    /// Forget every fact, term and symbol loaded since `mark`.
+    pub fn rollback(&mut self, store: &mut TermStore, mark: &FactsMark) {
+        store.rollback(mark.0);
+        self.batch.truncate(&mark.1);
+        self.sorts.truncate(mark.2);
+    }
+
     /// Check `fact` and, if it passes, intern it into `store` and
     /// append its row. A rejected fact interns nothing. In the
     /// non-nesting dialects a column keeps the sort of its first fact.
@@ -73,7 +89,7 @@ impl Facts {
         store: &mut TermStore,
         facts_only: bool,
     ) -> Result<Program, CoreError> {
-        let mark = (store.mark(), self.batch.mark(), self.sorts.len());
+        let mark = self.mark(store);
         let mut rejected = None;
         let parsed = parse_program_with(src, &mut |fact| {
             if rejected.is_none() {
@@ -91,9 +107,7 @@ impl Facts {
                 _ => return Ok(rules),
             },
         };
-        store.rollback(mark.0);
-        self.batch.truncate(&mark.1);
-        self.sorts.truncate(mark.2);
+        self.rollback(store, &mark);
         Err(err)
     }
 }

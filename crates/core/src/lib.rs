@@ -49,7 +49,7 @@ pub mod sorts;
 pub mod transform;
 pub mod validate;
 
-pub use database::{Database, Model};
+pub use database::{Database, DatabaseMark, Model};
 pub use dialect::Dialect;
 pub use error::CoreError;
 pub use lps_engine::QueryPath;

@@ -32,10 +32,12 @@
 //! [`RelViews::cands`]: each builtin step remembers the stack's length,
 //! walks its own candidates by index — copying each to a stack array
 //! before recursing, because deeper steps push onto the same stack —
-//! and truncates back before returning. Negation and quantified checks build their tuples in
+//! and truncates back before returning. An indexed probe looks its
+//! compound key terms up read-only on top of the same stack, so a probe
+//! never interns. Negation and quantified checks build their tuples in
 //! stack buffers, and the `∀` walk reads set elements in place. What
 //! still allocates is interning a new term (a computed union, a new
-//! integer, a compound probe key) and the non-flat pattern matcher.
+//! integer) and the non-flat pattern matcher.
 
 use std::cell::{Cell, RefCell};
 
@@ -46,7 +48,7 @@ use crate::config::SetUniverse;
 use crate::error::EngineError;
 use crate::pattern::{match_tuple, Env, Pattern, VarId};
 use crate::plan::{QuantPlan, Step, Variant};
-use crate::relation::{Relation, RowWindow, MAX_ARITY};
+use crate::relation::{ColMask, Relation, RowWindow, MAX_ARITY};
 use crate::rule::{BodyLit, QuantGroup, Rule};
 
 /// Interior-mutable counters for the indexed-join probe path, threaded
@@ -59,10 +61,10 @@ pub struct ProbeCounters {
     pub probes: Cell<u64>,
     /// Row ids yielded by those lookups.
     pub rows: Cell<u64>,
-    /// Heap allocations on the probe path. Only compound key patterns
-    /// (set/function literals that must intern a term per probe)
-    /// allocate; flat `Var`/`Ground` keys are built into a stack
-    /// buffer, so this stays 0 on ordinary joins.
+    /// Heap allocations on the probe path. Keys are built into a stack
+    /// buffer and compound key terms (set/function literals) are looked
+    /// up read-only on the candidate stack, so only that stack's growth
+    /// counts here, and the figure stays 0 once it has its capacity.
     pub allocs: Cell<u64>,
 }
 
@@ -113,9 +115,10 @@ pub struct RelViews<'a> {
     pub delta: &'a [RowWindow],
     /// Probe counters for this evaluation pass.
     pub counters: &'a ProbeCounters,
-    /// The candidate stack builtin steps append to and truncate back
-    /// (see the module docs). Interior-mutable for the same reason as
-    /// [`ProbeCounters`]; empty between evaluations.
+    /// The candidate stack builtin steps append to and truncate back,
+    /// and probes look compound keys up on (see the module docs).
+    /// Interior-mutable for the same reason as [`ProbeCounters`]; empty
+    /// between evaluations.
     pub cands: &'a RefCell<Vec<TermId>>,
     /// Per-literal attribution, tagged with the id of the rule being
     /// evaluated. `None` outside `:profile` runs — the hot path pays
@@ -235,24 +238,15 @@ fn run_steps(
                     )?;
                 }
             } else {
-                // Build the probe key into a stack buffer, in ascending
-                // column order (arity ≤ 32) — the indexed-join path
-                // performs no heap allocation.
-                let mut m = *mask;
-                let first_col = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let mut key = [build_key_col(&args[first_col], store, env, views.counters); 32];
-                let mut klen = 1;
-                while m != 0 {
-                    let col = m.trailing_zeros() as usize;
-                    key[klen] = build_key_col(&args[col], store, env, views.counters);
-                    klen += 1;
-                    m &= m - 1;
-                }
+                // Look the probe key up into a stack buffer, in
+                // ascending column order (arity ≤ 32): the indexed-join
+                // path interns nothing and allocates nothing. A key term
+                // the store lacks matches no row.
                 ProbeCounters::bump(&views.counters.probes, 1);
-                let rows = match window {
-                    Some(w) => rel.lookup_window(*mask, &key[..klen], w.lo, w.hi),
-                    None => rel.lookup(*mask, &key[..klen]),
+                let rows = match (probe_key(*mask, args, store, env, views), window) {
+                    (None, _) => &[][..],
+                    (Some((key, n)), Some(w)) => rel.lookup_window(*mask, &key[..n], w.lo, w.hi),
+                    (Some((key, n)), None) => rel.lookup(*mask, &key[..n]),
                 };
                 ProbeCounters::bump(&views.counters.rows, rows.len() as u64);
                 if let Some((prof, rid)) = views.profile {
@@ -345,22 +339,43 @@ fn run_steps(
     }
 }
 
-/// Build one probe-key column. Flat `Var`/`Ground` patterns read a
-/// binding or copy an id; compound patterns must intern a term, which
-/// allocates — counted so `EvalStats` can prove the ordinary join path
-/// is allocation-free.
+/// The probe key of a `mask` lookup: the bound columns' ids, in
+/// ascending column order, and their count; `None` if the store lacks
+/// one of them. Flat `Var`/`Ground` columns read a binding or copy an
+/// id; compound columns are looked up read-only, their subterms
+/// gathered on top of the candidate stack. Growing that stack is the
+/// one heap allocation a probe can make, counted so `EvalStats` can
+/// prove the join path allocation-free.
 #[inline]
-fn build_key_col(
-    arg: &Pattern,
-    store: &mut TermStore,
+fn probe_key(
+    mask: ColMask,
+    args: &[Pattern],
+    store: &TermStore,
     env: &Env,
-    counters: &ProbeCounters,
-) -> TermId {
-    if !matches!(arg, Pattern::Var(_) | Pattern::Ground(_)) {
-        ProbeCounters::bump(&counters.allocs, 1);
+    views: &RelViews<'_>,
+) -> Option<([TermId; MAX_ARITY], usize)> {
+    let col = |c: u32| match &args[c as usize] {
+        Pattern::Var(v) => env.get(*v),
+        Pattern::Ground(id) => Some(*id),
+        compound => {
+            let mut scratch = views.cands.borrow_mut();
+            let cap = scratch.capacity();
+            let id = compound.find(store, env, &mut scratch);
+            if scratch.capacity() != cap {
+                ProbeCounters::bump(&views.counters.allocs, 1);
+            }
+            id
+        }
+    };
+    let mut key = [col(mask.trailing_zeros())?; MAX_ARITY];
+    let mut n = 1;
+    let mut m = mask & (mask - 1);
+    while m != 0 {
+        key[n] = col(m.trailing_zeros())?;
+        n += 1;
+        m &= m - 1;
     }
-    arg.build(store, env)
-        .expect("planner guarantees bound columns")
+    Some((key, n))
 }
 
 /// Match one relation row (or builtin candidate tuple) against `args`

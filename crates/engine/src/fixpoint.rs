@@ -26,7 +26,7 @@ use crate::eval::{eval_rule_variant, ProbeCounters, QuantTrigger, RelViews, Step
 use crate::pattern::Pattern;
 use crate::plan::CompiledRule;
 use crate::pred::PredId;
-use crate::relation::{Relation, RowWindow};
+use crate::relation::{Relation, RowWindow, MAX_ARITY};
 use crate::rule::BodyLit;
 
 /// Reusable buffer of derived head tuples: one flat `TermId` pool plus
@@ -73,8 +73,8 @@ impl DerivedBuf {
 
 /// What every rule evaluation of one stratum run borrows through its
 /// [`RelViews`]: the probe counters, the builtin candidate stack
-/// (capacity kept across rounds, like [`DerivedBuf`]), and the
-/// `:profile` attribution.
+/// (capacity kept across rounds, like [`DerivedBuf`], and reserved up
+/// front for a probe key's subterms), and the `:profile` attribution.
 struct Scratch<'p> {
     counters: ProbeCounters,
     cands: RefCell<Vec<TermId>>,
@@ -172,7 +172,7 @@ pub fn run_stratum(
     };
     let scratch = Scratch {
         counters: ProbeCounters::default(),
-        cands: RefCell::default(),
+        cands: RefCell::new(Vec::with_capacity(MAX_ARITY)),
         profiler,
     };
 

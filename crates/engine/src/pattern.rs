@@ -14,7 +14,7 @@
 //! paper's remark (§3.2) that LPS needs "arbitrary unifiers, rather
 //! than the most specific one".
 
-use lps_term::{Symbol, TermData, TermId, TermStore};
+use lps_term::{canonicalize, Symbol, TermData, TermId, TermStore};
 
 /// Variable slot index within a rule (dense, 0-based).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -100,6 +100,35 @@ impl Pattern {
                 Some(store.set(elems))
             }
         }
+    }
+
+    /// Look up the ground term this pattern denotes under `env` without
+    /// interning it: `None` if some variable is unbound or the store
+    /// lacks the term. Subterm ids are gathered above the end of
+    /// `scratch`, which is left as it was found.
+    pub fn find(&self, store: &TermStore, env: &Env, scratch: &mut Vec<TermId>) -> Option<TermId> {
+        let ps = match self {
+            Pattern::Var(v) => return env.get(*v),
+            Pattern::Ground(id) => return Some(*id),
+            Pattern::App(_, ps) | Pattern::Set(ps) => ps,
+        };
+        let base = scratch.len();
+        let complete = ps.iter().all(|p| match p.find(store, env, scratch) {
+            Some(id) => {
+                scratch.push(id);
+                true
+            }
+            None => false,
+        });
+        let args = &mut scratch[base..];
+        let found = complete
+            .then(|| match self {
+                Pattern::App(f, _) => store.find(TermData::App(*f, args)),
+                _ => store.find(TermData::Set(canonicalize(args))),
+            })
+            .flatten();
+        scratch.truncate(base);
+        found
     }
 }
 
@@ -215,17 +244,13 @@ pub fn match_pattern(
             }
         }
         Pattern::App(f, ps) => match store.data(term) {
-            TermData::App(g, args) if g == f && args.len() == ps.len() => {
-                let args = args.clone();
-                match_seq(store, ps, &args, 0, env, found)
+            TermData::App(g, args) if g == *f && args.len() == ps.len() => {
+                match_seq(store, ps, args, 0, env, found)
             }
             _ => false,
         },
         Pattern::Set(ps) => match store.data(term) {
-            TermData::Set(elems) => {
-                let elems = elems.clone();
-                match_set(store, ps, &elems, env, found)
-            }
+            TermData::Set(elems) => match_set(store, ps, elems, env, found),
             _ => false,
         },
     }

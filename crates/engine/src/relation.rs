@@ -4,9 +4,10 @@
 //! insertion-ordered list of tuples of interned terms, stored in one
 //! contiguous [`TermId`] arena with stride = arity. Deduplication and
 //! the per-[`ColMask`] secondary indexes never materialize keys: they
-//! hash and compare the relevant columns *in place* in the arena, open
-//! addressing over `u32` row ids with the workspace Fx hasher
-//! ([`lps_term::fx_fold`]).
+//! hash and compare the relevant columns *in place* in the arena
+//! through [`IdTable`], the open-addressing table of `u32` ids the term
+//! store and symbol table intern with, hashed with the workspace Fx
+//! hasher ([`lps_term::fx_fold`]).
 //!
 //! Compared to the previous `Vec<Box<[TermId]>>` + boxed-key-hash-map
 //! layout this removes all three per-tuple heap allocations on insert
@@ -23,7 +24,7 @@
 //! probe to a [`RowWindow`] with two binary searches: the semi-naive
 //! delta of a round is such a window of the full relation.
 
-use lps_term::{fx_fold, TermId};
+use lps_term::{fx_fold, IdTable, TermId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide relation identity counter (see [`Relation::fingerprint`]).
@@ -36,17 +37,18 @@ pub type ColMask = u32;
 /// column. Front ends reject wider predicates before registering them.
 pub const MAX_ARITY: usize = ColMask::BITS as usize;
 
-/// Sentinel for an empty open-addressing slot.
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Initial open-addressing capacity (power of two).
-const INITIAL_CAP: usize = 8;
-
 /// Hash a key slice (the bound values of a probe, in ascending column
 /// order). Must agree with [`hash_masked_row`] for the same values.
 #[inline]
 fn hash_ids(ids: &[TermId]) -> u64 {
     ids.iter().fold(0u64, |h, id| fx_fold(h, id.index() as u64))
+}
+
+/// Row `r` of an arena with stride `arity`.
+#[inline]
+fn row_of(arena: &[TermId], arity: usize, r: u32) -> &[TermId] {
+    let base = r as usize * arity;
+    &arena[base..base + arity]
 }
 
 /// Hash the `mask`-selected columns of the row starting at `base`,
@@ -80,180 +82,72 @@ fn masked_row_matches(arena: &[TermId], base: usize, mask: ColMask, key: &[TermI
     true
 }
 
-/// Linear-probe `slots` for `hash`, returning the first slot index that
-/// is either empty or whose occupant satisfies `matches`. `slots.len()`
-/// must be a nonzero power of two with at least one empty slot.
-#[inline]
-fn find_slot(slots: &[u32], hash: u64, mut matches: impl FnMut(u32) -> bool) -> usize {
-    let cap_mask = slots.len() - 1;
-    let mut i = (hash as usize) & cap_mask;
-    loop {
-        let s = slots[i];
-        if s == EMPTY_SLOT || matches(s) {
-            return i;
-        }
-        i = (i + 1) & cap_mask;
-    }
-}
-
-/// Open-addressing dedup table over row ids: rows are hashed and
-/// compared in place in the arena, so no key is ever materialized.
-#[derive(Debug, Default, Clone)]
-struct RowTable {
-    /// Row ids (or [`EMPTY_SLOT`]); length is a power of two.
-    slots: Box<[u32]>,
-    /// Occupied slot count.
-    len: usize,
-}
-
-impl RowTable {
-    /// Grow and rehash (from the arena) when the next insert would push
-    /// the load factor past 7/8.
-    fn reserve_one(&mut self, arena: &[TermId], arity: usize) {
-        if (self.len + 1) * 8 <= self.slots.len() * 7 {
-            return;
-        }
-        let new_cap = (self.slots.len() * 2).max(INITIAL_CAP);
-        let mut slots = vec![EMPTY_SLOT; new_cap].into_boxed_slice();
-        for row in 0..self.len as u32 {
-            let base = row as usize * arity;
-            let h = hash_ids(&arena[base..base + arity]);
-            // All stored rows are distinct: only an empty slot matches.
-            let i = find_slot(&slots, h, |_| false);
-            slots[i] = row;
-        }
-        self.slots = slots;
-    }
-
-    /// Empty the table in O(rows) when it is sparse, else by `fill`.
-    /// A sparse clear vacates the occupied slots newest row first: a
-    /// row's probe path crosses only older rows (inserts and rehashes
-    /// both place rows in row order), so every path still leads to its
-    /// row when that row is removed. Must run before the arena clears.
-    fn clear(&mut self, arena: &[TermId], arity: usize) {
-        if is_sparse(self.len, self.slots.len()) {
-            for row in (0..self.len as u32).rev() {
-                let base = row as usize * arity;
-                let i = find_slot(&self.slots, hash_ids(&arena[base..base + arity]), |r| {
-                    r == row
-                });
-                self.slots[i] = EMPTY_SLOT;
-            }
-        } else {
-            self.slots.fill(EMPTY_SLOT);
-        }
-        self.len = 0;
-    }
-}
-
-/// Whether an open-addressing table with `len` occupants in `cap`
-/// slots is cheaper to clear one occupant at a time than by `fill`.
-#[inline]
-fn is_sparse(len: usize, cap: usize) -> bool {
-    len * 4 < cap
-}
-
-/// A secondary index for one column mask: an open-addressing table of
-/// bucket ids, where each bucket lists the row ids sharing the same
-/// values on the `mask` columns, in insertion order. Probes hash the
-/// caller's bound values directly; stored keys are compared against a
-/// bucket's first row in place in the arena. Clearing costs O(live
-/// buckets) on a sparse table (see [`ColIndex::clear`]).
+/// A secondary index for one column mask: an [`IdTable`] of bucket
+/// ids, where each bucket lists the row ids sharing the same values on
+/// the `mask` columns, in insertion order. Probes hash the caller's
+/// bound values directly; stored keys are compared against a bucket's
+/// first row in place in the arena.
 #[derive(Debug, Clone)]
 struct ColIndex {
     mask: ColMask,
-    /// Bucket ids (or [`EMPTY_SLOT`]); length is a power of two.
-    slots: Box<[u32]>,
+    /// Bucket ids, hashed by their first row's `mask` columns.
+    table: IdTable,
     /// Row ids per distinct key, in ascending (insertion) order. Only
-    /// the first `live` buckets are in use; the tail is emptied buckets
-    /// kept for reuse, so `clear` + refill (a demand space cleared and
-    /// re-derived per query) reallocates nothing at steady state.
+    /// the first `table.len()` buckets are in use; the tail is emptied
+    /// buckets kept for reuse, so `clear` + refill (a demand space
+    /// cleared and re-derived per query) reallocates nothing at steady
+    /// state.
     buckets: Vec<Vec<u32>>,
-    /// Buckets currently reachable from `slots`.
-    live: usize,
 }
 
 impl ColIndex {
     fn new(mask: ColMask) -> Self {
         ColIndex {
             mask,
-            slots: Box::default(),
+            table: IdTable::default(),
             buckets: Vec::new(),
-            live: 0,
         }
     }
 
     /// Add `row` (already appended to the arena) to the index.
     fn insert_row(&mut self, arena: &[TermId], arity: usize, row: u32) {
-        // Grow on distinct-key count (`live`).
-        if (self.live + 1) * 8 > self.slots.len() * 7 {
-            let new_cap = (self.slots.len() * 2).max(INITIAL_CAP);
-            let mut slots = vec![EMPTY_SLOT; new_cap].into_boxed_slice();
-            for (b, bucket) in self.buckets[..self.live].iter().enumerate() {
-                let base = bucket[0] as usize * arity;
-                let h = hash_masked_row(arena, base, self.mask);
-                let i = find_slot(&slots, h, |_| false);
-                slots[i] = b as u32;
-            }
-            self.slots = slots;
-        }
         let base = row as usize * arity;
-        let h = hash_masked_row(arena, base, self.mask);
         let (mask, buckets) = (self.mask, &self.buckets);
-        let i = find_slot(&self.slots, h, |b| {
-            let rep = buckets[b as usize][0] as usize * arity;
-            masked_rows_equal(arena, rep, base, mask)
-        });
-        match self.slots[i] {
-            EMPTY_SLOT => {
-                self.slots[i] = self.live as u32;
-                if self.live == self.buckets.len() {
-                    self.buckets.push(Vec::new());
-                }
-                self.buckets[self.live].push(row);
-                self.live += 1;
-            }
-            b => self.buckets[b as usize].push(row),
+        let rep = |b: u32| buckets[b as usize][0] as usize * arity;
+        let found = self.table.find_or_insert(
+            hash_masked_row(arena, base, mask),
+            |b| masked_rows_equal(arena, rep(b), base, mask),
+            |b| hash_masked_row(arena, rep(b), mask),
+        );
+        let b = found.unwrap_or_else(|b| b) as usize;
+        if b == self.buckets.len() {
+            self.buckets.push(Vec::new());
         }
+        self.buckets[b].push(row);
     }
 
     /// Row ids matching `key` (ascending-column order), or `&[]`.
     fn lookup<'a>(&'a self, arena: &[TermId], arity: usize, key: &[TermId]) -> &'a [u32] {
-        if self.slots.is_empty() {
-            return &[];
-        }
-        let h = hash_ids(key);
         let (mask, buckets) = (self.mask, &self.buckets);
-        let i = find_slot(&self.slots, h, |b| {
+        let found = self.table.find(hash_ids(key), |b| {
             let rep = buckets[b as usize][0] as usize * arity;
             masked_row_matches(arena, rep, mask, key)
         });
-        match self.slots[i] {
-            EMPTY_SLOT => &[],
-            b => &self.buckets[b as usize],
-        }
+        found.map_or(&[], |b| &self.buckets[b as usize])
     }
 
-    /// Empty the index, keeping its capacity. On a sparse table the
-    /// live buckets' slots are vacated in reverse creation order — the
-    /// [`RowTable::clear`] argument with buckets for rows, since growth
-    /// rehashes buckets in creation order too; a dense table is
-    /// `fill`ed. Must run before the arena clears.
+    /// Empty the index, keeping its capacity and its buckets' (the
+    /// [`IdTable::truncate`] cost: O(live buckets) when sparse). Must
+    /// run before the arena clears.
     fn clear(&mut self, arena: &[TermId], arity: usize) {
-        if is_sparse(self.live, self.slots.len()) {
-            for b in (0..self.live as u32).rev() {
-                let base = self.buckets[b as usize][0] as usize * arity;
-                let h = hash_masked_row(arena, base, self.mask);
-                let i = find_slot(&self.slots, h, |s| s == b);
-                self.slots[i] = EMPTY_SLOT;
-            }
-        } else {
-            self.slots.fill(EMPTY_SLOT);
-        }
-        for bucket in &mut self.buckets[..self.live] {
+        let live = self.table.len();
+        let (mask, buckets) = (self.mask, &self.buckets);
+        let rep = |b: u32| buckets[b as usize][0] as usize * arity;
+        self.table
+            .truncate(0, |b| hash_masked_row(arena, rep(b), mask));
+        for bucket in &mut self.buckets[..live] {
             bucket.clear();
         }
-        self.live = 0;
     }
 }
 
@@ -309,9 +203,8 @@ pub struct Relation {
     arity: usize,
     /// Tuple storage: row *r* occupies `arena[r*arity .. (r+1)*arity]`.
     arena: Vec<TermId>,
-    /// Row count (tracked separately so zero-arity relations work).
-    rows: u32,
-    dedup: RowTable,
+    /// Row ids, hashed by their whole tuple.
+    dedup: IdTable,
     /// Secondary indexes; relations have very few masks, so a linear
     /// scan beats hashing the mask on every probe.
     indexes: Vec<ColIndex>,
@@ -331,8 +224,7 @@ impl Default for Relation {
         Relation {
             arity: 0,
             arena: Vec::new(),
-            rows: 0,
-            dedup: RowTable::default(),
+            dedup: IdTable::default(),
             indexes: Vec::new(),
             id: NEXT_REL_ID.fetch_add(1, Ordering::Relaxed),
             version: 0,
@@ -348,7 +240,6 @@ impl Clone for Relation {
         Relation {
             arity: self.arity,
             arena: self.arena.clone(),
-            rows: self.rows,
             dedup: self.dedup.clone(),
             indexes: self.indexes.clone(),
             id: NEXT_REL_ID.fetch_add(1, Ordering::Relaxed),
@@ -374,12 +265,12 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.rows as usize
+        self.dedup.len()
     }
 
     /// Whether the relation has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.dedup.is_empty()
     }
 
     /// Insert a tuple; returns `true` if it was new. The tuple is
@@ -392,23 +283,17 @@ impl Relation {
     /// off the per-column hot loop).
     pub fn insert(&mut self, tuple: &[TermId]) -> bool {
         assert_eq!(tuple.len(), self.arity, "tuple arity mismatch");
-        let hash = hash_ids(tuple);
-        self.dedup.reserve_one(&self.arena, self.arity);
         let (arena, arity) = (&self.arena, self.arity);
-        let slot = find_slot(&self.dedup.slots, hash, |r| {
-            let base = r as usize * arity;
-            &arena[base..base + arity] == tuple
-        });
-        if self.dedup.slots[slot] != EMPTY_SLOT {
+        let found = self.dedup.find_or_insert(
+            hash_ids(tuple),
+            |r| row_of(arena, arity, r) == tuple,
+            |r| hash_ids(row_of(arena, arity, r)),
+        );
+        let Err(row) = found else {
             return false;
-        }
-        let row = self.rows;
-        assert!(row != u32::MAX, "relation overflow");
+        };
         self.arena.extend_from_slice(tuple);
-        self.rows += 1;
         self.version += 1;
-        self.dedup.slots[slot] = row;
-        self.dedup.len += 1;
         let arena = &self.arena;
         for index in &mut self.indexes {
             index.insert_row(arena, arity, row);
@@ -419,16 +304,8 @@ impl Relation {
     /// Membership test (in-place hash and compare; no allocation).
     pub fn contains(&self, tuple: &[TermId]) -> bool {
         debug_assert_eq!(tuple.len(), self.arity);
-        if self.dedup.slots.is_empty() {
-            return false;
-        }
-        let hash = hash_ids(tuple);
-        let (arena, arity) = (&self.arena, self.arity);
-        let slot = find_slot(&self.dedup.slots, hash, |r| {
-            let base = r as usize * arity;
-            &arena[base..base + arity] == tuple
-        });
-        self.dedup.slots[slot] != EMPTY_SLOT
+        let eq = |r| row_of(&self.arena, self.arity, r) == tuple;
+        self.dedup.find(hash_ids(tuple), eq).is_some()
     }
 
     /// Pre-grow the arena and dedup table for `additional` upcoming
@@ -438,36 +315,21 @@ impl Relation {
     /// beyond the reservation stay correct — growth simply resumes.
     pub fn reserve(&mut self, additional: usize) {
         self.arena.reserve(additional * self.arity);
-        let needed = self.rows as usize + additional;
-        if (needed + 1) * 8 > self.dedup.slots.len() * 7 {
-            let mut cap = self.dedup.slots.len().max(INITIAL_CAP);
-            while (needed + 1) * 8 > cap * 7 {
-                cap *= 2;
-            }
-            let mut slots = vec![EMPTY_SLOT; cap].into_boxed_slice();
-            for row in 0..self.rows {
-                let base = row as usize * self.arity;
-                let h = hash_ids(&self.arena[base..base + self.arity]);
-                // All stored rows are distinct: only an empty slot
-                // matches.
-                let i = find_slot(&slots, h, |_| false);
-                slots[i] = row;
-            }
-            self.dedup.slots = slots;
-        }
+        let (arena, arity) = (&self.arena, self.arity);
+        self.dedup
+            .reserve(additional, |r| hash_ids(row_of(arena, arity, r)));
     }
 
     /// All tuples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &[TermId]> {
-        (0..self.rows).map(move |r| self.row(r))
+        (0..self.len() as u32).map(move |r| self.row(r))
     }
 
     /// Tuple at a row index.
     #[inline]
     pub fn row(&self, row: u32) -> &[TermId] {
-        debug_assert!(row < self.rows, "row {row} out of bounds");
-        let base = row as usize * self.arity;
-        &self.arena[base..base + self.arity]
+        debug_assert!((row as usize) < self.len(), "row {row} out of bounds");
+        row_of(&self.arena, self.arity, row)
     }
 
     /// Ensure an index exists for `mask` (no-op for the empty mask,
@@ -477,7 +339,7 @@ impl Relation {
             return;
         }
         let mut index = ColIndex::new(mask);
-        for row in 0..self.rows {
+        for row in 0..self.len() as u32 {
             index.insert_row(&self.arena, self.arity, row);
         }
         self.indexes.push(index);
@@ -538,13 +400,13 @@ impl Relation {
     /// see [`Relation::clear_mark`]).
     pub(crate) fn append_tail_from(&mut self, src: &Relation) {
         assert_eq!(self.arity, src.arity, "append_tail_from: arity mismatch");
-        assert!(self.rows <= src.rows, "append_tail_from: not a prefix");
+        assert!(self.len() <= src.len(), "append_tail_from: not a prefix");
         // Indexes first, so the tail below is indexed incrementally.
         for mask in src.index_masks() {
             self.ensure_index(mask);
         }
-        self.reserve((src.rows - self.rows) as usize);
-        for r in self.rows..src.rows {
+        self.reserve(src.len() - self.len());
+        for r in self.len() as u32..src.len() as u32 {
             let fresh = self.insert(src.row(r));
             debug_assert!(fresh, "append_tail_from: row {r} already present");
         }
@@ -570,7 +432,7 @@ impl Relation {
             return n;
         }
         if let Some(ix) = self.indexes.iter().find(|i| i.mask == mask) {
-            return ix.live;
+            return ix.table.len();
         }
         const SAMPLE: usize = 1024;
         let step = n.div_ceil(SAMPLE).max(1);
@@ -606,15 +468,16 @@ impl Relation {
     /// [`Relation::fingerprint`] and [`Relation::clear_mark`].
     pub fn clear(&mut self) {
         self.version += 1;
-        if self.rows == 0 {
+        if self.is_empty() {
             return;
         }
-        self.dedup.clear(&self.arena, self.arity);
+        let (arena, arity) = (&self.arena, self.arity);
+        self.dedup
+            .truncate(0, |r| hash_ids(row_of(arena, arity, r)));
         for index in &mut self.indexes {
             index.clear(&self.arena, self.arity);
         }
         self.arena.clear();
-        self.rows = 0;
     }
 
     /// `(identity, version)` fingerprint for content caching: equal
@@ -634,7 +497,7 @@ impl Relation {
     /// earlier copy's rows are a prefix of its rows.
     pub fn clear_mark(&self) -> u64 {
         // Wrapping: a clone restarts `version` at 0 with its rows kept.
-        self.version.wrapping_sub(u64::from(self.rows))
+        self.version.wrapping_sub(self.len() as u64)
     }
 }
 

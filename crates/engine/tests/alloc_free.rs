@@ -6,9 +6,14 @@
 //! elements, and checking a constant's membership), `not`, and a
 //! `forall` check whose body holds a positive literal and a builtin.
 //!
+//! A second program rolls sets up with `scons_min`, which interns the
+//! rest of every set it takes apart: the store copies that rest within
+//! its element arena, so a call allocates nothing either.
+//!
 //! What may still grow with the input is amortized container growth
-//! (relation arenas and tables, the derivation buffer), a logarithmic
-//! number of allocations — nowhere near one per tuple.
+//! (relation arenas and tables, the store's arenas, the derivation
+//! buffer), a logarithmic number of allocations — nowhere near one per
+//! tuple.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -186,6 +191,69 @@ fn per_tuple_work_allocates_nothing() {
     assert!(
         extra_allocs * 100 < extra_calls,
         "{extra_allocs} more allocations for {extra_calls} more builtin calls \
+         ({small_allocs} at n = {n}, {large_allocs} at 4n)"
+    );
+}
+
+/// Roll `n` distinct four-element sets up to all their suffixes with
+/// `chain(Rest) :- chain(S), scons_min(_P, Rest, S).`; returns the
+/// allocations made by `run()` and the `chain` rows, one `scons_min`
+/// call each.
+fn roll_up(n: usize) -> (u64, usize) {
+    let mut e = Engine::new(EvalConfig::default());
+    let chain = e.pred("chain", 1);
+    let st = e.store_mut();
+    let pool: Vec<_> = (0..POOL).map(|i| st.atom(&format!("e{i}"))).collect();
+    // The first `n` four-element subsets of the pool, in lexicographic
+    // order.
+    let mut sets = Vec::with_capacity(n);
+    'gen: for a in 0..POOL {
+        for b in a + 1..POOL {
+            for c in b + 1..POOL {
+                for d in c + 1..POOL {
+                    if sets.len() == n {
+                        break 'gen;
+                    }
+                    sets.push(st.set(vec![pool[a], pool[b], pool[c], pool[d]]));
+                }
+            }
+        }
+    }
+    for set in sets {
+        e.fact(chain, vec![set]).unwrap();
+    }
+    let (s, rest, p) = (v(0), v(1), v(2));
+    e.rule(Rule {
+        head: chain,
+        head_args: vec![rest.clone()],
+        group: None,
+        outer: vec![
+            BodyLit::Pos(chain, vec![s.clone()]),
+            BodyLit::Builtin(Builtin::SconsMin, vec![p, rest, s]),
+        ],
+        quant: None,
+        num_vars: 3,
+        var_names: vec!["S".into(), "Rest".into(), "P".into()],
+        var_sorts: vec![],
+    })
+    .unwrap();
+    let before = allocs();
+    e.run().unwrap();
+    (allocs() - before, e.rows(chain).len())
+}
+
+#[test]
+fn scons_min_roll_up_allocates_nothing_per_call() {
+    let n = 1000;
+    let (small_allocs, small_calls) = roll_up(n);
+    let (large_allocs, large_calls) = roll_up(4 * n);
+    // Every set, every suffix of it, and the empty set.
+    assert!(small_calls > 2 * n && large_calls > 2 * 4 * n);
+    let extra_allocs = large_allocs.saturating_sub(small_allocs);
+    let extra_calls = (large_calls - small_calls) as u64;
+    assert!(
+        extra_allocs * 100 < extra_calls,
+        "{extra_allocs} more allocations for {extra_calls} more scons_min calls \
          ({small_allocs} at n = {n}, {large_allocs} at 4n)"
     );
 }

@@ -51,10 +51,10 @@ impl fmt::Display for DisplayTuple<'_> {
 
 fn write_term(store: &TermStore, id: TermId, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     match store.data(id) {
-        TermData::Atom(sym) => f.write_str(store.symbols().name(*sym)),
+        TermData::Atom(sym) => f.write_str(store.symbols().name(sym)),
         TermData::Int(v) => write!(f, "{v}"),
         TermData::App(sym, args) => {
-            f.write_str(store.symbols().name(*sym))?;
+            f.write_str(store.symbols().name(sym))?;
             f.write_str("(")?;
             for (i, &a) in args.iter().enumerate() {
                 if i > 0 {

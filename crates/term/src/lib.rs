@@ -15,6 +15,11 @@
 //! term receives a [`TermId`] and set payloads are stored sorted and
 //! deduplicated, so the paper's extensional set equality `=ˢ`
 //! (Definition 3) coincides with `TermId` equality and costs O(1).
+//! Each key is stored once, in a flat arena: a term as one fixed-size
+//! entry whose arguments or elements sit in the store's element arena,
+//! a name in the [`SymbolTable`]'s one string. One table, [`IdTable`],
+//! finds both by comparing in place; the engine's relations dedup
+//! their rows and index their columns with it too.
 //!
 //! The store also maintains an inverted *element → containing sets*
 //! index used by the engine's semi-naive `(∀x ∈ X)` trigger
@@ -42,14 +47,16 @@ pub mod fxhash;
 pub mod setops;
 pub mod store;
 pub mod symbol;
+pub mod table;
 pub mod value;
 
 mod display;
 
 pub use display::DisplayTerm;
 pub use fxhash::fx_fold;
-pub use store::{StoreMark, StoreStats, TermData, TermId, TermNode, TermStore};
+pub use store::{canonicalize, StoreMark, StoreStats, TermData, TermId, TermNode, TermStore};
 pub use symbol::{Symbol, SymbolTable};
+pub use table::IdTable;
 pub use value::{Sort, Value};
 
 /// A convenient alias for hash maps keyed by small integer-like ids.

@@ -148,13 +148,11 @@ pub fn scons(store: &mut TermStore, x: TermId, y: TermId) -> TermId {
     let ys = store.set_elems(y).expect("scons: not a set");
     match ys.binary_search(&x) {
         Ok(_) => y,
-        Err(pos) => {
-            let mut out = Vec::with_capacity(ys.len() + 1);
-            out.extend_from_slice(&ys[..pos]);
-            out.push(x);
-            out.extend_from_slice(&ys[pos..]);
-            store.set_canonical(out)
-        }
+        Err(pos) => store.set_from(y, |arena, ys| {
+            arena.extend_from_within(ys.start..ys.start + pos);
+            arena.push(x);
+            arena.extend_from_within(ys.start + pos..ys.end);
+        }),
     }
 }
 
@@ -168,10 +166,10 @@ pub fn scons_decompositions(store: &mut TermStore, z: TermId) -> Vec<(TermId, Te
         .to_vec();
     let mut out = Vec::with_capacity(elems.len());
     for (i, &x) in elems.iter().enumerate() {
-        let mut rest = Vec::with_capacity(elems.len() - 1);
-        rest.extend_from_slice(&elems[..i]);
-        rest.extend_from_slice(&elems[i + 1..]);
-        let y = store.set_canonical(rest);
+        let y = store.set_from(z, |arena, zs| {
+            arena.extend_from_within(zs.start..zs.start + i);
+            arena.extend_from_within(zs.start + i + 1..zs.end);
+        });
         out.push((x, y));
     }
     out
@@ -181,10 +179,11 @@ pub fn scons_decompositions(store: &mut TermStore, z: TermId) -> Vec<(TermId, Te
 /// extension `scons_min` (DESIGN.md §4.4). Returns `None` for `∅`.
 pub fn scons_min_decomposition(store: &mut TermStore, z: TermId) -> Option<(TermId, TermId)> {
     let elems = store.set_elems(z).expect("scons_min: not a set");
-    let (&first, rest) = elems.split_first()?;
-    let rest = rest.to_vec();
-    let y = store.set_canonical(rest);
-    Some((first, y))
+    let &first = elems.first()?;
+    let rest = store.set_from(z, |arena, zs| {
+        arena.extend_from_within(zs.start + 1..zs.end)
+    });
+    Some((first, rest))
 }
 
 /// All ordered pairs `(x, y)` with `x ∪ y = z` and `x ∩ y = ∅` — the

@@ -7,15 +7,25 @@
 //! interning, so two sets are extensionally equal — the paper's `=ˢ` of
 //! Definition 3 — if and only if their `TermId`s are equal.
 //!
+//! Storage is flat: one fixed-size entry per term, and the arguments of
+//! every application and the elements of every set back to back in one
+//! element arena. The store's [`IdTable`] finds a term by comparing it
+//! in place, so each term is held exactly once. Every application or
+//! set is interned one way: its payload is written at the arena's tail
+//! and probed for, and the tail is kept if the term is new or cut off
+//! if the store already holds it. [`TermStore::find`] probes the same
+//! table read-only.
+//!
 //! This is the executable counterpart of the paper's Herbrand universe
 //! (Definition 7 for LPS, Definition 13 for ELPS): `Uᵃ` is the atoms the
 //! program can mention, and `Uˢ` is materialized lazily as evaluation
 //! constructs sets.
 
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
+use crate::fxhash::fx_fold;
 use crate::symbol::{Symbol, SymbolTable};
+use crate::table::IdTable;
 use crate::FxHashMap;
 
 /// Identifier of an interned ground term. Ordering is interning order,
@@ -30,15 +40,13 @@ impl TermId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    fn from_index(index: usize) -> Self {
-        TermId(u32::try_from(index).expect("term store overflow"))
-    }
 }
 
-/// The shape of an interned term.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TermData {
+/// The shape of an interned term, borrowed from its store
+/// ([`TermStore::data`]), or of a term to look up
+/// ([`TermStore::find`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TermData<'a> {
     /// A named constant of sort *a* (`c_i` in Definition 1).
     Atom(Symbol),
     /// An integer constant of sort *a*. The paper treats arithmetic as
@@ -48,76 +56,68 @@ pub enum TermData {
     /// Application of an uninterpreted function symbol; sort *a*
     /// (Definition 2 case 3; Example 8 explains why functions never
     /// *return* sets).
-    App(Symbol, Box<[TermId]>),
+    App(Symbol, &'a [TermId]),
     /// A finite set `{t₁, …, tₙ}` — the `{ₙ` constructors of
     /// Definition 1. Payload is sorted by `TermId` and deduplicated.
-    Set(Box<[TermId]>),
+    Set(&'a [TermId]),
 }
 
-/// Unnameable outside the crate: lets [`TermData`] be borrowed as a
-/// `dyn AsKey` for allocation-free lookups.
-mod key {
-    use super::{Symbol, TermId};
-
-    /// A borrowed view of a term's shape. The dedup table is probed
-    /// with it, so finding an existing set or application needs no
-    /// owned payload.
-    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum TermKey<'a> {
-        Atom(Symbol),
-        Int(i64),
-        App(Symbol, &'a [TermId]),
-        Set(&'a [TermId]),
-    }
-
-    pub trait AsKey {
-        fn key(&self) -> TermKey<'_>;
+impl TermData<'_> {
+    /// The hash the store files the term under: the low half of its Fx
+    /// hash, whose low bits the table places it by.
+    #[inline]
+    fn hash(self) -> u32 {
+        let fold = |h, ids: &[TermId]| ids.iter().fold(h, |h, id| fx_fold(h, u64::from(id.0)));
+        let hash = match self {
+            TermData::Atom(s) => fx_fold(0, s.index() as u64),
+            TermData::Int(v) => fx_fold(1, v as u64),
+            TermData::App(f, args) => fold(fx_fold(2, f.index() as u64), args),
+            TermData::Set(elems) => fold(3, elems),
+        };
+        hash as u32
     }
 }
-use key::{AsKey, TermKey};
 
-impl AsKey for TermData {
-    fn key(&self) -> TermKey<'_> {
+/// A stored term: its shape, with an application's arguments or a
+/// set's elements as a `(start, len)` span of the element arena.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    Atom(Symbol),
+    Int(i64),
+    App(Symbol, (u32, u32)),
+    Set((u32, u32)),
+}
+
+impl Entry {
+    #[inline]
+    fn view(self, elems: &[TermId]) -> TermData<'_> {
+        let span = |(start, len): (u32, u32)| &elems[start as usize..(start + len) as usize];
         match self {
-            TermData::Atom(s) => TermKey::Atom(*s),
-            TermData::Int(i) => TermKey::Int(*i),
-            TermData::App(f, args) => TermKey::App(*f, args),
-            TermData::Set(elems) => TermKey::Set(elems),
+            Entry::Atom(s) => TermData::Atom(s),
+            Entry::Int(v) => TermData::Int(v),
+            Entry::App(f, s) => TermData::App(f, span(s)),
+            Entry::Set(s) => TermData::Set(span(s)),
         }
     }
 }
 
-impl AsKey for TermKey<'_> {
-    fn key(&self) -> TermKey<'_> {
-        *self
-    }
+/// Whether a set payload is sorted and free of duplicates.
+fn canonical(elems: &[TermId]) -> bool {
+    elems.windows(2).all(|w| w[0] < w[1])
 }
 
-impl<'a> Borrow<dyn AsKey + 'a> for TermData {
-    fn borrow(&self) -> &(dyn AsKey + 'a) {
-        self
+/// Canonicalize a set payload in place: sort `elems` and move its
+/// distinct values to the front, returning them.
+pub fn canonicalize(elems: &mut [TermId]) -> &[TermId] {
+    elems.sort_unstable();
+    let mut len = 0;
+    for i in 0..elems.len() {
+        if len == 0 || elems[i] != elems[len - 1] {
+            elems[len] = elems[i];
+            len += 1;
+        }
     }
-}
-
-impl Hash for dyn AsKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
-}
-
-impl PartialEq for dyn AsKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn AsKey + '_ {}
-
-/// Hashes as its borrowed key view, as the `Borrow` lookups require.
-impl Hash for TermData {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
+    &elems[..len]
 }
 
 /// One node of a ground term written in prefix order: an application
@@ -141,6 +141,7 @@ pub enum TermNode<'a> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreMark {
     terms: usize,
+    elems: usize,
     symbols: usize,
 }
 
@@ -166,8 +167,17 @@ pub struct StoreStats {
 #[derive(Default, Debug, Clone)]
 pub struct TermStore {
     symbols: SymbolTable,
-    terms: Vec<TermData>,
-    dedup: FxHashMap<TermData, TermId>,
+    /// One entry per term, indexed by `TermId`.
+    terms: Vec<Entry>,
+    /// Application arguments and set elements, back to back.
+    elems: Vec<TermId>,
+    /// Finds a term's id from its shape.
+    table: IdTable,
+    /// The low half of each term's hash, by `TermId`: a probe compares
+    /// it before the term, so a mismatch rarely reads the term, and
+    /// growth rehashes from it (the table places a key by its hash's
+    /// low bits).
+    hashes: Vec<u32>,
     /// Inverted index: element id → ids of interned sets containing it.
     /// Powers the semi-naive `(∀x ∈ X)` trigger (experiment E9).
     containing_sets: FxHashMap<TermId, Vec<TermId>>,
@@ -193,74 +203,80 @@ impl TermStore {
         &mut self.symbols
     }
 
-    fn intern(&mut self, data: TermData) -> TermId {
-        if let Some(&id) = self.dedup.get(&data) {
-            return id;
-        }
-        self.insert(data)
-    }
-
-    /// Intern the term `key` views, building its owned payload only
-    /// when the term is new.
-    fn intern_key(&mut self, key: TermKey<'_>) -> TermId {
-        if let Some(&id) = self.dedup.get(&key as &dyn AsKey) {
-            return id;
-        }
-        self.insert(match key {
-            TermKey::Atom(s) => TermData::Atom(s),
-            TermKey::Int(i) => TermData::Int(i),
-            TermKey::App(f, args) => TermData::App(f, args.into()),
-            TermKey::Set(elems) => TermData::Set(elems.into()),
-        })
-    }
-
-    fn insert(&mut self, data: TermData) -> TermId {
-        let id = TermId::from_index(self.terms.len());
-        if let TermData::Set(elems) = &data {
-            debug_assert!(elems.windows(2).all(|w| w[0] < w[1]), "set not canonical");
-            for &e in elems.iter() {
+    /// Intern the term `entry` stands for. An application's or a set's
+    /// payload is the element arena's tail from its span's start on:
+    /// kept if the term is new, cut off if the store already holds it.
+    fn intern(&mut self, entry: Entry) -> TermId {
+        let (terms, elems, hashes) = (&self.terms, &self.elems, &self.hashes);
+        let key = entry.view(elems);
+        let hash = key.hash();
+        let found = self.table.find_or_insert(
+            hash.into(),
+            |id| hashes[id as usize] == hash && terms[id as usize].view(elems) == key,
+            |id| hashes[id as usize].into(),
+        );
+        let id = match found {
+            Ok(id) => {
+                if let Entry::App(_, (start, _)) | Entry::Set((start, _)) = entry {
+                    self.elems.truncate(start as usize);
+                }
+                return TermId(id);
+            }
+            Err(id) => TermId(id),
+        };
+        if let TermData::Set(members) = key {
+            debug_assert!(canonical(members), "set not canonical");
+            for &e in members {
                 self.containing_sets.entry(e).or_default().push(id);
             }
             self.set_ids.push(id);
         }
-        self.terms.push(data.clone());
-        self.dedup.insert(data, id);
+        self.terms.push(entry);
+        self.hashes.push(hash);
         id
+    }
+
+    /// Intern the application (`Some(f)`) or set whose payload `write`
+    /// appends to the element arena.
+    fn intern_with(&mut self, f: Option<Symbol>, write: impl FnOnce(&mut Vec<TermId>)) -> TermId {
+        let start = self.elems.len();
+        write(&mut self.elems);
+        let end = u32::try_from(self.elems.len()).expect("term store overflow");
+        let span = (start as u32, end - start as u32);
+        self.intern(f.map_or(Entry::Set(span), |f| Entry::App(f, span)))
     }
 
     /// Intern a named constant.
     pub fn atom(&mut self, name: &str) -> TermId {
         let sym = self.symbols.intern(name);
-        self.intern(TermData::Atom(sym))
+        self.intern(Entry::Atom(sym))
     }
 
     /// Intern a named constant from an already-interned symbol.
     pub fn atom_sym(&mut self, sym: Symbol) -> TermId {
-        self.intern(TermData::Atom(sym))
+        self.intern(Entry::Atom(sym))
     }
 
     /// Intern an integer constant.
     pub fn int(&mut self, value: i64) -> TermId {
-        self.intern(TermData::Int(value))
+        self.intern(Entry::Int(value))
     }
 
     /// Intern a function application `f(args…)`.
     pub fn app(&mut self, f: &str, args: Vec<TermId>) -> TermId {
         let sym = self.symbols.intern(f);
-        self.app_sym(sym, args)
+        self.app_slice(sym, &args)
     }
 
     /// Intern a function application from an interned function symbol.
     pub fn app_sym(&mut self, f: Symbol, args: Vec<TermId>) -> TermId {
-        self.intern(TermData::App(f, args.into_boxed_slice()))
+        self.app_slice(f, &args)
     }
 
     /// Intern a finite set, canonicalizing the element list (sort +
     /// dedup). `{b, a, b}` and `{a, b}` produce the same id.
     pub fn set(&mut self, mut elems: Vec<TermId>) -> TermId {
-        elems.sort_unstable();
-        elems.dedup();
-        self.intern(TermData::Set(elems.into_boxed_slice()))
+        self.set_canonical_slice(canonicalize(&mut elems))
     }
 
     /// Intern a set from an element list already known to be sorted and
@@ -268,21 +284,38 @@ impl TermStore {
     /// which produce canonical output directly; `debug_assert`s guard
     /// the contract.
     pub fn set_canonical(&mut self, elems: Vec<TermId>) -> TermId {
-        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
-        self.intern(TermData::Set(elems.into_boxed_slice()))
+        self.set_canonical_slice(&elems)
     }
 
-    /// Intern an application from a borrowed argument list; allocates
-    /// only when the application is new.
+    /// Intern an application from a borrowed argument list.
     pub fn app_slice(&mut self, f: Symbol, args: &[TermId]) -> TermId {
-        self.intern_key(TermKey::App(f, args))
+        self.intern_with(Some(f), |arena| arena.extend_from_slice(args))
     }
 
     /// Intern a set from a borrowed element list already sorted and
-    /// deduplicated; allocates only when the set is new.
+    /// deduplicated.
     pub fn set_canonical_slice(&mut self, elems: &[TermId]) -> TermId {
-        debug_assert!(elems.windows(2).all(|w| w[0] < w[1]));
-        self.intern_key(TermKey::Set(elems))
+        debug_assert!(canonical(elems));
+        self.intern_with(None, |arena| arena.extend_from_slice(elems))
+    }
+
+    /// Intern the set whose canonical payload `write` appends to the
+    /// element arena, given the range of the arena that `set`'s own
+    /// payload occupies: a set derived from `set` is copied within the
+    /// arena, with no buffer of its own.
+    ///
+    /// # Panics
+    /// Panics if `set` is not a set.
+    pub(crate) fn set_from(
+        &mut self,
+        set: TermId,
+        write: impl FnOnce(&mut Vec<TermId>, Range<usize>),
+    ) -> TermId {
+        let Entry::Set((start, len)) = self.terms[set.index()] else {
+            panic!("set_from: not a set");
+        };
+        let range = start as usize..(start + len) as usize;
+        self.intern_with(None, |arena| write(arena, range))
     }
 
     /// Intern the term whose prefix-order nodes `nodes` yields,
@@ -309,15 +342,7 @@ impl TermStore {
             let f = self.symbols.intern(f);
             self.app_slice(f, &stack[base..])
         } else {
-            stack[base..].sort_unstable();
-            let mut len = base;
-            for i in base..stack.len() {
-                if len == base || stack[i] != stack[len - 1] {
-                    stack[len] = stack[i];
-                    len += 1;
-                }
-            }
-            self.set_canonical_slice(&stack[base..len])
+            self.set_canonical_slice(canonicalize(&mut stack[base..]))
         };
         stack.truncate(base);
         id
@@ -327,6 +352,7 @@ impl TermStore {
     pub fn mark(&self) -> StoreMark {
         StoreMark {
             terms: self.terms.len(),
+            elems: self.elems.len(),
             symbols: self.symbols.len(),
         }
     }
@@ -335,25 +361,27 @@ impl TermStore {
     /// of a load that failed partway. Ids handed out since the mark
     /// become invalid; nothing else may hold them.
     pub fn rollback(&mut self, mark: StoreMark) {
-        while self.terms.len() > mark.terms {
-            let data = self.terms.pop().expect("len checked");
-            let id = TermId::from_index(self.terms.len());
-            if let TermData::Set(elems) = &data {
-                for e in elems.iter() {
-                    let sets = self.containing_sets.get_mut(e).expect("indexed");
-                    debug_assert_eq!(sets.last(), Some(&id));
-                    sets.pop();
-                    if sets.is_empty() {
-                        self.containing_sets.remove(e);
-                    }
-                }
-                self.set_ids.pop();
-                if self.empty_set == Some(id) {
-                    self.empty_set = None;
+        let hashes = &self.hashes;
+        self.table
+            .truncate(mark.terms, |id| hashes[id as usize].into());
+        while let Some(&id) = self.set_ids.last().filter(|id| id.index() >= mark.terms) {
+            self.set_ids.pop();
+            let TermData::Set(members) = self.terms[id.index()].view(&self.elems) else {
+                unreachable!("set_ids lists sets");
+            };
+            for e in members {
+                let sets = self.containing_sets.get_mut(e).expect("indexed");
+                debug_assert_eq!(sets.last(), Some(&id));
+                sets.pop();
+                if sets.is_empty() {
+                    self.containing_sets.remove(e);
                 }
             }
-            self.dedup.remove(&data);
         }
+        self.empty_set = self.empty_set.filter(|id| id.index() < mark.terms);
+        self.terms.truncate(mark.terms);
+        self.hashes.truncate(mark.terms);
+        self.elems.truncate(mark.elems);
         self.symbols.truncate(mark.symbols);
     }
 
@@ -367,19 +395,19 @@ impl TermStore {
         id
     }
 
-    /// The data of an interned term.
+    /// The shape of an interned term, borrowed from the store.
     ///
     /// # Panics
     /// Panics if `id` is from a different store.
     #[inline]
-    pub fn data(&self, id: TermId) -> &TermData {
-        &self.terms[id.index()]
+    pub fn data(&self, id: TermId) -> TermData<'_> {
+        self.terms[id.index()].view(&self.elems)
     }
 
     /// Whether `id` is of sort *s* (a set).
     #[inline]
     pub fn is_set(&self, id: TermId) -> bool {
-        matches!(self.data(id), TermData::Set(_))
+        matches!(self.terms[id.index()], Entry::Set(_))
     }
 
     /// Whether `id` is of sort *a* (an atom in the two-sorted logic:
@@ -421,45 +449,51 @@ impl TermStore {
             .unwrap_or(&[])
     }
 
-    /// Look up an already-interned named constant without interning:
-    /// `None` means no term of this program run mentions `name`, so a
-    /// query for it can only have an empty answer. Read-only — usable
-    /// against a shared snapshot of the store.
+    /// Look up the term `key` describes without interning it: `None`
+    /// means no term of this program run is that term, so a query for
+    /// it can only have an empty answer. A set's elements must be
+    /// canonical. Read-only — usable against a shared snapshot of the
+    /// store.
+    pub fn find(&self, key: TermData<'_>) -> Option<TermId> {
+        debug_assert!(!matches!(key, TermData::Set(elems) if !canonical(elems)));
+        let (terms, elems, hashes) = (&self.terms, &self.elems, &self.hashes);
+        let hash = key.hash();
+        let eq = |id| hashes[id as usize] == hash && terms[id as usize].view(elems) == key;
+        self.table.find(hash.into(), eq).map(TermId)
+    }
+
+    /// Look up an already-interned named constant without interning
+    /// (see [`TermStore::find`]).
     pub fn find_atom(&self, name: &str) -> Option<TermId> {
-        let sym = self.symbols.get(name)?;
-        self.dedup.get(&TermData::Atom(sym)).copied()
+        self.find(TermData::Atom(self.symbols.get(name)?))
     }
 
     /// Look up an already-interned integer without interning (see
-    /// [`TermStore::find_atom`]).
+    /// [`TermStore::find`]).
     pub fn find_int(&self, value: i64) -> Option<TermId> {
-        self.dedup.get(&TermData::Int(value)).copied()
+        self.find(TermData::Int(value))
     }
 
     /// Look up an already-interned set by element list without
-    /// interning (see [`TermStore::find_atom`]). The list is
-    /// canonicalized (sorted, deduplicated) before the lookup.
-    pub fn find_set(&self, mut elems: Vec<TermId>) -> Option<TermId> {
-        elems.sort_unstable();
-        elems.dedup();
-        self.dedup
-            .get(&TermData::Set(elems.into_boxed_slice()))
-            .copied()
+    /// interning (see [`TermStore::find`]). A list that is not
+    /// canonical is sorted and deduplicated in a copy first.
+    pub fn find_set(&self, elems: &[TermId]) -> Option<TermId> {
+        if canonical(elems) {
+            return self.find(TermData::Set(elems));
+        }
+        self.find(TermData::Set(canonicalize(&mut elems.to_vec())))
     }
 
     /// Look up an already-interned application `f(args…)` without
-    /// interning (see [`TermStore::find_atom`]).
-    pub fn find_app(&self, f: &str, args: Vec<TermId>) -> Option<TermId> {
-        let sym = self.symbols.get(f)?;
-        self.dedup
-            .get(&TermData::App(sym, args.into_boxed_slice()))
-            .copied()
+    /// interning (see [`TermStore::find`]).
+    pub fn find_app(&self, f: &str, args: &[TermId]) -> Option<TermId> {
+        self.find(TermData::App(self.symbols.get(f)?, args))
     }
 
     /// The integer payload of `id` if it is an `Int` atom.
     pub fn as_int(&self, id: TermId) -> Option<i64> {
         match self.data(id) {
-            TermData::Int(v) => Some(*v),
+            TermData::Int(v) => Some(v),
             _ => None,
         }
     }
@@ -494,7 +528,7 @@ impl TermStore {
 
     /// Iterate over all interned term ids in interning order.
     pub fn ids(&self) -> impl Iterator<Item = TermId> {
-        (0..self.terms.len()).map(TermId::from_index)
+        (0..self.terms.len() as u32).map(TermId)
     }
 
     /// Summary statistics, used by benches to report universe sizes.
@@ -505,12 +539,12 @@ impl TermStore {
         };
         for t in &self.terms {
             match t {
-                TermData::Atom(_) => stats.atoms += 1,
-                TermData::Int(_) => stats.ints += 1,
-                TermData::App(..) => stats.apps += 1,
-                TermData::Set(elems) => {
+                Entry::Atom(_) => stats.atoms += 1,
+                Entry::Int(_) => stats.ints += 1,
+                Entry::App(..) => stats.apps += 1,
+                Entry::Set((_, len)) => {
                     stats.sets += 1;
-                    stats.set_elements += elems.len();
+                    stats.set_elements += *len as usize;
                 }
             }
         }
@@ -649,8 +683,8 @@ mod tests {
         assert_eq!(s.find_int(42), Some(i));
         assert_eq!(s.find_int(43), None);
         // Non-canonical element order still finds the interned set.
-        assert_eq!(s.find_set(vec![b, a, b]), Some(ab));
-        assert_eq!(s.find_set(vec![a]), None);
+        assert_eq!(s.find_set(&[b, a, b]), Some(ab));
+        assert_eq!(s.find_set(&[a]), None);
         assert_eq!(s.len(), before, "find must not intern");
     }
 

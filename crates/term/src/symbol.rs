@@ -7,7 +7,10 @@
 //! representation (`TermId`s, which embed `Symbol`s transitively) free
 //! of string data.
 
-use crate::FxHashMap;
+use std::hash::BuildHasher;
+
+use crate::fxhash::FxBuildHasher;
+use crate::table::IdTable;
 
 /// An interned string. Equality and hashing are O(1); the textual form
 /// is recovered through the [`SymbolTable`] that produced it.
@@ -30,14 +33,26 @@ impl Symbol {
     }
 }
 
-/// An append-only string interner.
+/// A string interner that can be rolled back.
 ///
-/// Names are stored exactly once; lookups are hash-based. The table is
-/// append-only, so `Symbol`s are never invalidated.
+/// Names are stored exactly once, back to back in one `String`, and
+/// found through an [`IdTable`] that compares them in place.
+/// [`SymbolTable::truncate`] forgets the newest names; every other
+/// `Symbol` stays valid.
 #[derive(Default, Debug, Clone)]
 pub struct SymbolTable {
-    names: Vec<Box<str>>,
-    index: FxHashMap<Box<str>, Symbol>,
+    text: String,
+    /// Where each name ends in `text`, in symbol order.
+    ends: Vec<u32>,
+    table: IdTable,
+}
+
+/// Hash of a name. The Fx hash ends in a multiply, which mixes its top
+/// bits best, while its low bits still follow the name's first bytes;
+/// the table places a key by the low bits, so the halves are swapped
+/// (names with a common prefix would otherwise crowd into one run).
+fn hash_name(name: &str) -> u64 {
+    FxBuildHasher::default().hash_one(name).rotate_left(32)
 }
 
 impl SymbolTable {
@@ -48,19 +63,23 @@ impl SymbolTable {
 
     /// Intern `name`, returning its symbol (existing or fresh).
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&sym) = self.index.get(name) {
-            return sym;
+        let found = self.table.find_or_insert(
+            hash_name(name),
+            |id| name_at(&self.text, &self.ends, id) == name,
+            |id| hash_name(name_at(&self.text, &self.ends, id)),
+        );
+        if found.is_err() {
+            self.text.push_str(name);
+            let end = u32::try_from(self.text.len()).expect("symbol table overflow");
+            self.ends.push(end);
         }
-        let sym = Symbol::from_index(self.names.len());
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.index.insert(boxed, sym);
-        sym
+        Symbol(found.unwrap_or_else(|id| id))
     }
 
     /// Look up a name without interning it.
     pub fn get(&self, name: &str) -> Option<Symbol> {
-        self.index.get(name).copied()
+        let eq = |id| name_at(&self.text, &self.ends, id) == name;
+        self.table.find(hash_name(name), eq).map(Symbol)
     }
 
     /// The textual form of `sym`.
@@ -68,25 +87,28 @@ impl SymbolTable {
     /// # Panics
     /// Panics if `sym` was produced by a different table.
     pub fn name(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
+        name_at(&self.text, &self.ends, sym.0)
     }
 
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Forget every name interned after the first `len`
     /// ([`crate::TermStore::rollback`]).
     pub fn truncate(&mut self, len: usize) {
-        for name in self.names.drain(len.min(self.names.len())..) {
-            self.index.remove(&name);
-        }
+        let len = len.min(self.len());
+        let (text, ends) = (&self.text, &self.ends);
+        self.table
+            .truncate(len, |id| hash_name(name_at(text, ends, id)));
+        self.text.truncate(start_of(&self.ends, len));
+        self.ends.truncate(len);
     }
 
     /// Generate a symbol guaranteed not to collide with any name that
@@ -94,7 +116,7 @@ impl SymbolTable {
     /// compiler for auxiliary predicates). The `$` prefix is reserved:
     /// the lexer rejects it in user programs.
     pub fn fresh(&mut self, stem: &str) -> Symbol {
-        let mut n = self.names.len();
+        let mut n = self.len();
         loop {
             let candidate = format!("${stem}#{n}");
             if self.get(&candidate).is_none() {
@@ -106,11 +128,18 @@ impl SymbolTable {
 
     /// Iterate over `(symbol, name)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (Symbol::from_index(i), n.as_ref()))
+        (0..self.ends.len() as u32).map(|id| (Symbol(id), self.name(Symbol(id))))
     }
+}
+
+/// Where name `id` starts in the text.
+fn start_of(ends: &[u32], id: usize) -> usize {
+    id.checked_sub(1).map_or(0, |prev| ends[prev] as usize)
+}
+
+/// Name `id` of a table's text and ends.
+fn name_at<'a>(text: &'a str, ends: &[u32], id: u32) -> &'a str {
+    &text[start_of(ends, id as usize)..ends[id as usize] as usize]
 }
 
 #[cfg(test)]

@@ -144,12 +144,12 @@ impl Value {
             Value::Atom(name) => store.find_atom(name),
             Value::Int(v) => store.find_int(*v),
             Value::App(f, args) => {
-                let ids = args.iter().map(|a| a.find(store)).collect::<Option<_>>()?;
-                store.find_app(f, ids)
+                let ids: Vec<_> = args.iter().map(|a| a.find(store)).collect::<Option<_>>()?;
+                store.find_app(f, &ids)
             }
             Value::Set(elems) => {
-                let ids = elems.iter().map(|e| e.find(store)).collect::<Option<_>>()?;
-                store.find_set(ids)
+                let ids: Vec<_> = elems.iter().map(|e| e.find(store)).collect::<Option<_>>()?;
+                store.find_set(&ids)
             }
         }
     }
@@ -157,10 +157,10 @@ impl Value {
     /// Reconstruct the owned tree for an interned term.
     pub fn from_store(store: &TermStore, id: TermId) -> Self {
         match store.data(id) {
-            TermData::Atom(sym) => Value::Atom(store.symbols().name(*sym).to_owned()),
-            TermData::Int(v) => Value::Int(*v),
+            TermData::Atom(sym) => Value::Atom(store.symbols().name(sym).to_owned()),
+            TermData::Int(v) => Value::Int(v),
             TermData::App(f, args) => Value::App(
-                store.symbols().name(*f).to_owned(),
+                store.symbols().name(f).to_owned(),
                 args.iter().map(|&a| Value::from_store(store, a)).collect(),
             ),
             TermData::Set(elems) => {
@@ -217,13 +217,13 @@ impl TermStore {
         }
         match (self.data(a), self.data(b)) {
             (TermData::Atom(x), TermData::Atom(y)) => {
-                self.symbols().name(*x).cmp(self.symbols().name(*y))
+                self.symbols().name(x).cmp(self.symbols().name(y))
             }
-            (TermData::Int(x), TermData::Int(y)) => x.cmp(y),
+            (TermData::Int(x), TermData::Int(y)) => x.cmp(&y),
             (TermData::App(f, xs), TermData::App(g, ys)) => self
                 .symbols()
-                .name(*f)
-                .cmp(self.symbols().name(*g))
+                .name(f)
+                .cmp(self.symbols().name(g))
                 .then_with(|| self.cmp_value_rows(xs, ys)),
             (TermData::Set(xs), TermData::Set(ys)) => {
                 self.cmp_value_rows(&self.value_ordered(xs), &self.value_ordered(ys))
@@ -249,12 +249,12 @@ impl TermStore {
     /// [`TermStore::display`] prints).
     pub fn write_value(&self, id: TermId, out: &mut String) {
         match self.data(id) {
-            TermData::Atom(sym) => out.push_str(self.symbols().name(*sym)),
+            TermData::Atom(sym) => out.push_str(self.symbols().name(sym)),
             TermData::Int(v) => {
                 let _ = write!(out, "{v}");
             }
             TermData::App(f, args) => {
-                out.push_str(self.symbols().name(*f));
+                out.push_str(self.symbols().name(f));
                 out.push('(');
                 self.write_value_list(args, out);
                 out.push(')');
@@ -289,7 +289,7 @@ impl TermStore {
 }
 
 /// Rank of a term's variant in [`Value`]'s derived order.
-fn variant_rank(data: &TermData) -> u8 {
+fn variant_rank(data: TermData<'_>) -> u8 {
     match data {
         TermData::Atom(_) => 0,
         TermData::Int(_) => 1,

@@ -84,7 +84,12 @@ use lps_syntax::{parse_program, pretty_program, Clause, Item, Program};
 struct Session {
     dialect: Dialect,
     config: EvalConfig,
+    /// The accumulated program text, for `:program` and `:reset`.
     source: String,
+    /// The accumulated program, loaded once and grown by each addition;
+    /// `None` after a dialect or configuration change or a `:reset`,
+    /// until the next use loads it again from `source`.
+    db: Option<Database>,
     /// Demand-driven query answering: queries compile magic-set plans
     /// instead of materializing the model first.
     demand: bool,
@@ -106,6 +111,7 @@ impl Session {
             dialect: Dialect::StratifiedElps,
             config: EvalConfig::default(),
             source: String::new(),
+            db: None,
             demand: true,
             cold: false,
             model: None,
@@ -113,23 +119,33 @@ impl Session {
         }
     }
 
-    fn database(&self) -> Result<Database, lps::CoreError> {
-        let mut db = Database::with_config(self.dialect, self.config);
-        db.load_str(&self.source)?;
-        Ok(db)
+    fn database(&mut self) -> Result<&mut Database, String> {
+        if self.db.is_none() {
+            let mut db = Database::with_config(self.dialect, self.config);
+            db.load_str(&self.source).map_err(|e| e.to_string())?;
+            self.db = Some(db);
+        }
+        Ok(self.db.as_mut().expect("just loaded"))
     }
 
-    /// Drop the live session (rules/dialect/universe changed).
+    /// Drop the live session (rules changed).
     fn invalidate(&mut self) {
         self.model = None;
+    }
+
+    /// Drop the live session and the loaded program (the dialect or
+    /// the configuration changed).
+    fn reconfigure(&mut self) {
+        self.db = None;
+        self.invalidate();
     }
 
     /// The live session, loaded but not necessarily materialized —
     /// the entry point for demand-driven queries.
     fn ensure_session(&mut self) -> Result<&mut Model, String> {
         if self.model.is_none() {
-            let db = self.database().map_err(|e| e.to_string())?;
-            self.model = Some(db.session().map_err(|e| e.to_string())?);
+            let model = self.database()?.session().map_err(|e| e.to_string())?;
+            self.model = Some(model);
         }
         Ok(self.model.as_mut().expect("just ensured"))
     }
@@ -149,19 +165,21 @@ impl Session {
     }
 
     /// Add program text (facts/rules), validating eagerly so errors
-    /// point at the offending line. Text made only of ground facts
+    /// point at the offending line: only `text` is loaded, and a
+    /// rejected addition is rolled back. Text made only of ground facts
     /// flows into the live session, which absorbs it incrementally;
     /// anything else invalidates it.
     fn add(&mut self, text: &str) -> Result<(), String> {
         // Parse standalone first for a precise message.
         parse_program(text).map_err(|e| e.render(text))?;
-        let mut candidate = self.source.clone();
-        candidate.push_str(text);
-        candidate.push('\n');
-        let mut db = Database::with_config(self.dialect, self.config);
-        db.load_str(&candidate).map_err(|e| e.to_string())?;
-        db.check().map_err(|e| e.to_string())?;
-        self.source = candidate;
+        let db = self.database()?;
+        let mark = db.mark();
+        if let Err(e) = db.load_str(text).and_then(|db| db.check()) {
+            db.rollback(mark);
+            return Err(e.to_string());
+        }
+        self.source.push_str(text);
+        self.source.push('\n');
         if let Some(model) = self.model.as_mut() {
             if model.load_facts(text).is_err() {
                 self.invalidate();
@@ -245,11 +263,12 @@ impl Session {
     /// demand space a repeat query is a pure read, with no per-literal
     /// work to attribute); the next query rebuilds an unprofiled one.
     fn profile(&mut self, text: &str) -> Result<(), String> {
-        self.invalidate();
+        self.reconfigure();
         let config = self.config;
         self.config.profile = true;
         let outcome = self.query(text);
         self.config = config;
+        self.db = None;
         let report = self
             .model
             .take()
@@ -462,7 +481,7 @@ fn main() -> io::Result<()> {
                 ":help" | ":h" => print_help(),
                 ":clear" => {
                     session.source.clear();
-                    session.invalidate();
+                    session.reconfigure();
                     println!("cleared.");
                 }
                 ":reset" => {
@@ -478,6 +497,7 @@ fn main() -> io::Result<()> {
                         .into_iter()
                         .partition(|item| matches!(item, Item::Clause(Clause { body: None, .. })));
                     session.source = pretty_program(&Program { items: kept });
+                    session.db = None;
                     if let Some(m) = session.model.as_mut() {
                         m.reset_facts();
                     }
@@ -570,7 +590,7 @@ fn main() -> io::Result<()> {
                                 // Cached plans were compiled under the
                                 // other ordering policy: rebuild.
                                 session.config.cost_planner = on;
-                                session.invalidate();
+                                session.reconfigure();
                             }
                             println!("planner = {arg}");
                         }
@@ -610,7 +630,7 @@ fn main() -> io::Result<()> {
                     continue;
                 }
                 ":dialect" => {
-                    session.invalidate();
+                    session.reconfigure();
                     session.dialect = match arg {
                         "purelps" => Dialect::PureLps,
                         "lps" => Dialect::Lps,
@@ -624,7 +644,7 @@ fn main() -> io::Result<()> {
                     println!("dialect = {:?}", session.dialect);
                 }
                 ":universe" => {
-                    session.invalidate();
+                    session.reconfigure();
                     let mut words = arg.split_whitespace();
                     session.config.set_universe = match words.next() {
                         Some("reject") => SetUniverse::Reject,
@@ -679,11 +699,17 @@ fn main() -> io::Result<()> {
                         println!("error: {e}");
                     }
                 }
-                ":normalized" => match session.database().and_then(|db| db.normalized()) {
+                ":normalized" => match session
+                    .database()
+                    .and_then(|db| db.normalized().map_err(|e| e.to_string()))
+                {
                     Ok(p) => print!("{}", pretty_program(&p)),
                     Err(e) => println!("error: {e}"),
                 },
-                ":sorts" => match session.database().and_then(|db| db.check()) {
+                ":sorts" => match session
+                    .database()
+                    .and_then(|db| db.check().map_err(|e| e.to_string()))
+                {
                     Ok(table) => {
                         let mut sigs: Vec<String> = table
                             .iter()

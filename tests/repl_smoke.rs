@@ -281,6 +281,38 @@ fn bad_input_reports_error_and_keeps_session_alive() {
 }
 
 #[test]
+fn rejected_lines_leave_the_program_and_answers_unchanged() {
+    // Each line loads on its own; a line that fails to parse or to
+    // sort-check is rolled back whole, so the next line still loads.
+    let (stdout, _) = run_lpsi(
+        &[],
+        ":dialect lps\n\
+         p(a). q(X) :- p(X).\n\
+         :program\n\
+         r(X, ) .\n\
+         s(X) :- q(X), Y in X.\n\
+         q({a}).\n\
+         :program\n\
+         p(b).\n\
+         ?- q(X).\n\
+         :quit\n",
+    );
+    let program = "p(a). q(X) :- p(X).\n";
+    assert_eq!(
+        stdout.matches(program).count(),
+        2,
+        "`:program` unchanged by the rejected lines:\n{stdout}"
+    );
+    assert!(stdout.contains("syntax error"), "{stdout}");
+    assert_eq!(stdout.matches("sort error").count(), 2, "{stdout}");
+    assert!(!stdout.contains("{a}"), "q({{a}}) was not kept:\n{stdout}");
+    assert!(
+        stdout.contains("q(a)") && stdout.contains("q(b)") && stdout.contains("2 answer(s)."),
+        "later lines load and answer as before:\n{stdout}"
+    );
+}
+
+#[test]
 fn demand_queries_answer_without_materializing() {
     // A point query over a chain TC: the demand path seeds one magic
     // fact, compiles adornments, and never runs an incremental pass.
