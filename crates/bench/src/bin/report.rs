@@ -1216,7 +1216,9 @@ fn e16(rep: &mut Report) {
     // follows textual order and enumerates the full big_a ⋈ big_b
     // cross-section; with statistics the plan starts at `small_c` and
     // the same model must arrive ≥5× faster, bit-identical (same
-    // interned TermId tuples). Timed at the engine level
+    // interned TermId tuples; `crates/bench/tests/e16_invariants.rs`
+    // checks the models and counters of both E16 bodies at smoke sizes,
+    // here only the timing bars are asserted). Timed at the engine level
     // (`Engine::run` on a prepared session), so program lowering —
     // identical on both sides — stays outside the measurement.
     //
@@ -1328,25 +1330,8 @@ fn e16(rep: &mut Report) {
     };
     let (t_on, model_on) = median_run(&tri_src, true);
     let (t_off, model_off) = median_run(&tri_src, false);
-    assert_eq!(
-        id_rows(&model_on),
-        id_rows(&model_off),
-        "the planner must not change the model, bit for bit"
-    );
+    let tri_identical = id_rows(&model_on) == id_rows(&model_off);
     let on_stats = model_on.stats();
-    assert!(
-        on_stats.reorders_applied >= 1,
-        "the planner must reorder the adversarial body"
-    );
-    assert!(
-        on_stats.stats_refreshes >= 1,
-        "the planner refreshes statistics at least once"
-    );
-    assert_eq!(
-        model_off.stats().reorders_applied,
-        0,
-        "planner off takes the textual order"
-    );
     let tri_speedup = t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-9);
     if !rep.smoke {
         // The acceptance bar for the cost model (observed well above
@@ -1381,7 +1366,7 @@ fn e16(rep: &mut Report) {
             format!("{tri_speedup:.1}"),
             model_on.count("out", 2).to_string(),
             on_stats.reorders_applied.to_string(),
-            "yes".to_string(),
+            if tri_identical { "yes" } else { "no" }.to_string(),
         ]],
     );
 
@@ -1390,23 +1375,8 @@ fn e16(rep: &mut Report) {
     let (t_on, model_on) = median_run(&rollup_src, true);
     let (t_off, model_off) = median_run(&rollup_src, false);
     // The peel interns rest sets in plan order, so compare values.
-    let costs_on = model_on.extension("obj_cost");
-    assert_eq!(
-        costs_on,
-        model_off.extension("obj_cost"),
-        "the planner must not change the roll-up"
-    );
-    assert_eq!(costs_on.len(), objects, "every object is priced");
+    let rollup_identical = model_on.extension("obj_cost") == model_off.extension("obj_cost");
     let on_stats = model_on.stats();
-    assert!(
-        on_stats.reorders_applied >= 1,
-        "the planner must move the peel ahead of the cost scan"
-    );
-    assert_eq!(
-        model_off.stats().reorders_applied,
-        0,
-        "planner off takes the textual order"
-    );
     let rollup_speedup = t_off.as_secs_f64() / t_on.as_secs_f64().max(1e-9);
     if !rep.smoke {
         assert!(
@@ -1436,7 +1406,7 @@ fn e16(rep: &mut Report) {
             format!("{rollup_speedup:.1}"),
             on_stats.facts_derived.to_string(),
             on_stats.reorders_applied.to_string(),
-            "yes".to_string(),
+            if rollup_identical { "yes" } else { "no" }.to_string(),
         ]],
     );
 }

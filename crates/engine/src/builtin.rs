@@ -65,6 +65,28 @@ pub fn functional(b: Builtin, bound: &[bool]) -> bool {
     }
 }
 
+/// The argument positions at which `b` needs a set: an atom there is a
+/// `TypeError`, or for `in` simply no member. `notin` needs none, since
+/// `x ∉ atom` holds. The planner ranges an unsorted variable found at
+/// one of these positions over the active sets only.
+pub fn set_positions(b: Builtin) -> &'static [usize] {
+    match b {
+        Builtin::Card => &[0],
+        Builtin::Union | Builtin::DisjUnion => &[0, 1, 2],
+        Builtin::Scons | Builtin::SconsMin => &[1, 2],
+        Builtin::SubsetEq => &[0, 1],
+        Builtin::In => &[1],
+        Builtin::Eq
+        | Builtin::Ne
+        | Builtin::NotIn
+        | Builtin::Add
+        | Builtin::Sub
+        | Builtin::Mul
+        | Builtin::Lt
+        | Builtin::Le => &[],
+    }
+}
+
 /// The widest builtin (`union`, `+`, …): callers size their stack
 /// argument buffers with it.
 pub const MAX_BUILTIN_ARITY: usize = 3;

@@ -1227,7 +1227,10 @@ impl Engine {
                     }
                     out.push_str(&format!("  {} :-", self.pred_name(cr.rule.head)));
                     let full = &cr.variants[0];
-                    for step in full.steps.iter().chain(&full.post_steps) {
+                    for (i, step) in full.steps.iter().chain(&full.post_steps).enumerate() {
+                        if full.tail == Some(i) {
+                            out.push_str(" |∃");
+                        }
                         let desc = match step {
                             Step::Pos { lit, .. } => {
                                 let BodyLit::Pos(p, _) = &cr.rule.outer[*lit] else {
@@ -1252,6 +1255,7 @@ impl Engine {
                                 };
                                 format!(" <{}>", b.name())
                             }
+                            Step::Members { lits, .. } => format!(" <in∩{}>", lits.len()),
                             Step::EnumUniverse { .. } => " <enum-universe>".to_owned(),
                         };
                         out.push_str(&desc);

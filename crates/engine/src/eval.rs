@@ -38,8 +38,22 @@
 //! stack buffers, and the `∀` walk reads set elements in place. What
 //! still allocates is interning a new term (a computed union, a new
 //! integer) and the non-flat pattern matcher.
+//!
+//! ## Existential tails and membership intersections
+//!
+//! A [`Step::Members`] intersects the bound sets of `X in S₁, …, X in
+//! Sₖ` on the candidate stack (smallest payload first, merged against
+//! the others) and binds `X` to each common element. Steps from a
+//! variant's [`Variant::tail`] on bind only variables nothing after
+//! them reads, so the executor stops them at their first solution. The
+//! steps before the tail run with the tail as their sink; the tail's
+//! own sink calls the real one once and returns
+//! [`ControlFlow::Break`], which every tail step passes up after
+//! restoring its bindings and candidates, until the prefix's sink
+//! turns it back into `Continue`.
 
 use std::cell::{Cell, RefCell};
+use std::ops::ControlFlow;
 
 use lps_term::{FxHashMap, FxHashSet, Sort, TermId, TermStore};
 
@@ -135,8 +149,19 @@ pub struct QuantTrigger<'a> {
     pub candidate_sets: &'a FxHashSet<TermId>,
 }
 
+/// What a step reports to the one above it: go on enumerating, or stop,
+/// because the existential tail it belongs to has found its witness.
+type Flow = Result<ControlFlow<()>, EngineError>;
+
+/// A continuation of the join: called per solution of the steps run.
+type Sink<'s> = dyn FnMut(&mut TermStore, &mut Env) -> Flow + 's;
+
+/// The flow of a step or sink that has not been cut.
+const GO_ON: Flow = Ok(ControlFlow::Continue(()));
+
 /// Evaluate one variant of `rule`, calling `sink` once per satisfying
-/// assignment (with all head/grouping variables bound).
+/// assignment of the variables before its existential tail (with all
+/// head/grouping variables bound).
 #[allow(clippy::too_many_arguments)]
 pub fn eval_rule_variant(
     rule: &Rule,
@@ -162,29 +187,72 @@ pub fn eval_rule_variant(
             views,
             policy,
             env,
-            &mut |store, env| sink(store, env),
+            &mut |store, env| {
+                sink(store, env)?;
+                GO_ON
+            },
         );
         env.undo_to(mark);
-        res
+        res.map(drop)
     };
-    run_steps(
-        &rule.outer,
-        &variant.steps,
-        0,
-        store,
-        views,
-        policy,
-        &mut env,
-        &mut |store, env| match (&rule.quant, quant_plan) {
-            (Some(group), Some(plan)) => {
-                eval_quant(group, plan, store, views, policy, trigger, env, &mut post)
-            }
-            _ => post(store, env),
-        },
-    )
+    let mut finish = |store: &mut TermStore, env: &mut Env| match (&rule.quant, quant_plan) {
+        (Some(group), Some(plan)) => {
+            eval_quant(group, plan, store, views, policy, trigger, env, &mut post)
+        }
+        _ => post(store, env),
+    };
+    let (prefix, tail) = variant
+        .steps
+        .split_at(variant.tail.unwrap_or(variant.steps.len()));
+    let flow = if tail.is_empty() {
+        run_steps(
+            &rule.outer,
+            prefix,
+            0,
+            store,
+            views,
+            policy,
+            &mut env,
+            &mut |store, env| {
+                finish(store, env)?;
+                GO_ON
+            },
+        )
+    } else {
+        run_steps(
+            &rule.outer,
+            prefix,
+            0,
+            store,
+            views,
+            policy,
+            &mut env,
+            &mut |store, env| {
+                // The tail runs to its first solution, and its cut ends
+                // here: the prefix goes on either way.
+                let _cut = run_steps(
+                    &rule.outer,
+                    tail,
+                    0,
+                    store,
+                    views,
+                    policy,
+                    env,
+                    &mut |store, env| {
+                        finish(store, env)?;
+                        Ok(ControlFlow::Break(()))
+                    },
+                )?;
+                GO_ON
+            },
+        )
+    };
+    flow.map(drop)
 }
 
-/// Recursively execute join steps.
+/// Recursively execute join steps from `k`, calling `sink` per
+/// solution. A `Break` from the sink stops every enumeration on the way
+/// back up, each restoring its bindings and candidates first.
 #[allow(clippy::too_many_arguments)]
 fn run_steps(
     lits: &[BodyLit],
@@ -194,8 +262,8 @@ fn run_steps(
     views: &RelViews<'_>,
     policy: SetUniverse,
     env: &mut Env,
-    sink: &mut dyn FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
+    sink: &mut Sink<'_>,
+) -> Flow {
     if k == steps.len() {
         return sink(store, env);
     }
@@ -223,7 +291,7 @@ fn run_steps(
                     prof.record(rid, *lit as u32, 1, rows.len() as u64);
                 }
                 for row in rows.lo..rows.hi {
-                    match_row_then_continue(
+                    let flow = match_row_then_continue(
                         lits,
                         steps,
                         k,
@@ -236,6 +304,9 @@ fn run_steps(
                         rel.row(row),
                         *flat,
                     )?;
+                    if flow.is_break() {
+                        return Ok(flow);
+                    }
                 }
             } else {
                 // Look the probe key up into a stack buffer, in
@@ -253,7 +324,7 @@ fn run_steps(
                     prof.record(rid, *lit as u32, 1, rows.len() as u64);
                 }
                 for &row in rows {
-                    match_row_then_continue(
+                    let flow = match_row_then_continue(
                         lits,
                         steps,
                         k,
@@ -266,9 +337,12 @@ fn run_steps(
                         rel.row(row),
                         *flat,
                     )?;
+                    if flow.is_break() {
+                        return Ok(flow);
+                    }
                 }
             }
-            Ok(())
+            GO_ON
         }
         Step::BuiltinStep { lit, flat } => {
             let (b, args) = match &lits[*lit] {
@@ -288,7 +362,7 @@ fn run_steps(
             let start = views.cands.borrow().len();
             builtin::enumerate(b, &known[..n], store, policy, &mut views.cands.borrow_mut())?;
             let end = views.cands.borrow().len();
-            let mut res = Ok(());
+            let mut res = GO_ON;
             for at in (start..end).step_by(n) {
                 let cand = {
                     let stack = views.cands.borrow();
@@ -309,7 +383,27 @@ fn run_steps(
                     &cand[..n],
                     *flat,
                 );
-                if res.is_err() {
+                if !matches!(res, Ok(ControlFlow::Continue(()))) {
+                    break;
+                }
+            }
+            views.cands.borrow_mut().truncate(start);
+            res
+        }
+        Step::Members { var, lits: ins } => {
+            // This level's witnesses are the stack's `start..end`, as a
+            // builtin step's candidates are.
+            let start = views.cands.borrow().len();
+            intersect_members(lits, ins, store, env, &mut views.cands.borrow_mut());
+            let end = views.cands.borrow().len();
+            let mut res = GO_ON;
+            for at in start..end {
+                let witness = views.cands.borrow()[at];
+                let mark = env.mark();
+                env.bind(*var, witness);
+                res = run_steps(lits, steps, k + 1, store, views, policy, env, sink);
+                env.undo_to(mark);
+                if !matches!(res, Ok(ControlFlow::Continue(()))) {
                     break;
                 }
             }
@@ -322,7 +416,7 @@ fn run_steps(
                 other => unreachable!("Neg step on {other:?}"),
             };
             if with_ground_tuple(args, store, env, |t| views.full[pred.index()].contains(t)) {
-                return Ok(());
+                return GO_ON;
             }
             run_steps(lits, steps, k + 1, store, views, policy, env, sink)
         }
@@ -331,11 +425,65 @@ fn run_steps(
             for t in universe {
                 let mark = env.mark();
                 env.bind(*var, t);
-                run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
+                let flow = run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
                 env.undo_to(mark);
+                if flow.is_break() {
+                    return Ok(flow);
+                }
             }
-            Ok(())
+            GO_ON
         }
+    }
+}
+
+/// Push the elements common to the sets of the flat literals `X in S`
+/// listed in `ins` (every `S` bound) onto `out`, in ascending `TermId`
+/// order: the smallest payload is copied, then filtered in place by a
+/// merge against each other payload. An atom has no elements (ELPS
+/// §5), so it empties the intersection.
+#[inline(never)]
+fn intersect_members(
+    lits: &[BodyLit],
+    ins: &[usize],
+    store: &TermStore,
+    env: &Env,
+    out: &mut Vec<TermId>,
+) {
+    let payload = |i: usize| -> &[TermId] {
+        let set = match &lits[i] {
+            BodyLit::Builtin(_, args) => match &args[1] {
+                Pattern::Var(v) => env.get(*v).expect("planner binds the set first"),
+                Pattern::Ground(id) => *id,
+                other => unreachable!("membership folded on a compound set {other:?}"),
+            },
+            other => unreachable!("Members step on {other:?}"),
+        };
+        store.set_elems(set).unwrap_or_default()
+    };
+    let smallest = ins
+        .iter()
+        .copied()
+        .min_by_key(|&i| payload(i).len())
+        .expect("a Members step folds at least one literal");
+    let start = out.len();
+    out.extend_from_slice(payload(smallest));
+    for &i in ins {
+        if i == smallest || out.len() == start {
+            continue;
+        }
+        let other = payload(i);
+        let (mut kept, mut j) = (start, 0);
+        for at in start..out.len() {
+            let e = out[at];
+            while j < other.len() && other[j] < e {
+                j += 1;
+            }
+            if j < other.len() && other[j] == e {
+                out[kept] = e;
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 }
 
@@ -382,7 +530,8 @@ fn probe_key(
 /// and recurse into the remaining steps for each solution. Flat tuples
 /// (all `Var`/`Ground` args, precomputed by the planner) have at most
 /// one solution and bind in place with no allocation; general patterns
-/// fall back to solution capture.
+/// fall back to solution capture. A `Break` from below is returned
+/// after the bindings are undone.
 #[allow(clippy::too_many_arguments)]
 fn match_row_then_continue(
     lits: &[BodyLit],
@@ -392,27 +541,31 @@ fn match_row_then_continue(
     views: &RelViews<'_>,
     policy: SetUniverse,
     env: &mut Env,
-    sink: &mut dyn FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
+    sink: &mut Sink<'_>,
     args: &[Pattern],
     tuple: &[TermId],
     flat: bool,
-) -> Result<(), EngineError> {
+) -> Flow {
     if flat {
         let mark = env.mark();
+        let mut flow = ControlFlow::Continue(());
         if match_flat(args, tuple, env) {
-            run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
+            flow = run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
         }
         env.undo_to(mark);
-        return Ok(());
+        return Ok(flow);
     }
     let sols = match_solutions(store, args, tuple, env);
     for bindings in sols {
         let mark = env.mark();
         env.apply(&bindings);
-        run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
+        let flow = run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
         env.undo_to(mark);
+        if flow.is_break() {
+            return Ok(flow);
+        }
     }
-    Ok(())
+    GO_ON
 }
 
 /// Match a flat (all `Var`/`Ground`) argument tuple against a ground
@@ -562,9 +715,10 @@ fn eval_quant(
                 .map(|q| env.get(*q).expect("inner join binds quantified vars"))
                 .collect();
             cover.entry(free_vals).or_default().insert(q_vals);
-            Ok(())
+            GO_ON
         },
-    )?;
+    )
+    .map(drop)?;
 
     // Does the walk reach any leaf at all? If not, the condition is
     // vacuous: every binding of the live unbound variables qualifies.

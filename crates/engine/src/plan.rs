@@ -15,13 +15,13 @@
 
 use lps_term::FxHashSet;
 
-use crate::builtin::{functional, mode_ok};
+use crate::builtin::{functional, mode_ok, set_positions};
 use crate::config::SetUniverse;
 use crate::error::EngineError;
 use crate::pattern::{Pattern, VarId};
 use crate::pred::PredId;
 use crate::relation::ColMask;
-use crate::rule::{BodyLit, Rule};
+use crate::rule::{BodyLit, Builtin, Rule};
 use crate::stats::Stats;
 use crate::strata::{stratify, Stratification};
 
@@ -68,16 +68,29 @@ pub enum Step {
         /// two-sorted inference); `None` = all terms.
         sort: Option<lps_term::Sort>,
     },
+    /// Bind a free variable to each element common to the bound sets
+    /// of the flat literals `var in S₁, …, var in Sₖ`: one sorted-set
+    /// intersection (walk the smallest payload, merge it against the
+    /// others) in place of an element enumeration followed by `k − 1`
+    /// membership checks. A lone `X in S` is the `k = 1` case, so
+    /// enumerating a bound set's elements has this one path.
+    Members {
+        /// The variable the witnesses bind.
+        var: VarId,
+        /// Indices of the folded `in` literals, in plan order.
+        lits: Vec<usize>,
+    },
 }
 
 impl Step {
-    /// The outer-literal index this step evaluates (`None` for
-    /// universe enumeration).
+    /// The literal index this step evaluates (`None` for universe
+    /// enumeration; the first folded literal for [`Step::Members`]).
     pub fn lit(&self) -> Option<usize> {
         match self {
             Step::Pos { lit, .. } | Step::BuiltinStep { lit, .. } | Step::NegStep { lit } => {
                 Some(*lit)
             }
+            Step::Members { lits, .. } => lits.first().copied(),
             Step::EnumUniverse { .. } => None,
         }
     }
@@ -96,6 +109,14 @@ pub struct Variant {
     /// group's coverage analysis (e.g. `¬C(X)` in the §4.2 set
     /// construction, where `X` is the quantifier domain).
     pub post_steps: Vec<Step>,
+    /// Where the *existential tail* starts: `steps[tail..]` bind only
+    /// variables that neither the head, the grouping slot, the post
+    /// steps nor the quantifier group read, so the executor runs them
+    /// to their first solution and calls the sink once. Every tail step
+    /// is flat and can neither intern a term nor fail. `None` when no
+    /// suffix qualifies, or when the qualifying suffix binds nothing
+    /// (pure checks already yield at most one solution).
+    pub tail: Option<usize>,
 }
 
 /// Static plan for the quantifier group.
@@ -505,7 +526,7 @@ pub fn compile_rule(
                     &mut estimated_rows,
                 )?;
                 debug_assert!(deferred.is_empty(), "no deferral inside groups");
-                Some(steps)
+                Some(fold_members(steps, &group.inner, &initially_bound))
             };
 
             (
@@ -629,6 +650,15 @@ pub fn compile_rule(
         })
         .collect();
 
+    // Fold membership conjunctions and mark existential tails on the
+    // final join order, universe enumeration included. `reorders` and
+    // the estimates above read the order before folding.
+    for variant in &mut variants {
+        let steps = std::mem::take(&mut variant.steps);
+        variant.steps = fold_members(steps, &rule.outer, &FxHashSet::default());
+        variant.tail = existential_tail(rule, &variant.steps, &variant.post_steps);
+    }
+
     Ok(CompiledRule {
         id: 0,
         rule: rule.clone(),
@@ -652,12 +682,161 @@ fn vars_bound_after(steps: &[Step], rule: &Rule) -> FxHashSet<VarId> {
                 bound.extend(rule.outer[*lit].vars());
             }
             Step::NegStep { .. } => {}
-            Step::EnumUniverse { var, .. } => {
+            Step::EnumUniverse { var, .. } | Step::Members { var, .. } => {
                 bound.insert(*var);
             }
         }
     }
     bound
+}
+
+/// Append the variables a step may bind to `out`: every variable of its
+/// literal(s), or the enumerated one. A negation binds nothing.
+fn step_binds(step: &Step, lits: &[BodyLit], out: &mut Vec<VarId>) {
+    match step {
+        Step::Pos { lit, .. } | Step::BuiltinStep { lit, .. } => lit_vars(&lits[*lit], out),
+        Step::NegStep { .. } => {}
+        Step::EnumUniverse { var, .. } | Step::Members { var, .. } => out.push(*var),
+    }
+}
+
+/// Append every variable of `lit` to `out`.
+fn lit_vars(lit: &BodyLit, out: &mut Vec<VarId>) {
+    let (BodyLit::Pos(_, args) | BodyLit::Neg(_, args) | BodyLit::Builtin(_, args)) = lit;
+    for a in args {
+        a.collect_vars(out);
+    }
+}
+
+/// `(X, S)` when `step` evaluates a flat `X in S` whose element is a
+/// variable.
+fn member_of<'a>(step: &Step, lits: &'a [BodyLit]) -> Option<(VarId, &'a Pattern)> {
+    let Step::BuiltinStep { lit, flat: true } = step else {
+        return None;
+    };
+    match &lits[*lit] {
+        BodyLit::Builtin(Builtin::In, args) => match &args[0] {
+            Pattern::Var(x) => Some((*x, &args[1])),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Fold each flat `X in S` that enumerates a free `X` over a bound `S`,
+/// together with every later flat `X in T` whose `T` is bound at that
+/// point, into one [`Step::Members`]. The folded checks only filter
+/// `X`, so moving them into the intersection keeps every answer, and
+/// its order: witnesses come out in `TermId` order, as the elements of
+/// one set do.
+fn fold_members(
+    steps: Vec<Step>,
+    lits: &[BodyLit],
+    initially_bound: &FxHashSet<VarId>,
+) -> Vec<Step> {
+    if !steps.iter().any(|s| member_of(s, lits).is_some()) {
+        return steps;
+    }
+    let mut bound = initially_bound.clone();
+    let mut folded = vec![false; steps.len()];
+    let mut out = Vec::with_capacity(steps.len());
+    let mut vars = Vec::new();
+    for (i, step) in steps.iter().enumerate() {
+        if folded[i] {
+            continue;
+        }
+        let step = match member_of(step, lits) {
+            Some((x, set)) if !bound.contains(&x) && pattern_bound(set, &bound) => {
+                let mut ins = vec![step.lit().expect("a builtin step has a literal")];
+                for (j, later) in steps.iter().enumerate().skip(i + 1) {
+                    if let Some((y, t)) = member_of(later, lits) {
+                        if y == x && pattern_bound(t, &bound) {
+                            folded[j] = true;
+                            ins.push(later.lit().expect("a builtin step has a literal"));
+                        }
+                    }
+                }
+                Step::Members { var: x, lits: ins }
+            }
+            _ => step.clone(),
+        };
+        vars.clear();
+        step_binds(&step, lits, &mut vars);
+        bound.extend(vars.iter().copied());
+        out.push(step);
+    }
+    out
+}
+
+/// Whether a step may sit in an existential tail: it is flat, and it
+/// can neither intern a term nor fail, so cutting it short hides no
+/// error and never changes the interned universe.
+fn cuttable(step: &Step, lits: &[BodyLit]) -> bool {
+    match step {
+        Step::Pos { flat, .. } => *flat,
+        Step::NegStep { lit } => lit_flat(&lits[*lit]),
+        Step::BuiltinStep { lit, flat } => {
+            *flat
+                && matches!(
+                    lits[*lit],
+                    BodyLit::Builtin(Builtin::Eq | Builtin::Ne | Builtin::In | Builtin::NotIn, _)
+                )
+        }
+        Step::Members { .. } => true,
+        Step::EnumUniverse { .. } => false,
+    }
+}
+
+/// The first index of a variant's existential tail (see
+/// [`Variant::tail`]): the longest suffix of cuttable steps that binds
+/// no variable the head, the grouping slot, the post steps or the
+/// quantifier group reads, provided it binds some variable at all.
+fn existential_tail(rule: &Rule, steps: &[Step], post_steps: &[Step]) -> Option<usize> {
+    if !steps.last().is_some_and(|s| cuttable(s, &rule.outer)) {
+        return None;
+    }
+    const READ: u8 = 1;
+    const BOUND: u8 = 2;
+    let mut flags = vec![0u8; rule.num_vars];
+    let mut vars = Vec::new();
+    for arg in &rule.head_args {
+        arg.collect_vars(&mut vars);
+    }
+    vars.extend(rule.group.as_ref().map(|g| g.var));
+    for lit in post_steps.iter().filter_map(Step::lit) {
+        lit_vars(&rule.outer[lit], &mut vars);
+    }
+    if let Some(group) = &rule.quant {
+        for (_, dom) in &group.binders {
+            dom.collect_vars(&mut vars);
+        }
+        for lit in &group.inner {
+            lit_vars(lit, &mut vars);
+        }
+    }
+    for v in &vars {
+        flags[v.index()] = READ;
+    }
+
+    let (mut start, mut binds) = (None, false);
+    for (i, step) in steps.iter().enumerate() {
+        vars.clear();
+        step_binds(step, &rule.outer, &mut vars);
+        vars.retain(|v| flags[v.index()] & BOUND == 0);
+        if cuttable(step, &rule.outer) && vars.iter().all(|v| flags[v.index()] & READ == 0) {
+            if start.is_none() {
+                start = Some(i);
+                binds = false;
+            }
+            binds |= !vars.is_empty();
+        } else {
+            start = None;
+        }
+        for v in &vars {
+            flags[v.index()] |= BOUND;
+        }
+    }
+    start.filter(|_| binds)
 }
 
 fn order_steps(
@@ -714,6 +893,7 @@ fn order_steps(
         delta_lit,
         steps,
         post_steps,
+        tail: None,
     })
 }
 
@@ -835,10 +1015,15 @@ fn order_lits(
                     .find(|v| !bound.contains(v))
                     .expect("stuck implies an unbound variable");
                 *uses_active = true;
-                steps.push(Step::EnumUniverse {
-                    var: witness,
-                    sort: rule.var_sort(witness),
+                // An unsorted variable that some builtin needs as a set
+                // ranges over sets only: an atom there could only fail
+                // (`card`, `union`, …) or match nothing (`in`).
+                let sort = rule.var_sort(witness).or_else(|| {
+                    lits.iter()
+                        .any(|l| at_set_position(witness, l))
+                        .then_some(lps_term::Sort::Set)
                 });
+                steps.push(Step::EnumUniverse { var: witness, sort });
                 bound.insert(witness);
                 continue;
             }
@@ -875,10 +1060,10 @@ fn order_lits(
                 // the set universe, which grows during evaluation.
                 let flags: Vec<bool> = args.iter().map(|p| pattern_bound(p, &bound)).collect();
                 let enumerates_sets = match b {
-                    crate::rule::Builtin::In => !flags[1],
-                    crate::rule::Builtin::SubsetEq => !flags[0] || !flags[1],
-                    crate::rule::Builtin::Union => !(flags[0] && flags[1]),
-                    crate::rule::Builtin::Card => !flags[0],
+                    Builtin::In => !flags[1],
+                    Builtin::SubsetEq => !flags[0] || !flags[1],
+                    Builtin::Union => !(flags[0] && flags[1]),
+                    Builtin::Card => !flags[0],
                     _ => false,
                 };
                 if enumerates_sets {
@@ -909,6 +1094,17 @@ fn lit_flat(lit: &BodyLit) -> bool {
     };
     args.iter()
         .all(|p| matches!(p, Pattern::Var(_) | Pattern::Ground(_)))
+}
+
+/// Whether `v` is an argument of `lit` at a position where its builtin
+/// requires a set ([`set_positions`]).
+fn at_set_position(v: VarId, lit: &BodyLit) -> bool {
+    let BodyLit::Builtin(b, args) = lit else {
+        return false;
+    };
+    set_positions(*b)
+        .iter()
+        .any(|&i| matches!(args[i], Pattern::Var(w) if w == v))
 }
 
 fn pattern_bound(p: &Pattern, bound: &FxHashSet<VarId>) -> bool {
@@ -1239,6 +1435,146 @@ mod tests {
         .expect("plans under ActiveSets");
         let qp = compiled.quant_plan.expect("has quant plan");
         assert!(qp.unbound_domain);
+    }
+
+    fn plan_rule(head_args: Vec<Pattern>, outer: Vec<BodyLit>, var_names: &[&str]) -> CompiledRule {
+        let (_, pp, _) = setup();
+        let rule = Rule {
+            head: pp,
+            head_args,
+            group: None,
+            outer,
+            quant: None,
+            num_vars: var_names.len(),
+            var_names: var_names.iter().map(|n| (*n).to_owned()).collect(),
+            var_sorts: vec![],
+        };
+        compile_rule(
+            &rule,
+            &names,
+            &FxHashSet::default(),
+            SetUniverse::ActiveSets,
+            None,
+        )
+        .expect("plans")
+    }
+
+    #[test]
+    fn existential_tail_starts_at_the_first_dead_binding() {
+        // head(X, X) :- q(X), e(X, Y).   (Y is read by nothing)
+        let (pe, _, pq) = setup();
+        let cr = plan_rule(
+            vec![v(0), v(0)],
+            vec![
+                BodyLit::Pos(pq, vec![v(0)]),
+                BodyLit::Pos(pe, vec![v(0), v(1)]),
+            ],
+            &["X", "Y"],
+        );
+        assert_eq!(cr.variants[0].tail, Some(1));
+    }
+
+    #[test]
+    fn a_variable_the_quantifier_group_reads_is_not_dead() {
+        // head(X, X) :- q(X), e(X, Y), (∀u ∈ Y) q(u).   (the group reads Y)
+        let (pe, pp, pq) = setup();
+        let rule = Rule {
+            head: pp,
+            head_args: vec![v(0), v(0)],
+            group: None,
+            outer: vec![
+                BodyLit::Pos(pq, vec![v(0)]),
+                BodyLit::Pos(pe, vec![v(0), v(1)]),
+            ],
+            quant: Some(QuantGroup {
+                binders: vec![(VarId(2), v(1))],
+                inner: vec![BodyLit::Pos(pq, vec![v(2)])],
+            }),
+            num_vars: 3,
+            var_names: vec!["X".into(), "Y".into(), "U".into()],
+            var_sorts: vec![],
+        };
+        let cr = compile_rule(
+            &rule,
+            &names,
+            &FxHashSet::default(),
+            SetUniverse::Reject,
+            None,
+        )
+        .expect("plans");
+        assert_eq!(cr.variants[0].tail, None);
+    }
+
+    #[test]
+    fn check_only_and_interning_suffixes_are_not_tails() {
+        let (pe, _, pq) = setup();
+        // head(X, Y) :- e(X, Y), X != Y.   (the suffix binds nothing)
+        let checks = plan_rule(
+            vec![v(0), v(1)],
+            vec![
+                BodyLit::Pos(pe, vec![v(0), v(1)]),
+                BodyLit::Builtin(Builtin::Ne, vec![v(0), v(1)]),
+            ],
+            &["X", "Y"],
+        );
+        assert_eq!(checks.variants[0].tail, None);
+        // head(X, X) :- q(X), union(X, X, Z).   (`union` interns)
+        let interning = plan_rule(
+            vec![v(0), v(0)],
+            vec![
+                BodyLit::Pos(pq, vec![v(0)]),
+                BodyLit::Builtin(Builtin::Union, vec![v(0), v(0), v(1)]),
+            ],
+            &["X", "Z"],
+        );
+        assert_eq!(interning.variants[0].tail, None);
+    }
+
+    #[test]
+    fn membership_conjunction_folds_into_one_intersection() {
+        // head(S, T) :- e(S, T), X in S, X in T.
+        let (pe, _, _) = setup();
+        let cr = plan_rule(
+            vec![v(0), v(1)],
+            vec![
+                BodyLit::Pos(pe, vec![v(0), v(1)]),
+                BodyLit::Builtin(Builtin::In, vec![v(2), v(0)]),
+                BodyLit::Builtin(Builtin::In, vec![v(2), v(1)]),
+            ],
+            &["S", "T", "X"],
+        );
+        let full = &cr.variants[0];
+        assert_eq!(full.steps.len(), 2);
+        assert_eq!(
+            full.steps[1],
+            Step::Members {
+                var: VarId(2),
+                lits: vec![1, 2],
+            }
+        );
+        assert_eq!(full.tail, Some(1), "`X` is read by nothing");
+    }
+
+    #[test]
+    fn unsorted_variable_at_a_set_position_enumerates_sets() {
+        // head(S, S) :- card(S, N), 2 <= N.   (under ActiveSets)
+        let mut st = lps_term::TermStore::new();
+        let two = st.int(2);
+        let cr = plan_rule(
+            vec![v(0), v(0)],
+            vec![
+                BodyLit::Builtin(Builtin::Card, vec![v(0), v(1)]),
+                BodyLit::Builtin(Builtin::Le, vec![Pattern::Ground(two), v(1)]),
+            ],
+            &["S", "N"],
+        );
+        assert_eq!(
+            cr.variants[0].steps[0],
+            Step::EnumUniverse {
+                var: VarId(0),
+                sort: Some(lps_term::Sort::Set),
+            }
+        );
     }
 
     #[test]

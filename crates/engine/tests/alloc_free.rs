@@ -10,6 +10,11 @@
 //! rest of every set it takes apart: the store copies that rest within
 //! its element arena, so a call allocates nothing either.
 //!
+//! A third program is `classmates`-shaped: `exists C in C1: C in C2`
+//! over same-cohort pairs. Its membership pair runs as one sorted-set
+//! intersection on the candidate stack, and its dead witness stops at
+//! the first common element; neither allocates.
+//!
 //! What may still grow with the input is amortized container growth
 //! (relation arenas and tables, the store's arenas, the derivation
 //! buffer), a logarithmic number of allocations — nowhere near one per
@@ -254,6 +259,71 @@ fn scons_min_roll_up_allocates_nothing_per_call() {
     assert!(
         extra_allocs * 100 < extra_calls,
         "{extra_allocs} more allocations for {extra_calls} more scons_min calls \
+         ({small_allocs} at n = {n}, {large_allocs} at 4n)"
+    );
+}
+
+/// `meet(I, J)` for the candidate pairs whose sets share an element:
+/// `meet(I, J) :- cand(I, J, S, T), X in S, X in T.` — the body
+/// `classmates` gets from `exists C in C1: C in C2`, over `n` candidate
+/// rows given directly, so no index is built per key. Returns the
+/// allocations made by `run()` and the `meet` rows; each candidate is
+/// one intersection, a lower bound on the builtin calls of the written
+/// body.
+fn classmates(n: usize) -> (u64, usize) {
+    let mut e = Engine::new(EvalConfig::default());
+    let cand = e.pred("cand", 4);
+    let meet = e.pred("meet", 2);
+    let st = e.store_mut();
+    let pool: Vec<_> = (0..POOL).map(|i| st.atom(&format!("e{i}"))).collect();
+    let mut rows = Vec::with_capacity(n);
+    for i in 0..n {
+        let (a, b) = (st.int(i as i64), st.int((i + 1) as i64));
+        let s = st.set((0..SET_SIZE).map(|k| pool[(i + 7 * k) % POOL]).collect());
+        let t = st.set(
+            (0..SET_SIZE)
+                .map(|k| pool[(3 * i + 5 * k) % POOL])
+                .collect(),
+        );
+        rows.push(vec![a, b, s, t]);
+    }
+    for row in rows {
+        e.fact(cand, row).unwrap();
+    }
+    let (i, j, s, t, x) = (v(0), v(1), v(2), v(3), v(4));
+    e.rule(Rule {
+        head: meet,
+        head_args: vec![i.clone(), j.clone()],
+        group: None,
+        outer: vec![
+            BodyLit::Pos(cand, vec![i, j, s.clone(), t.clone()]),
+            BodyLit::Builtin(Builtin::In, vec![x.clone(), s]),
+            BodyLit::Builtin(Builtin::In, vec![x, t]),
+        ],
+        quant: None,
+        num_vars: 5,
+        var_names: ["I", "J", "S", "T", "X"].map(String::from).to_vec(),
+        var_sorts: vec![],
+    })
+    .unwrap();
+    let before = allocs();
+    e.run().unwrap();
+    (allocs() - before, e.rows(meet).len())
+}
+
+#[test]
+fn membership_intersection_allocates_nothing_per_pair() {
+    let n = 1000;
+    let (small_allocs, small_rows) = classmates(n);
+    let (large_allocs, large_rows) = classmates(4 * n);
+    // Some candidates share an element and some do not.
+    assert!(small_rows > 0 && small_rows < n, "{small_rows} of {n}");
+    assert!(large_rows > 3 * small_rows);
+    let extra_allocs = large_allocs.saturating_sub(small_allocs);
+    let extra_calls = (3 * n) as u64;
+    assert!(
+        extra_allocs * 100 < extra_calls,
+        "{extra_allocs} more allocations for {extra_calls} more intersections \
          ({small_allocs} at n = {n}, {large_allocs} at 4n)"
     );
 }

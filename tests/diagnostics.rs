@@ -154,6 +154,38 @@ fn powerset_universe_cap_is_enforced() {
 }
 
 #[test]
+fn checked_card_program_evaluates_under_active_sets() {
+    // `S` has no inferred sort and is bound by nothing, so the planner
+    // enumerates it; `card` needs a set there, so only sets are tried
+    // and the atoms `a` and `x` never reach it as a `TypeError`.
+    let src = "s({a}). t(x). big(S) :- card(S, N), N >= 2.";
+    let active = EvalConfig {
+        set_universe: SetUniverse::ActiveSets,
+        ..EvalConfig::default()
+    };
+    let mut db = Database::with_config(Dialect::Elps, active);
+    db.load_str(src).unwrap();
+    db.check().expect("the program checks");
+    let model = db.evaluate().expect("no card TypeError");
+    assert!(model.extension("big").is_empty(), "{{a}} has one element");
+
+    // The session path (`update` after a fact line) derives the
+    // two-element set.
+    let mut session = db.session().expect("session builds");
+    session.load_facts("s({a, b}).").unwrap();
+    session.update().expect("no card TypeError on update");
+    assert_eq!(
+        session.extension("big"),
+        vec![vec![Value::set([Value::atom("a"), Value::atom("b")])]]
+    );
+
+    // The default policy still rejects the rule as unsafe.
+    let err = err_of(src, Dialect::Elps);
+    assert!(matches!(err, CoreError::Engine(_)), "{err:?}");
+    assert!(err.to_string().contains("`S`"), "{err}");
+}
+
+#[test]
 fn grouping_without_body_is_rejected() {
     let err = err_of("p(<X>).", Dialect::StratifiedElps);
     assert!(err.to_string().contains("body"), "{err}");

@@ -523,6 +523,15 @@ fn underscore_variables_corefer_like_any_other() {
 }
 
 #[test]
+fn explain_marks_the_existential_tail() {
+    // `Y` is read by nothing after `q`, so the steps that bind it run
+    // to their first solution: `:explain` marks where that tail starts.
+    let (stdout, _) = run_lpsi(&[], "p(X) :- q(X, Y), r(Y).\n:explain p(a).\n:quit\n");
+    assert!(stdout.contains("adornment: b"), "explain:\n{stdout}");
+    assert!(stdout.contains(" |∃ q"), "tail mark:\n{stdout}");
+}
+
+#[test]
 fn profile_explain_and_stats_reset_round_out_observability() {
     let (stdout, _) = run_lpsi(
         &[],
