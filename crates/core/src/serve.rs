@@ -24,20 +24,21 @@
 //! F <fact>     add ground fact clause(s), e.g. `F edge(a, b).`
 //! S            server metrics: Prometheus-style text exposition
 //!              (snapshot hits/misses, funnel depth, republish count,
-//!              per-op and publish latency quantiles), answered
-//!              connection-side
+//!              per-op, snapshot-hit and publish latency quantiles),
+//!              answered connection-side
 //! ```
 //!
-//! The response is one frame: a first line `ok <n>` or `err <message>`,
-//! followed by `n` answer lines. For a single-predicate *point* query
-//! (arguments are distinct variables or ground terms) each line is a
-//! full tuple in the predicate's argument order, rendered as values
-//! joined by `", "`; for a conjunctive goal each line is the binding of
-//! the goal's free variables in first-appearance order. Lines are
-//! sorted, so byte-equality of responses is answer-set equality. A
-//! fully ground point query echoes the matching tuple (`ok 1`) or
-//! answers `ok 0`; a fully ground *conjunctive* goal answers `ok 1`
-//! with one empty line ("yes") or `ok 0` ("no").
+//! The response is one frame, sent with one write: a first line `ok <n>`
+//! or `err <message>`, followed by `n` answer lines. For a
+//! single-predicate *point* query (arguments are distinct variables or
+//! ground terms) each line is a full tuple in the predicate's argument
+//! order, rendered as values joined by `", "`; for a conjunctive goal
+//! each line is the binding of the goal's free variables in
+//! first-appearance order. Lines are sorted, so byte-equality of
+//! responses is answer-set equality. A fully ground point query echoes
+//! the matching tuple (`ok 1`) or answers `ok 0`; a fully ground
+//! *conjunctive* goal answers `ok 1` with one empty line ("yes") or
+//! `ok 0` ("no").
 //!
 //! # Consistency
 //!
@@ -47,6 +48,7 @@
 //! snapshot `Arc` pins store, registry, relations, and plans together
 //! (property-tested in `crates/engine/tests/prop_serve.rs`).
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,16 +68,60 @@ use crate::transform::magic::{classify_goal, Goal};
 /// otherwise ask for gigabytes).
 const MAX_FRAME: u32 = 1 << 24;
 
-/// Write one length-prefixed UTF-8 frame.
+/// Write one length-prefixed UTF-8 frame: the length prefix and the
+/// payload go out together in a single `write_all`.
 pub fn write_frame(stream: &mut impl Write, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(bytes)?;
-    stream.flush()
+    let mut frame = Frame::empty();
+    frame.0.push_str(payload);
+    frame.send(stream)
+}
+
+/// One outbound frame, built in place: four placeholder bytes for the
+/// big-endian length prefix, then the UTF-8 payload. [`Frame::send`]
+/// fills in the prefix and writes the whole frame with one
+/// `write_all`, so a request or a reply is one syscall and, under
+/// `TCP_NODELAY`, one segment. Every server reply — answers, `F` acks,
+/// `err` and the `S` exposition — is rendered straight into one.
+struct Frame(String);
+
+impl Frame {
+    /// A frame with an empty payload.
+    fn empty() -> Frame {
+        Frame(String::from("\0\0\0\0"))
+    }
+
+    /// A reply whose first line is `ok <n>`; the caller appends the
+    /// `n` answer lines, each as `\n` followed by the line.
+    fn ok(n: usize) -> Frame {
+        let mut frame = Frame::empty();
+        let _ = write!(frame.0, "ok {n}");
+        frame
+    }
+
+    /// An `err <message>` reply. A newline in `msg` becomes a space, so
+    /// the message stays on the reply's one line.
+    fn err(msg: &str) -> Frame {
+        let mut frame = Frame::empty();
+        let _ = write!(frame.0, "err {}", msg.replace('\n', " "));
+        frame
+    }
+
+    /// The payload text (the frame without its length prefix).
+    fn payload(&self) -> &str {
+        &self.0[4..]
+    }
+
+    /// Fill in the length prefix and write the frame in one `write_all`.
+    fn send(self, stream: &mut impl Write) -> io::Result<()> {
+        let len = u32::try_from(self.payload().len())
+            .ok()
+            .filter(|&l| l <= MAX_FRAME)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+        let mut bytes = self.0.into_bytes();
+        bytes[..4].copy_from_slice(&len.to_be_bytes());
+        stream.write_all(&bytes)?;
+        stream.flush()
+    }
 }
 
 /// One inbound frame, classified so the server can answer malformed
@@ -129,15 +175,17 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<String>> {
     }
 }
 
-/// A response: sorted answer lines, or a rendered error.
+/// A response as the [`Client`] decodes it: sorted answer lines, or
+/// the error message.
 type Reply = Result<Vec<String>, String>;
 
-/// A handler → writer funnel message.
+/// A handler → writer funnel message. The writer answers with the
+/// finished reply frame, which the handler sends unchanged.
 enum Request {
     /// Answer a goal on the live engine (snapshot could not).
-    Query(String, Sender<Reply>),
+    Query(String, Sender<Frame>),
     /// Apply ground fact clauses.
-    Fact(String, Sender<Reply>),
+    Fact(String, Sender<Frame>),
 }
 
 /// Server-side metrics, aggregated across all connections and rendered
@@ -177,22 +225,7 @@ impl ServeMetrics {
     }
 }
 
-/// Encode a [`Reply`] as the response frame payload.
-fn encode_reply(reply: &Reply) -> String {
-    match reply {
-        Ok(rows) => {
-            let mut out = format!("ok {}", rows.len());
-            for row in rows {
-                out.push('\n');
-                out.push_str(row);
-            }
-            out
-        }
-        Err(msg) => format!("err {}", msg.replace('\n', " ")),
-    }
-}
-
-/// Decode a response frame payload back into a [`Reply`].
+/// Decode a response frame payload into a [`Reply`].
 fn decode_reply(payload: &str) -> Reply {
     let mut lines = payload.lines();
     let head = lines.next().unwrap_or("");
@@ -210,36 +243,36 @@ fn decode_reply(payload: &str) -> Reply {
     Ok(rows)
 }
 
-/// Render interned answer rows the way both serving paths agree on:
-/// rows sorted in [`Value`] order ([`TermStore::cmp_value_rows`]), each
-/// written straight into one line with cells joined by `", "`
+/// Render interned answer rows as the finished `ok <n>` reply frame,
+/// the one renderer both serving paths share: rows sorted in [`Value`]
+/// order ([`TermStore::cmp_value_rows`]), then each written straight
+/// into the frame as one line with cells joined by `", "`
 /// ([`TermStore::write_value`]). Byte-identical to lifting every row to
 /// `Vec<Value>`, sorting those, and joining each cell's `to_string` —
-/// without building a `Value` or a per-cell `String`.
-fn render_rows<'a>(store: &TermStore, rows: impl Iterator<Item = &'a [TermId]>) -> Vec<String> {
+/// without building a `Value`, a per-row `String` or a second copy.
+fn render_reply<'a>(store: &TermStore, rows: impl Iterator<Item = &'a [TermId]>) -> Frame {
     let mut rows: Vec<&[TermId]> = rows.collect();
     // Stable merge sort: answer rows arrive in derivation order, whose
     // long sorted runs it merges with a fraction of pdqsort's compares.
     rows.sort_by(|a, b| store.cmp_value_rows(a, b));
-    rows.into_iter()
-        .map(|row| {
-            let mut line = String::new();
-            for (i, &id) in row.iter().enumerate() {
-                if i > 0 {
-                    line.push_str(", ");
-                }
-                store.write_value(id, &mut line);
+    let mut frame = Frame::ok(rows.len());
+    for row in rows {
+        frame.0.push('\n');
+        for (i, &id) in row.iter().enumerate() {
+            if i > 0 {
+                frame.0.push_str(", ");
             }
-            line
-        })
-        .collect()
+            store.write_value(id, &mut frame.0);
+        }
+    }
+    frame
 }
 
 /// Try to answer `goal` from the latest published snapshot alone.
 /// `None` funnels to the writer: non-point goals, predicates or
 /// constants the snapshot has never seen, cold adornments, unseeded
 /// constants, stale demand spaces.
-fn snapshot_answer(goal: &str, reader: &SnapshotReader) -> Option<Vec<String>> {
+fn snapshot_answer(goal: &str, reader: &SnapshotReader) -> Option<Frame> {
     let Ok(Goal::Point { pred, args }) = classify_goal(goal) else {
         return None;
     };
@@ -253,29 +286,34 @@ fn snapshot_answer(goal: &str, reader: &SnapshotReader) -> Option<Vec<String>> {
         }
     }
     let rows = snap.try_query(pred, &interned)?;
-    Some(render_rows(snap.store(), rows.iter()))
+    Some(render_reply(snap.store(), rows.iter()))
 }
 
 /// Answer `goal` on the live engine (the writer thread), mirroring the
 /// `lpsi` query pipeline: point queries take [`Model::query_view`]
 /// (full tuples in predicate shape), everything else compiles as a
 /// temporary conjunctive rule via [`Model::query_str_view`] (binding
-/// rows). Both hand back interned rows for [`render_rows`].
-fn writer_query(model: &mut Model, goal: &str) -> Reply {
-    let answers = match classify_goal(goal).map_err(|e| e.render(goal))? {
-        Goal::Point { pred, args } => model.query_view(&pred, &args),
-        Goal::Conjunctive => model.query_str_view(goal),
+/// rows). Both hand back interned rows for [`render_reply`].
+fn writer_query(model: &mut Model, goal: &str) -> Frame {
+    let answers = match classify_goal(goal) {
+        Ok(Goal::Point { pred, args }) => model.query_view(&pred, &args),
+        Ok(Goal::Conjunctive) => model.query_str_view(goal),
+        Err(e) => return Frame::err(&e.render(goal)),
+    };
+    match answers {
+        Ok(answers) => render_reply(answers.store(), answers.iter()),
+        Err(e) => Frame::err(&e.to_string()),
     }
-    .map_err(|e| e.to_string())?;
-    Ok(render_rows(answers.store(), answers.iter()))
 }
 
 /// Apply `text` as ground facts on the live engine, all or nothing.
 /// Rules and declarations are rejected — the served program is fixed
 /// at spawn.
-fn writer_fact(model: &mut Model, text: &str) -> Reply {
-    model.load_facts(text).map_err(|e| e.render(text))?;
-    Ok(Vec::new())
+fn writer_fact(model: &mut Model, text: &str) -> Frame {
+    match model.load_facts(text) {
+        Ok(_) => Frame::ok(0),
+        Err(e) => Frame::err(&e.render(text)),
+    }
 }
 
 /// The writer loop: the one thread that mutates the engine. Every
@@ -329,18 +367,16 @@ fn handle_conn(
     tx: Sender<Request>,
     metrics: Arc<ServeMetrics>,
 ) {
-    let funnel = |req: Request, rx: &Receiver<Reply>, tx: &Sender<Request>| -> Reply {
+    let funnel = |req: Request, rx: &Receiver<Frame>, tx: &Sender<Request>| -> Frame {
         metrics.depth.fetch_add(1, Ordering::Relaxed);
         if tx.send(req).is_err() {
             // Never enqueued: the writer is gone, so nothing will
             // decrement the depth for this request.
             metrics.depth.fetch_sub(1, Ordering::Relaxed);
-            return Err("server is shutting down".into());
+            return Frame::err("server is shutting down");
         }
-        match rx.recv() {
-            Ok(reply) => reply,
-            Err(_) => Err("server is shutting down".into()),
-        }
+        rx.recv()
+            .unwrap_or_else(|_| Frame::err("server is shutting down"))
     };
     loop {
         let msg = match read_frame_raw(&mut stream) {
@@ -350,16 +386,17 @@ fn handle_conn(
                 // The oversized payload was never read, so the stream
                 // cannot be re-synced to the next frame boundary. Tell
                 // the peer why before hanging up instead of vanishing.
-                let _ = write_frame(
-                    &mut stream,
-                    &format!("err frame too large ({len} bytes > {MAX_FRAME} max)"),
-                );
+                let _ = Frame::err(&format!("frame too large ({len} bytes > {MAX_FRAME} max)"))
+                    .send(&mut stream);
                 return;
             }
             Ok(FrameIn::BadUtf8) => {
                 // The payload was consumed, so the connection is still
                 // framed — report the error and keep serving.
-                if write_frame(&mut stream, "err frame is not valid UTF-8").is_err() {
+                if Frame::err("frame is not valid UTF-8")
+                    .send(&mut stream)
+                    .is_err()
+                {
                     return;
                 }
                 continue;
@@ -368,11 +405,13 @@ fn handle_conn(
         let (tag, rest) = msg.split_once(' ').unwrap_or((msg.as_str(), ""));
         let _span = lps_trace::enabled().then(|| lps_trace::span("serve_req").arg("op", tag));
         let start = Instant::now();
-        let reply: Reply = match tag {
+        let mut hit = false;
+        let reply = match tag {
             "Q" => match snapshot_answer(rest, &reader) {
-                Some(rows) => {
+                Some(frame) => {
                     metrics.hits.fetch_add(1, Ordering::Relaxed);
-                    Ok(rows)
+                    hit = true;
+                    frame
                 }
                 None => {
                     metrics.misses.fetch_add(1, Ordering::Relaxed);
@@ -384,19 +423,35 @@ fn handle_conn(
                 let (rtx, rrx) = mpsc::channel();
                 funnel(Request::Fact(rest.to_owned(), rtx), &rrx, &tx)
             }
-            "S" => Ok(metrics.render().lines().map(str::to_owned).collect()),
-            other => Err(format!(
+            "S" => {
+                let text = metrics.render();
+                let mut frame = Frame::ok(text.lines().count());
+                for line in text.lines() {
+                    frame.0.push('\n');
+                    frame.0.push_str(line);
+                }
+                frame
+            }
+            other => Frame::err(&format!(
                 "unknown request `{other}` (Q <goal> | F <fact> | S)"
             )),
         };
+        // From the frame read to the reply rendered; the write is not
+        // counted. Hits are also timed on their own, so the cost of the
+        // snapshot path shows apart from funneled queries.
         let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         match tag {
-            "Q" => metrics.registry.observe("lps_op_q_us", us),
+            "Q" => {
+                metrics.registry.observe("lps_op_q_us", us);
+                if hit {
+                    metrics.registry.observe("lps_op_q_hit_us", us);
+                }
+            }
             "F" => metrics.registry.observe("lps_op_f_us", us),
             "S" => metrics.registry.observe("lps_op_s_us", us),
             _ => {}
         }
-        if write_frame(&mut stream, &encode_reply(&reply)).is_err() {
+        if reply.send(&mut stream).is_err() {
             return;
         }
     }
@@ -442,9 +497,10 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    // Responses are two small writes (length prefix +
-                    // payload); without TCP_NODELAY each one stalls on
-                    // the peer's delayed ACK (~40ms per round-trip).
+                    // A reply is one write (length prefix and payload in
+                    // one buffer), but with Nagle on, a small write that
+                    // follows unacknowledged data still waits for the
+                    // peer's delayed ACK (~40ms per round-trip).
                     stream.set_nodelay(true).ok();
                     let reader = reader.clone();
                     let tx = tx.clone();
@@ -590,12 +646,42 @@ mod tests {
 
     #[test]
     fn reply_codec_preserves_ground_yes() {
-        let yes: Reply = Ok(vec![String::new()]);
-        assert_eq!(decode_reply(&encode_reply(&yes)), yes);
-        let rows: Reply = Ok(vec!["a, b".into(), "a, c".into()]);
-        assert_eq!(decode_reply(&encode_reply(&rows)), rows);
-        let err: Reply = Err("bad goal".into());
-        assert_eq!(decode_reply(&encode_reply(&err)), err);
+        let mut yes = Frame::ok(1);
+        yes.0.push('\n');
+        assert_eq!(yes.payload(), "ok 1\n");
+        assert_eq!(decode_reply(yes.payload()), Ok(vec![String::new()]));
+        let mut rows = Frame::ok(2);
+        rows.0.push_str("\na, b\na, c");
+        assert_eq!(
+            decode_reply(rows.payload()),
+            Ok(vec!["a, b".into(), "a, c".into()])
+        );
+        let err = Frame::err("bad\ngoal");
+        assert_eq!(err.payload(), "err bad goal");
+        assert_eq!(decode_reply(err.payload()), Err("bad goal".into()));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Records each `write` call's bytes.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut wire = Writes::default();
+        Frame::ok(0).send(&mut wire).unwrap();
+        write_frame(&mut wire, "Q t(a, X).").unwrap();
+        assert_eq!(
+            wire.0,
+            [b"\0\0\0\x04ok 0".to_vec(), b"\0\0\0\x0aQ t(a, X).".to_vec()]
+        );
     }
 
     #[test]
@@ -684,12 +770,19 @@ mod tests {
                 && text.contains("lps_op_q_us_count 2"),
             "{text}"
         );
+        // Snapshot hits are timed on their own as well: one so far.
+        assert!(
+            text.contains("lps_op_q_hit_us{quantile=\"0.5\"}")
+                && text.contains("lps_op_q_hit_us_count 1"),
+            "{text}"
+        );
         // Counters move again after more traffic, and the exposition
         // matches what the in-process accessor renders.
         client.query("t(a, X).").unwrap().unwrap();
         let text = client.server_stats().unwrap().unwrap();
         assert!(text.contains("lps_snapshot_hits_total 2"), "{text}");
         assert!(text.contains("lps_op_s_us_count 1"), "{text}");
+        assert!(text.contains("lps_op_q_hit_us_count 2"), "{text}");
         // A cold adornment mints one more epoch, timed like the first.
         client.query("t(X, d).").unwrap().unwrap();
         let text = client.server_stats().unwrap().unwrap();

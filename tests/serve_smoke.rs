@@ -150,6 +150,12 @@ fn serve_metrics_round_trip_over_the_wire() {
         );
     }
     assert_eq!(metrics.get("lps_op_q_us_count").unwrap(), "2");
+    // The snapshot-hit summary covers the one warm repeat only.
+    assert!(
+        metrics.contains_key("lps_op_q_hit_us{quantile=\"0.99\"}"),
+        "missing hit latency quantile in:\n{text}"
+    );
+    assert_eq!(metrics.get("lps_op_q_hit_us_count").unwrap(), "1");
     // A second scrape sees the first one's latency histogram.
     let text = client.server_stats().unwrap().unwrap();
     assert!(text.contains("lps_op_s_us_count 1"), "{text}");
