@@ -977,9 +977,9 @@ fn with_ground_tuple<R>(
 #[cfg(test)]
 mod tests {
     use crate::config::EvalConfig;
-    use crate::engine::Engine;
     use crate::pattern::{Pattern, VarId};
     use crate::rule::{BodyLit, Builtin, Rule};
+    use crate::session::Engine;
 
     use crate::pattern::Pattern as P;
 

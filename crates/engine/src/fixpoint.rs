@@ -1,4 +1,7 @@
-//! Fixpoint drivers: naive and semi-naive evaluation of one stratum.
+//! The stratum driver: `run_strata` runs a compiled program stratum
+//! by stratum — in batch from the bottom, or seeded from a restart
+//! stratum — for every evaluation pass the engine makes, and each
+//! stratum to fixpoint by naive or semi-naive evaluation.
 //!
 //! The naive driver is the literal `T_P ↑ ω` of Theorem 5: every rule
 //! is applied to the full relations each round until nothing new is
@@ -28,6 +31,7 @@ use crate::plan::CompiledRule;
 use crate::pred::PredId;
 use crate::relation::{Relation, RowWindow, MAX_ARITY};
 use crate::rule::BodyLit;
+use crate::strata::CompiledProgram;
 
 /// Reusable buffer of derived head tuples: one flat `TermId` pool plus
 /// per-tuple `(pred, start, len)` records. The drivers clear it between
@@ -111,60 +115,133 @@ fn advance_windows(delta: &mut [RowWindow], full: &[Relation]) {
     }
 }
 
-/// How a stratum run starts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StratumStart {
-    /// Batch evaluation: grouping rules run first, then the fixpoint
-    /// opens with a full round over the complete relations.
-    Batch,
-    /// Incremental continuation: the full relations already hold a
-    /// completed fixpoint plus newly inserted facts, and the caller's
-    /// delta windows cover exactly those new rows (each ending at its
-    /// relation's length). The grouping pass and the full round 0 are
-    /// skipped; the semi-naive loop drains the seeded windows to the
-    /// new fixpoint. Sound only
-    /// for monotone rules — the engine falls back to a batch run when
-    /// negation or grouping sits at or above the restart stratum.
-    /// Driven both by `Engine::update` (E12) and by the retained
-    /// demand spaces, whose magic-rewritten programs are monotone by
-    /// construction (E14).
+/// Where [`run_strata`] starts.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Start<'a> {
+    /// Batch evaluation of every stratum over the relations as they
+    /// stand: the program's ground fact rules load first (each real
+    /// insertion into one of `magic_preds` counts as a demand seed),
+    /// then each stratum runs its grouping rules and opens with a full
+    /// round over the complete relations.
+    Batch {
+        /// The demand seed predicates of a magic rewrite (empty for
+        /// any other program).
+        magic_preds: &'a [PredId],
+    },
+    /// Seeded semi-naive restart from `stratum` on: the relations hold
+    /// a completed fixpoint plus new rows, and every row of `p` past
+    /// `base_lens[p.index()]` is new. The grouping pass and the full
+    /// round 0 are skipped; each stratum's delta windows open on every
+    /// row past the base of the predicates it reads (everything the
+    /// restart has added so far, lower-stratum derivations included)
+    /// and are empty for all others, and the semi-naive loop drains
+    /// them to the new fixpoint. Sound only for monotone rules: the
+    /// engine falls back to a batch run when negation or grouping sits
+    /// at or above the restart stratum. Driven both by `Engine::update`
+    /// (E12) and by the retained demand spaces, whose magic-rewritten
+    /// programs are monotone by construction (E14).
     Seeded {
+        /// The lowest stratum to re-run.
+        stratum: usize,
         /// Interned-set count at the last completed materialization,
         /// so universe-enumerating rules re-fire when the update
         /// interned new sets.
         sets_baseline: usize,
+        /// Per-predicate relation length at the last completed
+        /// fixpoint (0 past the end).
+        base_lens: &'a [u32],
     },
+}
+
+/// Run `program` over `full` from `from` to its least fixpoint: the one
+/// stratum driver behind batch runs, incremental updates, demand plans
+/// (cold and warm) and conjunctive goals over a model. Satisfies the
+/// program's index requests first. `profiler` (when `config.profile`
+/// runs a query) receives per-literal probe attribution. No row is
+/// copied: a round's delta is a [`RowWindow`] of the full relation.
+pub(crate) fn run_strata(
+    store: &mut TermStore,
+    full: &mut [Relation],
+    config: &EvalConfig,
+    program: &CompiledProgram,
+    from: Start<'_>,
+    profiler: Option<&StepProfiler>,
+) -> Result<EvalStats, EngineError> {
+    let mut stats = EvalStats::default();
+    for &(p, m) in &program.index_requests {
+        full[p.index()].ensure_index(m);
+    }
+    let first = match from {
+        Start::Batch { magic_preds } => {
+            for &i in &program.fact_rules {
+                let rule = &program.compiled[i].rule;
+                let tuple: Vec<TermId> = rule
+                    .head_args
+                    .iter()
+                    .map(|p| match p {
+                        Pattern::Ground(id) => *id,
+                        _ => unreachable!("is_fact guarantees a ground head"),
+                    })
+                    .collect();
+                if full[rule.head.index()].insert(&tuple) {
+                    stats.facts_derived += 1;
+                    if magic_preds.contains(&rule.head) {
+                        stats.magic_facts_seeded += 1;
+                    }
+                }
+            }
+            0
+        }
+        Start::Seeded { stratum, .. } => stratum,
+    };
+    let mut delta = vec![RowWindow::default(); full.len()];
+    for s in first..program.strat.num_strata {
+        if let Start::Seeded { base_lens, .. } = from {
+            for (w, rel) in delta.iter_mut().zip(full.iter()) {
+                *w = RowWindow::empty_at(rel.len());
+            }
+            for &p in program.strat.reads(s) {
+                let w = &mut delta[p.index()];
+                w.lo = base_lens.get(p.index()).map_or(0, |&b| b.min(w.hi));
+            }
+        }
+        stats.absorb(run_stratum(
+            store,
+            full,
+            &mut delta,
+            &program.regular(s),
+            &program.grouping(s),
+            config,
+            from,
+            profiler,
+        )?);
+    }
+    Ok(stats)
 }
 
 /// Run one stratum to fixpoint. `regular` are ordinary rules whose
 /// heads live in this stratum; `grouping` are LDL grouping rules
 /// (evaluated once, first — their bodies are complete lower strata;
-/// must be empty for a [`StratumStart::Seeded`] run). `delta` holds
-/// one window per relation: a batch run resets it, a seeded run reads
-/// the caller's windows. `profiler` (when `config.profile` runs a
-/// query) receives per-literal probe attribution.
+/// must be empty for a [`Start::Seeded`] run). `delta` holds one
+/// window per relation: a batch run resets it, a seeded run reads the
+/// windows [`run_strata`] opened.
 #[allow(clippy::too_many_arguments)]
-pub fn run_stratum(
+fn run_stratum(
     store: &mut TermStore,
     full: &mut [Relation],
     delta: &mut [RowWindow],
     regular: &[&CompiledRule],
     grouping: &[&CompiledRule],
     config: &EvalConfig,
-    start: StratumStart,
+    start: Start<'_>,
     profiler: Option<&StepProfiler>,
 ) -> Result<EvalStats, EngineError> {
+    let batch = matches!(start, Start::Batch { .. });
     let _stratum_span = config.trace.then(|| {
         lps_trace::span("stratum")
             .arg("rules", regular.len())
             .arg("grouping", grouping.len())
-            .arg(
-                "start",
-                match start {
-                    StratumStart::Batch => "batch",
-                    StratumStart::Seeded { .. } => "seeded",
-                },
-            )
+            .arg("start", if batch { "batch" } else { "seeded" })
     });
     let mut stats = EvalStats {
         strata: 1,
@@ -178,7 +255,7 @@ pub fn run_stratum(
 
     // Grouping rules first (Definition 14): body strata are final.
     debug_assert!(
-        grouping.is_empty() || start == StratumStart::Batch,
+        grouping.is_empty() || batch,
         "seeded continuations never re-run grouping rules"
     );
     debug_assert_eq!(delta.len(), full.len(), "one delta window per relation");
@@ -194,7 +271,7 @@ pub fn run_stratum(
             }
         }
     }
-    if start == StratumStart::Batch {
+    if batch {
         // Nothing is new yet: every window is empty, at the end.
         for (w, rel) in delta.iter_mut().zip(full.iter()) {
             *w = RowWindow::empty_at(rel.len());
@@ -398,7 +475,7 @@ fn seminaive(
     delta: &mut [RowWindow],
     regular: &[&CompiledRule],
     config: &EvalConfig,
-    start: StratumStart,
+    start: Start<'_>,
     scratch: &Scratch<'_>,
     stats: &mut EvalStats,
 ) -> Result<(), EngineError> {
@@ -412,7 +489,7 @@ fn seminaive(
         config.forall_trigger_index && regular.iter().any(|cr| !cr.inner_preds.is_empty());
 
     let mut sets_seen = match start {
-        StratumStart::Batch => {
+        Start::Batch { .. } => {
             // Round 0: all rules, full relations.
             let _round_span = config
                 .trace
@@ -447,7 +524,7 @@ fn seminaive(
         // universe baseline is the set count at the last completed
         // materialization, so growth since then re-triggers
         // universe-enumerating rules.
-        StratumStart::Seeded { sets_baseline } => sets_baseline,
+        Start::Seeded { sets_baseline, .. } => sets_baseline,
     };
 
     loop {
@@ -564,4 +641,345 @@ fn round_passes(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use lps_term::TermId;
+
+    use crate::config::{EvalConfig, FixpointStrategy};
+    use crate::pattern::{Pattern, VarId};
+    use crate::rule::{BodyLit, Builtin, GroupSpec, QuantGroup, Rule};
+    use crate::session::tests::{plain_rule, v};
+    use crate::session::Engine;
+
+    #[test]
+    fn naive_and_seminaive_agree() {
+        let build = |strategy| {
+            let mut e = Engine::new(EvalConfig {
+                strategy,
+                ..EvalConfig::default()
+            });
+            let edge = e.pred("edge", 2);
+            let path = e.pred("path", 2);
+            let ids: Vec<TermId> = (0..6)
+                .map(|i| e.store_mut().atom(&format!("n{i}")))
+                .collect();
+            for i in 0..5 {
+                e.fact(edge, vec![ids[i], ids[i + 1]]).unwrap();
+            }
+            e.fact(edge, vec![ids[5], ids[0]]).unwrap(); // cycle
+            e.rule(plain_rule(
+                path,
+                vec![v(0), v(1)],
+                vec![BodyLit::Pos(edge, vec![v(0), v(1)])],
+                2,
+            ))
+            .unwrap();
+            e.rule(plain_rule(
+                path,
+                vec![v(0), v(2)],
+                vec![
+                    BodyLit::Pos(edge, vec![v(0), v(1)]),
+                    BodyLit::Pos(path, vec![v(1), v(2)]),
+                ],
+                3,
+            ))
+            .unwrap();
+            e.run().unwrap();
+            e.extension(path)
+        };
+        let naive = build(FixpointStrategy::Naive);
+        let semi = build(FixpointStrategy::SemiNaive);
+        assert_eq!(naive, semi);
+        assert_eq!(naive.len(), 36, "complete digraph on the 6-cycle");
+    }
+
+    /// A delta literal with a ground column probes the full relation's
+    /// index narrowed to last round's window: each round must see only
+    /// the one row the previous round added.
+    #[test]
+    fn windowed_delta_probe_sees_only_last_round() {
+        let build = |strategy| {
+            let mut e = Engine::new(EvalConfig {
+                strategy,
+                ..EvalConfig::default()
+            });
+            let edge = e.pred("edge", 2);
+            let reach = e.pred("reach", 2);
+            let ids: Vec<TermId> = (0..6)
+                .map(|i| e.store_mut().atom(&format!("n{i}")))
+                .collect();
+            for i in 0..5 {
+                e.fact(edge, vec![ids[i], ids[i + 1]]).unwrap();
+            }
+            let src = Pattern::Ground(ids[0]);
+            // reach(n0, Y) :- edge(n0, Y).
+            e.rule(plain_rule(
+                reach,
+                vec![src.clone(), v(0)],
+                vec![BodyLit::Pos(edge, vec![src.clone(), v(0)])],
+                1,
+            ))
+            .unwrap();
+            // reach(n0, Z) :- reach(n0, Y), edge(Y, Z).
+            e.rule(plain_rule(
+                reach,
+                vec![src.clone(), v(1)],
+                vec![
+                    BodyLit::Pos(reach, vec![src, v(0)]),
+                    BodyLit::Pos(edge, vec![v(0), v(1)]),
+                ],
+                2,
+            ))
+            .unwrap();
+            let stats = e.run().unwrap();
+            (e.extension(reach), stats.tuples_considered)
+        };
+        let (naive, _) = build(FixpointStrategy::Naive);
+        let (semi, considered) = build(FixpointStrategy::SemiNaive);
+        assert_eq!(naive, semi);
+        assert_eq!(semi.len(), 5);
+        assert_eq!(considered, 5, "one candidate per new fact, none re-derived");
+    }
+
+    #[test]
+    fn example_1_disj_via_quantifiers() {
+        // disj(X, Y) :- pair(X, Y), (∀u∈X)(∀w∈Y) u != w.
+        let mut e = Engine::new(EvalConfig::default());
+        let pair = e.pred("pair", 2);
+        let disj = e.pred("disj", 2);
+        let st = e.store_mut();
+        let a = st.atom("a");
+        let b = st.atom("b");
+        let c = st.atom("c");
+        let s_ab = st.set(vec![a, b]);
+        let s_c = st.set(vec![c]);
+        let s_bc = st.set(vec![b, c]);
+        let s_empty = st.empty_set();
+        e.fact(pair, vec![s_ab, s_c]).unwrap();
+        e.fact(pair, vec![s_ab, s_bc]).unwrap();
+        e.fact(pair, vec![s_empty, s_bc]).unwrap();
+        e.rule(Rule {
+            head: disj,
+            head_args: vec![v(0), v(1)],
+            group: None,
+            outer: vec![BodyLit::Pos(pair, vec![v(0), v(1)])],
+            quant: Some(QuantGroup {
+                binders: vec![(VarId(2), v(0)), (VarId(3), v(1))],
+                inner: vec![BodyLit::Builtin(Builtin::Ne, vec![v(2), v(3)])],
+            }),
+            num_vars: 4,
+            var_names: vec!["X".into(), "Y".into(), "U".into(), "W".into()],
+            var_sorts: vec![],
+        })
+        .unwrap();
+        e.run().unwrap();
+        assert!(e.holds(disj, &[s_ab, s_c]));
+        assert!(!e.holds(disj, &[s_ab, s_bc]), "{{a,b}} ∩ {{b,c}} ≠ ∅");
+        assert!(e.holds(disj, &[s_empty, s_bc]), "∅ is disjoint from all");
+    }
+
+    #[test]
+    fn example_4_unnest() {
+        // s(X, Y) :- r(X, Ys), Y in Ys.
+        let mut e = Engine::new(EvalConfig::default());
+        let r = e.pred("r", 2);
+        let s = e.pred("s", 2);
+        let st = e.store_mut();
+        let x1 = st.atom("x1");
+        let p = st.atom("p");
+        let q = st.atom("q");
+        let set_pq = st.set(vec![p, q]);
+        e.fact(r, vec![x1, set_pq]).unwrap();
+        e.rule(Rule {
+            head: s,
+            head_args: vec![v(0), v(2)],
+            group: None,
+            outer: vec![
+                BodyLit::Pos(r, vec![v(0), v(1)]),
+                BodyLit::Builtin(Builtin::In, vec![v(2), v(1)]),
+            ],
+            quant: None,
+            num_vars: 3,
+            var_names: vec!["X".into(), "Ys".into(), "Y".into()],
+            var_sorts: vec![],
+        })
+        .unwrap();
+        e.run().unwrap();
+        assert!(e.holds(s, &[x1, p]));
+        assert!(e.holds(s, &[x1, q]));
+        assert_eq!(e.rows(s).count(), 2);
+    }
+
+    #[test]
+    fn stratified_negation() {
+        // unreachable(X) :- node(X), not reach(X).
+        let mut e = Engine::new(EvalConfig::default());
+        let node = e.pred("node", 1);
+        let edge = e.pred("edge", 2);
+        let reach = e.pred("reach", 1);
+        let unreach = e.pred("unreachable", 1);
+        let ids: Vec<TermId> = (0..4)
+            .map(|i| e.store_mut().atom(&format!("n{i}")))
+            .collect();
+        for &n in &ids {
+            e.fact(node, vec![n]).unwrap();
+        }
+        e.fact(edge, vec![ids[0], ids[1]]).unwrap();
+        e.fact(reach, vec![ids[0]]).unwrap();
+        e.rule(plain_rule(
+            reach,
+            vec![v(1)],
+            vec![
+                BodyLit::Pos(reach, vec![v(0)]),
+                BodyLit::Pos(edge, vec![v(0), v(1)]),
+            ],
+            2,
+        ))
+        .unwrap();
+        e.rule(plain_rule(
+            unreach,
+            vec![v(0)],
+            vec![
+                BodyLit::Pos(node, vec![v(0)]),
+                BodyLit::Neg(reach, vec![v(0)]),
+            ],
+            1,
+        ))
+        .unwrap();
+        e.run().unwrap();
+        assert!(!e.holds(unreach, &[ids[0]]));
+        assert!(!e.holds(unreach, &[ids[1]]));
+        assert!(e.holds(unreach, &[ids[2]]));
+        assert!(e.holds(unreach, &[ids[3]]));
+    }
+
+    #[test]
+    fn ldl_grouping_head() {
+        // owns(P, <C>) :- car(P, C).
+        let mut e = Engine::new(EvalConfig::default());
+        let car = e.pred("car", 2);
+        let owns = e.pred("owns", 2);
+        let st = e.store_mut();
+        let alice = st.atom("alice");
+        let bob = st.atom("bob");
+        let c1 = st.atom("c1");
+        let c2 = st.atom("c2");
+        let c3 = st.atom("c3");
+        e.fact(car, vec![alice, c1]).unwrap();
+        e.fact(car, vec![alice, c2]).unwrap();
+        e.fact(car, vec![bob, c3]).unwrap();
+        e.rule(Rule {
+            head: owns,
+            head_args: vec![v(0), v(1)],
+            group: Some(GroupSpec {
+                arg_pos: 1,
+                var: VarId(1),
+            }),
+            outer: vec![BodyLit::Pos(car, vec![v(0), v(1)])],
+            quant: None,
+            num_vars: 2,
+            var_names: vec!["P".into(), "C".into()],
+            var_sorts: vec![],
+        })
+        .unwrap();
+        e.run().unwrap();
+        let set_alice = e.store_mut().set(vec![c1, c2]);
+        let set_bob = e.store_mut().set(vec![c3]);
+        assert!(e.holds(owns, &[alice, set_alice]));
+        assert!(e.holds(owns, &[bob, set_bob]));
+        assert_eq!(e.rows(owns).count(), 2);
+    }
+
+    #[test]
+    fn example_5_sum_via_disjoint_union() {
+        // sum({}, 0).
+        // sum(X, N) :- num_set(X), X = {N}.
+        // sum(Z, K) :- num_set(Z), disj_union(X, Y, Z), X != {},
+        //              Y != {}, sum(X, M), sum(Y, N), add(M, N, K).
+        // (num_set bounds the recursion to subsets that occur; here we
+        //  drive it with every subset decomposition instead, exactly as
+        //  the paper's recursion does, seeded by sum({n}, n).)
+        let mut e = Engine::new(EvalConfig::default());
+        let num_set = e.pred("num_set", 1);
+        let sum = e.pred("sum", 2);
+        let st = e.store_mut();
+        let nums: Vec<TermId> = [3i64, 5, 9].iter().map(|&n| st.int(n)).collect();
+        let zero = st.int(0);
+        let whole = st.set(nums.clone());
+        let empty = st.empty_set();
+        e.fact(num_set, vec![whole]).unwrap();
+        // Close num_set under disjoint decomposition so the recursion
+        // has its subsets available.
+        e.rule(Rule {
+            head: num_set,
+            head_args: vec![v(1)],
+            group: None,
+            outer: vec![
+                BodyLit::Pos(num_set, vec![v(0)]),
+                BodyLit::Builtin(Builtin::DisjUnion, vec![v(1), v(2), v(0)]),
+            ],
+            quant: None,
+            num_vars: 3,
+            var_names: vec!["Z".into(), "X".into(), "Y".into()],
+            var_sorts: vec![],
+        })
+        .unwrap();
+        // sum({}, 0).
+        e.rule(Rule {
+            head: sum,
+            head_args: vec![Pattern::Ground(empty), Pattern::Ground(zero)],
+            group: None,
+            outer: vec![],
+            quant: None,
+            num_vars: 0,
+            var_names: vec![],
+            var_sorts: vec![],
+        })
+        .unwrap();
+        // sum(X, N) :- num_set(X), X = {N}.
+        e.rule(Rule {
+            head: sum,
+            head_args: vec![v(0), v(1)],
+            group: None,
+            outer: vec![
+                BodyLit::Pos(num_set, vec![v(0)]),
+                BodyLit::Builtin(Builtin::Eq, vec![v(0), Pattern::Set(Box::new([v(1)]))]),
+            ],
+            quant: None,
+            num_vars: 2,
+            var_names: vec!["X".into(), "N".into()],
+            var_sorts: vec![],
+        })
+        .unwrap();
+        // The recursive clause.
+        e.rule(Rule {
+            head: sum,
+            head_args: vec![v(0), v(6)],
+            group: None,
+            outer: vec![
+                BodyLit::Pos(num_set, vec![v(0)]),
+                BodyLit::Builtin(Builtin::DisjUnion, vec![v(1), v(2), v(0)]),
+                BodyLit::Pos(sum, vec![v(1), v(4)]),
+                BodyLit::Pos(sum, vec![v(2), v(5)]),
+                BodyLit::Builtin(Builtin::Add, vec![v(4), v(5), v(6)]),
+            ],
+            quant: None,
+            num_vars: 7,
+            var_names: (0..7).map(|i| format!("V{i}")).collect(),
+            var_sorts: vec![],
+        })
+        .unwrap();
+        e.run().unwrap();
+        let seventeen = e.store_mut().int(17);
+        assert!(e.holds(sum, &[whole, seventeen]));
+        // Sums are functional: one value per set.
+        let whole_sums: Vec<_> = e
+            .rows(sum)
+            .filter(|t| t[0] == whole)
+            .map(|t| t[1])
+            .collect();
+        assert_eq!(whole_sums, vec![seventeen]);
+    }
 }

@@ -24,7 +24,11 @@
 //! * [`magic`] — the demand (magic-set) rewrite behind
 //!   [`Engine::query`];
 //! * [`eval`] / [`fixpoint`] — the executor and the drivers;
-//! * [`engine`] — the public [`Engine`] session;
+//! * [`session`] — the public [`Engine`] session: EDB, cursors,
+//!   batch runs and incremental updates;
+//! * [`demand`] — the session's demand lifecycle: the plan cache, point
+//!   and conjunctive queries, retained demand spaces;
+//! * [`explain`] — plan descriptions and per-literal query profiles;
 //! * [`snapshot`] — epoch-published immutable snapshots for
 //!   single-writer / many-reader query serving (E17).
 
@@ -34,9 +38,10 @@
 pub mod batch;
 pub mod builtin;
 pub mod config;
-pub mod engine;
+pub mod demand;
 pub mod error;
 pub mod eval;
+pub mod explain;
 pub mod fixpoint;
 pub mod magic;
 pub mod pattern;
@@ -44,17 +49,19 @@ pub mod plan;
 pub mod pred;
 pub mod relation;
 pub mod rule;
+pub mod session;
 pub mod snapshot;
 pub mod stats;
 pub mod strata;
 
 pub use batch::{BatchPred, FactBatch};
 pub use config::{EvalConfig, EvalStats, FixpointStrategy, SetUniverse};
-pub use engine::{Engine, EngineState, QueryPath, QueryResult, RowSet, Rows};
+pub use demand::{QueryPath, QueryResult, RowSet};
 pub use error::EngineError;
 pub use magic::{adornment_of, adornment_string, Adornment, SipsCost};
 pub use pred::{PredId, PredRegistry};
 pub use relation::{Relation, MAX_ARITY};
 pub use rule::{BodyLit, Builtin, GroupSpec, QuantGroup, Rule};
+pub use session::{Engine, EngineState};
 pub use snapshot::{EngineSnapshot, SnapshotPublisher, SnapshotReader};
 pub use stats::{Stats, StatsCache};

@@ -54,7 +54,7 @@
 //! Adorned and magic predicates are registered in the engine's
 //! ordinary [`PredRegistry`] under `#`-separated names (`t#bf`,
 //! `m#t#bf`) that the surface lexer cannot produce, so they can never
-//! collide with user predicates. [`crate::engine::Engine::query`]
+//! collide with user predicates. [`crate::Engine::query`]
 //! drives this rewrite, caches the compiled plan per `(pred,
 //! adornment)`, and seeds the magic fact per call.
 
@@ -287,8 +287,10 @@ impl Rewriter<'_> {
             for &i in &remaining {
                 let score: (i64, i64) = match &outer[i] {
                     BodyLit::Builtin(b, args) => {
-                        let flags: Vec<bool> =
-                            args.iter().map(|p| pattern_bound(p, &bound)).collect();
+                        let flags: Vec<bool> = args
+                            .iter()
+                            .map(|p| !p.any_var(&|v| !bound.contains(&v)))
+                            .collect();
                         if !mode_ok(*b, &flags, policy) {
                             continue; // not evaluable yet
                         }
@@ -301,7 +303,7 @@ impl Rewriter<'_> {
                         }
                     }
                     BodyLit::Neg(_, args) => {
-                        if !args.iter().all(|p| pattern_bound(p, &bound)) {
+                        if args.iter().any(|p| p.any_var(&|v| !bound.contains(&v))) {
                             continue; // unsafe until its vars are bound
                         }
                         (900, 0)
@@ -653,20 +655,11 @@ fn push_pattern(key: &mut String, p: &Pattern) {
     }
 }
 
-/// Whether every variable of `p` occurs in `bound_vars`.
-fn pattern_bound(p: &Pattern, bound_vars: &[VarId]) -> bool {
-    let mut vs = Vec::new();
-    p.collect_vars(&mut vs);
-    vs.iter().all(|v| bound_vars.contains(v))
-}
-
 /// Positions whose pattern is fully bound given `bound_vars`.
 fn bound_positions(args: &[Pattern], bound_vars: &[VarId]) -> Adornment {
     let mut mask = 0;
     for (i, p) in args.iter().enumerate() {
-        let mut vs = Vec::new();
-        p.collect_vars(&mut vs);
-        if vs.iter().all(|v| bound_vars.contains(v)) {
+        if !p.any_var(&|v| !bound_vars.contains(&v)) {
             mask |= 1 << i;
         }
     }

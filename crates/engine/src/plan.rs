@@ -23,7 +23,6 @@ use crate::pred::PredId;
 use crate::relation::ColMask;
 use crate::rule::{BodyLit, Builtin, Rule};
 use crate::stats::Stats;
-use crate::strata::{stratify, Stratification};
 
 /// One evaluation action within a variant.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,7 +145,7 @@ pub struct QuantPlan {
 /// A fully planned rule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledRule {
-    /// Position of this rule within its [`CompiledProgram`] (0 for
+    /// Position of this rule within its [`CompiledProgram`](crate::strata::CompiledProgram) (0 for
     /// rules compiled standalone). Profiling keys per-literal probe
     /// attribution on `(id, lit)`.
     pub id: u32,
@@ -186,149 +185,6 @@ pub struct CompiledRule {
     /// join order `:explain` prints. Estimates are 0 when compiled
     /// without statistics.
     pub step_estimates: Vec<(usize, usize)>,
-}
-
-/// A whole rule set stratified, compiled, and bucketed for evaluation:
-/// everything derivable from the rules alone, independent of any
-/// facts. The engine's batch prepare phase caches one of these for the
-/// loaded program; the demand subsystem compiles one per query
-/// adornment for the magic-rewritten program.
-#[derive(Debug)]
-pub struct CompiledProgram {
-    /// Stratification of the rule set.
-    pub strat: Stratification,
-    /// Every rule compiled, in input order.
-    pub compiled: Vec<CompiledRule>,
-    /// Indices into `compiled` of ordinary rules, per stratum.
-    pub regular_by_stratum: Vec<Vec<usize>>,
-    /// Indices into `compiled` of LDL grouping rules, per stratum.
-    pub grouping_by_stratum: Vec<Vec<usize>>,
-    /// Indices into `compiled` of ground-head fact rules.
-    pub fact_rules: Vec<usize>,
-    /// Deduplicated `(pred, mask)` index requests.
-    pub index_requests: Vec<(PredId, ColMask)>,
-    /// Highest stratum holding a non-monotone rule (negation anywhere
-    /// in the body, or a grouping head); `None` for monotone programs.
-    pub max_nonmono_stratum: Option<usize>,
-    /// Lowest stratum holding a rule that enumerates the active set
-    /// universe.
-    pub min_universe_stratum: Option<usize>,
-    /// Total [`CompiledRule::reorders`] across the program.
-    pub reorders_applied: usize,
-    /// Total [`CompiledRule::estimated_rows`] across the program.
-    pub estimated_rows: usize,
-}
-
-/// Stratify and compile a rule set under the given policy — the shared
-/// front half of both the batch pipeline and the per-adornment demand
-/// pipeline. See [`compile_rule`] for the meaning of `idb` and `cost`.
-pub fn compile_program(
-    rules: &[Rule],
-    num_preds: usize,
-    names: &dyn Fn(PredId) -> String,
-    idb: &FxHashSet<PredId>,
-    policy: SetUniverse,
-    cost: Option<&Stats>,
-) -> Result<CompiledProgram, EngineError> {
-    let strat = stratify(rules, num_preds, names)?;
-    let mut compiled: Vec<CompiledRule> = Vec::with_capacity(rules.len());
-    for (i, rule) in rules.iter().enumerate() {
-        let mut cr = compile_rule(rule, names, idb, policy, cost)?;
-        cr.id = i as u32;
-        compiled.push(cr);
-    }
-
-    let mut regular_by_stratum: Vec<Vec<usize>> = vec![Vec::new(); strat.num_strata];
-    let mut grouping_by_stratum: Vec<Vec<usize>> = vec![Vec::new(); strat.num_strata];
-    let mut fact_rules = Vec::new();
-    let mut index_requests = Vec::new();
-    let mut max_nonmono_stratum = None;
-    let mut min_universe_stratum = None;
-    for (i, cr) in compiled.iter().enumerate() {
-        index_requests.extend_from_slice(&cr.index_requests);
-        if cr.rule.is_fact() {
-            fact_rules.push(i);
-            continue;
-        }
-        let s = strat.stratum(cr.rule.head);
-        let nonmono = cr.rule.group.is_some()
-            || cr
-                .rule
-                .all_body_lits()
-                .any(|l| matches!(l, BodyLit::Neg(..)));
-        if nonmono {
-            max_nonmono_stratum = Some(max_nonmono_stratum.map_or(s, |m: usize| m.max(s)));
-        }
-        if cr.uses_active_universe {
-            min_universe_stratum = Some(min_universe_stratum.map_or(s, |m: usize| m.min(s)));
-        }
-        if cr.rule.group.is_some() {
-            grouping_by_stratum[s].push(i);
-        } else {
-            regular_by_stratum[s].push(i);
-        }
-    }
-    index_requests.sort_unstable();
-    index_requests.dedup();
-
-    let reorders_applied = compiled.iter().map(|c| c.reorders).sum();
-    let estimated_rows = compiled
-        .iter()
-        .fold(0usize, |a, c| a.saturating_add(c.estimated_rows));
-
-    Ok(CompiledProgram {
-        strat,
-        compiled,
-        regular_by_stratum,
-        grouping_by_stratum,
-        fact_rules,
-        index_requests,
-        max_nonmono_stratum,
-        min_universe_stratum,
-        reorders_applied,
-        estimated_rows,
-    })
-}
-
-impl CompiledProgram {
-    /// The ordinary (non-grouping) rules of stratum `s`, as references.
-    pub fn regular(&self, s: usize) -> Vec<&CompiledRule> {
-        self.regular_by_stratum[s]
-            .iter()
-            .map(|&i| &self.compiled[i])
-            .collect()
-    }
-
-    /// The grouping rules of stratum `s`, as references.
-    pub fn grouping(&self, s: usize) -> Vec<&CompiledRule> {
-        self.grouping_by_stratum[s]
-            .iter()
-            .map(|&i| &self.compiled[i])
-            .collect()
-    }
-
-    /// The stratum a seeded semi-naive continuation must restart from,
-    /// given the predicates that gained facts since the last completed
-    /// fixpoint and whether the interned-set universe grew since then
-    /// (new sets can re-fire universe-enumerating rules even below the
-    /// lowest fact-affected stratum). `None` means the retained
-    /// fixpoint is already the least model of the enlarged database.
-    /// Shared by the incremental update path (E12) and the retained
-    /// demand spaces (E14).
-    pub fn restart_stratum<I>(&self, changed: I, universe_grew: bool) -> Option<usize>
-    where
-        I: IntoIterator<Item = PredId>,
-    {
-        let start = self.strat.lowest_affected(changed);
-        if universe_grew {
-            match (start, self.min_universe_stratum) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        } else {
-            start
-        }
-    }
 }
 
 /// Compile `rule` under the given policy. `idb` says which predicates
@@ -746,11 +602,11 @@ fn fold_members(
             continue;
         }
         let step = match member_of(step, lits) {
-            Some((x, set)) if !bound.contains(&x) && pattern_bound(set, &bound) => {
+            Some((x, set)) if !bound.contains(&x) && !set.any_var(&|v| !bound.contains(&v)) => {
                 let mut ins = vec![step.lit().expect("a builtin step has a literal")];
                 for (j, later) in steps.iter().enumerate().skip(i + 1) {
                     if let Some((y, t)) = member_of(later, lits) {
-                        if y == x && pattern_bound(t, &bound) {
+                        if y == x && !t.any_var(&|v| !bound.contains(&v)) {
                             folded[j] = true;
                             ins.push(later.lit().expect("a builtin step has a literal"));
                         }
@@ -947,7 +803,10 @@ fn order_lits(
         for &i in &remaining {
             let score = match &lits[i] {
                 BodyLit::Builtin(b, args) => {
-                    let flags: Vec<bool> = args.iter().map(|p| pattern_bound(p, &bound)).collect();
+                    let flags: Vec<bool> = args
+                        .iter()
+                        .map(|p| !p.any_var(&|v| !bound.contains(&v)))
+                        .collect();
                     if !mode_ok(*b, &flags, policy) {
                         continue;
                     }
@@ -960,14 +819,17 @@ fn order_lits(
                     }
                 }
                 BodyLit::Neg(_, args) => {
-                    let all_bound = args.iter().all(|p| pattern_bound(p, &bound));
+                    let all_bound = args.iter().all(|p| !p.any_var(&|v| !bound.contains(&v)));
                     if !all_bound {
                         continue;
                     }
                     900
                 }
                 BodyLit::Pos(p, args) => {
-                    let bound_cols = args.iter().filter(|p| pattern_bound(p, &bound)).count();
+                    let bound_cols = args
+                        .iter()
+                        .filter(|p| !p.any_var(&|v| !bound.contains(&v)))
+                        .count();
                     if bound_cols == args.len() && !args.is_empty() {
                         800 // existence check
                     } else if let Some(stats) = cost {
@@ -1058,7 +920,10 @@ fn order_lits(
                 // Record active-universe dependence: an enumerable
                 // builtin running with a free set-sorted argument reads
                 // the set universe, which grows during evaluation.
-                let flags: Vec<bool> = args.iter().map(|p| pattern_bound(p, &bound)).collect();
+                let flags: Vec<bool> = args
+                    .iter()
+                    .map(|p| !p.any_var(&|v| !bound.contains(&v)))
+                    .collect();
                 let enumerates_sets = match b {
                     Builtin::In => !flags[1],
                     Builtin::SubsetEq => !flags[0] || !flags[1],
@@ -1107,12 +972,6 @@ fn at_set_position(v: VarId, lit: &BodyLit) -> bool {
         .any(|&i| matches!(args[i], Pattern::Var(w) if w == v))
 }
 
-fn pattern_bound(p: &Pattern, bound: &FxHashSet<VarId>) -> bool {
-    let mut vs = Vec::new();
-    p.collect_vars(&mut vs);
-    vs.iter().all(|v| bound.contains(v))
-}
-
 /// Column mask of the fully-bound argument positions of a positive (or
 /// negative) atom.
 fn bound_mask(lit: &BodyLit, bound: &FxHashSet<VarId>) -> ColMask {
@@ -1122,7 +981,7 @@ fn bound_mask(lit: &BodyLit, bound: &FxHashSet<VarId>) -> ColMask {
     };
     let mut mask = 0;
     for (i, p) in args.iter().enumerate() {
-        if pattern_bound(p, bound) {
+        if !p.any_var(&|v| !bound.contains(&v)) {
             mask |= 1 << i;
         }
     }

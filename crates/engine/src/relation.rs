@@ -320,8 +320,9 @@ impl Relation {
             .reserve(additional, |r| hash_ids(row_of(arena, arity, r)));
     }
 
-    /// All tuples in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &[TermId]> {
+    /// All tuples in insertion order: borrowed straight out of the
+    /// arena, nothing allocated, `len()` in O(1).
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[TermId]> {
         (0..self.len() as u32).map(move |r| self.row(r))
     }
 

@@ -67,10 +67,11 @@
 //! epoch before taking the lock and frees the superseded one after
 //! releasing it, so the lock is held for a pointer swap only.
 
-use crate::engine::{Engine, EngineState, RowSet};
+use crate::demand::RowSet;
 use crate::magic;
 use crate::pred::{PredId, PredRegistry};
 use crate::relation::{ColMask, Relation};
+use crate::session::{Engine, EngineState};
 use lps_term::{FxHashMap, TermId, TermStore};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -366,7 +367,7 @@ impl SnapshotPublisher {
         } else {
             Arc::new(engine.store().clone())
         };
-        let full = engine.full_relations();
+        let full = &engine.full;
         self.slots.truncate(full.len());
         let mut rels = Vec::with_capacity(full.len());
         for (i, src) in full.iter().enumerate() {
@@ -518,7 +519,7 @@ mod tests {
         let three = e.store_mut().int(3);
         let five = e.store_mut().int(5);
         let want = e.query(path, &[Some(three), None]).unwrap();
-        assert_eq!(want.path, crate::engine::QueryPath::Demand);
+        assert_eq!(want.path, crate::demand::QueryPath::Demand);
         let mut publisher = SnapshotPublisher::new(&mut e);
         let snap = publisher.reader().current();
         // Seeded constant: pure snapshot read, equal to the engine.

@@ -9,12 +9,20 @@
 //!
 //! * positive dependencies satisfy `stratum(head) ≥ stratum(body)`,
 //! * negative/grouping dependencies satisfy `stratum(head) > stratum(body)`.
+//!
+//! A [`CompiledProgram`] is a rule set stratified this way, each rule
+//! compiled ([`crate::plan`]) and bucketed by stratum: what the stratum
+//! driver (`fixpoint::run_strata`) runs.
 
 use lps_term::{FxHashMap, FxHashSet};
 
+use crate::config::SetUniverse;
 use crate::error::EngineError;
+use crate::plan::{compile_rule, CompiledRule};
 use crate::pred::PredId;
+use crate::relation::ColMask;
 use crate::rule::{BodyLit, Rule};
+use crate::stats::Stats;
 
 /// Dependency polarity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,6 +51,17 @@ pub struct Stratification {
 }
 
 impl Stratification {
+    /// Every predicate in one stratum, with no reads recorded: the
+    /// shape of a rule set evaluated once over final relations (a
+    /// conjunctive goal over a model), which never restarts seeded.
+    pub(crate) fn single() -> Self {
+        Stratification {
+            stratum_of: Vec::new(),
+            num_strata: 1,
+            reads_of: Vec::new(),
+        }
+    }
+
     /// Stratum of a predicate.
     pub fn stratum(&self, p: PredId) -> usize {
         self.stratum_of.get(p.index()).copied().unwrap_or(0)
@@ -292,6 +311,168 @@ fn tarjan(n: usize, edges: &FxHashMap<usize, Vec<(usize, Polarity)>>) -> Vec<Vec
         }
     }
     sccs
+}
+
+/// A whole rule set stratified, compiled, and bucketed for evaluation:
+/// everything derivable from the rules alone, independent of any
+/// facts. The engine's batch prepare phase caches one of these for the
+/// loaded program; the demand subsystem compiles one per query
+/// adornment for the magic-rewritten program.
+#[derive(Debug)]
+pub struct CompiledProgram {
+    /// Stratification of the rule set.
+    pub strat: Stratification,
+    /// Every rule compiled, in input order.
+    pub compiled: Vec<CompiledRule>,
+    /// Indices into `compiled` of ordinary rules, per stratum.
+    pub regular_by_stratum: Vec<Vec<usize>>,
+    /// Indices into `compiled` of LDL grouping rules, per stratum.
+    pub grouping_by_stratum: Vec<Vec<usize>>,
+    /// Indices into `compiled` of ground-head fact rules.
+    pub fact_rules: Vec<usize>,
+    /// Deduplicated `(pred, mask)` index requests.
+    pub index_requests: Vec<(PredId, ColMask)>,
+    /// Highest stratum holding a non-monotone rule (negation anywhere
+    /// in the body, or a grouping head); `None` for monotone programs.
+    pub max_nonmono_stratum: Option<usize>,
+    /// Lowest stratum holding a rule that enumerates the active set
+    /// universe.
+    pub min_universe_stratum: Option<usize>,
+    /// Total [`CompiledRule::reorders`] across the program.
+    pub reorders_applied: usize,
+    /// Total [`CompiledRule::estimated_rows`] across the program.
+    pub estimated_rows: usize,
+}
+
+/// Stratify and compile a rule set under the given policy — the shared
+/// front half of both the batch pipeline and the per-adornment demand
+/// pipeline. See [`compile_rule`] for the meaning of `idb` and `cost`.
+pub fn compile_program(
+    rules: &[Rule],
+    num_preds: usize,
+    names: &dyn Fn(PredId) -> String,
+    idb: &FxHashSet<PredId>,
+    policy: SetUniverse,
+    cost: Option<&Stats>,
+) -> Result<CompiledProgram, EngineError> {
+    let strat = stratify(rules, num_preds, names)?;
+    let mut compiled: Vec<CompiledRule> = Vec::with_capacity(rules.len());
+    for (i, rule) in rules.iter().enumerate() {
+        let mut cr = compile_rule(rule, names, idb, policy, cost)?;
+        cr.id = i as u32;
+        compiled.push(cr);
+    }
+    Ok(bucket(strat, compiled))
+}
+
+/// Compile a conjunctive goal for one batch pass over a completed
+/// model, as a one-rule program: its body relations are final, so the
+/// goal is one stratum, and nothing is growable, so it has no delta
+/// variants and no quantifier triggers.
+pub(crate) fn compile_goal(
+    rule: &Rule,
+    names: &dyn Fn(PredId) -> String,
+    policy: SetUniverse,
+    cost: Option<&Stats>,
+) -> Result<CompiledProgram, EngineError> {
+    let cr = compile_rule(rule, names, &FxHashSet::default(), policy, cost)?;
+    Ok(bucket(Stratification::single(), vec![cr]))
+}
+
+/// Bucket compiled rules by stratum and kind, and total their planner
+/// accounting.
+fn bucket(strat: Stratification, compiled: Vec<CompiledRule>) -> CompiledProgram {
+    let mut regular_by_stratum: Vec<Vec<usize>> = vec![Vec::new(); strat.num_strata];
+    let mut grouping_by_stratum: Vec<Vec<usize>> = vec![Vec::new(); strat.num_strata];
+    let mut fact_rules = Vec::new();
+    let mut index_requests = Vec::new();
+    let mut max_nonmono_stratum = None;
+    let mut min_universe_stratum = None;
+    for (i, cr) in compiled.iter().enumerate() {
+        index_requests.extend_from_slice(&cr.index_requests);
+        if cr.rule.is_fact() {
+            fact_rules.push(i);
+            continue;
+        }
+        let s = strat.stratum(cr.rule.head);
+        let nonmono = cr.rule.group.is_some()
+            || cr
+                .rule
+                .all_body_lits()
+                .any(|l| matches!(l, BodyLit::Neg(..)));
+        if nonmono {
+            max_nonmono_stratum = Some(max_nonmono_stratum.map_or(s, |m: usize| m.max(s)));
+        }
+        if cr.uses_active_universe {
+            min_universe_stratum = Some(min_universe_stratum.map_or(s, |m: usize| m.min(s)));
+        }
+        if cr.rule.group.is_some() {
+            grouping_by_stratum[s].push(i);
+        } else {
+            regular_by_stratum[s].push(i);
+        }
+    }
+    index_requests.sort_unstable();
+    index_requests.dedup();
+
+    let reorders_applied = compiled.iter().map(|c| c.reorders).sum();
+    let estimated_rows = compiled
+        .iter()
+        .fold(0usize, |a, c| a.saturating_add(c.estimated_rows));
+
+    CompiledProgram {
+        strat,
+        compiled,
+        regular_by_stratum,
+        grouping_by_stratum,
+        fact_rules,
+        index_requests,
+        max_nonmono_stratum,
+        min_universe_stratum,
+        reorders_applied,
+        estimated_rows,
+    }
+}
+
+impl CompiledProgram {
+    /// The ordinary (non-grouping) rules of stratum `s`, as references.
+    pub fn regular(&self, s: usize) -> Vec<&CompiledRule> {
+        self.regular_by_stratum[s]
+            .iter()
+            .map(|&i| &self.compiled[i])
+            .collect()
+    }
+
+    /// The grouping rules of stratum `s`, as references.
+    pub fn grouping(&self, s: usize) -> Vec<&CompiledRule> {
+        self.grouping_by_stratum[s]
+            .iter()
+            .map(|&i| &self.compiled[i])
+            .collect()
+    }
+
+    /// The stratum a seeded semi-naive continuation must restart from,
+    /// given the predicates that gained facts since the last completed
+    /// fixpoint and whether the interned-set universe grew since then
+    /// (new sets can re-fire universe-enumerating rules even below the
+    /// lowest fact-affected stratum). `None` means the retained
+    /// fixpoint is already the least model of the enlarged database.
+    /// Shared by the incremental update path (E12) and the retained
+    /// demand spaces (E14).
+    pub fn restart_stratum<I>(&self, changed: I, universe_grew: bool) -> Option<usize>
+    where
+        I: IntoIterator<Item = PredId>,
+    {
+        let start = self.strat.lowest_affected(changed);
+        if universe_grew {
+            match (start, self.min_universe_stratum) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            }
+        } else {
+            start
+        }
+    }
 }
 
 #[cfg(test)]

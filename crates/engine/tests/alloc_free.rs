@@ -244,7 +244,9 @@ fn roll_up(n: usize) -> (u64, usize) {
     .unwrap();
     let before = allocs();
     e.run().unwrap();
-    (allocs() - before, e.rows(chain).len())
+    let allocated = allocs() - before;
+    let rows = e.rows(chain).len();
+    (allocated, rows)
 }
 
 #[test]
@@ -308,7 +310,9 @@ fn classmates(n: usize) -> (u64, usize) {
     .unwrap();
     let before = allocs();
     e.run().unwrap();
-    (allocs() - before, e.rows(meet).len())
+    let allocated = allocs() - before;
+    let rows = e.rows(meet).len();
+    (allocated, rows)
 }
 
 #[test]
