@@ -245,16 +245,16 @@ fn decode_reply(payload: &str) -> Reply {
 
 /// Render interned answer rows as the finished `ok <n>` reply frame,
 /// the one renderer both serving paths share: rows sorted in [`Value`]
-/// order ([`TermStore::cmp_value_rows`]), then each written straight
-/// into the frame as one line with cells joined by `", "`
-/// ([`TermStore::write_value`]). Byte-identical to lifting every row to
-/// `Vec<Value>`, sorting those, and joining each cell's `to_string` —
-/// without building a `Value`, a per-row `String` or a second copy.
+/// order ([`TermStore::sort_value_rows`]: by an 8-byte order-preserving
+/// key of the first column that varies, comparing terms only where keys
+/// tie), then each written straight into the frame as one line with
+/// cells joined by `", "` ([`TermStore::write_value`]). Byte-identical
+/// to lifting every row to `Vec<Value>`, sorting those, and joining
+/// each cell's `to_string` — without building a `Value`, a per-row
+/// `String` or a second copy.
 fn render_reply<'a>(store: &TermStore, rows: impl Iterator<Item = &'a [TermId]>) -> Frame {
     let mut rows: Vec<&[TermId]> = rows.collect();
-    // Stable merge sort: answer rows arrive in derivation order, whose
-    // long sorted runs it merges with a fraction of pdqsort's compares.
-    rows.sort_by(|a, b| store.cmp_value_rows(a, b));
+    store.sort_value_rows(&mut rows);
     let mut frame = Frame::ok(rows.len());
     for row in rows {
         frame.0.push('\n');

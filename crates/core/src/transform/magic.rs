@@ -93,8 +93,7 @@ pub struct QueryAnswersRef<'a> {
     /// queries, whose rows follow the predicate's argument order).
     pub columns: Vec<String>,
     /// The matching rows, interned, in derivation order (unsorted —
-    /// sorting happens at the `Value` level in
-    /// [`QueryAnswersRef::to_owned`]).
+    /// [`QueryAnswersRef::to_owned`] sorts them into `Value` order).
     pub rows: RowSet,
     /// Which engine pipeline answered (demand, model, or fallback).
     pub path: QueryPath,
@@ -141,13 +140,12 @@ impl<'a> QueryAnswersRef<'a> {
             .collect()
     }
 
-    /// Lift every row to the owned, sorted [`Value`]-level form.
+    /// Lift every row to the owned [`Value`]-level form, in `Value`
+    /// order ([`TermStore::sorted_value_rows`]).
     pub fn to_owned(&self) -> QueryAnswers {
-        let mut rows: Vec<Vec<Value>> = self.iter().map(|row| self.value_row(row)).collect();
-        rows.sort();
         QueryAnswers {
             columns: self.columns.clone(),
-            rows,
+            rows: self.store.sorted_value_rows(self.rows.iter()),
             path: self.path,
             stats: self.stats,
         }

@@ -161,7 +161,8 @@ const GO_ON: Flow = Ok(ControlFlow::Continue(()));
 
 /// Evaluate one variant of `rule`, calling `sink` once per satisfying
 /// assignment of the variables before its existential tail (with all
-/// head/grouping variables bound).
+/// head/grouping variables bound). `env` is reset to the rule's
+/// variables first, so one [`Env`] serves every evaluation of a run.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_rule_variant(
     rule: &Rule,
@@ -171,9 +172,10 @@ pub fn eval_rule_variant(
     views: &RelViews<'_>,
     policy: SetUniverse,
     trigger: Option<&QuantTrigger<'_>>,
+    env: &mut Env,
     sink: &mut dyn FnMut(&mut TermStore, &Env) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
-    let mut env = Env::new(rule.num_vars);
+    env.reset(rule.num_vars);
     // Post-group checks (literals whose variables the group binds, e.g.
     // the ¬C(X) of §4.2) bind on the caller's env and are undone before
     // the join resumes: no clone per solution.
@@ -212,7 +214,7 @@ pub fn eval_rule_variant(
             store,
             views,
             policy,
-            &mut env,
+            env,
             &mut |store, env| {
                 finish(store, env)?;
                 GO_ON
@@ -226,7 +228,7 @@ pub fn eval_rule_variant(
             store,
             views,
             policy,
-            &mut env,
+            env,
             &mut |store, env| {
                 // The tail runs to its first solution, and its cut ends
                 // here: the prefix goes on either way.

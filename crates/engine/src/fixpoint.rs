@@ -26,7 +26,7 @@ use lps_term::{FxHashSet, TermId, TermStore};
 use crate::config::{EvalConfig, EvalStats, FixpointStrategy};
 use crate::error::EngineError;
 use crate::eval::{eval_rule_variant, ProbeCounters, QuantTrigger, RelViews, StepProfiler};
-use crate::pattern::Pattern;
+use crate::pattern::{Env, Pattern};
 use crate::plan::CompiledRule;
 use crate::pred::PredId;
 use crate::relation::{Relation, RowWindow, MAX_ARITY};
@@ -75,14 +75,17 @@ impl DerivedBuf {
     }
 }
 
-/// What every rule evaluation of one stratum run borrows through its
-/// [`RelViews`]: the probe counters, the builtin candidate stack
+/// What every rule evaluation of one stratum run borrows: through its
+/// [`RelViews`], the probe counters, the builtin candidate stack
 /// (capacity kept across rounds, like [`DerivedBuf`], and reserved up
-/// front for a probe key's subterms), and the `:profile` attribution.
+/// front for a probe key's subterms), and the `:profile` attribution;
+/// and the variable bindings, one [`Env`] each evaluation resets, so a
+/// round allocates no binding slots or trail.
 struct Scratch<'p> {
     counters: ProbeCounters,
     cands: RefCell<Vec<TermId>>,
     profiler: Option<&'p StepProfiler>,
+    env: RefCell<Env>,
 }
 
 impl Scratch<'_> {
@@ -251,6 +254,7 @@ fn run_stratum(
         counters: ProbeCounters::default(),
         cands: RefCell::new(Vec::with_capacity(MAX_ARITY)),
         profiler,
+        env: RefCell::new(Env::new(0)),
     };
 
     // Grouping rules first (Definition 14): body strata are final.
@@ -322,6 +326,7 @@ fn collect_variant(
         &views,
         config.set_universe,
         trigger,
+        &mut scratch.env.borrow_mut(),
         &mut |store, env| {
             let start = out.begin();
             for arg in &rule.head_args {
@@ -362,6 +367,7 @@ fn eval_grouping(
         &views,
         config.set_universe,
         None,
+        &mut scratch.env.borrow_mut(),
         &mut |store, env| {
             let mut key = Vec::with_capacity(rule.head_args.len() - 1);
             for (pos, arg) in rule.head_args.iter().enumerate() {

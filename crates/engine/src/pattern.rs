@@ -149,6 +149,14 @@ impl Env {
         }
     }
 
+    /// Reset to `num_vars` unbound slots and an empty trail, keeping
+    /// both buffers' capacity.
+    pub fn reset(&mut self, num_vars: usize) {
+        self.slots.clear();
+        self.slots.resize(num_vars, None);
+        self.trail.clear();
+    }
+
     /// Current binding of `v`.
     #[inline]
     pub fn get(&self, v: VarId) -> Option<TermId> {

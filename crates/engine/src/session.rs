@@ -726,16 +726,7 @@ impl Engine {
     /// — a stable form for tests and for the Theorem-10/11 equivalence
     /// harness. Prefer [`Engine::rows`] when borrowing suffices.
     pub fn extension(&self, pred: PredId) -> Vec<Vec<Value>> {
-        let mut rows: Vec<Vec<Value>> = self
-            .rows(pred)
-            .map(|t| {
-                t.iter()
-                    .map(|&id| Value::from_store(&self.store, id))
-                    .collect()
-            })
-            .collect();
-        rows.sort();
-        rows
+        self.store.sorted_value_rows(self.rows(pred))
     }
 }
 

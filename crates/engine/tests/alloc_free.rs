@@ -15,6 +15,12 @@
 //! intersection on the candidate stack, and its dead witness stops at
 //! the first common element; neither allocates.
 //!
+//! A fourth case is an incremental update: one edge below a chain's
+//! `a`-th node makes right-linear transitive closure run `a + 1`
+//! semi-naive rounds, and each round's rule evaluations reuse one set
+//! of variable bindings, so a deep update allocates no more than a
+//! two-round one plus a constant.
+//!
 //! What may still grow with the input is amortized container growth
 //! (relation arenas and tables, the store's arenas, the derivation
 //! buffer), a logarithmic number of allocations — nowhere near one per
@@ -329,5 +335,65 @@ fn membership_intersection_allocates_nothing_per_pair() {
         extra_allocs * 100 < extra_calls,
         "{extra_allocs} more allocations for {extra_calls} more intersections \
          ({small_allocs} at n = {n}, {large_allocs} at 4n)"
+    );
+}
+
+/// Materialize `t(X, Y) :- e(X, Y). t(X, Z) :- e(X, Y), t(Y, Z).` over
+/// an `n`-node chain, then add `e(n_a, x)` and `update()`: `t(n_i, x)`
+/// for `i = a, a - 1, …, 0`, one per round. Returns the allocations the
+/// update made and its rounds. Tracing stays off whatever `LPS_TRACE`
+/// says: a traced run records a span per round, which allocates.
+fn tc_update(n: usize, a: usize) -> (u64, usize) {
+    let mut e = Engine::new(EvalConfig {
+        trace: false,
+        ..EvalConfig::default()
+    });
+    let edge = e.pred("e", 2);
+    let tc = e.pred("t", 2);
+    let st = e.store_mut();
+    let nodes: Vec<_> = (0..n).map(|i| st.atom(&format!("n{i}"))).collect();
+    let sink = st.atom("x");
+    for w in nodes.windows(2) {
+        e.fact(edge, w.to_vec()).unwrap();
+    }
+    let (x, y, z) = (v(0), v(1), v(2));
+    let vars = |head_args, outer| Rule {
+        var_names: ["X", "Y", "Z"].map(String::from).to_vec(),
+        ..rule(tc, head_args, outer)
+    };
+    e.rule(vars(
+        vec![x.clone(), y.clone()],
+        vec![BodyLit::Pos(edge, vec![x.clone(), y.clone()])],
+    ))
+    .unwrap();
+    e.rule(vars(
+        vec![x.clone(), z.clone()],
+        vec![
+            BodyLit::Pos(edge, vec![x.clone(), y.clone()]),
+            BodyLit::Pos(tc, vec![y, z]),
+        ],
+    ))
+    .unwrap();
+    e.run().unwrap();
+    e.fact(edge, vec![nodes[a], sink]).unwrap();
+    let before = allocs();
+    let stats = e.update().unwrap();
+    let allocated = allocs() - before;
+    assert_eq!(stats.facts_derived, a + 2, "the edge and `a + 1` paths");
+    (allocated, stats.iterations)
+}
+
+#[test]
+fn incremental_rounds_allocate_nothing_per_round() {
+    let n = 200;
+    let (shallow_allocs, shallow_rounds) = tc_update(n, 0);
+    let (deep_allocs, deep_rounds) = tc_update(n, 150);
+    assert_eq!(shallow_rounds, 2);
+    assert!(deep_rounds > 150, "{deep_rounds} rounds");
+    const BUDGET: u64 = 16;
+    assert!(
+        deep_allocs <= shallow_allocs + BUDGET,
+        "{deep_allocs} allocations over {deep_rounds} rounds, \
+         {shallow_allocs} over {shallow_rounds} (budget {BUDGET})"
     );
 }

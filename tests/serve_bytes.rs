@@ -15,20 +15,41 @@ use lps::core::serve::{read_frame, write_frame};
 use lps::core::{Database, Dialect, Server, Value};
 
 /// Atom names whose byte order differs from any order they are likely
-/// to be interned in (`c10` < `c9`).
-const ATOMS: [&str; 5] = ["z", "c10", "c9", "ab", "a"];
+/// to be interned in (`c10` < `c9`), and long names whose order their
+/// first 7 bytes do not decide, so the reply sort's key ties.
+const ATOMS: [&str; 9] = [
+    "z",
+    "c10",
+    "c9",
+    "ab",
+    "a",
+    "abcdefgh",
+    "abcdefg",
+    "abcdefgz",
+    "abcdefgh1",
+];
 
-/// A random ground term: atoms, negative and positive integers,
-/// applications, and empty or nested sets.
+/// Function symbols, two of them sharing their first 7 bytes.
+const FUNCTORS: [&str; 4] = ["g", "f", "longname2", "longname1"];
+
+/// A random ground term: atoms, negative and positive integers (small
+/// ones, whose sort keys tie in fours, and ones near both ends of `i64`
+/// that source text can write), applications, and empty or nested
+/// sets.
 fn value() -> BoxedStrategy<Value> {
     let leaf = prop_oneof![
         (0..ATOMS.len()).prop_map(|i| Value::atom(ATOMS[i])),
         (-12..13i64).prop_map(Value::int),
+        (1..5i64).prop_map(|d| Value::int(i64::MIN + d)),
+        (0..4i64).prop_map(|d| Value::int(i64::MAX - d)),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
-            (0..2u8, proptest::collection::vec(inner.clone(), 1..3))
-                .prop_map(|(f, args)| Value::app(["g", "f"][usize::from(f)], args)),
+            (
+                0..FUNCTORS.len(),
+                proptest::collection::vec(inner.clone(), 1..3)
+            )
+                .prop_map(|(f, args)| Value::app(FUNCTORS[f], args)),
             proptest::collection::vec(inner, 0..4).prop_map(Value::set),
         ]
     })
