@@ -499,8 +499,8 @@ fn e9(rep: &mut Report) {
     }
     rep.section(
         "e9",
-        "E9: (∀x∈X) semi-naive trigger — inverted index vs full recompute",
-        &["sets", "indexed_us", "recompute_us"],
+        "E9: (∀x∈X) semi-naive trigger — round-local new-term mark vs full recompute",
+        &["sets", "trigger_us", "recompute_us"],
         &rows,
     );
 }

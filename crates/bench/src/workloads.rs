@@ -159,7 +159,7 @@ pub fn strata_chain(k: usize, facts: usize) -> String {
 /// E9: many sparse sets over a large universe plus a slowly-growing
 /// recursive predicate. Each fixpoint round derives one new `grow`
 /// atom; the ∀-trigger restricts re-evaluation to the few sets
-/// containing it, while the unindexed driver re-checks every set.
+/// containing it, while the driver without it re-checks every set.
 pub fn forall_trigger(num_sets: usize, universe: usize, set_size: usize, seed: u64) -> String {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut src = String::new();

@@ -237,9 +237,11 @@ fn member(
         }
         (Some(x), None) => {
             require_enumerable(Builtin::In, known, policy)?;
-            // Inverted index: all active sets containing x.
-            for &s in store.sets_containing(x) {
-                out.extend_from_slice(&[x, s]);
+            for &s in store.set_ids() {
+                let elems = store.set_elems(s).expect("active sets are sets");
+                if elems.binary_search(&x).is_ok() {
+                    out.extend_from_slice(&[x, s]);
+                }
             }
         }
         (None, None) => {
@@ -748,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn member_free_set_uses_inverted_index_under_policy() {
+    fn member_free_set_scans_active_sets_under_policy() {
         let (mut st, a, b, _) = store_abc();
         let s1 = st.set(vec![a]);
         let s2 = st.set(vec![a, b]);

@@ -54,9 +54,11 @@ pub struct EvalConfig {
     /// Upper bound on fixpoint rounds (guards non-terminating
     /// constructor recursion).
     pub max_iterations: usize,
-    /// Use the element→set inverted index to restrict re-evaluation of
-    /// `(∀x∈X)` rules to candidate sets containing newly derived
-    /// elements (experiment E9). Only affects semi-naive evaluation.
+    /// Restrict the re-evaluation of a `(∀x∈X)` rule, when its inner
+    /// predicates grew, to domains that hold, or are, a term of the
+    /// round's delta rows (experiment E9): each round marks those terms
+    /// in a bitset of its own. Only affects semi-naive evaluation, and
+    /// never the model; off re-checks every domain.
     pub forall_trigger_index: bool,
     /// Upper bound on the per-session demand plan cache: at most this
     /// many compiled `(predicate, adornment)` / conjunctive-shape

@@ -141,12 +141,53 @@ pub struct RelViews<'a> {
 }
 
 /// Optional restriction used by the semi-naive ∀-trigger (experiment
-/// E9): when re-evaluating a quantified rule because inner predicates
-/// grew, only domain values intersecting the newly derived elements
-/// can yield new heads.
-pub struct QuantTrigger<'a> {
-    /// Set ids that contain at least one newly derived element.
-    pub candidate_sets: &'a FxHashSet<TermId>,
+/// E9): when a quantified rule is re-evaluated because inner predicates
+/// grew, only a domain that holds a term of the round's delta rows, or
+/// is one, can yield a new head. The terms are marked one bit per
+/// [`TermId`] for one round, and a reset clears only the words that
+/// were marked, so a round pays for its own delta.
+#[derive(Debug, Default)]
+pub struct QuantTrigger {
+    words: Vec<u64>,
+    /// Indexes of the nonzero words.
+    marked: Vec<u32>,
+}
+
+impl QuantTrigger {
+    /// Clear every mark and cover the ids of a store of `len` terms.
+    pub(crate) fn reset(&mut self, len: usize) {
+        for &w in &self.marked {
+            self.words[w as usize] = 0;
+        }
+        self.marked.clear();
+        self.words.resize(len.div_ceil(64), 0);
+    }
+
+    /// Mark `id`, which must be below the `len` of the last reset.
+    #[inline]
+    pub(crate) fn mark(&mut self, id: TermId) {
+        let w = id.index() / 64;
+        if self.words[w] == 0 {
+            self.marked.push(w as u32);
+        }
+        self.words[w] |= 1 << (id.index() % 64);
+    }
+
+    /// Whether `id` is marked; a term interned since the reset is not.
+    #[inline]
+    fn is_marked(&self, id: TermId) -> bool {
+        self.words
+            .get(id.index() / 64)
+            .is_some_and(|w| w & (1 << (id.index() % 64)) != 0)
+    }
+
+    /// Whether the domain `dom` can yield a new head: it is a set that
+    /// is marked or holds a marked element.
+    fn admits(&self, store: &TermStore, dom: TermId) -> bool {
+        store
+            .set_elems(dom)
+            .is_some_and(|elems| self.is_marked(dom) || elems.iter().any(|&e| self.is_marked(e)))
+    }
 }
 
 /// What a step reports to the one above it: go on enumerating, or stop,
@@ -171,7 +212,7 @@ pub fn eval_rule_variant(
     store: &mut TermStore,
     views: &RelViews<'_>,
     policy: SetUniverse,
-    trigger: Option<&QuantTrigger<'_>>,
+    trigger: Option<&QuantTrigger>,
     env: &mut Env,
     sink: &mut dyn FnMut(&mut TermStore, &Env) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
@@ -629,7 +670,7 @@ fn eval_quant(
     store: &mut TermStore,
     views: &RelViews<'_>,
     policy: SetUniverse,
-    trigger: Option<&QuantTrigger<'_>>,
+    trigger: Option<&QuantTrigger>,
     env: &mut Env,
     sink: &mut dyn FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
@@ -660,13 +701,13 @@ fn eval_quant(
     // Trigger pruning (sound only when every domain is independent of
     // the binder variables, so all domain values are known up front):
     // a re-derivation driven by new inner facts needs some domain to
-    // contain a newly derived element.
+    // hold, or be, a newly derived term.
     if let Some(t) = trigger {
         let all_independent = group.binders.iter().all(|(_, dom)| dom.is_bound(env));
         if all_independent
             && !group.binders.iter().any(|(_, dom)| {
                 let id = dom.build(store, env).expect("bound domain");
-                t.candidate_sets.contains(&id)
+                t.admits(store, id)
             })
         {
             return Ok(());
@@ -676,7 +717,10 @@ fn eval_quant(
     if plan.unbound_free.iter().all(|v| env.get(*v).is_some()) {
         // Case 2/3: dependent walk with a direct check at each leaf.
         // Vacuous levels (empty/atomic domains) succeed trivially.
-        if walk_check(group, 0, store, views, policy, env)? {
+        let mut check = |store: &mut TermStore, env: &mut Env| {
+            check_lits(&group.inner, store, views, policy, env)
+        };
+        if walk(group, 0, store, env, &mut check)? {
             return sink(store, env);
         }
         return Ok(());
@@ -722,9 +766,10 @@ fn eval_quant(
     )
     .map(drop)?;
 
-    // Does the walk reach any leaf at all? If not, the condition is
+    // Does the walk reach any leaf at all? A walk that rejects every
+    // leaf holds only if it reaches none; then the condition is
     // vacuous: every binding of the live unbound variables qualifies.
-    if !walk_has_leaf(group, 0, store, env)? {
+    if walk(group, 0, store, env, &mut |_, _| Ok(false))? {
         if trigger.is_some() {
             // Vacuous satisfaction doesn't depend on inner facts; it
             // was derived by earlier (non-trigger) passes.
@@ -752,10 +797,19 @@ fn eval_quant(
     }
 
     let betas: Vec<Vec<TermId>> = cover.keys().cloned().collect();
+    let mut q_vals: Vec<TermId> = Vec::with_capacity(qvars.len());
     for free_vals in betas {
         let covered = &cover[&free_vals];
-        let mut qstack: Vec<TermId> = Vec::with_capacity(group.binders.len());
-        if walk_covered(group, 0, store, env, covered, &mut qstack)? {
+        let mut is_covered = |_: &mut TermStore, env: &mut Env| {
+            q_vals.clear();
+            q_vals.extend(
+                qvars
+                    .iter()
+                    .map(|q| env.get(*q).expect("the walk binds every binder")),
+            );
+            Ok(covered.contains(&q_vals))
+        };
+        if walk(group, 0, store, env, &mut is_covered)? {
             let mark = env.mark();
             for (v, val) in unbound_free.iter().zip(&free_vals) {
                 env.bind(*v, *val);
@@ -767,101 +821,36 @@ fn eval_quant(
     Ok(())
 }
 
-/// The `level`-th domain under the current bindings and its element
-/// count; an atomic value has no elements (ELPS §5) — vacuous subtree.
-/// The walks read element `i` in place with [`domain_elem`]: an
-/// interned payload never changes, so the subtree may intern freely.
-fn domain_of(
+/// Walk the dependent product of the binders from `level` on, binding
+/// each binder to each element of its domain, rebuilt under the outer
+/// levels' bindings, and calling `leaf` on every complete assignment.
+/// True iff `leaf` accepts them all; the walk stops at the first it
+/// rejects. An atomic domain has no elements (ELPS §5), so its subtree
+/// holds vacuously. Elements are read in place: an interned payload
+/// never changes, so `leaf` may intern freely.
+fn walk<F>(
     group: &QuantGroup,
     level: usize,
     store: &mut TermStore,
-    env: &Env,
-) -> (TermId, usize) {
-    let id = group.binders[level]
-        .1
+    env: &mut Env,
+    leaf: &mut F,
+) -> Result<bool, EngineError>
+where
+    F: FnMut(&mut TermStore, &mut Env) -> Result<bool, EngineError>,
+{
+    let Some((var, dom)) = group.binders.get(level) else {
+        return leaf(store, env);
+    };
+    let dom = dom
         .build(store, env)
         .expect("walk binds earlier levels first");
-    (id, store.card(id).unwrap_or(0))
-}
-
-/// Element `i` of a domain returned by [`domain_of`].
-fn domain_elem(store: &TermStore, dom: TermId, i: usize) -> TermId {
-    store
-        .set_elems(dom)
-        .expect("a domain with elements is a set")[i]
-}
-
-/// Dependent product walk, checking the inner literals at each leaf.
-fn walk_check(
-    group: &QuantGroup,
-    level: usize,
-    store: &mut TermStore,
-    views: &RelViews<'_>,
-    policy: SetUniverse,
-    env: &mut Env,
-) -> Result<bool, EngineError> {
-    if level == group.binders.len() {
-        return check_lits(&group.inner, store, views, policy, env);
-    }
-    let (dom, n) = domain_of(group, level, store, env);
-    for i in 0..n {
-        let e = domain_elem(store, dom, i);
+    for i in 0..store.card(dom).unwrap_or(0) {
+        let e = store
+            .set_elems(dom)
+            .expect("a domain with elements is a set")[i];
         let mark = env.mark();
-        env.bind(group.binders[level].0, e);
-        let ok = walk_check(group, level + 1, store, views, policy, env)?;
-        env.undo_to(mark);
-        if !ok {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Does the dependent product have at least one complete assignment?
-fn walk_has_leaf(
-    group: &QuantGroup,
-    level: usize,
-    store: &mut TermStore,
-    env: &mut Env,
-) -> Result<bool, EngineError> {
-    if level == group.binders.len() {
-        return Ok(true);
-    }
-    let (dom, n) = domain_of(group, level, store, env);
-    for i in 0..n {
-        let e = domain_elem(store, dom, i);
-        let mark = env.mark();
-        env.bind(group.binders[level].0, e);
-        let found = walk_has_leaf(group, level + 1, store, env)?;
-        env.undo_to(mark);
-        if found {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-/// Dependent product walk against a coverage set: true iff every leaf
-/// q-tuple is covered.
-fn walk_covered(
-    group: &QuantGroup,
-    level: usize,
-    store: &mut TermStore,
-    env: &mut Env,
-    covered: &FxHashSet<Vec<TermId>>,
-    qstack: &mut Vec<TermId>,
-) -> Result<bool, EngineError> {
-    if level == group.binders.len() {
-        return Ok(covered.contains(qstack));
-    }
-    let (dom, n) = domain_of(group, level, store, env);
-    for i in 0..n {
-        let e = domain_elem(store, dom, i);
-        let mark = env.mark();
-        env.bind(group.binders[level].0, e);
-        qstack.push(e);
-        let ok = walk_covered(group, level + 1, store, env, covered, qstack)?;
-        qstack.pop();
+        env.bind(*var, e);
+        let ok = walk(group, level + 1, store, env, leaf)?;
         env.undo_to(mark);
         if !ok {
             return Ok(false);

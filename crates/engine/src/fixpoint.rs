@@ -8,9 +8,9 @@
 //! derived. The semi-naive driver runs delta variants (each rule
 //! re-joined from last round's new tuples) plus a *quantifier trigger*
 //! pass: a rule whose `(∀x∈X)` group reads recursive predicates is
-//! re-evaluated when those predicates grow, restricted — when the
-//! element→set inverted index applies — to domain sets containing a
-//! newly derived element (experiment E9).
+//! re-evaluated when those predicates grow, restricted — when every
+//! binder reads an inner literal's column — to domains that hold, or
+//! are, a term of the last round's delta rows (experiment E9).
 //!
 //! Within a stratum run the full relations only grow, and derived
 //! tuples are inserted only between rounds, so a round's delta is the
@@ -21,7 +21,7 @@
 
 use std::cell::RefCell;
 
-use lps_term::{FxHashSet, TermId, TermStore};
+use lps_term::{TermId, TermStore};
 
 use crate::config::{EvalConfig, EvalStats, FixpointStrategy};
 use crate::error::EngineError;
@@ -312,7 +312,7 @@ fn collect_variant(
     full: &[Relation],
     delta: &[RowWindow],
     config: &EvalConfig,
-    trigger: Option<&QuantTrigger<'_>>,
+    trigger: Option<&QuantTrigger>,
     scratch: &Scratch<'_>,
     out: &mut DerivedBuf,
 ) -> Result<(), EngineError> {
@@ -458,8 +458,8 @@ fn naive(
 
 /// A binder variable is *trigger-safe* when it appears as a top-level
 /// argument of some positive inner literal: new inner tuples then carry
-/// the element values directly, so the inverted index gives a sound
-/// candidate-set restriction.
+/// the element values directly, so a domain holding none of the
+/// round's new terms can yield no new head.
 fn quant_trigger_safe(cr: &CompiledRule) -> bool {
     let Some(group) = &cr.rule.quant else {
         return false;
@@ -486,12 +486,12 @@ fn seminaive(
     stats: &mut EvalStats,
 ) -> Result<(), EngineError> {
     // Round-persistent buffers: the derivation buffer and the
-    // ∀-trigger candidate set are cleared per round, not reallocated.
+    // ∀-trigger's marks are cleared per round, not reallocated.
     let mut derived = DerivedBuf::default();
-    let mut candidate_sets: FxHashSet<TermId> = FxHashSet::default();
-    // Only a quantified rule reads the candidate sets; a stratum with
-    // none (every transitive-closure stratum) skips the per-round scan.
-    let collect_candidates =
+    let mut trigger = QuantTrigger::default();
+    // Only a quantified rule reads the marks; a stratum with none
+    // (every transitive-closure stratum) skips the per-round scan.
+    let mark_new =
         config.forall_trigger_index && regular.iter().any(|cr| !cr.inner_preds.is_empty());
 
     let mut sets_seen = match start {
@@ -548,21 +548,12 @@ fn seminaive(
             .trace
             .then(|| lps_trace::span("round").arg("round", stats.iterations));
 
-        // Candidate sets for the ∀-trigger: sets containing any newly
-        // derived component.
-        candidate_sets.clear();
-        if collect_candidates {
+        // The ∀-trigger's marks: every component of the delta rows.
+        if mark_new {
+            trigger.reset(store.len());
             for (w, rel) in delta.iter().zip(full.iter()) {
                 for row in w.lo..w.hi {
-                    for &component in rel.row(row) {
-                        candidate_sets.extend(store.sets_containing(component));
-                        // A newly derived set value can also *be* a
-                        // domain (e.g. the domain variable is an
-                        // argument of the inner literal).
-                        if store.is_set(component) {
-                            candidate_sets.insert(component);
-                        }
-                    }
+                    rel.row(row).iter().for_each(|&c| trigger.mark(c));
                 }
             }
         }
@@ -575,7 +566,7 @@ fn seminaive(
             full,
             delta,
             config,
-            &candidate_sets,
+            &trigger,
             scratch,
             &mut derived,
             stats,
@@ -609,7 +600,7 @@ fn round_passes(
     full: &[Relation],
     delta: &[RowWindow],
     config: &EvalConfig,
-    candidate_sets: &FxHashSet<TermId>,
+    trigger: &QuantTrigger,
     scratch: &Scratch<'_>,
     derived: &mut DerivedBuf,
     stats: &mut EvalStats,
@@ -636,12 +627,8 @@ fn round_passes(
         // Quantifier trigger: inner predicates grew.
         if !cr.inner_preds.is_empty() && cr.inner_preds.iter().any(|p| !delta[p.index()].is_empty())
         {
-            let trig = QuantTrigger { candidate_sets };
-            let trigger = if config.forall_trigger_index && quant_trigger_safe(cr) {
-                Some(&trig)
-            } else {
-                None
-            };
+            let trigger =
+                (config.forall_trigger_index && quant_trigger_safe(cr)).then_some(trigger);
             collect_variant(cr, 0, store, full, delta, config, trigger, scratch, derived)?;
             stats.rule_evaluations += 1;
         }

@@ -917,21 +917,14 @@ fn order_lits(
             }
             BodyLit::Neg(_, _) => Step::NegStep { lit: pick },
             BodyLit::Builtin(b, args) => {
-                // Record active-universe dependence: an enumerable
-                // builtin running with a free set-sorted argument reads
-                // the set universe, which grows during evaluation.
+                // Record active-universe dependence: a mode admitted
+                // only because the policy enumerates sets reads the set
+                // universe, which grows during evaluation.
                 let flags: Vec<bool> = args
                     .iter()
                     .map(|p| !p.any_var(&|v| !bound.contains(&v)))
                     .collect();
-                let enumerates_sets = match b {
-                    Builtin::In => !flags[1],
-                    Builtin::SubsetEq => !flags[0] || !flags[1],
-                    Builtin::Union => !(flags[0] && flags[1]),
-                    Builtin::Card => !flags[0],
-                    _ => false,
-                };
-                if enumerates_sets {
+                if !mode_ok(*b, &flags, SetUniverse::Reject) {
                     *uses_active = true;
                 }
                 Step::BuiltinStep {

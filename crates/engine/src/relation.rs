@@ -65,23 +65,6 @@ fn hash_masked_row(arena: &[TermId], base: usize, mask: ColMask) -> u64 {
     h
 }
 
-/// Do the `mask`-selected columns of the row starting at `base` equal
-/// `key` (ascending column order)?
-#[inline]
-fn masked_row_matches(arena: &[TermId], base: usize, mask: ColMask, key: &[TermId]) -> bool {
-    let mut m = mask;
-    let mut k = 0;
-    while m != 0 {
-        let col = m.trailing_zeros() as usize;
-        if arena[base + col] != key[k] {
-            return false;
-        }
-        k += 1;
-        m &= m - 1;
-    }
-    true
-}
-
 /// A secondary index for one column mask: an [`IdTable`] of bucket
 /// ids, where each bucket lists the row ids sharing the same values on
 /// the `mask` columns, in insertion order. Probes hash the caller's
@@ -131,7 +114,7 @@ impl ColIndex {
         let (mask, buckets) = (self.mask, &self.buckets);
         let found = self.table.find(hash_ids(key), |b| {
             let rep = buckets[b as usize][0] as usize * arity;
-            masked_row_matches(arena, rep, mask, key)
+            Relation::row_matches(&arena[rep..rep + arity], mask, key)
         });
         found.map_or(&[], |b| &self.buckets[b as usize])
     }
@@ -249,6 +232,23 @@ impl Clone for Relation {
 }
 
 impl Relation {
+    /// Do the `mask`-selected columns of `row` equal `key` (ascending
+    /// column order)?
+    #[inline]
+    pub(crate) fn row_matches(row: &[TermId], mask: ColMask, key: &[TermId]) -> bool {
+        let mut m = mask;
+        let mut k = 0;
+        while m != 0 {
+            let col = m.trailing_zeros() as usize;
+            if row[col] != key[k] {
+                return false;
+            }
+            k += 1;
+            m &= m - 1;
+        }
+        true
+    }
+
     /// Empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
         assert!(arity <= MAX_ARITY, "relation arity capped at {MAX_ARITY}");

@@ -189,28 +189,12 @@ fn read_rows(rel: &Relation, mask: ColMask, key: &[TermId]) -> RowSet {
         }
     } else {
         for row in rel.iter() {
-            if masked_matches(row, mask, key) {
+            if Relation::row_matches(row, mask, key) {
                 out.push(row);
             }
         }
     }
     out
-}
-
-/// Do the `mask`-selected columns of `row` equal `key` (ascending
-/// column order)?
-fn masked_matches(row: &[TermId], mask: ColMask, key: &[TermId]) -> bool {
-    let mut m = mask;
-    let mut k = 0;
-    while m != 0 {
-        let col = m.trailing_zeros() as usize;
-        if row[col] != key[k] {
-            return false;
-        }
-        k += 1;
-        m &= m - 1;
-    }
-    true
 }
 
 /// The source state a published buffer was last brought level with.

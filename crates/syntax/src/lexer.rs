@@ -71,7 +71,7 @@ pub fn lex(src: &str) -> Result<Vec<Token<'_>>, SyntaxError> {
                     pos += 1;
                 }
                 let text = &src[start..pos];
-                let value: i64 = text.parse().map_err(|_| {
+                let value: u64 = text.parse().map_err(|_| {
                     SyntaxError::new(
                         Span::new(start, pos),
                         format!("integer literal `{text}` out of range"),

@@ -185,12 +185,13 @@ impl<'a> Parser<'a> {
         let tok = self.bump();
         let node = |term, span| FactNode { term, span };
         match tok.kind {
-            TokenKind::Int(i) => out.push(node(TermNode::Int(i), tok.span)),
+            TokenKind::Int(i) => out.push(node(TermNode::Int(int_value(i, false)?), tok.span)),
             TokenKind::Minus => {
                 let TokenKind::Int(i) = self.peek().kind else {
                     return None;
                 };
-                out.push(node(TermNode::Int(-i), tok.span.merge(self.bump().span)));
+                let value = int_value(i, true)?;
+                out.push(node(TermNode::Int(value), tok.span.merge(self.bump().span)));
             }
             TokenKind::Name(n) if !self.at(&TokenKind::LParen) => {
                 out.push(node(TermNode::Atom(n), tok.span));
@@ -469,14 +470,14 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Int(i) => {
                 let t = self.bump();
-                Ok(Term::Int(i, t.span))
+                Ok(Term::Int(int_in_range(i, false, t.span)?, t.span))
             }
             TokenKind::Minus => {
                 let start = self.bump().span;
                 match self.peek().kind {
                     TokenKind::Int(i) => {
-                        let t = self.bump();
-                        Ok(Term::Int(-i, start.merge(t.span)))
+                        let span = start.merge(self.bump().span);
+                        Ok(Term::Int(int_in_range(i, true, span)?, span))
                     }
                     _ => {
                         let found = self.peek();
@@ -541,6 +542,27 @@ fn body_span(f: &Formula) -> Option<Span> {
         Formula::And(fs) | Formula::Or(fs) => fs.iter().rev().find_map(body_span),
         Formula::Forall { span, .. } | Formula::Exists { span, .. } => Some(*span),
     }
+}
+
+/// The integer a literal of magnitude `magnitude` denotes, negated if
+/// `negative`; `None` if `i64` cannot hold it.
+fn int_value(magnitude: u64, negative: bool) -> Option<i64> {
+    if negative {
+        0i64.checked_sub_unsigned(magnitude)
+    } else {
+        i64::try_from(magnitude).ok()
+    }
+}
+
+/// [`int_value`], or the out-of-range error at `span`.
+fn int_in_range(magnitude: u64, negative: bool, span: Span) -> Result<i64, SyntaxError> {
+    int_value(magnitude, negative).ok_or_else(|| {
+        let sign = if negative { "-" } else { "" };
+        SyntaxError::new(
+            span,
+            format!("integer literal `{sign}{magnitude}` out of range"),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -813,6 +835,41 @@ mod tests {
             let err = parse_program_with(src, &mut |_| facts += 1).unwrap_err();
             assert_eq!(err, parse_program(src).unwrap_err(), "{src}");
             assert_eq!(facts, 0, "{src}");
+        }
+    }
+
+    #[test]
+    fn i64_min_literal_loads_as_a_fact_and_in_a_rule() {
+        let src = "p(-9223372036854775808).";
+        let c = parse_one(src);
+        let min = HeadArg::Term(Term::Int(i64::MIN, Span::new(2, 22)));
+        assert_eq!(c.head.args, vec![min.clone()]);
+        let mut facts = Vec::new();
+        parse_program_with(src, &mut |f| facts.push(clause_of(&f))).unwrap();
+        assert_eq!(facts.len(), 1);
+        assert_eq!(facts[0].head, c.head, "the fact sink reads it too");
+        let c = parse_one("q(X) :- X = -9223372036854775808.");
+        assert_eq!(c.head.args.len(), 1);
+        assert_eq!(parse_one("p(- 9223372036854775807).").head.args[0], {
+            HeadArg::Term(Term::Int(-i64::MAX, Span::new(2, 23)))
+        });
+    }
+
+    #[test]
+    fn integer_beyond_i64_is_out_of_range_with_or_without_sign() {
+        for (src, text) in [
+            ("p(9223372036854775808).", "`9223372036854775808`"),
+            ("p(-9223372036854775809).", "`-9223372036854775809`"),
+            ("q(X) :- X = 9223372036854775808.", "`9223372036854775808`"),
+        ] {
+            let err = parse_program(src).unwrap_err();
+            assert!(
+                err.message.contains("out of range") && err.message.contains(text),
+                "{src}: {}",
+                err.message
+            );
+            let sink = parse_program_with(src, &mut |_| panic!("not a fact: {src}"));
+            assert_eq!(sink.unwrap_err(), err, "{src}");
         }
     }
 

@@ -13,9 +13,10 @@ pub enum TokenKind<'a> {
     Name(&'a str),
     /// Uppercase- or `_`-initial identifier: a variable.
     Var(&'a str),
-    /// Integer literal (non-negative; unary minus is handled by the
-    /// parser).
-    Int(i64),
+    /// The magnitude of an integer literal. The parser applies a unary
+    /// minus and checks the range, so `-9223372036854775808` can be
+    /// written although its magnitude exceeds `i64::MAX`.
+    Int(u64),
 
     // Keywords.
     /// `forall` — restricted universal quantifier (Definition 4).

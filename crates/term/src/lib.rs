@@ -21,9 +21,11 @@
 //! finds both by comparing in place; the engine's relations dedup
 //! their rows and index their columns with it too.
 //!
-//! The store also maintains an inverted *element → containing sets*
-//! index used by the engine's semi-naive `(∀x ∈ X)` trigger
-//! optimization (experiment E9 in `EXPERIMENTS.md`).
+//! The store only appends, and [`TermStore::rollback`] only truncates:
+//! it keeps no index from an element to the sets that hold it. The
+//! engine's semi-naive `(∀x ∈ X)` trigger (experiment E9 in
+//! `EXPERIMENTS.md`) marks each round's new terms in a bitset of its
+//! own and reads a domain's elements in place.
 //!
 //! ```
 //! use lps_term::{TermStore, Value};

@@ -26,7 +26,6 @@ use std::ops::Range;
 use crate::fxhash::fx_fold;
 use crate::symbol::{Symbol, SymbolTable};
 use crate::table::IdTable;
-use crate::FxHashMap;
 
 /// Identifier of an interned ground term. Ordering is interning order,
 /// which is stable within a store and used as the canonical element
@@ -178,9 +177,6 @@ pub struct TermStore {
     /// growth rehashes from it (the table places a key by its hash's
     /// low bits).
     hashes: Vec<u32>,
-    /// Inverted index: element id → ids of interned sets containing it.
-    /// Powers the semi-naive `(∀x ∈ X)` trigger (experiment E9).
-    containing_sets: FxHashMap<TermId, Vec<TermId>>,
     /// All interned sets in interning order — the *active* sort-s
     /// universe that bounded enumeration modes range over.
     set_ids: Vec<TermId>,
@@ -226,9 +222,6 @@ impl TermStore {
         };
         if let TermData::Set(members) = key {
             debug_assert!(canonical(members), "set not canonical");
-            for &e in members {
-                self.containing_sets.entry(e).or_default().push(id);
-            }
             self.set_ids.push(id);
         }
         self.terms.push(entry);
@@ -364,20 +357,8 @@ impl TermStore {
         let hashes = &self.hashes;
         self.table
             .truncate(mark.terms, |id| hashes[id as usize].into());
-        while let Some(&id) = self.set_ids.last().filter(|id| id.index() >= mark.terms) {
-            self.set_ids.pop();
-            let TermData::Set(members) = self.terms[id.index()].view(&self.elems) else {
-                unreachable!("set_ids lists sets");
-            };
-            for e in members {
-                let sets = self.containing_sets.get_mut(e).expect("indexed");
-                debug_assert_eq!(sets.last(), Some(&id));
-                sets.pop();
-                if sets.is_empty() {
-                    self.containing_sets.remove(e);
-                }
-            }
-        }
+        let sets = self.set_ids.partition_point(|id| id.index() < mark.terms);
+        self.set_ids.truncate(sets);
         self.empty_set = self.empty_set.filter(|id| id.index() < mark.terms);
         self.terms.truncate(mark.terms);
         self.hashes.truncate(mark.terms);
@@ -438,15 +419,6 @@ impl TermStore {
     /// translated programs) range over this list.
     pub fn set_ids(&self) -> &[TermId] {
         &self.set_ids
-    }
-
-    /// All interned sets that contain `elem`, in interning order.
-    /// Returns an empty slice for terms not contained in any set.
-    pub fn sets_containing(&self, elem: TermId) -> &[TermId] {
-        self.containing_sets
-            .get(&elem)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Look up the term `key` describes without interning it: `None`
@@ -644,21 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn inverted_index_tracks_membership() {
-        let mut s = TermStore::new();
-        let a = s.atom("a");
-        let b = s.atom("b");
-        let s1 = s.set(vec![a]);
-        let s2 = s.set(vec![a, b]);
-        assert_eq!(s.sets_containing(a), &[s1, s2]);
-        assert_eq!(s.sets_containing(b), &[s2]);
-        // Re-interning an existing set must not duplicate index entries.
-        let s1_again = s.set(vec![a]);
-        assert_eq!(s1_again, s1);
-        assert_eq!(s.sets_containing(a), &[s1, s2]);
-    }
-
-    #[test]
     fn set_ids_track_interned_sets_without_duplicates() {
         let mut s = TermStore::new();
         let a = s.atom("a");
@@ -756,13 +713,11 @@ mod tests {
         assert_eq!(s.symbols().get("g"), None);
         assert_eq!(s.find_int(7), None);
         assert_eq!(s.set_ids(), &[sa]);
-        assert_eq!(s.sets_containing(a), &[sa]);
-        assert!(s.sets_containing(b).is_empty());
         // Re-interning after the rollback reuses the freed ids.
         assert_eq!(s.atom("b"), b);
         assert_eq!(s.set(vec![b, a]), sab);
         assert_eq!(s.empty_set(), e);
-        assert_eq!(s.sets_containing(a), &[sa, sab]);
+        assert_eq!(s.set_ids(), &[sa, sab, e]);
     }
 
     #[test]
