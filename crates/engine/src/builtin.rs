@@ -94,14 +94,16 @@ pub const MAX_BUILTIN_ARITY: usize = 3;
 /// Append the candidate ground argument tuples for `b`, given the
 /// already-known ground values in `known` (`None` = free), to `out`:
 /// one tuple after another, `b.arity()` ids each. Guaranteed
-/// consistent with the bound positions, so the caller's pattern
-/// matching on bound positions always succeeds.
+/// consistent with the bound positions: a candidate repeats every
+/// known value, so the executor reads only the free positions back.
 ///
 /// `out` is the executor's shared candidate stack: whatever it already
 /// holds is left untouched, and on `Err` nothing is appended. Checks
 /// and enumerations read set payloads in place, so the only
 /// allocations are those of terms the call interns into `store`
-/// (computed unions, new integers).
+/// (computed unions, new integers). A set builtin with every argument
+/// bound compares payloads and interns nothing, so a check never adds
+/// a set to the active universe.
 pub fn enumerate(
     b: Builtin,
     known: &[Option<TermId>],
@@ -117,6 +119,43 @@ pub fn enumerate(
     }
     debug_assert_eq!((out.len() - start) % b.arity(), 0, "{}", b.name());
     res
+}
+
+/// Whether `b` holds of `args`, every argument bound: the check mode
+/// of [`enumerate`], true exactly when it would append a candidate. The
+/// comparisons and memberships are answered in place; any other
+/// builtin runs [`enumerate`] on top of `scratch` and gives it back.
+pub fn holds(
+    b: Builtin,
+    args: &[TermId],
+    store: &mut TermStore,
+    policy: SetUniverse,
+    scratch: &mut Vec<TermId>,
+) -> Result<bool, EngineError> {
+    debug_assert_eq!(args.len(), b.arity());
+    // ELPS (§5): an atom has no elements.
+    let member = |store: &TermStore| {
+        store
+            .set_elems(args[1])
+            .is_some_and(|elems| elems.binary_search(&args[0]).is_ok())
+    };
+    match b {
+        Builtin::Eq => Ok(args[0] == args[1]),
+        Builtin::Ne => Ok(args[0] != args[1]),
+        Builtin::In => Ok(member(store)),
+        Builtin::NotIn => Ok(!member(store)),
+        _ => {
+            let mut known = [None; MAX_BUILTIN_ARITY];
+            for (k, &a) in known.iter_mut().zip(args) {
+                *k = Some(a);
+            }
+            let start = scratch.len();
+            enumerate(b, &known[..args.len()], store, policy, scratch)?;
+            let holds = scratch.len() > start;
+            scratch.truncate(start);
+            Ok(holds)
+        }
+    }
 }
 
 fn append_candidates(
@@ -334,13 +373,18 @@ fn union(
 ) -> Result<(), EngineError> {
     let b = Builtin::Union;
     match (known[0], known[1], known[2]) {
-        (Some(x), Some(y), z) => {
+        (Some(x), Some(y), Some(z)) => {
+            check_set(b, store, x)?;
+            check_set(b, store, y)?;
+            if setops::union_is(store, x, y, z) {
+                out.extend_from_slice(&[x, y, z]);
+            }
+        }
+        (Some(x), Some(y), None) => {
             check_set(b, store, x)?;
             check_set(b, store, y)?;
             let u = setops::union(store, x, y);
-            if z.is_none_or(|z| z == u) {
-                out.extend_from_slice(&[x, y, u]);
-            }
+            out.extend_from_slice(&[x, y, u]);
         }
         (Some(x), None, Some(z)) | (None, Some(x), Some(z)) => {
             // `union` is symmetric: the bound input `x` sits at its own
@@ -406,9 +450,13 @@ fn disj_union(
             if !setops::disjoint(store, x, y) {
                 return Ok(());
             }
-            let u = setops::union(store, x, y);
-            if z.is_none_or(|z| z == u) {
-                out.extend_from_slice(&[x, y, u]);
+            match z {
+                Some(z) if setops::union_is(store, x, y, z) => out.extend_from_slice(&[x, y, z]),
+                Some(_) => {}
+                None => {
+                    let u = setops::union(store, x, y);
+                    out.extend_from_slice(&[x, y, u]);
+                }
             }
         }
         (Some(x), None, Some(z)) => {
@@ -452,12 +500,16 @@ fn scons(
 ) -> Result<(), EngineError> {
     let b = Builtin::Scons;
     match (known[0], known[1], known[2]) {
-        (Some(x), Some(y), z) => {
+        (Some(x), Some(y), Some(z)) => {
+            check_set(b, store, y)?;
+            if setops::scons_is(store, x, y, z) {
+                out.extend_from_slice(&[x, y, z]);
+            }
+        }
+        (Some(x), Some(y), None) => {
             check_set(b, store, y)?;
             let s = setops::scons(store, x, y);
-            if z.is_none_or(|z| z == s) {
-                out.extend_from_slice(&[x, y, s]);
-            }
+            out.extend_from_slice(&[x, y, s]);
         }
         (None, None, Some(z)) => {
             check_set(b, store, z)?;
@@ -525,18 +577,18 @@ fn scons_min(
             }
         }
         (Some(x), Some(y), z) => {
-            check_set(b, store, y)?;
-            if setops::member(store, x, y) {
+            // `x` must come before every element of `y`, which also
+            // keeps it out of `y`.
+            if set_arg(b, store, y)?.first().is_some_and(|&min| min <= x) {
                 return Ok(());
             }
-            let s = setops::scons(store, x, y);
-            let min = *store
-                .set_elems(s)
-                .expect("scons returns a set")
-                .first()
-                .expect("nonempty by construction");
-            if min == x && z.is_none_or(|z| z == s) {
-                out.extend_from_slice(&[x, y, s]);
+            match z {
+                Some(z) if setops::scons_is(store, x, y, z) => out.extend_from_slice(&[x, y, z]),
+                Some(_) => {}
+                None => {
+                    let s = setops::scons(store, x, y);
+                    out.extend_from_slice(&[x, y, s]);
+                }
             }
         }
         _ => {
@@ -1251,6 +1303,48 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// `holds` agrees with the all-bound mode of `enumerate` on every
+    /// combination of sample values, errors included, and interns no
+    /// set.
+    #[test]
+    fn holds_is_the_check_mode() {
+        for b in ALL {
+            let mut st = TermStore::new();
+            let mut cases: Vec<Vec<TermId>> = vec![Vec::new()];
+            for i in 0..b.arity() {
+                let vals = samples(&mut st, b, i);
+                cases = cases
+                    .iter()
+                    .flat_map(|c| {
+                        vals.iter().map(move |&v| {
+                            let mut c = c.clone();
+                            c.push(v);
+                            c
+                        })
+                    })
+                    .collect();
+            }
+            for args in cases {
+                let sets = st.set_ids().len();
+                let mut scratch = Vec::new();
+                let got = holds(b, &args, &mut st, SetUniverse::Reject, &mut scratch);
+                assert_eq!(
+                    st.set_ids().len(),
+                    sets,
+                    "{} {args:?} interned a set",
+                    b.name()
+                );
+                let known: Vec<Option<TermId>> = args.iter().copied().map(Some).collect();
+                let want = rows(b, &known, &mut st, SetUniverse::Reject);
+                match (got, want) {
+                    (Ok(h), Ok(r)) => assert_eq!(h, !r.is_empty(), "{} {args:?}", b.name()),
+                    (Err(_), Err(_)) => {}
+                    (got, want) => panic!("{} {args:?}: {got:?} vs {want:?}", b.name()),
                 }
             }
         }

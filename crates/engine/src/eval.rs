@@ -6,6 +6,24 @@
 //! variable assignment. The drivers (`naive`, `seminaive`) build head
 //! tuples or grouping pairs from the sink callbacks.
 //!
+//! ## The cursor executor
+//!
+//! The planner compiles every step list into a [`Prog`] of levels
+//! ([`crate::plan`]). The executor walks them with an explicit stack of
+//! frames, one per level: a frame is a cursor over a borrowed
+//! row-id slice or window of a relation, or over a range of the
+//! candidate stack (a builtin's candidates, a membership intersection,
+//! an enumerated universe), plus the general matcher's solutions of the
+//! current row. Advancing a level moves its cursor to the next row or
+//! candidate that its column actions accept and its guards pass; the
+//! run goes one level down after each solution, back up when a level
+//! is exhausted, and calls the sink once per solution at the bottom.
+//! Flat columns bind by writing straight into the binding slots, with
+//! no trail and no test for boundness: which variables are bound where
+//! was settled when the plan was compiled. Only a compound or set
+//! pattern takes the general matcher, which binds and unbinds on its
+//! own; the frame keeps its solutions' values on a solution stack.
+//!
 //! ## Quantifier-group evaluation
 //!
 //! `(∀q₁∈D₁)…(∀qₙ∈Dₙ)(inner)` is evaluated per the case analysis in
@@ -20,8 +38,9 @@
 //! 3. With a nonempty product and all free variables bound, each tuple
 //!    of the product is **checked** directly against the relations.
 //! 4. With unbound free variables, the inner conjunction is evaluated
-//!    as a join and grouped into a **coverage map**; a free-variable
-//!    binding qualifies iff the whole product is covered.
+//!    as a join (on the executor) and grouped into a **coverage map**;
+//!    a free-variable binding qualifies iff the whole product is
+//!    covered.
 //!
 //! ## Per-tuple work allocates nothing
 //!
@@ -29,31 +48,26 @@
 //! probes the full relation's index narrowed to it), so delta tuples
 //! are never copied. Builtins append their candidate tuples to one
 //! candidate stack that each stratum run lends through
-//! [`RelViews::cands`]: each builtin step remembers the stack's length,
-//! walks its own candidates by index — copying each to a stack array
-//! before recursing, because deeper steps push onto the same stack —
-//! and truncates back before returning. An indexed probe looks its
-//! compound key terms up read-only on top of the same stack, so a probe
-//! never interns. Negation and quantified checks build their tuples in
-//! stack buffers, and the `∀` walk reads set elements in place. What
-//! still allocates is interning a new term (a computed union, a new
-//! integer) and the non-flat pattern matcher.
+//! [`RelViews::cands`]: each level remembers the stack's length, walks
+//! its own candidates by index, and truncates back when it closes. An
+//! indexed probe looks its compound key terms up read-only on top of
+//! the same stack, so a probe never interns. Guards and quantified
+//! checks build their tuples in stack buffers, and the `∀` walk reads
+//! set elements in place. What still allocates is interning a new term
+//! (a computed union, a new integer), a body of more than
+//! `INLINE_FRAMES` levels, and the quantifier group's coverage map.
 //!
 //! ## Existential tails and membership intersections
 //!
-//! A [`Step::Members`] intersects the bound sets of `X in S₁, …, X in
-//! Sₖ` on the candidate stack (smallest payload first, merged against
-//! the others) and binds `X` to each common element. Steps from a
-//! variant's [`Variant::tail`] on bind only variables nothing after
-//! them reads, so the executor stops them at their first solution. The
-//! steps before the tail run with the tail as their sink; the tail's
-//! own sink calls the real one once and returns
-//! [`ControlFlow::Break`], which every tail step passes up after
-//! restoring its bindings and candidates, until the prefix's sink
-//! turns it back into `Continue`.
+//! A [`Step::Members`](crate::plan::Step::Members) intersects the bound
+//! sets of `X in S₁, …, X in Sₖ` on the candidate stack and binds `X`
+//! to each common element. Levels from the [`Prog::tail`] on bind only
+//! variables nothing after them reads, so the first solution that
+//! reaches the sink closes them all and the level before the tail moves
+//! on; an intersection that ends a tail is a guard that stops at the
+//! least common element.
 
 use std::cell::{Cell, RefCell};
-use std::ops::ControlFlow;
 
 use lps_term::{FxHashMap, FxHashSet, Sort, TermId, TermStore};
 
@@ -61,8 +75,8 @@ use crate::builtin::{self, MAX_BUILTIN_ARITY};
 use crate::config::SetUniverse;
 use crate::error::EngineError;
 use crate::pattern::{match_tuple, Env, Pattern, VarId};
-use crate::plan::{QuantPlan, Step, Variant};
-use crate::relation::{ColMask, Relation, RowWindow, MAX_ARITY};
+use crate::plan::{Arg, ColAct, Guard, Level, Op, Prog, QuantPlan, RowMatch, Variant};
+use crate::relation::{Relation, RowWindow, MAX_ARITY};
 use crate::rule::{BodyLit, QuantGroup, Rule};
 
 /// Interior-mutable counters for the indexed-join probe path, threaded
@@ -89,18 +103,55 @@ impl ProbeCounters {
     }
 }
 
-/// Per-literal probe attribution for `:profile`, keyed by
-/// `(CompiledRule::id, outer-literal index)`. Interior-mutable for the
-/// same reason as [`ProbeCounters`]: the recursive executor holds the
-/// views immutably. Aggregation happens across every variant and round
-/// of a run, so the totals are what the whole fixpoint actually spent
-/// per body literal.
+/// Attribution for `:profile`: per body literal, keyed by
+/// `(CompiledRule::id, outer-literal index)`, the probes and rows; and
+/// per rule, keyed by `CompiledRule::id`, its evaluations, head tuples
+/// and wall time. Interior-mutable for the same reason as
+/// [`ProbeCounters`]: the executor holds the views immutably.
+/// Aggregation happens across every variant and round of a run, so the
+/// totals are what the whole fixpoint actually spent per body literal
+/// and per rule.
 #[derive(Debug, Default)]
 pub struct StepProfiler {
     tab: RefCell<FxHashMap<(u32, u32), (u64, u64)>>,
+    rules: RefCell<Vec<RuleCost>>,
+}
+
+/// What the evaluations of one rule cost over a profiled run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RuleCost {
+    /// Evaluations of the rule (one per variant run).
+    pub evals: u64,
+    /// Head tuples they produced, duplicates included.
+    pub heads: u64,
+    /// Wall time they took, in nanoseconds.
+    pub nanos: u64,
 }
 
 impl StepProfiler {
+    /// Add one evaluation of rule `rule` that produced `heads` head
+    /// tuples in `nanos` nanoseconds.
+    pub fn record_rule(&self, rule: u32, heads: u64, nanos: u64) {
+        let mut rules = self.rules.borrow_mut();
+        let i = rule as usize;
+        if rules.len() <= i {
+            rules.resize(i + 1, RuleCost::default());
+        }
+        let cost = &mut rules[i];
+        cost.evals += 1;
+        cost.heads += heads;
+        cost.nanos += nanos;
+    }
+
+    /// What rule `rule`'s evaluations cost so far.
+    pub fn rule(&self, rule: u32) -> RuleCost {
+        self.rules
+            .borrow()
+            .get(rule as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
     /// Add `probes` lookups yielding `rows` rows to literal `lit` of
     /// rule `rule`.
     pub fn record(&self, rule: u32, lit: u32, probes: u64, rows: u64) {
@@ -134,6 +185,10 @@ pub struct RelViews<'a> {
     /// Interior-mutable for the same reason as [`ProbeCounters`]; empty
     /// between evaluations.
     pub cands: &'a RefCell<Vec<TermId>>,
+    /// The values general-match solutions bind, pushed per row or
+    /// candidate and truncated back like the candidate stack; empty
+    /// between evaluations.
+    pub sols: &'a RefCell<Vec<TermId>>,
     /// Per-literal attribution, tagged with the id of the rule being
     /// evaluated. `None` outside `:profile` runs — the hot path pays
     /// one branch.
@@ -190,22 +245,12 @@ impl QuantTrigger {
     }
 }
 
-/// What a step reports to the one above it: go on enumerating, or stop,
-/// because the existential tail it belongs to has found its witness.
-type Flow = Result<ControlFlow<()>, EngineError>;
-
-/// A continuation of the join: called per solution of the steps run.
-type Sink<'s> = dyn FnMut(&mut TermStore, &mut Env) -> Flow + 's;
-
-/// The flow of a step or sink that has not been cut.
-const GO_ON: Flow = Ok(ControlFlow::Continue(()));
-
 /// Evaluate one variant of `rule`, calling `sink` once per satisfying
 /// assignment of the variables before its existential tail (with all
 /// head/grouping variables bound). `env` is reset to the rule's
 /// variables first, so one [`Env`] serves every evaluation of a run.
 #[allow(clippy::too_many_arguments)]
-pub fn eval_rule_variant(
+pub fn eval_rule_variant<F>(
     rule: &Rule,
     variant: &Variant,
     quant_plan: Option<&QuantPlan>,
@@ -214,29 +259,17 @@ pub fn eval_rule_variant(
     policy: SetUniverse,
     trigger: Option<&QuantTrigger>,
     env: &mut Env,
-    sink: &mut dyn FnMut(&mut TermStore, &Env) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
+    sink: &mut F,
+) -> Result<(), EngineError>
+where
+    F: FnMut(&mut TermStore, &Env) -> Result<(), EngineError>,
+{
     env.reset(rule.num_vars);
     // Post-group checks (literals whose variables the group binds, e.g.
-    // the ¬C(X) of §4.2) bind on the caller's env and are undone before
-    // the join resumes: no clone per solution.
+    // the ¬C(X) of §4.2) run on the caller's bindings.
     let mut post = |store: &mut TermStore, env: &mut Env| {
-        let mark = env.mark();
-        let res = run_steps(
-            &rule.outer,
-            &variant.post_steps,
-            0,
-            store,
-            views,
-            policy,
-            env,
-            &mut |store, env| {
-                sink(store, env)?;
-                GO_ON
-            },
-        );
-        env.undo_to(mark);
-        res.map(drop)
+        let sink = &mut |store: &mut TermStore, env: &mut Env| sink(store, env);
+        exec(&variant.post, &rule.outer, store, views, policy, env, sink)
     };
     let mut finish = |store: &mut TermStore, env: &mut Env| match (&rule.quant, quant_plan) {
         (Some(group), Some(plan)) => {
@@ -244,277 +277,631 @@ pub fn eval_rule_variant(
         }
         _ => post(store, env),
     };
-    let (prefix, tail) = variant
-        .steps
-        .split_at(variant.tail.unwrap_or(variant.steps.len()));
-    let flow = if tail.is_empty() {
-        run_steps(
-            &rule.outer,
-            prefix,
-            0,
-            store,
-            views,
-            policy,
-            env,
-            &mut |store, env| {
-                finish(store, env)?;
-                GO_ON
-            },
-        )
-    } else {
-        run_steps(
-            &rule.outer,
-            prefix,
-            0,
-            store,
-            views,
-            policy,
-            env,
-            &mut |store, env| {
-                // The tail runs to its first solution, and its cut ends
-                // here: the prefix goes on either way.
-                let _cut = run_steps(
-                    &rule.outer,
-                    tail,
-                    0,
-                    store,
-                    views,
-                    policy,
-                    env,
-                    &mut |store, env| {
-                        finish(store, env)?;
-                        Ok(ControlFlow::Break(()))
-                    },
-                )?;
-                GO_ON
-            },
-        )
-    };
-    flow.map(drop)
+    exec(
+        &variant.prog,
+        &rule.outer,
+        store,
+        views,
+        policy,
+        env,
+        &mut finish,
+    )
 }
 
-/// Recursively execute join steps from `k`, calling `sink` per
-/// solution. A `Break` from the sink stops every enumeration on the way
-/// back up, each restoring its bindings and candidates first.
+/// A body of up to this many levels keeps its frames on the call
+/// stack; a longer one allocates them for the run.
+const INLINE_FRAMES: usize = 16;
+
+/// The cursor of one open level: where its op is in the rows,
+/// candidates or solutions it enumerates, and where its entries on the
+/// candidate and solution stacks start.
+#[derive(Clone, Copy, Default)]
+struct Frame<'v> {
+    /// The row ids an index probe returned (a scan walks `at..end` as
+    /// row ids itself).
+    rows: &'v [u32],
+    /// The next position — a row id, an index into `rows`, or a
+    /// candidate stack index — and the end.
+    at: u32,
+    end: u32,
+    /// The candidate stack's length when the op opened.
+    cands: u32,
+    /// The solution stack's length when the op opened, the next
+    /// solution's position on it, and how many solutions are left.
+    sols: u32,
+    sol_at: u32,
+    sols_left: u32,
+}
+
+/// Run `prog` over `lits` depth-first, calling `sink` once per
+/// solution. From level `prog.tail` on the levels form an existential
+/// tail: its first solution closes them all, and the level before the
+/// tail moves on.
+///
+/// Each level opens a [`Frame`] for its op and yields one solution per
+/// advance that its guards pass; the run goes down a level after a
+/// solution and back up when a level is exhausted. A flat op writes
+/// its bindings straight into `env` and a general match writes its
+/// solution's values there, so when a level opens, every variable an
+/// earlier level binds holds that level's current value. On return
+/// every variable the levels bind is cleared again, and on an error the
+/// candidate and solution stacks are given back.
 #[allow(clippy::too_many_arguments)]
-fn run_steps(
+fn exec<F>(
+    prog: &Prog,
     lits: &[BodyLit],
-    steps: &[Step],
-    k: usize,
     store: &mut TermStore,
     views: &RelViews<'_>,
     policy: SetUniverse,
     env: &mut Env,
-    sink: &mut Sink<'_>,
-) -> Flow {
-    if k == steps.len() {
-        return sink(store, env);
-    }
-    match &steps[k] {
-        Step::Pos {
-            lit,
-            mask,
-            delta,
-            flat,
-        } => {
-            let (pred, args) = match &lits[*lit] {
-                BodyLit::Pos(p, a) => (*p, a),
-                other => unreachable!("Pos step on {other:?}"),
-            };
-            let rel = &views.full[pred.index()];
-            // A delta literal reads last round's window of the full
-            // relation.
-            let window = delta.then(|| views.delta[pred.index()]);
-            if *mask == 0 {
-                let rows = window.unwrap_or(RowWindow {
-                    lo: 0,
-                    hi: rel.len() as u32,
-                });
-                if let Some((prof, rid)) = views.profile {
-                    prof.record(rid, *lit as u32, 1, rows.len() as u64);
-                }
-                for row in rows.lo..rows.hi {
-                    let flow = match_row_then_continue(
-                        lits,
-                        steps,
-                        k,
-                        store,
-                        views,
-                        policy,
-                        env,
-                        sink,
-                        args,
-                        rel.row(row),
-                        *flat,
-                    )?;
-                    if flow.is_break() {
-                        return Ok(flow);
-                    }
-                }
+    sink: &mut F,
+) -> Result<(), EngineError>
+where
+    F: FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
+{
+    let run = Run {
+        lits,
+        views,
+        policy,
+        err: Cell::new(None),
+    };
+    let levels = &prog.levels;
+    let stacks = (views.cands.borrow().len(), views.sols.borrow().len());
+    let res = match run.guards(&prog.pre, store, env) {
+        Err(Failed) => Err(run.err.take().expect("a failure stashes its error")),
+        Ok(false) => Ok(()),
+        Ok(true) if levels.is_empty() => sink(store, env),
+        Ok(true) => {
+            let mut inline = [Frame::default(); INLINE_FRAMES];
+            let mut spilled = Vec::new();
+            let frames = if levels.len() <= INLINE_FRAMES {
+                &mut inline[..levels.len()]
             } else {
-                // Look the probe key up into a stack buffer, in
-                // ascending column order (arity ≤ 32): the indexed-join
-                // path interns nothing and allocates nothing. A key term
-                // the store lacks matches no row.
-                ProbeCounters::bump(&views.counters.probes, 1);
-                let rows = match (probe_key(*mask, args, store, env, views), window) {
-                    (None, _) => &[][..],
-                    (Some((key, n)), Some(w)) => rel.lookup_window(*mask, &key[..n], w.lo, w.hi),
-                    (Some((key, n)), None) => rel.lookup(*mask, &key[..n]),
-                };
-                ProbeCounters::bump(&views.counters.rows, rows.len() as u64);
-                if let Some((prof, rid)) = views.profile {
-                    prof.record(rid, *lit as u32, 1, rows.len() as u64);
+                spilled.resize(levels.len(), Frame::default());
+                &mut spilled[..]
+            };
+            match run.run(levels, prog.tail, frames, store, env, sink) {
+                Err(Failed) => Err(run.err.take().expect("a failure stashes its error")),
+                Ok(()) => Ok(()),
+            }
+        }
+    };
+    for guard in prog.pre.iter() {
+        if let Guard::Exists { var, .. } = guard {
+            env.unset(*var);
+        }
+    }
+    for level in levels.iter() {
+        for &v in level.binds.iter() {
+            env.unset(v);
+        }
+    }
+    if res.is_err() {
+        views.cands.borrow_mut().truncate(stacks.0);
+        views.sols.borrow_mut().truncate(stacks.1);
+    }
+    res
+}
+
+/// What every level of one [`exec`] reads, and where a failing one
+/// leaves its error.
+struct Run<'r, 'v> {
+    lits: &'r [BodyLit],
+    views: &'r RelViews<'v>,
+    policy: SetUniverse,
+    err: Cell<Option<EngineError>>,
+}
+
+/// A level failed, and left its error in [`Run::err`]: the join's hot
+/// path passes a byte up, not an error.
+struct Failed;
+
+impl<'v> Run<'_, 'v> {
+    /// Stash `e` for [`exec`] to return.
+    #[cold]
+    fn fail(&self, e: EngineError) -> Failed {
+        self.err.set(Some(e));
+        Failed
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run<F>(
+        &self,
+        levels: &[Level],
+        tail: Option<usize>,
+        frames: &mut [Frame<'v>],
+        store: &mut TermStore,
+        env: &mut Env,
+        sink: &mut F,
+    ) -> Result<(), Failed>
+    where
+        F: FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
+    {
+        let last = levels.len() - 1;
+        let mut k = 0;
+        self.open(&levels[0].op, &mut frames[0], store, env)?;
+        loop {
+            if self.advance(&levels[k], &mut frames[k], store, env)? {
+                if k < last {
+                    k += 1;
+                    self.open(&levels[k].op, &mut frames[k], store, env)?;
+                    continue;
                 }
-                for &row in rows {
-                    let flow = match_row_then_continue(
-                        lits,
-                        steps,
-                        k,
-                        store,
-                        views,
-                        policy,
-                        env,
-                        sink,
-                        args,
-                        rel.row(row),
-                        *flat,
-                    )?;
-                    if flow.is_break() {
-                        return Ok(flow);
+                sink(store, env).map_err(|e| self.fail(e))?;
+                let Some(t) = tail else {
+                    continue;
+                };
+                // The tail has its witness: close it and go on with
+                // the level before it.
+                for j in (t..=k).rev() {
+                    self.close(&levels[j].op, &frames[j]);
+                }
+                if t == 0 {
+                    return Ok(());
+                }
+                k = t - 1;
+            } else {
+                self.close(&levels[k].op, &frames[k]);
+                if k == 0 {
+                    return Ok(());
+                }
+                k -= 1;
+            }
+        }
+    }
+
+    /// The argument patterns of literal `lit`.
+    fn args(&self, lit: usize) -> &[Pattern] {
+        let (BodyLit::Pos(_, args) | BodyLit::Neg(_, args) | BodyLit::Builtin(_, args)) =
+            &self.lits[lit];
+        args
+    }
+
+    /// The value of a bound argument of literal `lit`; a compound one is
+    /// built, and interned.
+    fn value(&self, arg: Arg, lit: usize, store: &mut TermStore, env: &Env) -> TermId {
+        match arg {
+            Arg::Ground(id) => id,
+            Arg::Slot(v) => env.get(v).expect("compiled as bound"),
+            Arg::Term(i) => self.args(lit)[i]
+                .build(store, env)
+                .expect("compiled as bound"),
+        }
+    }
+
+    /// Whether every guard holds, in order; an [`Guard::Exists`] binds
+    /// its witness.
+    fn guards(
+        &self,
+        guards: &[Guard],
+        store: &mut TermStore,
+        env: &mut Env,
+    ) -> Result<bool, Failed> {
+        for guard in guards {
+            let holds = match guard {
+                Guard::Filter { b, args, lit } => {
+                    let mut vals = [self.value(args[0], *lit, store, env); MAX_BUILTIN_ARITY];
+                    for (slot, &arg) in vals[1..].iter_mut().zip(&args[1..]) {
+                        *slot = self.value(arg, *lit, store, env);
+                    }
+                    let mut cands = self.views.cands.borrow_mut();
+                    builtin::holds(*b, &vals[..args.len()], store, self.policy, &mut cands)
+                        .map_err(|e| self.fail(e))?
+                }
+                Guard::Neg { pred, args, lit } => {
+                    // The tuple is built in a stack buffer (arity ≤ 32).
+                    let rel = &self.views.full[pred.index()];
+                    match args.split_first() {
+                        None => !rel.contains(&[]),
+                        Some((&first, rest)) => {
+                            let mut tuple = [self.value(first, *lit, store, env); MAX_ARITY];
+                            for (slot, &arg) in tuple[1..].iter_mut().zip(rest) {
+                                *slot = self.value(arg, *lit, store, env);
+                            }
+                            !rel.contains(&tuple[..args.len()])
+                        }
                     }
                 }
-            }
-            GO_ON
-        }
-        Step::BuiltinStep { lit, flat } => {
-            let (b, args) = match &lits[*lit] {
-                BodyLit::Builtin(b, a) => (*b, a),
-                other => unreachable!("Builtin step on {other:?}"),
-            };
-            let n = args.len();
-            debug_assert!(n <= MAX_BUILTIN_ARITY);
-            let mut known = [None; MAX_BUILTIN_ARITY];
-            for (slot, p) in known.iter_mut().zip(args) {
-                if p.is_bound(env) {
-                    *slot = p.build(store, env);
+                Guard::Exists { var, sets } => {
+                    let mut cands = self.views.cands.borrow_mut();
+                    let start = cands.len();
+                    intersect_members(sets, true, store, env, &mut cands);
+                    let witness = cands.get(start).copied();
+                    cands.truncate(start);
+                    witness.inspect(|&w| env.set(*var, w)).is_some()
                 }
+            };
+            if !holds {
+                return Ok(false);
             }
-            // This level's candidates are the stack's `start..end`;
-            // deeper levels push above `end` and truncate back to it.
-            let start = views.cands.borrow().len();
-            builtin::enumerate(b, &known[..n], store, policy, &mut views.cands.borrow_mut())?;
-            let end = views.cands.borrow().len();
-            let mut res = GO_ON;
-            for at in (start..end).step_by(n) {
-                let cand = {
-                    let stack = views.cands.borrow();
-                    let mut cand = [stack[at]; MAX_BUILTIN_ARITY];
-                    cand[..n].copy_from_slice(&stack[at..at + n]);
-                    cand
+        }
+        Ok(true)
+    }
+
+    /// Start `op` under the current bindings: probe or window its rows,
+    /// or push its candidates.
+    fn open(
+        &self,
+        op: &Op,
+        f: &mut Frame<'v>,
+        store: &mut TermStore,
+        env: &Env,
+    ) -> Result<(), Failed> {
+        let views = self.views;
+        match op {
+            Op::Pos {
+                lit,
+                pred,
+                mask,
+                delta,
+                key,
+                row,
+            } => {
+                let full: &'v [Relation] = views.full;
+                let rel = &full[pred.index()];
+                // A delta literal reads last round's window of the full
+                // relation.
+                let window = delta.then(|| views.delta[pred.index()]);
+                let found = if *mask == 0 {
+                    let rows = window.unwrap_or(RowWindow {
+                        lo: 0,
+                        hi: rel.len() as u32,
+                    });
+                    (f.at, f.end) = (rows.lo, rows.hi);
+                    rows.len()
+                } else {
+                    // The key goes into a stack buffer, in ascending
+                    // column order (arity ≤ 32): the indexed-join path
+                    // interns nothing and allocates nothing. A key term
+                    // the store lacks matches no row.
+                    ProbeCounters::bump(&views.counters.probes, 1);
+                    let lookup = |key: &[TermId]| match window {
+                        Some(w) => rel.lookup_window(*mask, key, w.lo, w.hi),
+                        None => rel.lookup(*mask, key),
+                    };
+                    f.rows = match **key {
+                        [arg] => self
+                            .key_col(arg, *lit, store, env)
+                            .map_or(&[][..], |k| lookup(&[k])),
+                        _ => self
+                            .probe_key(key, *lit, store, env)
+                            .map_or(&[][..], |(k, n)| lookup(&k[..n])),
+                    };
+                    ProbeCounters::bump(&views.counters.rows, f.rows.len() as u64);
+                    (f.at, f.end) = (0, f.rows.len() as u32);
+                    f.rows.len()
                 };
-                res = match_row_then_continue(
-                    lits,
-                    steps,
-                    k,
-                    store,
-                    views,
-                    policy,
-                    env,
-                    sink,
-                    args,
-                    &cand[..n],
-                    *flat,
-                );
-                if !matches!(res, Ok(ControlFlow::Continue(()))) {
-                    break;
+                if let Some((prof, rid)) = views.profile {
+                    prof.record(rid, *lit as u32, 1, found as u64);
+                }
+                if let RowMatch::General(_) = row {
+                    f.sols = views.sols.borrow().len() as u32;
+                    f.sols_left = 0;
                 }
             }
-            views.cands.borrow_mut().truncate(start);
-            res
-        }
-        Step::Members { var, lits: ins } => {
-            // This level's witnesses are the stack's `start..end`, as a
-            // builtin step's candidates are.
-            let start = views.cands.borrow().len();
-            intersect_members(lits, ins, store, env, &mut views.cands.borrow_mut());
-            let end = views.cands.borrow().len();
-            let mut res = GO_ON;
-            for at in start..end {
-                let witness = views.cands.borrow()[at];
-                let mark = env.mark();
-                env.bind(*var, witness);
-                res = run_steps(lits, steps, k + 1, store, views, policy, env, sink);
-                env.undo_to(mark);
-                if !matches!(res, Ok(ControlFlow::Continue(()))) {
-                    break;
+            Op::Builtin {
+                lit,
+                b,
+                inputs,
+                row,
+            } => {
+                let mut known = [None; MAX_BUILTIN_ARITY];
+                for &(i, arg) in inputs.iter() {
+                    known[i] = Some(self.value(arg, *lit, store, env));
+                }
+                // This op's candidates are the stack's `cands..end`;
+                // later levels push above `end` and truncate back to it.
+                let mut cands = views.cands.borrow_mut();
+                f.cands = cands.len() as u32;
+                builtin::enumerate(*b, &known[..b.arity()], store, self.policy, &mut cands)
+                    .map_err(|e| self.fail(e))?;
+                (f.at, f.end) = (f.cands, cands.len() as u32);
+                if let RowMatch::General(_) = row {
+                    f.sols = views.sols.borrow().len() as u32;
+                    f.sols_left = 0;
                 }
             }
-            views.cands.borrow_mut().truncate(start);
-            res
-        }
-        Step::NegStep { lit } => {
-            let (pred, args) = match &lits[*lit] {
-                BodyLit::Neg(p, a) => (*p, a),
-                other => unreachable!("Neg step on {other:?}"),
-            };
-            if with_ground_tuple(args, store, env, |t| views.full[pred.index()].contains(t)) {
-                return GO_ON;
+            Op::Members { sets, .. } => {
+                let mut cands = views.cands.borrow_mut();
+                f.cands = cands.len() as u32;
+                intersect_members(sets, false, store, env, &mut cands);
+                (f.at, f.end) = (f.cands, cands.len() as u32);
             }
-            run_steps(lits, steps, k + 1, store, views, policy, env, sink)
+            Op::EnumUniverse { sort, .. } => {
+                let mut cands = views.cands.borrow_mut();
+                f.cands = cands.len() as u32;
+                push_universe(store, *sort, &mut cands);
+                (f.at, f.end) = (f.cands, cands.len() as u32);
+            }
         }
-        Step::EnumUniverse { var, sort } => {
-            let universe = universe_of_sort(store, *sort);
-            for t in universe {
-                let mark = env.mark();
-                env.bind(*var, t);
-                let flow = run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
-                env.undo_to(mark);
-                if flow.is_break() {
-                    return Ok(flow);
+        Ok(())
+    }
+
+    /// Move `level` to its op's next solution that its guards pass;
+    /// `false` once there is none.
+    #[inline]
+    fn advance(
+        &self,
+        level: &Level,
+        f: &mut Frame<'v>,
+        store: &mut TermStore,
+        env: &mut Env,
+    ) -> Result<bool, Failed> {
+        while self.next(&level.op, f, store, env) {
+            if level.guards.is_empty() || self.guards(&level.guards, store, env)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Move `op` to its next solution and bind it; `false` once it has
+    /// none left.
+    #[inline(always)]
+    fn next(&self, op: &Op, f: &mut Frame<'v>, store: &TermStore, env: &mut Env) -> bool {
+        match op {
+            Op::Pos {
+                lit,
+                pred,
+                mask,
+                row,
+                ..
+            } => {
+                let rel = &self.views.full[pred.index()];
+                let next = |f: &mut Frame<'v>| {
+                    let id = if *mask == 0 {
+                        f.at
+                    } else {
+                        f.rows[f.at as usize]
+                    };
+                    f.at += 1;
+                    rel.row(id)
+                };
+                match row {
+                    RowMatch::Flat(acts) => {
+                        while f.at < f.end {
+                            if apply(acts, next(f), env) {
+                                return true;
+                            }
+                        }
+                        false
+                    }
+                    RowMatch::General(vars) => loop {
+                        if self.next_solution(f, vars, env) {
+                            return true;
+                        }
+                        if f.at == f.end {
+                            return false;
+                        }
+                        let tuple = next(f);
+                        self.solve(f, self.args(*lit), tuple, vars, store, env);
+                    },
                 }
             }
-            GO_ON
+            Op::Builtin { lit, b, row, .. } => {
+                let n = b.arity();
+                match row {
+                    RowMatch::Flat(acts) => {
+                        let cands = self.views.cands.borrow();
+                        while f.at < f.end {
+                            let at = f.at as usize;
+                            f.at += n as u32;
+                            if apply(acts, &cands[at..at + n], env) {
+                                return true;
+                            }
+                        }
+                        false
+                    }
+                    RowMatch::General(vars) => loop {
+                        if self.next_solution(f, vars, env) {
+                            return true;
+                        }
+                        if f.at == f.end {
+                            return false;
+                        }
+                        let at = f.at as usize;
+                        f.at += n as u32;
+                        let cands = self.views.cands.borrow();
+                        self.solve(f, self.args(*lit), &cands[at..at + n], vars, store, env);
+                    },
+                }
+            }
+            Op::Members { var, .. } | Op::EnumUniverse { var, .. } => {
+                if f.at == f.end {
+                    return false;
+                }
+                env.set(*var, self.views.cands.borrow()[f.at as usize]);
+                f.at += 1;
+                true
+            }
+        }
+    }
+
+    /// Bind the next general-match solution of the current row, if any.
+    fn next_solution(&self, f: &mut Frame<'v>, vars: &[VarId], env: &mut Env) -> bool {
+        if f.sols_left == 0 {
+            return false;
+        }
+        let sols = self.views.sols.borrow();
+        let at = f.sol_at as usize;
+        for (&v, &t) in vars.iter().zip(&sols[at..at + vars.len()]) {
+            env.set(v, t);
+        }
+        f.sol_at += vars.len() as u32;
+        f.sols_left -= 1;
+        true
+    }
+
+    /// Replace the frame's solutions with those of `args` against
+    /// `tuple`: the general matcher binds and unbinds on its own, and
+    /// each solution's values of `vars` go on the solution stack.
+    #[allow(clippy::too_many_arguments)]
+    fn solve(
+        &self,
+        f: &mut Frame<'v>,
+        args: &[Pattern],
+        tuple: &[TermId],
+        vars: &[VarId],
+        store: &TermStore,
+        env: &mut Env,
+    ) {
+        for &v in vars {
+            env.unset(v);
+        }
+        let mut sols = self.views.sols.borrow_mut();
+        sols.truncate(f.sols as usize);
+        let mut found = 0;
+        match_tuple(store, args, tuple, env, &mut |env| {
+            sols.extend(
+                vars.iter()
+                    .map(|&v| env.get(v).expect("a match binds its variables")),
+            );
+            found += 1;
+            false
+        });
+        (f.sol_at, f.sols_left) = (f.sols, found);
+    }
+
+    /// Give back `op`'s stack entries. Its variables keep their last
+    /// values: nothing reads them before the op opens again and binds
+    /// them anew, and [`exec`] clears them all when it returns.
+    #[inline(always)]
+    fn close(&self, op: &Op, f: &Frame<'v>) {
+        match op {
+            Op::Pos {
+                row: RowMatch::General(_),
+                ..
+            } => self.views.sols.borrow_mut().truncate(f.sols as usize),
+            Op::Builtin { row, .. } => {
+                self.views.cands.borrow_mut().truncate(f.cands as usize);
+                if let RowMatch::General(_) = row {
+                    self.views.sols.borrow_mut().truncate(f.sols as usize);
+                }
+            }
+            Op::Members { .. } | Op::EnumUniverse { .. } => {
+                self.views.cands.borrow_mut().truncate(f.cands as usize);
+            }
+            Op::Pos { .. } => {}
+        }
+    }
+
+    /// The probe key of `key`: the bound columns' ids, in ascending
+    /// column order, and their count; `None` if the store lacks one of
+    /// them. A compound column is looked up read-only, its subterms
+    /// gathered on top of the candidate stack. Growing that stack is
+    /// the one heap allocation a probe can make, counted so `EvalStats`
+    /// can prove the join path allocation-free.
+    fn probe_key(
+        &self,
+        key: &[Arg],
+        lit: usize,
+        store: &TermStore,
+        env: &Env,
+    ) -> Option<([TermId; MAX_ARITY], usize)> {
+        let mut buf = [self.key_col(key[0], lit, store, env)?; MAX_ARITY];
+        for (slot, &arg) in buf[1..].iter_mut().zip(&key[1..]) {
+            *slot = self.key_col(arg, lit, store, env)?;
+        }
+        Some((buf, key.len()))
+    }
+
+    /// One column of a probe key (see [`Run::probe_key`]).
+    #[inline]
+    fn key_col(&self, arg: Arg, lit: usize, store: &TermStore, env: &Env) -> Option<TermId> {
+        match arg {
+            Arg::Ground(id) => Some(id),
+            Arg::Slot(v) => env.get(v),
+            Arg::Term(i) => {
+                let mut scratch = self.views.cands.borrow_mut();
+                let cap = scratch.capacity();
+                let id = self.args(lit)[i].find(store, env, &mut scratch);
+                if scratch.capacity() != cap {
+                    ProbeCounters::bump(&self.views.counters.allocs, 1);
+                }
+                id
+            }
         }
     }
 }
 
-/// Push the elements common to the sets of the flat literals `X in S`
-/// listed in `ins` (every `S` bound) onto `out`, in ascending `TermId`
-/// order: the smallest payload is copied, then filtered in place by a
-/// merge against each other payload. An atom has no elements (ELPS
-/// §5), so it empties the intersection.
-#[inline(never)]
+/// Apply a flat literal's column actions to `tuple`: whether it
+/// matches. A partial match leaves bindings that the next row
+/// overwrites; nothing reads them before.
+#[inline]
+fn apply(acts: &[(usize, ColAct)], tuple: &[TermId], env: &mut Env) -> bool {
+    for &(col, act) in acts {
+        let t = tuple[col];
+        match act {
+            ColAct::Bind(v) => env.set(v, t),
+            ColAct::Check(v) => {
+                if env.get(v) != Some(t) {
+                    return false;
+                }
+            }
+            ColAct::Ground(id) => {
+                if id != t {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Push the elements common to `sets` (every one bound) onto `out`, in
+/// ascending `TermId` order — with `first`, only the least of them.
+/// Two sets are merged in place; more are intersected by copying the
+/// smallest payload and filtering it by a merge against each other
+/// payload. An atom has no elements (ELPS §5), so it empties the
+/// intersection.
 fn intersect_members(
-    lits: &[BodyLit],
-    ins: &[usize],
+    sets: &[Arg],
+    first: bool,
     store: &TermStore,
     env: &Env,
     out: &mut Vec<TermId>,
 ) {
-    let payload = |i: usize| -> &[TermId] {
-        let set = match &lits[i] {
-            BodyLit::Builtin(_, args) => match &args[1] {
-                Pattern::Var(v) => env.get(*v).expect("planner binds the set first"),
-                Pattern::Ground(id) => *id,
-                other => unreachable!("membership folded on a compound set {other:?}"),
-            },
-            other => unreachable!("Members step on {other:?}"),
+    let payload = |arg: Arg| -> &[TermId] {
+        let set = match arg {
+            Arg::Slot(v) => env.get(v).expect("planner binds the set first"),
+            Arg::Ground(id) => id,
+            Arg::Term(_) => unreachable!("membership folded on a compound set"),
         };
         store.set_elems(set).unwrap_or_default()
     };
-    let smallest = ins
+    if let [a, b] = *sets {
+        // A merge whose steps are arithmetic, not branches: which side
+        // moves on is data, and mispredicting it would cost more than
+        // the compare.
+        let (a, b) = (payload(a), payload(b));
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            if x == y {
+                out.push(x);
+                if first {
+                    return;
+                }
+            }
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        return;
+    }
+    let smallest = sets
         .iter()
         .copied()
-        .min_by_key(|&i| payload(i).len())
+        .enumerate()
+        .min_by_key(|&(_, s)| payload(s).len())
+        .map(|(i, _)| i)
         .expect("a Members step folds at least one literal");
     let start = out.len();
-    out.extend_from_slice(payload(smallest));
-    for &i in ins {
+    out.extend_from_slice(payload(sets[smallest]));
+    for (i, &set) in sets.iter().enumerate() {
         if i == smallest || out.len() == start {
             continue;
         }
-        let other = payload(i);
+        let other = payload(set);
         let (mut kept, mut j) = (start, 0);
         for at in start..out.len() {
             let e = out[at];
@@ -528,113 +915,9 @@ fn intersect_members(
         }
         out.truncate(kept);
     }
-}
-
-/// The probe key of a `mask` lookup: the bound columns' ids, in
-/// ascending column order, and their count; `None` if the store lacks
-/// one of them. Flat `Var`/`Ground` columns read a binding or copy an
-/// id; compound columns are looked up read-only, their subterms
-/// gathered on top of the candidate stack. Growing that stack is the
-/// one heap allocation a probe can make, counted so `EvalStats` can
-/// prove the join path allocation-free.
-#[inline]
-fn probe_key(
-    mask: ColMask,
-    args: &[Pattern],
-    store: &TermStore,
-    env: &Env,
-    views: &RelViews<'_>,
-) -> Option<([TermId; MAX_ARITY], usize)> {
-    let col = |c: u32| match &args[c as usize] {
-        Pattern::Var(v) => env.get(*v),
-        Pattern::Ground(id) => Some(*id),
-        compound => {
-            let mut scratch = views.cands.borrow_mut();
-            let cap = scratch.capacity();
-            let id = compound.find(store, env, &mut scratch);
-            if scratch.capacity() != cap {
-                ProbeCounters::bump(&views.counters.allocs, 1);
-            }
-            id
-        }
-    };
-    let mut key = [col(mask.trailing_zeros())?; MAX_ARITY];
-    let mut n = 1;
-    let mut m = mask & (mask - 1);
-    while m != 0 {
-        key[n] = col(m.trailing_zeros())?;
-        n += 1;
-        m &= m - 1;
+    if first {
+        out.truncate(start + 1);
     }
-    Some((key, n))
-}
-
-/// Match one relation row (or builtin candidate tuple) against `args`
-/// and recurse into the remaining steps for each solution. Flat tuples
-/// (all `Var`/`Ground` args, precomputed by the planner) have at most
-/// one solution and bind in place with no allocation; general patterns
-/// fall back to solution capture. A `Break` from below is returned
-/// after the bindings are undone.
-#[allow(clippy::too_many_arguments)]
-fn match_row_then_continue(
-    lits: &[BodyLit],
-    steps: &[Step],
-    k: usize,
-    store: &mut TermStore,
-    views: &RelViews<'_>,
-    policy: SetUniverse,
-    env: &mut Env,
-    sink: &mut Sink<'_>,
-    args: &[Pattern],
-    tuple: &[TermId],
-    flat: bool,
-) -> Flow {
-    if flat {
-        let mark = env.mark();
-        let mut flow = ControlFlow::Continue(());
-        if match_flat(args, tuple, env) {
-            flow = run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
-        }
-        env.undo_to(mark);
-        return Ok(flow);
-    }
-    let sols = match_solutions(store, args, tuple, env);
-    for bindings in sols {
-        let mark = env.mark();
-        env.apply(&bindings);
-        let flow = run_steps(lits, steps, k + 1, store, views, policy, env, sink)?;
-        env.undo_to(mark);
-        if flow.is_break() {
-            return Ok(flow);
-        }
-    }
-    GO_ON
-}
-
-/// Match a flat (all `Var`/`Ground`) argument tuple against a ground
-/// tuple, binding unbound variables in place. Returns whether the whole
-/// tuple matched; the caller undoes any partial bindings via its mark.
-#[inline]
-fn match_flat(args: &[Pattern], tuple: &[TermId], env: &mut Env) -> bool {
-    for (p, &t) in args.iter().zip(tuple) {
-        match p {
-            Pattern::Ground(id) => {
-                if *id != t {
-                    return false;
-                }
-            }
-            Pattern::Var(v) => match env.get(*v) {
-                Some(bound) => {
-                    if bound != t {
-                        return false;
-                    }
-                }
-                None => env.bind(*v, t),
-            },
-            _ => unreachable!("flat tuple has Var/Ground args only"),
-        }
-    }
-    true
 }
 
 /// All match solutions of `patterns` against `tuple` under `env`,
@@ -737,16 +1020,15 @@ fn eval_quant(
     // (quantified vars ∪ unbound free vars), group covered q-tuples by
     // free-var binding, and accept bindings whose dependent product is
     // fully covered.
-    let steps = plan
-        .inner_steps
+    let inner = plan
+        .inner
         .as_ref()
         .expect("planner provides inner steps when free vars may be unbound");
     let qvars: Vec<VarId> = group.binders.iter().map(|(q, _)| *q).collect();
     let mut cover: FxHashMap<Vec<TermId>, FxHashSet<Vec<TermId>>> = FxHashMap::default();
-    run_steps(
+    exec(
+        inner,
         &group.inner,
-        steps,
-        0,
         store,
         views,
         policy,
@@ -761,10 +1043,9 @@ fn eval_quant(
                 .map(|q| env.get(*q).expect("inner join binds quantified vars"))
                 .collect();
             cover.entry(free_vals).or_default().insert(q_vals);
-            GO_ON
+            Ok(())
         },
-    )
-    .map(drop)?;
+    )?;
 
     // Does the walk reach any leaf at all? A walk that rejects every
     // leaf holds only if it reaches none; then the condition is
@@ -859,12 +1140,13 @@ where
     Ok(true)
 }
 
-/// The active terms of a given sort (`None` = every term).
-fn universe_of_sort(store: &TermStore, sort: Option<Sort>) -> Vec<TermId> {
+/// Push the active terms of a given sort (`None` = every term) onto
+/// `out`.
+fn push_universe(store: &TermStore, sort: Option<Sort>, out: &mut Vec<TermId>) {
     match sort {
-        Some(Sort::Set) => store.set_ids().to_vec(),
-        Some(Sort::Atom) => store.ids().filter(|&id| store.is_atomic(id)).collect(),
-        None => store.ids().collect(),
+        Some(Sort::Set) => out.extend_from_slice(store.set_ids()),
+        Some(Sort::Atom) => out.extend(store.ids().filter(|&id| store.is_atomic(id))),
+        None => out.extend(store.ids()),
     }
 }
 
@@ -881,7 +1163,8 @@ fn enum_free(
         return sink(store, env);
     }
     let (var, sort) = vars[k];
-    let universe = universe_of_sort(store, sort);
+    let mut universe = Vec::new();
+    push_universe(store, sort, &mut universe);
     for t in universe {
         let mark = env.mark();
         env.bind(var, t);
@@ -908,31 +1191,19 @@ fn check_lits(
                 !with_ground_tuple(args, store, env, |t| views.full[pred.index()].contains(t))
             }
             BodyLit::Builtin(b, args) => {
-                let n = args.len();
-                let mut known = [None; MAX_BUILTIN_ARITY];
-                for (slot, p) in known.iter_mut().zip(args) {
-                    *slot = p.build(store, env);
+                let mut build = |p: &Pattern| {
+                    p.build(store, env)
+                        .ok_or_else(|| EngineError::UnsupportedMode {
+                            builtin: b.name(),
+                            mode: "unbound argument in quantified check".to_owned(),
+                        })
+                };
+                let mut ids = [build(&args[0])?; MAX_BUILTIN_ARITY];
+                for (id, p) in ids[1..].iter_mut().zip(&args[1..]) {
+                    *id = build(p)?;
                 }
-                if known[..n].iter().any(Option::is_none) {
-                    return Err(EngineError::UnsupportedMode {
-                        builtin: b.name(),
-                        mode: "unbound argument in quantified check".to_owned(),
-                    });
-                }
-                // The check holds iff the builtin appends a candidate;
-                // give the stack back either way.
-                let start = views.cands.borrow().len();
-                builtin::enumerate(
-                    *b,
-                    &known[..n],
-                    store,
-                    policy,
-                    &mut views.cands.borrow_mut(),
-                )?;
-                let mut stack = views.cands.borrow_mut();
-                let holds = stack.len() > start;
-                stack.truncate(start);
-                holds
+                let mut cands = views.cands.borrow_mut();
+                builtin::holds(*b, &ids[..args.len()], store, policy, &mut cands)?
             }
         };
         if !ok {

@@ -1,8 +1,9 @@
-//! What a session can say about its demand plans without changing an
-//! answer: [`Engine::explain`] describes the plan a point query would
-//! run, and a query run with [`profile`](crate::EvalConfig::profile) on
-//! leaves a [`QueryProfile`] of estimated against actual rows per body
-//! literal.
+//! What a session can say about its plans without changing an answer:
+//! [`Engine::explain`] describes the plan a point query would run, a
+//! query run with [`profile`](crate::EvalConfig::profile) on leaves a
+//! [`QueryProfile`] of estimated against actual rows per body literal,
+//! and a batch run or update with it on leaves a [`PassProfile`] of
+//! each rule's share of the time.
 
 use lps_term::TermId;
 
@@ -10,7 +11,7 @@ use crate::demand::PlanKey;
 use crate::error::EngineError;
 use crate::eval::StepProfiler;
 use crate::magic;
-use crate::plan::Step;
+use crate::plan::{CompiledRule, Step};
 use crate::pred::PredId;
 use crate::rule::BodyLit;
 use crate::session::Engine;
@@ -51,7 +52,111 @@ pub struct QueryProfile {
     pub rules: Vec<RuleProfile>,
 }
 
+/// One rule's cost in a [`PassProfile`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RuleTime {
+    /// The rule's plan, written as `:explain` writes a rule.
+    pub plan: String,
+    /// Evaluations of the rule (one per variant run).
+    pub evals: u64,
+    /// Head tuples the evaluations produced, duplicates included.
+    pub heads: u64,
+    /// Wall time of the evaluations, in nanoseconds.
+    pub nanos: u64,
+}
+
+/// Per-rule attribution of an evaluation pass — [`Engine::run`] or
+/// [`Engine::update`] with [`profile`](crate::EvalConfig::profile) on:
+/// every rule evaluated, most expensive first.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PassProfile {
+    /// The rules, by decreasing wall time.
+    pub rules: Vec<RuleTime>,
+}
+
+impl PassProfile {
+    /// Total wall time of the rule evaluations, in nanoseconds.
+    pub fn total_nanos(&self) -> u64 {
+        self.rules.iter().map(|r| r.nanos).sum()
+    }
+}
+
 impl Engine {
+    /// The per-rule profile of the most recent batch run or update made
+    /// with [`profile`](crate::EvalConfig::profile) on; `None` if none
+    /// was.
+    pub fn last_pass_profile(&self) -> Option<&PassProfile> {
+        self.last_pass_profile.as_ref()
+    }
+
+    /// Keep the per-rule costs a profiled pass of the prepared program
+    /// collected (`profiler` is `None` when the pass was not profiled).
+    pub(crate) fn keep_pass_profile(&mut self, profiler: Option<StepProfiler>) {
+        let (Some(prof), Some(program)) = (profiler, &self.prepared) else {
+            return;
+        };
+        let mut rules: Vec<RuleTime> = program
+            .compiled
+            .iter()
+            .filter(|cr| !cr.rule.is_fact())
+            .map(|cr| {
+                let cost = prof.rule(cr.id);
+                RuleTime {
+                    plan: self.plan_line(cr),
+                    evals: cost.evals,
+                    heads: cost.heads,
+                    nanos: cost.nanos,
+                }
+            })
+            .filter(|r| r.evals > 0)
+            .collect();
+        rules.sort_by_key(|r| std::cmp::Reverse(r.nanos));
+        self.last_pass_profile = Some(PassProfile { rules });
+    }
+
+    /// A rule's plan on one line: the head, then its full variant's
+    /// steps in join order — positive literals with the planner's row
+    /// estimate (`~N`), ` |∃` where the existential tail starts,
+    /// ` <in∩k>` for a k-way membership intersection.
+    fn plan_line(&self, cr: &CompiledRule) -> String {
+        let mut out = format!("{} :-", self.pred_name(cr.rule.head));
+        let full = &cr.variants[0];
+        for (i, step) in full.steps.iter().chain(&full.post_steps).enumerate() {
+            if full.tail == Some(i) {
+                out.push_str(" |∃");
+            }
+            let desc = match step {
+                Step::Pos { lit, .. } => {
+                    let BodyLit::Pos(p, _) = &cr.rule.outer[*lit] else {
+                        unreachable!("Pos step on a positive literal")
+                    };
+                    let est = cr
+                        .step_estimates
+                        .iter()
+                        .find(|(l, _)| l == lit)
+                        .map_or(0, |&(_, e)| e);
+                    format!(" {}~{}", self.pred_name(*p), est)
+                }
+                Step::NegStep { lit } => {
+                    let BodyLit::Neg(p, _) = &cr.rule.outer[*lit] else {
+                        unreachable!("Neg step on a negated literal")
+                    };
+                    format!(" !{}", self.pred_name(*p))
+                }
+                Step::BuiltinStep { lit, .. } => {
+                    let BodyLit::Builtin(b, _) = &cr.rule.outer[*lit] else {
+                        unreachable!("Builtin step on a builtin literal")
+                    };
+                    format!(" <{}>", b.name())
+                }
+                Step::Members { lits, .. } => format!(" <in∩{}>", lits.len()),
+                Step::EnumUniverse { .. } => " <enum-universe>".to_owned(),
+            };
+            out.push_str(&desc);
+        }
+        out
+    }
+
     /// The per-literal profile of the most recent query run with
     /// [`profile`](crate::EvalConfig::profile) on; `None` if the last
     /// query was not profiled or read the model (the materialized and
@@ -154,45 +259,9 @@ impl Engine {
                     self.pred_name(plan.answer)
                 ));
                 for cr in &plan.program.compiled {
-                    if cr.rule.is_fact() {
-                        continue;
+                    if !cr.rule.is_fact() {
+                        out.push_str(&format!("  {}\n", self.plan_line(cr)));
                     }
-                    out.push_str(&format!("  {} :-", self.pred_name(cr.rule.head)));
-                    let full = &cr.variants[0];
-                    for (i, step) in full.steps.iter().chain(&full.post_steps).enumerate() {
-                        if full.tail == Some(i) {
-                            out.push_str(" |∃");
-                        }
-                        let desc = match step {
-                            Step::Pos { lit, .. } => {
-                                let BodyLit::Pos(p, _) = &cr.rule.outer[*lit] else {
-                                    unreachable!("Pos step on a positive literal")
-                                };
-                                let est = cr
-                                    .step_estimates
-                                    .iter()
-                                    .find(|(l, _)| l == lit)
-                                    .map_or(0, |&(_, e)| e);
-                                format!(" {}~{}", self.pred_name(*p), est)
-                            }
-                            Step::NegStep { lit } => {
-                                let BodyLit::Neg(p, _) = &cr.rule.outer[*lit] else {
-                                    unreachable!("Neg step on a negated literal")
-                                };
-                                format!(" !{}", self.pred_name(*p))
-                            }
-                            Step::BuiltinStep { lit, .. } => {
-                                let BodyLit::Builtin(b, _) = &cr.rule.outer[*lit] else {
-                                    unreachable!("Builtin step on a builtin literal")
-                                };
-                                format!(" <{}>", b.name())
-                            }
-                            Step::Members { lits, .. } => format!(" <in∩{}>", lits.len()),
-                            Step::EnumUniverse { .. } => " <enum-universe>".to_owned(),
-                        };
-                        out.push_str(&desc);
-                    }
-                    out.push('\n');
                 }
             }
         }

@@ -20,6 +20,7 @@
 //! window.
 
 use std::cell::RefCell;
+use std::time::Instant;
 
 use lps_term::{TermId, TermStore};
 
@@ -84,11 +85,26 @@ impl DerivedBuf {
 struct Scratch<'p> {
     counters: ProbeCounters,
     cands: RefCell<Vec<TermId>>,
+    sols: RefCell<Vec<TermId>>,
     profiler: Option<&'p StepProfiler>,
     env: RefCell<Env>,
 }
 
 impl Scratch<'_> {
+    /// When profiling, the clock and derivation count an evaluation
+    /// starts from; `None` otherwise, and no clock is read.
+    fn start(&self, out: &DerivedBuf) -> Option<(Instant, usize)> {
+        self.profiler.map(|_| (Instant::now(), out.len()))
+    }
+
+    /// Charge an evaluation of `cr` begun at `timer` to the profiler.
+    fn stop(&self, timer: Option<(Instant, usize)>, cr: &CompiledRule, out: &DerivedBuf) {
+        if let (Some(prof), Some((at, before))) = (self.profiler, timer) {
+            let nanos = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            prof.record_rule(cr.id, (out.len() - before) as u64, nanos);
+        }
+    }
+
     /// The views of one evaluation of rule `cr`.
     fn views<'a>(
         &'a self,
@@ -101,6 +117,7 @@ impl Scratch<'_> {
             delta,
             counters: &self.counters,
             cands: &self.cands,
+            sols: &self.sols,
             profile: self.profiler.map(|p| (p, cr.id)),
         }
     }
@@ -160,8 +177,9 @@ pub(crate) enum Start<'a> {
 /// stratum driver behind batch runs, incremental updates, demand plans
 /// (cold and warm) and conjunctive goals over a model. Satisfies the
 /// program's index requests first. `profiler` (when `config.profile`
-/// runs a query) receives per-literal probe attribution. No row is
-/// copied: a round's delta is a [`RowWindow`] of the full relation.
+/// is on) receives per-literal probe attribution and per-rule costs.
+/// No row is copied: a round's delta is a [`RowWindow`] of the full
+/// relation.
 pub(crate) fn run_strata(
     store: &mut TermStore,
     full: &mut [Relation],
@@ -253,6 +271,7 @@ fn run_stratum(
     let scratch = Scratch {
         counters: ProbeCounters::default(),
         cands: RefCell::new(Vec::with_capacity(MAX_ARITY)),
+        sols: RefCell::new(Vec::new()),
         profiler,
         env: RefCell::new(Env::new(0)),
     };
@@ -318,6 +337,7 @@ fn collect_variant(
 ) -> Result<(), EngineError> {
     let views = scratch.views(full, delta, cr);
     let rule = &cr.rule;
+    let timer = scratch.start(out);
     eval_rule_variant(
         rule,
         &cr.variants[variant_idx],
@@ -338,7 +358,9 @@ fn collect_variant(
             out.commit(rule.head, start);
             Ok(())
         },
-    )
+    )?;
+    scratch.stop(timer, cr, out);
+    Ok(())
 }
 
 /// Evaluate one grouping rule: join the body, then collect the set of
@@ -357,6 +379,7 @@ fn eval_grouping(
     let rule = &cr.rule;
     let group = rule.group.as_ref().expect("grouping rule");
     let views = scratch.views(full, delta, cr);
+    let timer = scratch.start(out);
     // key (non-group head args) → collected group values.
     let mut groups: lps_term::FxHashMap<Vec<TermId>, Vec<TermId>> = lps_term::FxHashMap::default();
     eval_rule_variant(
@@ -398,6 +421,7 @@ fn eval_grouping(
         }
         out.commit(rule.head, start);
     }
+    scratch.stop(timer, cr, out);
     Ok(())
 }
 

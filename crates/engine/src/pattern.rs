@@ -171,6 +171,19 @@ impl Env {
         self.trail.push(v);
     }
 
+    /// Set `v` without trailing it: the executor clears the variables
+    /// its ops bind itself ([`Env::unset`]).
+    #[inline]
+    pub(crate) fn set(&mut self, v: VarId, t: TermId) {
+        self.slots[v.index()] = Some(t);
+    }
+
+    /// Clear `v`, bound by [`Env::set`].
+    #[inline]
+    pub(crate) fn unset(&mut self, v: VarId) {
+        self.slots[v.index()] = None;
+    }
+
     /// Trail length — capture before speculative work.
     #[inline]
     pub fn mark(&self) -> usize {

@@ -6,6 +6,15 @@
 //! [`Step`]s, plus a [`QuantPlan`] describing how the restricted
 //! universal quantifier group is evaluated.
 //!
+//! Once the join order is fixed, every step list — a variant's outer
+//! steps and post steps, and the quantifier group's inner plan — is
+//! compiled into [`Op`]s for the executor ([`crate::eval`]). Which
+//! variables are bound before each step is known here, so a flat
+//! literal's columns get static actions ([`ColAct`]): a bound column
+//! joins the probe key or is checked, an unbound one is bound. A builtin
+//! reads its bound arguments and writes back only the free ones, and a
+//! builtin with every argument bound is a filter.
+//!
 //! Safety here is the operational counterpart of the paper's
 //! infinitary Herbrand semantics: a rule is *safe* when every variable
 //! is grounded by some literal ordering (range restriction). Variables
@@ -13,7 +22,7 @@
 //! admitted only under a non-default [`SetUniverse`] policy, which
 //! bounds them to the active universe (DESIGN.md §3).
 
-use lps_term::FxHashSet;
+use lps_term::{FxHashSet, Sort, TermId};
 
 use crate::builtin::{functional, mode_ok, set_positions};
 use crate::config::SetUniverse;
@@ -116,6 +125,183 @@ pub struct Variant {
     /// suffix qualifies, or when the qualifying suffix binds nothing
     /// (pure checks already yield at most one solution).
     pub tail: Option<usize>,
+    /// `steps` compiled for the executor.
+    pub prog: Prog,
+    /// `post_steps` compiled, with the quantifier group's free
+    /// variables bound.
+    pub post: Prog,
+}
+
+/// Where a bound argument's value comes from when the executor reads
+/// it: a probe key column, a builtin input, a negated literal's column,
+/// or a set a [`Op::Members`] intersects.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Arg {
+    /// A constant.
+    Ground(TermId),
+    /// A variable bound by an earlier step.
+    Slot(VarId),
+    /// A compound pattern at this argument position of the literal:
+    /// looked up read-only for a probe key, built (and interned) for a
+    /// builtin input or a negated literal.
+    Term(usize),
+}
+
+/// What a flat literal does with one column of a row or builtin
+/// candidate that no index or builtin input fixed already.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ColAct {
+    /// The column must hold this constant.
+    Ground(TermId),
+    /// The column must equal the variable's value (a variable repeated
+    /// within the literal).
+    Check(VarId),
+    /// The column's value binds the variable.
+    Bind(VarId),
+}
+
+/// How a row or builtin candidate binds the literal's free variables.
+#[derive(Clone, Debug, PartialEq)]
+pub enum RowMatch {
+    /// Flat arguments: `(column, action)` for every column not already
+    /// fixed, in column order.
+    Flat(Box<[(usize, ColAct)]>),
+    /// Compound or set patterns: the general matcher, whose solutions
+    /// bind these variables (those free before the step, in order).
+    General(Box<[VarId]>),
+}
+
+impl RowMatch {
+    /// The variables a matched row binds.
+    fn binds(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (flat, general) = match self {
+            RowMatch::Flat(acts) => (&acts[..], &[][..]),
+            RowMatch::General(vars) => (&[][..], &vars[..]),
+        };
+        let flat = flat.iter().filter_map(|&(_, act)| match act {
+            ColAct::Bind(v) => Some(v),
+            _ => None,
+        });
+        flat.chain(general.iter().copied())
+    }
+}
+
+/// A step compiled for the executor that can yield many solutions.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Op {
+    /// Walk a relation's rows — a scan when `mask == 0`, else the rows
+    /// an index probe on `key` returns — and match each against `row`.
+    Pos {
+        /// Index into the literal list.
+        lit: usize,
+        /// The relation read.
+        pred: PredId,
+        /// Columns fully bound before this step.
+        mask: ColMask,
+        /// Read only last round's new rows (semi-naive variants).
+        delta: bool,
+        /// The values of the `mask` columns, in ascending column order.
+        key: Box<[Arg]>,
+        /// What each row binds.
+        row: RowMatch,
+    },
+    /// Enumerate a builtin's candidates for its bound `inputs` and
+    /// match each against `row`.
+    Builtin {
+        /// Index into the literal list.
+        lit: usize,
+        /// The builtin.
+        b: Builtin,
+        /// `(position, value)` of every bound argument.
+        inputs: Box<[(usize, Arg)]>,
+        /// What each candidate binds.
+        row: RowMatch,
+    },
+    /// Bind `var` to each element common to the `sets`
+    /// ([`Step::Members`]).
+    Members {
+        /// The variable the witnesses bind.
+        var: VarId,
+        /// The intersected sets.
+        sets: Box<[Arg]>,
+    },
+    /// Bind `var` to each term of the active universe of `sort`
+    /// ([`Step::EnumUniverse`]).
+    EnumUniverse {
+        /// The variable bound.
+        var: VarId,
+        /// Its sort restriction.
+        sort: Option<Sort>,
+    },
+}
+
+impl Op {
+    /// The variables this op binds.
+    fn binds(&self) -> Vec<VarId> {
+        match self {
+            Op::Pos { row, .. } | Op::Builtin { row, .. } => row.binds().collect(),
+            Op::Members { var, .. } | Op::EnumUniverse { var, .. } => vec![*var],
+        }
+    }
+}
+
+/// A step compiled for the executor that yields at most one solution:
+/// it runs as a check on each solution of the op before it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Guard {
+    /// A builtin with every argument bound.
+    Filter {
+        /// The builtin.
+        b: Builtin,
+        /// Every argument's value.
+        args: Box<[Arg]>,
+        /// Index into the literal list.
+        lit: usize,
+    },
+    /// A negated literal, every argument bound: holds when the tuple is
+    /// absent.
+    Neg {
+        /// The relation checked.
+        pred: PredId,
+        /// Every argument's value.
+        args: Box<[Arg]>,
+        /// Index into the literal list.
+        lit: usize,
+    },
+    /// A [`Step::Members`] that ends an existential tail: only its
+    /// first witness can matter, since the tail's first solution closes
+    /// it, so it binds `var` to the least common element, if any.
+    Exists {
+        /// The variable the witness binds.
+        var: VarId,
+        /// The intersected sets.
+        sets: Box<[Arg]>,
+    },
+}
+
+/// An op and the guards that check each of its solutions.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Level {
+    /// The op.
+    pub op: Op,
+    /// The guards, in step order.
+    pub guards: Box<[Guard]>,
+    /// Every variable the op and its guards bind.
+    pub binds: Box<[VarId]>,
+}
+
+/// A step list compiled for the executor.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Prog {
+    /// Guards that run before the first op: the steps before it that
+    /// yield at most one solution.
+    pub pre: Box<[Guard]>,
+    /// The ops, each with the guards that follow it.
+    pub levels: Box<[Level]>,
+    /// The first level of the existential tail ([`Variant::tail`]).
+    /// Tail steps compiled into guards of an earlier level drop out of
+    /// it: they yield at most one solution, so cutting them is moot.
+    pub tail: Option<usize>,
 }
 
 /// Static plan for the quantifier group.
@@ -137,6 +323,8 @@ pub struct QuantPlan {
     /// `None` when `unbound_free` is empty and the fast per-element
     /// check suffices.
     pub inner_steps: Option<Vec<Step>>,
+    /// `inner_steps` compiled for the executor.
+    pub inner: Option<Prog>,
     /// Whether any quantifier domain is statically unbound (requires
     /// active-set enumeration).
     pub unbound_domain: bool,
@@ -350,6 +538,14 @@ pub fn compile_rule(
             // quantified vars and unbound free vars must be grounded by
             // the inner literals alone (with outer vars and domains
             // assumed bound).
+            // The inner join runs with the outer variables and every
+            // domain's variables bound.
+            let mut initially_bound: FxHashSet<VarId> = bound_after_outer.clone();
+            for (_, dom) in &group.binders {
+                let mut vs = Vec::new();
+                dom.collect_vars(&mut vs);
+                initially_bound.extend(vs);
+            }
             let inner_steps = if unbound_free.is_empty() {
                 None
             } else {
@@ -362,12 +558,6 @@ pub fn compile_rule(
                                  enumerate the active universe in the vacuous case"
                             .to_owned(),
                     });
-                }
-                let mut initially_bound: FxHashSet<VarId> = bound_after_outer.clone();
-                for (_, dom) in &group.binders {
-                    let mut vs = Vec::new();
-                    dom.collect_vars(&mut vs);
-                    initially_bound.extend(vs);
                 }
                 let (steps, deferred) = order_lits(
                     &group.inner,
@@ -384,6 +574,13 @@ pub fn compile_rule(
                 debug_assert!(deferred.is_empty(), "no deferral inside groups");
                 Some(fold_members(steps, &group.inner, &initially_bound))
             };
+            let inner = inner_steps.as_ref().map(|steps| {
+                let mut bound = vec![false; rule.num_vars];
+                for v in &initially_bound {
+                    bound[v.index()] = true;
+                }
+                compile_prog(steps, &group.inner, &mut bound, None)
+            });
 
             (
                 Some(QuantPlan {
@@ -391,6 +588,7 @@ pub fn compile_rule(
                     unbound_free,
                     live_unbound,
                     inner_steps,
+                    inner,
                     unbound_domain,
                 }),
                 inner_preds,
@@ -509,10 +707,23 @@ pub fn compile_rule(
     // Fold membership conjunctions and mark existential tails on the
     // final join order, universe enumeration included. `reorders` and
     // the estimates above read the order before folding.
+    // ... and compile the final order for the executor. Post steps run
+    // after the quantifier group has bound its free variables.
+    let group_free = rule
+        .quant
+        .as_ref()
+        .map(|q| q.free_vars())
+        .unwrap_or_default();
     for variant in &mut variants {
         let steps = std::mem::take(&mut variant.steps);
         variant.steps = fold_members(steps, &rule.outer, &FxHashSet::default());
         variant.tail = existential_tail(rule, &variant.steps, &variant.post_steps);
+        let mut bound = vec![false; rule.num_vars];
+        variant.prog = compile_prog(&variant.steps, &rule.outer, &mut bound, variant.tail);
+        for v in &group_free {
+            bound[v.index()] = true;
+        }
+        variant.post = compile_prog(&variant.post_steps, &rule.outer, &mut bound, None);
     }
 
     Ok(CompiledRule {
@@ -750,7 +961,193 @@ fn order_steps(
         steps,
         post_steps,
         tail: None,
+        prog: Prog::default(),
+        post: Prog::default(),
     })
+}
+
+/// Compile `steps` over `lits`, whose existential tail starts at step
+/// `tail`, into a [`Prog`]. `bound` flags the variables bound before
+/// the first step and, on return, after the last.
+fn compile_prog(steps: &[Step], lits: &[BodyLit], bound: &mut [bool], tail: Option<usize>) -> Prog {
+    let mut pre = Vec::new();
+    let mut levels: Vec<(Op, Vec<Guard>, Vec<VarId>)> = Vec::new();
+    let mut tail_level = None;
+    for (i, step) in steps.iter().enumerate() {
+        let in_tail = tail.is_some_and(|t| i >= t);
+        let (newly, compiled) = match step {
+            // Only the last step of a tail, which its first solution
+            // closes, can stop at its first witness.
+            Step::Members { var, lits: ins } if in_tail && i + 1 == steps.len() => (
+                vec![*var],
+                Err(Guard::Exists {
+                    var: *var,
+                    sets: member_sets(ins, lits),
+                }),
+            ),
+            _ => {
+                let c = compile_step(step, lits, bound);
+                let newly = match &c {
+                    Ok(op) => op.binds(),
+                    Err(_) => Vec::new(),
+                };
+                (newly, c)
+            }
+        };
+        for v in &newly {
+            bound[v.index()] = true;
+        }
+        match compiled {
+            Ok(op) => {
+                if in_tail && tail_level.is_none() {
+                    tail_level = Some(levels.len());
+                }
+                levels.push((op, Vec::new(), newly));
+            }
+            Err(guard) => match levels.last_mut() {
+                Some((_, guards, binds)) => {
+                    guards.push(guard);
+                    binds.extend(newly);
+                }
+                None => pre.push(guard),
+            },
+        }
+    }
+    Prog {
+        pre: pre.into(),
+        levels: levels
+            .into_iter()
+            .map(|(op, guards, binds)| Level {
+                op,
+                guards: guards.into(),
+                binds: binds.into(),
+            })
+            .collect(),
+        tail: tail_level,
+    }
+}
+
+/// The sets a [`Step::Members`] intersects: the second argument of each
+/// folded `X in S`.
+fn member_sets(ins: &[usize], lits: &[BodyLit]) -> Box<[Arg]> {
+    ins.iter()
+        .map(|&i| match &lits[i] {
+            BodyLit::Builtin(Builtin::In, args) => match arg_value(args, 1) {
+                Arg::Term(_) => unreachable!("membership folded on a compound set"),
+                set => set,
+            },
+            other => unreachable!("Members step on {other:?}"),
+        })
+        .collect()
+}
+
+/// Compile one step, given the variables bound before it: an op, or a
+/// guard if it yields at most one solution.
+fn compile_step(step: &Step, lits: &[BodyLit], bound: &[bool]) -> Result<Op, Guard> {
+    let is_bound = |p: &Pattern| !p.any_var(&|v| !bound[v.index()]);
+    Ok(match step {
+        Step::Pos {
+            lit, mask, delta, ..
+        } => {
+            let BodyLit::Pos(pred, args) = &lits[*lit] else {
+                unreachable!("Pos step on {:?}", lits[*lit])
+            };
+            let keyed = |col: usize| mask & 1 << col != 0;
+            debug_assert!((0..args.len()).all(|col| keyed(col) == is_bound(&args[col])));
+            Op::Pos {
+                lit: *lit,
+                pred: *pred,
+                mask: *mask,
+                delta: *delta,
+                key: (0..args.len())
+                    .filter(|&col| keyed(col))
+                    .map(|col| arg_value(args, col))
+                    .collect(),
+                row: row_match(args, bound, keyed),
+            }
+        }
+        Step::BuiltinStep { lit, .. } => {
+            let BodyLit::Builtin(b, args) = &lits[*lit] else {
+                unreachable!("Builtin step on {:?}", lits[*lit])
+            };
+            if args.iter().all(is_bound) {
+                return Err(Guard::Filter {
+                    b: *b,
+                    args: (0..args.len()).map(|i| arg_value(args, i)).collect(),
+                    lit: *lit,
+                });
+            }
+            Op::Builtin {
+                lit: *lit,
+                b: *b,
+                inputs: (0..args.len())
+                    .filter(|&i| is_bound(&args[i]))
+                    .map(|i| (i, arg_value(args, i)))
+                    .collect(),
+                row: row_match(args, bound, |col| is_bound(&args[col])),
+            }
+        }
+        Step::NegStep { lit } => {
+            let BodyLit::Neg(pred, args) = &lits[*lit] else {
+                unreachable!("Neg step on {:?}", lits[*lit])
+            };
+            return Err(Guard::Neg {
+                pred: *pred,
+                args: (0..args.len()).map(|i| arg_value(args, i)).collect(),
+                lit: *lit,
+            });
+        }
+        Step::Members { var, lits: ins } => Op::Members {
+            var: *var,
+            sets: member_sets(ins, lits),
+        },
+        Step::EnumUniverse { var, sort } => Op::EnumUniverse {
+            var: *var,
+            sort: *sort,
+        },
+    })
+}
+
+/// Where the executor reads argument `i` of a literal from.
+fn arg_value(args: &[Pattern], i: usize) -> Arg {
+    match &args[i] {
+        Pattern::Ground(id) => Arg::Ground(*id),
+        Pattern::Var(v) => Arg::Slot(*v),
+        _ => Arg::Term(i),
+    }
+}
+
+/// How a row or candidate for `args` binds the variables not in
+/// `bound`: flat arguments get an action per column that `fixed` (an
+/// index key or a builtin input) leaves open; any compound or set
+/// pattern takes the general matcher.
+fn row_match(args: &[Pattern], bound: &[bool], fixed: impl Fn(usize) -> bool) -> RowMatch {
+    if !args
+        .iter()
+        .all(|p| matches!(p, Pattern::Var(_) | Pattern::Ground(_)))
+    {
+        let mut vars = Vec::new();
+        for p in args {
+            p.collect_vars(&mut vars);
+        }
+        vars.retain(|v| !bound[v.index()]);
+        return RowMatch::General(vars.into());
+    }
+    let mut newly = bound.to_vec();
+    let mut acts = Vec::new();
+    for (col, p) in args.iter().enumerate().filter(|&(col, _)| !fixed(col)) {
+        let act = match p {
+            Pattern::Ground(id) => ColAct::Ground(*id),
+            Pattern::Var(v) if newly[v.index()] => ColAct::Check(*v),
+            Pattern::Var(v) => {
+                newly[v.index()] = true;
+                ColAct::Bind(*v)
+            }
+            _ => unreachable!("flat arguments are variables or constants"),
+        };
+        acts.push((col, act));
+    }
+    RowMatch::Flat(acts.into())
 }
 
 /// Greedy literal ordering. Scores (descending):
@@ -1405,6 +1802,78 @@ mod tests {
             }
         );
         assert_eq!(full.tail, Some(1), "`X` is read by nothing");
+    }
+
+    #[test]
+    fn compiled_levels_carry_static_actions_and_guards() {
+        // head(X, X) :- e(X, X), q(X), X != X.
+        let (pe, _, pq) = setup();
+        let cr = plan_rule(
+            vec![v(0), v(0)],
+            vec![
+                BodyLit::Pos(pe, vec![v(0), v(0)]),
+                BodyLit::Pos(pq, vec![v(0)]),
+                BodyLit::Builtin(Builtin::Ne, vec![v(0), v(0)]),
+            ],
+            &["X"],
+        );
+        let prog = &cr.variants[0].prog;
+        assert!(prog.pre.is_empty());
+        let [scan, check] = &prog.levels[..] else {
+            panic!("two levels: {:?}", prog.levels)
+        };
+        // The scan binds `X` from the first column and checks the
+        // second against it; the `!=` guards its rows.
+        let Op::Pos { mask: 0, row, .. } = &scan.op else {
+            panic!("a scan: {:?}", scan.op)
+        };
+        let x = VarId(0);
+        assert_eq!(
+            row,
+            &RowMatch::Flat([(0, ColAct::Bind(x)), (1, ColAct::Check(x))].into())
+        );
+        assert!(matches!(
+            &scan.guards[..],
+            [Guard::Filter { b: Builtin::Ne, .. }]
+        ));
+        assert_eq!(&scan.binds[..], &[x]);
+        // `q(X)` is an existence check: a keyed probe that binds nothing.
+        let Op::Pos { mask, key, row, .. } = &check.op else {
+            panic!("a probe: {:?}", check.op)
+        };
+        assert_eq!((*mask, &key[..]), (0b1, &[Arg::Slot(x)][..]));
+        assert_eq!(row, &RowMatch::Flat(Box::default()));
+        assert_eq!(prog.tail, None);
+    }
+
+    #[test]
+    fn a_tail_ending_in_an_intersection_becomes_a_guard() {
+        // head(S, T) :- e(S, T), X in S, X in T.   (`X` is dead)
+        let (pe, _, _) = setup();
+        let cr = plan_rule(
+            vec![v(0), v(1)],
+            vec![
+                BodyLit::Pos(pe, vec![v(0), v(1)]),
+                BodyLit::Builtin(Builtin::In, vec![v(2), v(0)]),
+                BodyLit::Builtin(Builtin::In, vec![v(2), v(1)]),
+            ],
+            &["S", "T", "X"],
+        );
+        let variant = &cr.variants[0];
+        assert_eq!(variant.tail, Some(1));
+        let [level] = &variant.prog.levels[..] else {
+            panic!("one level: {:?}", variant.prog.levels)
+        };
+        assert_eq!(
+            &level.guards[..],
+            &[Guard::Exists {
+                var: VarId(2),
+                sets: [Arg::Slot(VarId(0)), Arg::Slot(VarId(1))].into(),
+            }]
+        );
+        // The tail's one step is a guard of an earlier level: no level
+        // is left to cut.
+        assert_eq!(variant.prog.tail, None);
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! is built in row order), so [`Relation::lookup_window`] narrows a
 //! probe to a [`RowWindow`] with two binary searches: the semi-naive
 //! delta of a round is such a window of the full relation.
+//!
+//! The mask of every column (an existence check) never gets an index
+//! of its own: its key is the whole tuple, so the dedup table already
+//! holds its one matching row, and a lookup answers with that row as a
+//! one-element slice of the table.
 
 use lps_term::{fx_fold, IdTable, TermId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -333,10 +338,21 @@ impl Relation {
         row_of(&self.arena, self.arity, row)
     }
 
+    /// The mask of every column: its lookups are existence checks,
+    /// answered by the dedup table.
+    #[inline]
+    fn full_mask(&self) -> ColMask {
+        match self.arity {
+            0 => 0,
+            a => ColMask::MAX >> (ColMask::BITS as usize - a),
+        }
+    }
+
     /// Ensure an index exists for `mask` (no-op for the empty mask,
-    /// which would just be a scan).
+    /// which would just be a scan, and for the full mask, which the
+    /// dedup table serves).
     pub fn ensure_index(&mut self, mask: ColMask) {
-        if mask == 0 || self.indexes.iter().any(|i| i.mask == mask) {
+        if mask == 0 || mask == self.full_mask() || self.indexes.iter().any(|i| i.mask == mask) {
             return;
         }
         let mut index = ColIndex::new(mask);
@@ -357,6 +373,10 @@ impl Relation {
     pub fn lookup(&self, mask: ColMask, key: &[TermId]) -> &[u32] {
         debug_assert_ne!(mask, 0, "use iter() for full scans");
         debug_assert_eq!(key.len(), mask.count_ones() as usize);
+        if mask == self.full_mask() {
+            let eq = |r| row_of(&self.arena, self.arity, r) == key;
+            return self.dedup.find_slice(hash_ids(key), eq);
+        }
         self.indexes
             .iter()
             .find(|i| i.mask == mask)
@@ -378,13 +398,15 @@ impl Relation {
         &rows[start..start + len]
     }
 
-    /// Whether an index for `mask` exists.
+    /// Whether [`Relation::lookup`] serves `mask`: an index for it
+    /// exists, or it is the full mask.
     pub fn has_index(&self, mask: ColMask) -> bool {
-        self.indexes.iter().any(|i| i.mask == mask)
+        (mask != 0 && mask == self.full_mask()) || self.indexes.iter().any(|i| i.mask == mask)
     }
 
     /// The masks of the secondary indexes, in creation order (a clone
-    /// has the same masks in the same order).
+    /// has the same masks in the same order). The full mask, which
+    /// needs no index, is never among them.
     pub fn index_masks(&self) -> impl ExactSizeIterator<Item = ColMask> + '_ {
         self.indexes.iter().map(|i| i.mask)
     }
@@ -429,7 +451,8 @@ impl Relation {
         if n == 0 {
             return 0;
         }
-        if mask == 0 {
+        // Rows are distinct, so the full mask has one key per row.
+        if mask == 0 || mask == self.full_mask() {
             return n;
         }
         if let Some(ix) = self.indexes.iter().find(|i| i.mask == mask) {

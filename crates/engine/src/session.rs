@@ -13,7 +13,8 @@ use crate::batch::FactBatch;
 use crate::config::{EvalConfig, EvalStats, SetUniverse};
 use crate::demand::{PlanKey, QueryPlan};
 use crate::error::EngineError;
-use crate::explain::QueryProfile;
+use crate::eval::StepProfiler;
+use crate::explain::{PassProfile, QueryProfile};
 use crate::fixpoint::{run_strata, Start};
 use crate::pred::{PredId, PredRegistry};
 use crate::relation::Relation;
@@ -127,7 +128,7 @@ pub struct Engine {
     /// The rule set, stratified and compiled — everything derived from
     /// the rules alone. Reused across batch runs and incremental
     /// updates; dropped only when a rule is added.
-    prepared: Option<CompiledProgram>,
+    pub(crate) prepared: Option<CompiledProgram>,
     /// Per-adornment demand plans: the magic-rewritten, compiled
     /// program for each `(pred, bound-mask)` query pattern seen
     /// (conjunctive goals enter under their dedicated shape
@@ -163,6 +164,9 @@ pub struct Engine {
     /// profiled or read the model, which runs no demand plan to
     /// attribute.
     pub(crate) last_profile: Option<QueryProfile>,
+    /// Per-rule costs of the last batch run or update made with
+    /// [`EvalConfig::profile`] on.
+    pub(crate) last_pass_profile: Option<PassProfile>,
     /// Atom-domain scans by [`Engine::materialize_universe`].
     #[cfg(test)]
     universe_scans: usize,
@@ -200,6 +204,7 @@ impl Engine {
             last_stats: EvalStats::default(),
             cumulative_stats: EvalStats::default(),
             last_profile: None,
+            last_pass_profile: None,
             #[cfg(test)]
             universe_scans: 0,
         }
@@ -626,14 +631,16 @@ impl Engine {
             ..EvalStats::default()
         };
         let program = self.prepared.as_ref().expect("prepare() just ran");
+        let profiler = self.config.profile.then(StepProfiler::default);
         stats.absorb(run_strata(
             &mut self.store,
             &mut self.full,
             &self.config,
             program,
             Start::Batch { magic_preds: &[] },
-            None,
+            profiler.as_ref(),
         )?);
+        self.keep_pass_profile(profiler);
         self.finish(stats)
     }
 
@@ -678,14 +685,16 @@ impl Engine {
                 sets_baseline: self.sets_at_materialize,
                 base_lens: &snapshot,
             };
+            let profiler = self.config.profile.then(StepProfiler::default);
             stats.absorb(run_strata(
                 &mut self.store,
                 &mut self.full,
                 &self.config,
                 program,
                 from,
-                None,
+                profiler.as_ref(),
             )?);
+            self.keep_pass_profile(profiler);
         }
 
         stats.incremental_runs = 1;

@@ -269,4 +269,45 @@ proptest! {
             }
         }
     }
+
+    /// The full mask — an existence check — is served by the dedup
+    /// table with no index of its own: its lookups and windowed lookups
+    /// agree with the reference model through inserts and clears, the
+    /// relation reports it served, and it never joins the index masks.
+    #[test]
+    fn full_mask_lookups_read_the_dedup_table(
+        arity in 1usize..4,
+        ops in proptest::collection::vec((0u8..16, (0u8..5, 0u8..5, 0u8..5)), 1..100),
+        probes in proptest::collection::vec((0u8..5, 0u8..5, 0u8..5), 1..24),
+        (lo, hi) in (0u32..40, 0u32..40),
+    ) {
+        let mut store = TermStore::new();
+        let atoms: Vec<TermId> = (0..5).map(|i| store.atom(&format!("a{i}"))).collect();
+        let full: ColMask = (1 << arity) - 1;
+        let mut rel = Relation::new(arity);
+        rel.ensure_index(full);
+        let mut model = RefModel { rows: Vec::new() };
+        let tuple = |(x, y, z): (u8, u8, u8)| {
+            [atoms[x as usize], atoms[y as usize], atoms[z as usize]]
+        };
+        for &(op, vals) in &ops {
+            if op == 0 {
+                rel.clear();
+                model.rows.clear();
+            } else {
+                let t = tuple(vals);
+                prop_assert_eq!(rel.insert(&t[..arity]), model.insert(&t[..arity]));
+            }
+        }
+        prop_assert!(rel.has_index(full));
+        prop_assert!(rel.index_masks().all(|m| m != full));
+        let (lo, hi) = (lo.min(hi), lo.max(hi));
+        for &probe in ops.iter().map(|(_, vals)| vals).chain(&probes) {
+            let t = tuple(probe);
+            let want = model.lookup(full, &t[..arity]);
+            prop_assert_eq!(rel.lookup(full, &t[..arity]).to_vec(), want.clone());
+            let windowed: Vec<u32> = want.into_iter().filter(|r| (lo..hi).contains(r)).collect();
+            prop_assert_eq!(rel.lookup_window(full, &t[..arity], lo, hi).to_vec(), windowed);
+        }
+    }
 }

@@ -92,6 +92,26 @@ pub fn union(store: &mut TermStore, x: TermId, y: TermId) -> TermId {
     store.set_canonical(out)
 }
 
+/// Whether `z` is the set `x ∪ y`, decided by merging the payloads in
+/// place: a check interns nothing. `false` when `z` is not a set.
+pub fn union_is(store: &TermStore, x: TermId, y: TermId, z: TermId) -> bool {
+    let xs = store.set_elems(x).expect("union: not a set");
+    let ys = store.set_elems(y).expect("union: not a set");
+    let Some(zs) = store.set_elems(z) else {
+        return false;
+    };
+    let (mut i, mut j) = (0, 0);
+    for &e in zs {
+        let (from_x, from_y) = (xs.get(i) == Some(&e), ys.get(j) == Some(&e));
+        if !from_x && !from_y {
+            return false;
+        }
+        i += usize::from(from_x);
+        j += usize::from(from_y);
+    }
+    i == xs.len() && j == ys.len()
+}
+
 /// `x ∩ y`, interned.
 pub fn intersect(store: &mut TermStore, x: TermId, y: TermId) -> TermId {
     if x == y {
@@ -153,6 +173,24 @@ pub fn scons(store: &mut TermStore, x: TermId, y: TermId) -> TermId {
             arena.push(x);
             arena.extend_from_within(ys.start + pos..ys.end);
         }),
+    }
+}
+
+/// Whether `z` is the set `{x} ∪ y`, decided on the payloads in place:
+/// a check interns nothing. `false` when `z` is not a set.
+pub fn scons_is(store: &TermStore, x: TermId, y: TermId, z: TermId) -> bool {
+    let ys = store.set_elems(y).expect("scons: not a set");
+    let Some(zs) = store.set_elems(z) else {
+        return false;
+    };
+    match ys.binary_search(&x) {
+        Ok(_) => y == z,
+        Err(pos) => {
+            zs.len() == ys.len() + 1
+                && zs[..pos] == ys[..pos]
+                && zs[pos] == x
+                && zs[pos + 1..] == ys[pos..]
+        }
     }
 }
 
@@ -330,6 +368,45 @@ mod tests {
         let empty = s.empty_set();
         let just_a = s.set(vec![a]);
         assert_eq!(scons(&mut s, a, empty), just_a);
+    }
+
+    /// The in-place checks agree with the interned results on every
+    /// pair of subsets of `{a, b, c}` and every candidate `z`, an atom
+    /// among them, and intern nothing.
+    #[test]
+    fn checks_agree_with_interned_results() {
+        let mut s = TermStore::new();
+        let (a, b, c) = abc(&mut s);
+        let sets: Vec<TermId> = (0..8u32)
+            .map(|m| {
+                let elems = [a, b, c].into_iter().enumerate();
+                s.set(
+                    elems
+                        .filter(|(i, _)| m & 1 << i != 0)
+                        .map(|(_, e)| e)
+                        .collect(),
+                )
+            })
+            .collect();
+        let zs: Vec<TermId> = sets.iter().copied().chain([a]).collect();
+        for &x in &sets {
+            for &y in &sets {
+                let u = union(&mut s, x, y);
+                let len = s.len();
+                for &z in &zs {
+                    assert_eq!(union_is(&s, x, y, z), z == u);
+                }
+                assert_eq!(s.len(), len, "a check interns nothing");
+            }
+            for e in [a, b, c] {
+                let u = scons(&mut s, e, x);
+                let len = s.len();
+                for &z in &zs {
+                    assert_eq!(scons_is(&s, e, x, z), z == u);
+                }
+                assert_eq!(s.len(), len, "a check interns nothing");
+            }
+        }
     }
 
     #[test]

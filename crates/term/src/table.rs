@@ -52,6 +52,22 @@ impl IdTable {
         Some(self.slots[self.slot(hash, eq)]).filter(|&id| id != EMPTY)
     }
 
+    /// The id whose key `eq` accepts as a one-element slice of the
+    /// table itself, or `&[]`: a caller that hands out id lists can
+    /// answer a unique-key probe without a list of its own.
+    #[inline]
+    pub fn find_slice(&self, hash: u64, eq: impl FnMut(u32) -> bool) -> &[u32] {
+        if self.slots.is_empty() {
+            return &[];
+        }
+        let i = self.slot(hash, eq);
+        if self.slots[i] == EMPTY {
+            &[]
+        } else {
+            &self.slots[i..=i]
+        }
+    }
+
     /// `Ok` with the id whose key `eq` accepts, or else `Err` with the
     /// next id, `len()`, now held under `hash`: the caller appends its
     /// key to the arena. `hash_of` rehashes the held ids if the table
@@ -156,8 +172,14 @@ mod tests {
             let found = t.find(hash(k), |i| keys[i as usize] == k);
             assert_eq!(found, (id < 40).then_some(id as u32));
         }
+        for (id, &k) in keys.iter().enumerate().take(50) {
+            let found = t.find_slice(hash(k), |i| keys[i as usize] == k);
+            let want: &[u32] = if id < 40 { &[id as u32] } else { &[] };
+            assert_eq!(found, want);
+        }
         t.truncate(0, |i| hash(keys[i as usize]));
         assert!(t.is_empty());
+        assert!(t.find_slice(hash(0), |_| true).is_empty());
         assert_eq!(t.find(hash(0), |_| true), None);
     }
 }

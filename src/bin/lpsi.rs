@@ -33,6 +33,8 @@
 //! :profile GOAL          run GOAL with per-literal profiling: the
 //!                        planner's estimated rows next to the actual
 //!                        probes/rows of each body literal
+//! :profile               materialize the model with per-rule
+//!                        profiling: the rules by share of the time
 //! :explain GOAL          chosen adornment, SIPS, and join order for a
 //!                        point goal, without running it
 //! :model PRED            print a predicate's extension
@@ -295,6 +297,46 @@ impl Session {
         Ok(())
     }
 
+    /// `:profile` with no goal — materialize the model with per-rule
+    /// profiling on and print the pass's rules by share of the time,
+    /// with their evaluations and head tuples. Like `:profile GOAL`,
+    /// it runs on a one-off session built with profiling on, so the
+    /// pass is a full batch run; the next command rebuilds an
+    /// unprofiled session.
+    fn profile_pass(&mut self) -> Result<(), String> {
+        self.reconfigure();
+        let config = self.config;
+        self.config.profile = true;
+        let outcome = self.ensure_model().map(|_| ());
+        self.config = config;
+        self.db = None;
+        let report = self
+            .model
+            .take()
+            .and_then(|m| m.engine().last_pass_profile().cloned());
+        outcome?;
+        let Some(profile) = report.filter(|p| !p.rules.is_empty()) else {
+            println!("  (no rule was evaluated)");
+            return Ok(());
+        };
+        let total = profile.total_nanos().max(1) as f64;
+        println!(
+            "  profile (rules by share of {:.3} ms of rule time):",
+            total / 1e6
+        );
+        for rule in &profile.rules {
+            println!(
+                "    {:5.1}%  {:8.3} ms  evals={}  heads={}  {}",
+                100.0 * rule.nanos as f64 / total,
+                rule.nanos as f64 / 1e6,
+                rule.evals,
+                rule.heads,
+                rule.plan
+            );
+        }
+        Ok(())
+    }
+
     /// `:explain <goal>` — print the chosen adornment, SIPS policy,
     /// and per-rule join order for a point goal without running it.
     fn explain(&mut self, text: &str) -> Result<(), String> {
@@ -313,7 +355,7 @@ impl Session {
 fn print_help() {
     println!(
         "Enter facts/rules ending in `.`; `?- goal, goal, ....` to query.\n\
-         :help :dialect :universe :demand :planner :profile :explain :model :program \
+         :help :dialect :universe :demand :planner :profile [GOAL] :explain :model :program \
          :normalized :sorts :stats [reset] :reset :clear :quit"
     );
 }
@@ -676,6 +718,11 @@ fn main() -> io::Result<()> {
                             println!("  {} fact(s).", rows.len());
                         }
                         Err(e) => println!("error: {e}"),
+                    }
+                }
+                ":profile" if arg.is_empty() => {
+                    if let Err(e) = session.profile_pass() {
+                        println!("error: {e}");
                     }
                 }
                 ":profile" | ":explain" => {
