@@ -27,20 +27,26 @@
 //! ## Quantifier-group evaluation
 //!
 //! `(∀q₁∈D₁)…(∀qₙ∈Dₙ)(inner)` is evaluated per the case analysis in
-//! DESIGN.md:
+//! DESIGN.md, on the parts the planner compiled into a [`QuantPlan`]:
 //!
-//! 1. **Unbound domains** are enumerated over the active set universe
-//!    (policy-gated) and bound one at a time.
+//! 1. **Unbound domains** are matched against each set of the active
+//!    universe (policy-gated) and bound one solution at a time; the
+//!    solutions wait on the solution stack, as a general match's do.
 //! 2. With all domains bound, an **empty product** (some `Dᵢ = ∅`)
 //!    satisfies the group vacuously — Definition 4's "(∀x∈X)φ is true
 //!    whenever X is the empty set". Free variables that remain unbound
-//!    in that case range over the active universe.
+//!    in that case range over the active universe: the plan's
+//!    `vacuous` program enumerates them.
 //! 3. With a nonempty product and all free variables bound, each tuple
-//!    of the product is **checked** directly against the relations.
+//!    of the product is **checked**: the inner literals run as the
+//!    plan's guards, the same guards a join checks its solutions with.
 //! 4. With unbound free variables, the inner conjunction is evaluated
-//!    as a join (on the executor) and grouped into a **coverage map**;
-//!    a free-variable binding qualifies iff the whole product is
-//!    covered.
+//!    as a join (on the executor) and grouped into a **coverage map**
+//!    keyed on the binders it mentions; a free-variable binding
+//!    qualifies iff the whole product is covered.
+//!
+//! The product walk and case 1 bind straight into the binding slots
+//! and clear them when they move on, as the executor's levels do.
 //!
 //! ## Per-tuple work allocates nothing
 //!
@@ -51,11 +57,13 @@
 //! [`RelViews::cands`]: each level remembers the stack's length, walks
 //! its own candidates by index, and truncates back when it closes. An
 //! indexed probe looks its compound key terms up read-only on top of
-//! the same stack, so a probe never interns. Guards and quantified
-//! checks build their tuples in stack buffers, and the `∀` walk reads
-//! set elements in place. What still allocates is interning a new term
-//! (a computed union, a new integer), a body of more than
-//! `INLINE_FRAMES` levels, and the quantifier group's coverage map.
+//! the same stack, so a probe never interns. Guards, the quantified
+//! check among them, build their tuples in stack buffers; the `∀` walk
+//! reads set elements in place, and an enumerated domain's match
+//! solutions go on the solution stack. What still allocates is
+//! interning a new term (a computed union, a new integer), a body of
+//! more than `INLINE_FRAMES` levels, and the quantifier group's
+//! coverage map.
 //!
 //! ## Existential tails and membership intersections
 //!
@@ -74,7 +82,7 @@ use lps_term::{FxHashMap, FxHashSet, Sort, TermId, TermStore};
 use crate::builtin::{self, MAX_BUILTIN_ARITY};
 use crate::config::SetUniverse;
 use crate::error::EngineError;
-use crate::pattern::{match_tuple, Env, Pattern, VarId};
+use crate::pattern::{match_pattern, match_tuple, Env, Pattern, VarId};
 use crate::plan::{Arg, ColAct, Guard, Level, Op, Prog, QuantPlan, RowMatch, Variant};
 use crate::relation::{Relation, RowWindow, MAX_ARITY};
 use crate::rule::{BodyLit, QuantGroup, Rule};
@@ -272,9 +280,17 @@ where
         exec(&variant.post, &rule.outer, store, views, policy, env, sink)
     };
     let mut finish = |store: &mut TermStore, env: &mut Env| match (&rule.quant, quant_plan) {
-        (Some(group), Some(plan)) => {
-            eval_quant(group, plan, store, views, policy, trigger, env, &mut post)
-        }
+        (Some(group), Some(plan)) => eval_quant(
+            group,
+            plan,
+            &plan.domains,
+            store,
+            views,
+            policy,
+            trigger,
+            env,
+            &mut post,
+        ),
         _ => post(store, env),
     };
     exec(
@@ -488,19 +504,25 @@ impl<'v> Run<'_, 'v> {
                     builtin::holds(*b, &vals[..args.len()], store, self.policy, &mut cands)
                         .map_err(|e| self.fail(e))?
                 }
-                Guard::Neg { pred, args, lit } => {
+                Guard::Contains {
+                    pred,
+                    args,
+                    lit,
+                    negated,
+                } => {
                     // The tuple is built in a stack buffer (arity ≤ 32).
                     let rel = &self.views.full[pred.index()];
-                    match args.split_first() {
-                        None => !rel.contains(&[]),
+                    let found = match args.split_first() {
+                        None => rel.contains(&[]),
                         Some((&first, rest)) => {
                             let mut tuple = [self.value(first, *lit, store, env); MAX_ARITY];
                             for (slot, &arg) in tuple[1..].iter_mut().zip(rest) {
                                 *slot = self.value(arg, *lit, store, env);
                             }
-                            !rel.contains(&tuple[..args.len()])
+                            rel.contains(&tuple[..args.len()])
                         }
-                    }
+                    };
+                    found != *negated
                 }
                 Guard::Exists { var, sets } => {
                     let mut cands = self.views.cands.borrow_mut();
@@ -920,26 +942,9 @@ fn intersect_members(
     }
 }
 
-/// All match solutions of `patterns` against `tuple` under `env`,
-/// captured as re-appliable binding lists (the matcher backtracks its
-/// own bindings, so we record them).
-fn match_solutions(
-    store: &TermStore,
-    patterns: &[Pattern],
-    tuple: &[TermId],
-    env: &mut Env,
-) -> Vec<Vec<(VarId, TermId)>> {
-    let base = env.mark();
-    let mut out = Vec::new();
-    match_tuple(store, patterns, tuple, env, &mut |env| {
-        out.push(env.bindings_since(base));
-        false
-    });
-    out
-}
-
 /// Evaluate the quantifier group (see module docs for the case
-/// analysis).
+/// analysis), with the domains from `domains` on still to be bound by
+/// case 1.
 ///
 /// Binders may be **dependent**: a later domain can mention earlier
 /// binder variables, as in `(∀S∈F)(∀x∈S)` over nested ELPS sets. The
@@ -950,6 +955,7 @@ fn match_solutions(
 fn eval_quant(
     group: &QuantGroup,
     plan: &QuantPlan,
+    domains: &[(usize, Box<[VarId]>)],
     store: &mut TermStore,
     views: &RelViews<'_>,
     policy: SetUniverse,
@@ -957,28 +963,42 @@ fn eval_quant(
     env: &mut Env,
     sink: &mut dyn FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
-    // Case 1: bind the first genuinely unbound domain from the active
-    // universe. A domain whose variables are earlier binder variables
-    // is *dependent*, not unbound — the walk below binds it.
-    for (i, (_, dom)) in group.binders.iter().enumerate() {
-        let earlier = &group.binders[..i];
-        let unbound =
-            dom.any_var(&|v| env.get(v).is_none() && earlier.iter().all(|(q, _)| *q != v));
-        if unbound {
-            // Only the sets active on entry are candidates (matching
-            // may intern more).
-            for at in 0..store.set_ids().len() {
-                let set_id = store.set_ids()[at];
-                let sols = match_solutions(store, std::slice::from_ref(dom), &[set_id], env);
-                for bindings in sols {
-                    let mark = env.mark();
-                    env.apply(&bindings);
-                    eval_quant(group, plan, store, views, policy, trigger, env, sink)?;
-                    env.undo_to(mark);
+    // Case 1: match the next unbound domain against each active set,
+    // and bind each solution's variables in turn. Only the sets active
+    // on entry are candidates (matching may intern more); the solutions
+    // wait on the solution stack while later cases run.
+    if let Some(((binder, vars), rest)) = domains.split_first() {
+        let dom = &group.binders[*binder].1;
+        let base = views.sols.borrow().len();
+        for at in 0..store.set_ids().len() {
+            let set = store.set_ids()[at];
+            let mut sols = views.sols.borrow_mut();
+            match_pattern(store, dom, set, env, &mut |env| {
+                sols.extend(
+                    vars.iter()
+                        .map(|&v| env.get(v).expect("a match binds its variables")),
+                );
+                false
+            });
+            let end = sols.len();
+            drop(sols);
+            let mut res = Ok(());
+            for sol in (base..end).step_by(vars.len()) {
+                for (i, &v) in vars.iter().enumerate() {
+                    env.set(v, views.sols.borrow()[sol + i]);
+                }
+                res = eval_quant(group, plan, rest, store, views, policy, trigger, env, sink);
+                if res.is_err() {
+                    break;
                 }
             }
-            return Ok(());
+            for &v in vars.iter() {
+                env.unset(v);
+            }
+            views.sols.borrow_mut().truncate(base);
+            res?;
         }
+        return Ok(());
     }
 
     // Trigger pruning (sound only when every domain is independent of
@@ -1000,8 +1020,15 @@ fn eval_quant(
     if plan.unbound_free.iter().all(|v| env.get(*v).is_some()) {
         // Case 2/3: dependent walk with a direct check at each leaf.
         // Vacuous levels (empty/atomic domains) succeed trivially.
+        let run = Run {
+            lits: &group.inner,
+            views,
+            policy,
+            err: Cell::new(None),
+        };
         let mut check = |store: &mut TermStore, env: &mut Env| {
-            check_lits(&group.inner, store, views, policy, env)
+            run.guards(&plan.check, store, env)
+                .map_err(|Failed| run.err.take().expect("a failure stashes its error"))
         };
         if walk(group, 0, store, env, &mut check)? {
             return sink(store, env);
@@ -1016,15 +1043,22 @@ fn eval_quant(
         .filter(|v| env.get(*v).is_none())
         .collect();
 
-    // Case 4: coverage analysis. Join the inner conjunction over
-    // (quantified vars ∪ unbound free vars), group covered q-tuples by
-    // free-var binding, and accept bindings whose dependent product is
-    // fully covered.
+    // Case 4: coverage analysis. Join the inner conjunction over the
+    // binders it mentions and the unbound free vars, group covered
+    // binder tuples by free-var binding, and accept bindings whose
+    // dependent product is fully covered. The inner conjunction cannot
+    // depend on a binder it does not mention, so a leaf of the product
+    // is covered when its projection onto the joined binders is.
     let inner = plan
         .inner
         .as_ref()
         .expect("planner provides inner steps when free vars may be unbound");
-    let qvars: Vec<VarId> = group.binders.iter().map(|(q, _)| *q).collect();
+    let qvars: Vec<VarId> = group
+        .binders
+        .iter()
+        .map(|(q, _)| *q)
+        .filter(|q| inner.levels.iter().any(|l| l.binds.contains(q)))
+        .collect();
     let mut cover: FxHashMap<Vec<TermId>, FxHashSet<Vec<TermId>>> = FxHashMap::default();
     exec(
         inner,
@@ -1034,14 +1068,9 @@ fn eval_quant(
         policy,
         env,
         &mut |_store, env| {
-            let free_vals: Vec<TermId> = unbound_free
-                .iter()
-                .map(|v| env.get(*v).expect("inner join binds free vars"))
-                .collect();
-            let q_vals: Vec<TermId> = qvars
-                .iter()
-                .map(|q| env.get(*q).expect("inner join binds quantified vars"))
-                .collect();
+            let value = |v: &VarId| env.get(*v).expect("the inner join binds it");
+            let free_vals: Vec<TermId> = unbound_free.iter().map(value).collect();
+            let q_vals: Vec<TermId> = qvars.iter().map(value).collect();
             cover.entry(free_vals).or_default().insert(q_vals);
             Ok(())
         },
@@ -1056,17 +1085,7 @@ fn eval_quant(
             // was derived by earlier (non-trigger) passes.
             return Ok(());
         }
-        let live: Vec<(VarId, Option<Sort>)> = plan
-            .live_unbound
-            .iter()
-            .zip(&plan.live_sorts)
-            .filter(|(v, _)| env.get(**v).is_none())
-            .map(|(v, s)| (*v, *s))
-            .collect();
-        if live.is_empty() {
-            return sink(store, env);
-        }
-        if matches!(policy, SetUniverse::Reject) {
+        if !plan.vacuous.levels.is_empty() && matches!(policy, SetUniverse::Reject) {
             return Err(EngineError::UnsupportedMode {
                 builtin: "forall-in",
                 mode: "vacuously-true group with unbound head variables \
@@ -1074,7 +1093,8 @@ fn eval_quant(
                     .to_owned(),
             });
         }
-        return enum_free(&live, 0, store, env, sink);
+        let sink = &mut |store: &mut TermStore, env: &mut Env| sink(store, env);
+        return exec(&plan.vacuous, &[], store, views, policy, env, sink);
     }
 
     let betas: Vec<Vec<TermId>> = cover.keys().cloned().collect();
@@ -1091,12 +1111,14 @@ fn eval_quant(
             Ok(covered.contains(&q_vals))
         };
         if walk(group, 0, store, env, &mut is_covered)? {
-            let mark = env.mark();
             for (v, val) in unbound_free.iter().zip(&free_vals) {
-                env.bind(*v, *val);
+                env.set(*v, *val);
             }
-            sink(store, env)?;
-            env.undo_to(mark);
+            let res = sink(store, env);
+            for &v in &unbound_free {
+                env.unset(v);
+            }
+            res?;
         }
     }
     Ok(())
@@ -1125,19 +1147,19 @@ where
     let dom = dom
         .build(store, env)
         .expect("walk binds earlier levels first");
+    let mut res = Ok(true);
     for i in 0..store.card(dom).unwrap_or(0) {
         let e = store
             .set_elems(dom)
             .expect("a domain with elements is a set")[i];
-        let mark = env.mark();
-        env.bind(*var, e);
-        let ok = walk(group, level + 1, store, env, leaf)?;
-        env.undo_to(mark);
-        if !ok {
-            return Ok(false);
+        env.set(*var, e);
+        res = walk(group, level + 1, store, env, leaf);
+        if !matches!(res, Ok(true)) {
+            break;
         }
     }
-    Ok(true)
+    env.unset(*var);
+    res
 }
 
 /// Push the active terms of a given sort (`None` = every term) onto
@@ -1148,92 +1170,6 @@ fn push_universe(store: &TermStore, sort: Option<Sort>, out: &mut Vec<TermId>) {
         Some(Sort::Atom) => out.extend(store.ids().filter(|&id| store.is_atomic(id))),
         None => out.extend(store.ids()),
     }
-}
-
-/// Enumerate assignments of `vars` over the sort-filtered universe
-/// (vacuous-truth case).
-fn enum_free(
-    vars: &[(VarId, Option<Sort>)],
-    k: usize,
-    store: &mut TermStore,
-    env: &mut Env,
-    sink: &mut dyn FnMut(&mut TermStore, &mut Env) -> Result<(), EngineError>,
-) -> Result<(), EngineError> {
-    if k == vars.len() {
-        return sink(store, env);
-    }
-    let (var, sort) = vars[k];
-    let mut universe = Vec::new();
-    push_universe(store, sort, &mut universe);
-    for t in universe {
-        let mark = env.mark();
-        env.bind(var, t);
-        enum_free(vars, k + 1, store, env, sink)?;
-        env.undo_to(mark);
-    }
-    Ok(())
-}
-
-/// Check a fully-bound conjunction of literals.
-fn check_lits(
-    lits: &[BodyLit],
-    store: &mut TermStore,
-    views: &RelViews<'_>,
-    policy: SetUniverse,
-    env: &Env,
-) -> Result<bool, EngineError> {
-    for lit in lits {
-        let ok = match lit {
-            BodyLit::Pos(pred, args) => {
-                with_ground_tuple(args, store, env, |t| views.full[pred.index()].contains(t))
-            }
-            BodyLit::Neg(pred, args) => {
-                !with_ground_tuple(args, store, env, |t| views.full[pred.index()].contains(t))
-            }
-            BodyLit::Builtin(b, args) => {
-                let mut build = |p: &Pattern| {
-                    p.build(store, env)
-                        .ok_or_else(|| EngineError::UnsupportedMode {
-                            builtin: b.name(),
-                            mode: "unbound argument in quantified check".to_owned(),
-                        })
-                };
-                let mut ids = [build(&args[0])?; MAX_BUILTIN_ARITY];
-                for (id, p) in ids[1..].iter_mut().zip(&args[1..]) {
-                    *id = build(p)?;
-                }
-                let mut cands = views.cands.borrow_mut();
-                builtin::holds(*b, &ids[..args.len()], store, policy, &mut cands)?
-            }
-        };
-        if !ok {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Run `f` on the ground tuple of a fully bound literal, built in a
-/// stack buffer (arity ≤ [`MAX_ARITY`]): negation and quantified
-/// checks allocate nothing.
-fn with_ground_tuple<R>(
-    args: &[Pattern],
-    store: &mut TermStore,
-    env: &Env,
-    f: impl FnOnce(&[TermId]) -> R,
-) -> R {
-    let Some((first, rest)) = args.split_first() else {
-        return f(&[]);
-    };
-    let mut build = |p: &Pattern| {
-        p.build(store, env)
-            .expect("planner guarantees checked literals are ground")
-    };
-    let mut buf = [build(first); MAX_ARITY];
-    for (slot, p) in buf[1..].iter_mut().zip(rest) {
-        *slot = build(p);
-    }
-    f(&buf[..args.len()])
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ impl DerivedBuf {
 /// (capacity kept across rounds, like [`DerivedBuf`], and reserved up
 /// front for a probe key's subterms), and the `:profile` attribution;
 /// and the variable bindings, one [`Env`] each evaluation resets, so a
-/// round allocates no binding slots or trail.
+/// round allocates no binding slots.
 struct Scratch<'p> {
     counters: ProbeCounters,
     cands: RefCell<Vec<TermId>>,

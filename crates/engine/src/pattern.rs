@@ -132,12 +132,12 @@ impl Pattern {
     }
 }
 
-/// A partial assignment of rule variables to ground terms, with an
-/// undo trail for backtracking joins.
+/// A partial assignment of rule variables to ground terms: one binding
+/// slot per variable. Whoever sets a slot clears it again: the executor
+/// when its levels close, the matcher after each solution.
 #[derive(Clone, Debug)]
 pub struct Env {
     slots: Vec<Option<TermId>>,
-    trail: Vec<VarId>,
 }
 
 impl Env {
@@ -145,16 +145,13 @@ impl Env {
     pub fn new(num_vars: usize) -> Self {
         Env {
             slots: vec![None; num_vars],
-            trail: Vec::new(),
         }
     }
 
-    /// Reset to `num_vars` unbound slots and an empty trail, keeping
-    /// both buffers' capacity.
+    /// Reset to `num_vars` unbound slots, keeping the buffer's capacity.
     pub fn reset(&mut self, num_vars: usize) {
         self.slots.clear();
         self.slots.resize(num_vars, None);
-        self.trail.clear();
     }
 
     /// Current binding of `v`.
@@ -163,57 +160,16 @@ impl Env {
         self.slots[v.index()]
     }
 
-    /// Bind `v` (must be unbound) and record it on the trail.
-    #[inline]
-    pub fn bind(&mut self, v: VarId, t: TermId) {
-        debug_assert!(self.slots[v.index()].is_none(), "rebinding {v:?}");
-        self.slots[v.index()] = Some(t);
-        self.trail.push(v);
-    }
-
-    /// Set `v` without trailing it: the executor clears the variables
-    /// its ops bind itself ([`Env::unset`]).
+    /// Bind `v` to `t`, overwriting any binding it had.
     #[inline]
     pub(crate) fn set(&mut self, v: VarId, t: TermId) {
         self.slots[v.index()] = Some(t);
     }
 
-    /// Clear `v`, bound by [`Env::set`].
+    /// Clear `v`.
     #[inline]
     pub(crate) fn unset(&mut self, v: VarId) {
         self.slots[v.index()] = None;
-    }
-
-    /// Trail length — capture before speculative work.
-    #[inline]
-    pub fn mark(&self) -> usize {
-        self.trail.len()
-    }
-
-    /// Undo all bindings made after `mark`.
-    #[inline]
-    pub fn undo_to(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            let v = self.trail.pop().expect("trail length checked");
-            self.slots[v.index()] = None;
-        }
-    }
-
-    /// The `(var, value)` pairs bound after `mark`, in binding order.
-    /// Used to capture a match solution so it can be re-applied after
-    /// the matcher's own backtracking has undone it.
-    pub fn bindings_since(&self, mark: usize) -> Vec<(VarId, TermId)> {
-        self.trail[mark..]
-            .iter()
-            .map(|&v| (v, self.slots[v.index()].expect("trailed var is bound")))
-            .collect()
-    }
-
-    /// Re-apply bindings captured by [`Env::bindings_since`].
-    pub fn apply(&mut self, bindings: &[(VarId, TermId)]) {
-        for &(v, t) in bindings {
-            self.bind(v, t);
-        }
     }
 
     /// Number of variable slots.
@@ -250,10 +206,9 @@ pub fn match_pattern(
                 }
             }
             None => {
-                let mark = env.mark();
-                env.bind(*v, term);
+                env.set(*v, term);
                 let stop = found(env);
-                env.undo_to(mark);
+                env.unset(*v);
                 stop
             }
         },
@@ -396,7 +351,7 @@ mod tests {
         let a = st.atom("a");
         let b = st.atom("b");
         let mut env = Env::new(1);
-        env.bind(VarId(0), b);
+        env.set(VarId(0), b);
         let mut hits = 0;
         match_pattern(&st, &Pattern::Var(VarId(0)), a, &mut env, &mut |_| {
             hits += 1;
@@ -483,7 +438,7 @@ mod tests {
         let a = st.atom("a");
         let f = st.symbols_mut().intern("f");
         let mut env = Env::new(1);
-        env.bind(VarId(0), a);
+        env.set(VarId(0), a);
         let pat = Pattern::Set(Box::new([
             Pattern::Var(VarId(0)),
             Pattern::App(f, Box::new([Pattern::Var(VarId(0))])),
@@ -499,20 +454,6 @@ mod tests {
         let mut st = TermStore::new();
         let env = Env::new(1);
         assert_eq!(Pattern::Var(VarId(0)).build(&mut st, &env), None);
-    }
-
-    #[test]
-    fn env_trail_undoes_bindings() {
-        let mut st = TermStore::new();
-        let a = st.atom("a");
-        let mut env = Env::new(2);
-        let mark = env.mark();
-        env.bind(VarId(0), a);
-        env.bind(VarId(1), a);
-        assert!(env.get(VarId(0)).is_some());
-        env.undo_to(mark);
-        assert!(env.get(VarId(0)).is_none());
-        assert!(env.get(VarId(1)).is_none());
     }
 
     #[test]

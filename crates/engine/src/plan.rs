@@ -258,15 +258,17 @@ pub enum Guard {
         /// Index into the literal list.
         lit: usize,
     },
-    /// A negated literal, every argument bound: holds when the tuple is
-    /// absent.
-    Neg {
+    /// A relation literal with every argument bound: holds when the
+    /// relation holds the tuple, or, `negated`, when it does not.
+    Contains {
         /// The relation checked.
         pred: PredId,
         /// Every argument's value.
         args: Box<[Arg]>,
         /// Index into the literal list.
         lit: usize,
+        /// A negated literal.
+        negated: bool,
     },
     /// A [`Step::Members`] that ends an existential tail: only its
     /// first witness can matter, since the tail's first solution closes
@@ -304,30 +306,31 @@ pub struct Prog {
     pub tail: Option<usize>,
 }
 
-/// Static plan for the quantifier group.
+/// The quantifier group compiled for the executor, one part per case
+/// of the evaluation (see [`crate::eval`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuantPlan {
-    /// Free variables of the group not bound by the outer steps —
-    /// bound at runtime by coverage analysis / active-universe
-    /// enumeration.
+    /// Free variables of the group not bound by the outer steps — bound
+    /// at runtime by domain enumeration or coverage analysis.
     pub unbound_free: Vec<VarId>,
-    /// The subset of `unbound_free` that the head (or grouping slot)
-    /// needs. Dead unbound variables are clause-level existentials and
-    /// never require universe enumeration; live ones range over the
-    /// active universe in the vacuously-true case.
-    pub live_unbound: Vec<VarId>,
-    /// Sort restriction per `live_unbound` entry.
-    pub live_sorts: Vec<Option<lps_term::Sort>>,
-    /// Join plan for the inner conjunction over (quantified vars ∪
-    /// unbound free vars), with domains and outer vars assumed bound.
-    /// `None` when `unbound_free` is empty and the fast per-element
-    /// check suffices.
-    pub inner_steps: Option<Vec<Step>>,
-    /// `inner_steps` compiled for the executor.
+    /// Case 1: each domain with variables that neither the outer steps
+    /// nor an earlier binder bind, in binder order — the binder's index
+    /// and those variables, which matching the domain against each
+    /// active set binds (active-set enumeration).
+    pub domains: Box<[(usize, Box<[VarId]>)]>,
+    /// Case 4: the inner conjunction as a join over the binders it
+    /// mentions and the unbound free variables, with the outer
+    /// variables and every domain variable that is not a binder bound.
+    /// `None` when `unbound_free` is empty and the per-tuple check
+    /// suffices.
     pub inner: Option<Prog>,
-    /// Whether any quantifier domain is statically unbound (requires
-    /// active-set enumeration).
-    pub unbound_domain: bool,
+    /// Cases 2 and 3: the inner literals as guards, in written order,
+    /// every argument bound.
+    pub check: Box<[Guard]>,
+    /// The vacuous case: one universe enumeration per variable the head
+    /// or grouping slot reads that is still unbound once the domains
+    /// are.
+    pub vacuous: Prog,
 }
 
 /// A fully planned rule.
@@ -459,7 +462,9 @@ pub fn compile_rule(
         }
     }
 
-    // Quantifier-group planning.
+    // Quantifier-group planning. Index requests gather here, the inner
+    // plan's first and every variant's below.
+    let mut index_requests = Vec::new();
     let bound_after_outer = vars_bound_after(&variants[0].steps, rule);
     let (quant_plan, inner_preds) = match &rule.quant {
         None => (None, Vec::new()),
@@ -498,36 +503,29 @@ pub fn compile_rule(
             // variable neither bound by the outer steps nor introduced
             // by an *earlier* binder (dependent domains like
             // `(∀S∈F)(∀x∈S)` are bound by the walk, not enumeration).
-            let mut unbound_domain = false;
-            let mut earlier: Vec<VarId> = Vec::new();
-            for (qv, dom) in &group.binders {
+            // The inner join runs with the outer variables and every
+            // domain variable that is not a binder bound: a binder is
+            // bound by the join if the inner literals mention it, and
+            // they do not depend on it otherwise.
+            let binders: Vec<VarId> = group.binders.iter().map(|(q, _)| *q).collect();
+            let mut initially_bound: FxHashSet<VarId> = bound_after_outer.clone();
+            let mut domains: Vec<(usize, Box<[VarId]>)> = Vec::new();
+            for (i, (_, dom)) in group.binders.iter().enumerate() {
                 let mut vs = Vec::new();
                 dom.collect_vars(&mut vs);
-                if vs
-                    .iter()
-                    .any(|v| !bound_after_outer.contains(v) && !earlier.contains(v))
-                {
-                    unbound_domain = true;
+                vs.retain(|v| !initially_bound.contains(v) && !binders[..i].contains(v));
+                initially_bound.extend(vs.iter().filter(|v| !binders.contains(v)));
+                if !vs.is_empty() {
+                    domains.push((i, vs.into()));
                 }
-                earlier.push(*qv);
             }
-            if unbound_domain || !live_unbound.is_empty() {
+            if !domains.is_empty() || !live_unbound.is_empty() {
                 uses_active_universe = true;
             }
-            if unbound_domain && matches!(policy, SetUniverse::Reject) {
-                let offender = group
-                    .binders
-                    .iter()
-                    .flat_map(|(_, d)| {
-                        let mut vs = Vec::new();
-                        d.collect_vars(&mut vs);
-                        vs
-                    })
-                    .find(|v| !bound_after_outer.contains(v))
-                    .expect("unbound_domain implies an unbound domain var");
+            if let (Some((_, vars)), SetUniverse::Reject) = (domains.first(), policy) {
                 return Err(EngineError::Unsafe {
                     rule_head: head_name,
-                    var: rule.var_name(offender).to_owned(),
+                    var: rule.var_name(vars[0]).to_owned(),
                     detail: "quantifier domain is not bound by the body; \
                              enable SetUniverse::ActiveSets to enumerate the active universe"
                         .to_owned(),
@@ -536,17 +534,8 @@ pub fn compile_rule(
 
             // Inner-join plan when coverage analysis is needed: the
             // quantified vars and unbound free vars must be grounded by
-            // the inner literals alone (with outer vars and domains
-            // assumed bound).
-            // The inner join runs with the outer variables and every
-            // domain's variables bound.
-            let mut initially_bound: FxHashSet<VarId> = bound_after_outer.clone();
-            for (_, dom) in &group.binders {
-                let mut vs = Vec::new();
-                dom.collect_vars(&mut vs);
-                initially_bound.extend(vs);
-            }
-            let inner_steps = if unbound_free.is_empty() {
+            // the inner literals alone.
+            let inner = if unbound_free.is_empty() {
                 None
             } else {
                 if !live_unbound.is_empty() && matches!(policy, SetUniverse::Reject) {
@@ -572,24 +561,32 @@ pub fn compile_rule(
                     &mut estimated_rows,
                 )?;
                 debug_assert!(deferred.is_empty(), "no deferral inside groups");
-                Some(fold_members(steps, &group.inner, &initially_bound))
-            };
-            let inner = inner_steps.as_ref().map(|steps| {
+                let steps = fold_members(steps, &group.inner, &initially_bound);
+                push_requests(&mut index_requests, &steps, &group.inner);
                 let mut bound = vec![false; rule.num_vars];
                 for v in &initially_bound {
                     bound[v.index()] = true;
                 }
-                compile_prog(steps, &group.inner, &mut bound, None)
-            });
+                Some(compile_prog(&steps, &group.inner, &mut bound, None))
+            };
+            let vacuous: Vec<Step> = live_unbound
+                .iter()
+                .filter(|v| !initially_bound.contains(v))
+                .map(|&var| Step::EnumUniverse {
+                    var,
+                    sort: rule.var_sort(var),
+                })
+                .collect();
 
             (
                 Some(QuantPlan {
-                    live_sorts: live_unbound.iter().map(|&v| rule.var_sort(v)).collect(),
                     unbound_free,
-                    live_unbound,
-                    inner_steps,
+                    domains: domains.into(),
                     inner,
-                    unbound_domain,
+                    check: (0..group.inner.len())
+                        .map(|lit| check_guard(lit, &group.inner))
+                        .collect(),
+                    vacuous: compile_prog(&vacuous, &[], &mut vec![false; rule.num_vars], None),
                 }),
                 inner_preds,
             )
@@ -657,30 +654,8 @@ pub fn compile_rule(
         }
     }
 
-    // Collect index requests from every variant and the inner plan.
-    let mut index_requests = Vec::new();
-    let mut push_requests = |steps: &[Step], lits: &[BodyLit]| {
-        for step in steps {
-            if let Step::Pos { lit, mask, .. } = step {
-                if *mask != 0 {
-                    if let BodyLit::Pos(p, _) = &lits[*lit] {
-                        index_requests.push((*p, *mask));
-                    }
-                }
-            }
-        }
-    };
     for v in &variants {
-        push_requests(&v.steps, &rule.outer);
-    }
-    if let Some(QuantPlan {
-        inner_steps: Some(steps),
-        ..
-    }) = &quant_plan
-    {
-        if let Some(group) = &rule.quant {
-            push_requests(steps, &group.inner);
-        }
+        push_requests(&mut index_requests, &v.steps, &rule.outer);
     }
     index_requests.sort_unstable();
     index_requests.dedup();
@@ -738,6 +713,18 @@ pub fn compile_rule(
         estimated_rows,
         step_estimates,
     })
+}
+
+/// Append the `(pred, mask)` index each keyed positive step of `steps`
+/// probes to `out`.
+fn push_requests(out: &mut Vec<(PredId, ColMask)>, steps: &[Step], lits: &[BodyLit]) {
+    for step in steps {
+        if let Step::Pos { lit, mask, .. } = step {
+            if let (true, BodyLit::Pos(p, _)) = (*mask != 0, &lits[*lit]) {
+                out.push((*p, *mask));
+            }
+        }
+    }
 }
 
 /// Variables statically bound after running `steps`.
@@ -1071,11 +1058,7 @@ fn compile_step(step: &Step, lits: &[BodyLit], bound: &[bool]) -> Result<Op, Gua
                 unreachable!("Builtin step on {:?}", lits[*lit])
             };
             if args.iter().all(is_bound) {
-                return Err(Guard::Filter {
-                    b: *b,
-                    args: (0..args.len()).map(|i| arg_value(args, i)).collect(),
-                    lit: *lit,
-                });
+                return Err(check_guard(*lit, lits));
             }
             Op::Builtin {
                 lit: *lit,
@@ -1087,16 +1070,7 @@ fn compile_step(step: &Step, lits: &[BodyLit], bound: &[bool]) -> Result<Op, Gua
                 row: row_match(args, bound, |col| is_bound(&args[col])),
             }
         }
-        Step::NegStep { lit } => {
-            let BodyLit::Neg(pred, args) = &lits[*lit] else {
-                unreachable!("Neg step on {:?}", lits[*lit])
-            };
-            return Err(Guard::Neg {
-                pred: *pred,
-                args: (0..args.len()).map(|i| arg_value(args, i)).collect(),
-                lit: *lit,
-            });
-        }
+        Step::NegStep { lit } => return Err(check_guard(*lit, lits)),
         Step::Members { var, lits: ins } => Op::Members {
             var: *var,
             sets: member_sets(ins, lits),
@@ -1106,6 +1080,21 @@ fn compile_step(step: &Step, lits: &[BodyLit], bound: &[bool]) -> Result<Op, Gua
             sort: *sort,
         },
     })
+}
+
+/// Literal `lit` of `lits`, every argument bound, as a guard.
+fn check_guard(lit: usize, lits: &[BodyLit]) -> Guard {
+    let (BodyLit::Pos(_, args) | BodyLit::Neg(_, args) | BodyLit::Builtin(_, args)) = &lits[lit];
+    let args = (0..args.len()).map(|i| arg_value(args, i)).collect();
+    match lits[lit] {
+        BodyLit::Pos(pred, _) | BodyLit::Neg(pred, _) => Guard::Contains {
+            pred,
+            args,
+            lit,
+            negated: matches!(lits[lit], BodyLit::Neg(..)),
+        },
+        BodyLit::Builtin(b, _) => Guard::Filter { b, args, lit },
+    }
 }
 
 /// Where the executor reads argument `i` of a literal from.
@@ -1642,8 +1631,8 @@ mod tests {
         .expect("plans");
         let qp = compiled.quant_plan.expect("has quant plan");
         assert!(qp.unbound_free.is_empty());
-        assert!(qp.inner_steps.is_none());
-        assert!(!qp.unbound_domain);
+        assert!(qp.inner.is_none());
+        assert!(qp.domains.is_empty());
     }
 
     #[test]
@@ -1683,7 +1672,7 @@ mod tests {
         )
         .expect("plans under ActiveSets");
         let qp = compiled.quant_plan.expect("has quant plan");
-        assert!(qp.unbound_domain);
+        assert!(!qp.domains.is_empty());
     }
 
     fn plan_rule(head_args: Vec<Pattern>, outer: Vec<BodyLit>, var_names: &[&str]) -> CompiledRule {

@@ -21,6 +21,11 @@
 //! of variable bindings, so a deep update allocates no more than a
 //! two-round one plus a constant.
 //!
+//! A fifth case is a `forall` whose domain no body literal binds, under
+//! `ActiveSets`: the domain is matched against every active set, and
+//! the match's bindings wait on the executor's solution stack, so twice
+//! the sets cost no more allocations than a constant.
+//!
 //! What may still grow with the input is amortized container growth
 //! (relation arenas and tables, the store's arenas, the derivation
 //! buffer), a logarithmic number of allocations — nowhere near one per
@@ -30,7 +35,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lps_engine::pattern::{Pattern, VarId};
-use lps_engine::{BodyLit, Builtin, Engine, EvalConfig, QuantGroup, Rule};
+use lps_engine::{BodyLit, Builtin, Engine, EvalConfig, QuantGroup, Rule, SetUniverse};
 
 /// Counts every allocation and reallocation made on the calling thread,
 /// so the test harness's own threads do not disturb the figure.
@@ -395,5 +400,71 @@ fn incremental_rounds_allocate_nothing_per_round() {
         deep_allocs <= shallow_allocs + BUDGET,
         "{deep_allocs} allocations over {deep_rounds} rounds, \
          {shallow_allocs} over {shallow_rounds} (budget {BUDGET})"
+    );
+}
+
+/// Evaluate `b(X) :- forall U in X: a(U).` under `ActiveSets` over `n`
+/// interned sets, every one of whose elements but the last set's holds
+/// `a`, so the unbound domain `X` is matched against each active set
+/// and the product walked for each. Returns the allocations `run()`
+/// made and the `b` rows.
+fn unbound_domain(n: usize) -> (u64, usize) {
+    let mut e = Engine::new(EvalConfig {
+        set_universe: SetUniverse::ActiveSets,
+        trace: false,
+        ..EvalConfig::default()
+    });
+    let a = e.pred("a", 1);
+    let b = e.pred("b", 1);
+    let st = e.store_mut();
+    let pool: Vec<_> = (0..POOL).map(|i| st.atom(&format!("e{i}"))).collect();
+    let odd = st.atom("odd");
+    for i in 0..n {
+        let mut elems: Vec<_> = (0..SET_SIZE).map(|k| pool[(i + 7 * k) % POOL]).collect();
+        elems.push(st.int(i as i64));
+        st.set(elems);
+    }
+    st.set(vec![odd]);
+    for &x in &pool {
+        e.fact(a, vec![x]).unwrap();
+    }
+    for i in 0..n {
+        let x = e.store_mut().int(i as i64);
+        e.fact(a, vec![x]).unwrap();
+    }
+    let (x, u) = (v(0), v(1));
+    e.rule(Rule {
+        head: b,
+        head_args: vec![x.clone()],
+        group: None,
+        outer: vec![],
+        quant: Some(QuantGroup {
+            binders: vec![(VarId(1), x)],
+            inner: vec![BodyLit::Pos(a, vec![u])],
+        }),
+        num_vars: 2,
+        var_names: vec!["X".into(), "U".into()],
+        var_sorts: vec![],
+    })
+    .unwrap();
+    let before = allocs();
+    e.run().unwrap();
+    let allocated = allocs() - before;
+    let rows = e.rows(b).len();
+    (allocated, rows)
+}
+
+#[test]
+fn unbound_forall_domain_allocates_nothing_per_set() {
+    let n = 500;
+    let (small_allocs, small_rows) = unbound_domain(n);
+    let (large_allocs, large_rows) = unbound_domain(2 * n);
+    assert_eq!((small_rows, large_rows), (n, 2 * n), "all but `{{odd}}`");
+    const BUDGET: u64 = 16;
+    assert!(
+        large_allocs <= small_allocs + BUDGET,
+        "{large_allocs} allocations over {} sets, {small_allocs} over {} (budget {BUDGET})",
+        2 * n + 1,
+        n + 1,
     );
 }

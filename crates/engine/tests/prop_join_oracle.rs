@@ -14,11 +14,21 @@
 //! that binds a fresh `X`, and an `exists X in S: …` tail — a membership
 //! whose witness the head never reads, optionally followed by a positive
 //! literal on it.
+//!
+//! A rule may also end in a restricted universal quantifier group
+//! (Definitions 4–5), which the brute-force evaluator checks directly by
+//! walking the product of its domains: `forall X in S: …` over a set the
+//! body binds (or a constant set), or the dependent `forall S in F:
+//! forall X in S: …` over a relation whose column holds sets of sets.
+//! Its body is a positive literal on `X`, optionally a `!=` and a `not`;
+//! the positive literal may also mention `S`, and may read a variable
+//! `Y` that only the group binds and the head does not read, so the
+//! engine must find one `Y` that covers the whole product.
 
 use std::collections::BTreeSet;
 
 use lps_engine::pattern::{Pattern, VarId};
-use lps_engine::{BodyLit, Builtin, Engine, EvalConfig, Rule};
+use lps_engine::{BodyLit, Builtin, Engine, EvalConfig, PredId, QuantGroup, Rule};
 use lps_term::Value;
 use proptest::prelude::*;
 
@@ -28,8 +38,16 @@ const POOL: usize = 3;
 const FRESH: usize = POOL;
 /// The witness of the `exists` tail.
 const WITNESS: usize = POOL + 1;
+/// The family a dependent `forall` group's outer binder ranges over.
+const FAMILY: usize = POOL + 2;
+/// A dependent group's outer binder: a member of the family.
+const MEMBER: usize = POOL + 3;
+/// The binder the group's body reads: an element of a set.
+const ELEM: usize = POOL + 4;
+/// The variable only the group's body binds.
+const GROUP_ONLY: usize = POOL + 5;
 /// Every variable a rule may use.
-const VARS: usize = POOL + 2;
+const VARS: usize = POOL + 6;
 
 /// SplitMix64: each case is generated from one seed.
 struct Gen(u64);
@@ -79,6 +97,19 @@ fn sets() -> Vec<Value> {
     ]
 }
 
+/// The sets of sets a family relation holds.
+fn families() -> Vec<Value> {
+    let s = sets();
+    vec![
+        Value::empty_set(),
+        Value::set([s[0].clone()]),
+        Value::set([s[1].clone()]),
+        Value::set([s[1].clone(), s[2].clone()]),
+        Value::set([s[2].clone(), s[3].clone()]),
+        Value::set([s[0].clone(), s[3].clone(), s[4].clone()]),
+    ]
+}
+
 #[derive(Clone, Debug)]
 enum Arg {
     Var(usize),
@@ -91,20 +122,44 @@ enum Lit {
     Neg(usize, Vec<Arg>),
     Ne(Arg, Arg),
     In(Arg, Arg),
+    Forall(Forall),
+}
+
+/// `forall q₁ in D₁: … forall qₙ in Dₙ: inner`.
+#[derive(Clone, Debug)]
+struct Forall {
+    /// `(binder, domain)`, outermost first; a later domain may be an
+    /// earlier binder.
+    binders: Vec<(usize, Arg)>,
+    inner: Vec<Lit>,
 }
 
 impl Lit {
+    /// The variables the literal reads: a group's free variables.
     fn vars(&self) -> Vec<usize> {
         let args: Vec<&Arg> = match self {
             Lit::Pos(_, args) | Lit::Neg(_, args) => args.iter().collect(),
             Lit::Ne(x, y) | Lit::In(x, y) => vec![x, y],
+            Lit::Forall(group) => {
+                let mut vars: Vec<usize> = group
+                    .binders
+                    .iter()
+                    .map(|(_, d)| d)
+                    .flat_map(var_of)
+                    .collect();
+                vars.extend(group.inner.iter().flat_map(Lit::vars));
+                vars.retain(|v| group.binders.iter().all(|(q, _)| q != v));
+                return vars;
+            }
         };
-        args.into_iter()
-            .filter_map(|a| match a {
-                Arg::Var(v) => Some(*v),
-                Arg::Const(_) => None,
-            })
-            .collect()
+        args.into_iter().flat_map(var_of).collect()
+    }
+}
+
+fn var_of(arg: &Arg) -> Option<usize> {
+    match arg {
+        Arg::Var(v) => Some(*v),
+        Arg::Const(_) => None,
     }
 }
 
@@ -131,8 +186,8 @@ fn generate(seed: u64) -> Case {
             g.pick(&scalars)
         }
     };
-    let arities: Vec<usize> = (0..2 + g.below(2)).map(|_| 1 + g.below(3)).collect();
-    let facts = arities
+    let mut arities: Vec<usize> = (0..2 + g.below(2)).map(|_| 1 + g.below(3)).collect();
+    let mut facts: Vec<BTreeSet<Vec<Value>>> = arities
         .iter()
         .enumerate()
         .map(|(rel, &arity)| {
@@ -248,6 +303,61 @@ fn generate(seed: u64) -> Case {
         heads.push(FRESH);
     }
     let head = (0..1 + g.below(2)).map(|_| g.pick(&heads)).collect();
+
+    // A `forall` group. The relations the body reads stay as they are;
+    // a dependent group adds a family relation and a literal binding
+    // `FAMILY` from it.
+    if g.chance(40) {
+        let (dependent, group_only) = (g.chance(50), g.chance(50));
+        let binders = if dependent {
+            let fam = arities.len();
+            arities.push(1);
+            let families = families();
+            facts.push(
+                (0..2 + g.below(4))
+                    .map(|_| vec![g.pick(&families)])
+                    .collect(),
+            );
+            body.push(Lit::Pos(fam, vec![Arg::Var(FAMILY)]));
+            vec![(MEMBER, Arg::Var(FAMILY)), (ELEM, Arg::Var(MEMBER))]
+        } else {
+            vec![(ELEM, set_arg(&mut g))]
+        };
+        // A positive literal on `ELEM`, in a column that holds scalars,
+        // with `GROUP_ONLY` in another one if the relation has it; a
+        // dependent group's member may fill the set column.
+        let rels = facts.len() - usize::from(dependent);
+        let rel = loop {
+            let rel = g.below(rels);
+            if rel != 0 || arities[0] > 1 {
+                break rel;
+            }
+        };
+        let cols: Vec<usize> = (0..arities[rel]).filter(|&c| !set_column(rel, c)).collect();
+        let elem_col = g.pick(&cols);
+        let only_col = cols.iter().copied().find(|&c| c != elem_col && group_only);
+        let args = (0..arities[rel])
+            .map(|col| match col {
+                _ if col == elem_col => Arg::Var(ELEM),
+                _ if Some(col) == only_col => Arg::Var(GROUP_ONLY),
+                _ if set_column(rel, col) && dependent && g.chance(50) => Arg::Var(MEMBER),
+                _ if set_column(rel, col) => set_arg(&mut g),
+                _ => bound_arg(&mut g),
+            })
+            .collect();
+        let mut inner = vec![Lit::Pos(rel, args)];
+        if g.chance(30) {
+            inner.push(Lit::Ne(Arg::Var(ELEM), bound_arg(&mut g)));
+        }
+        if g.chance(25) {
+            let rel = 1 + g.below(rels - 1);
+            let mut args: Vec<Arg> = (0..arities[rel]).map(|_| bound_arg(&mut g)).collect();
+            let at = g.below(args.len());
+            args[at] = Arg::Var(ELEM);
+            inner.push(Lit::Neg(rel, args));
+        }
+        body.push(Lit::Forall(Forall { binders, inner }));
+    }
     Case {
         arities,
         facts,
@@ -322,6 +432,7 @@ fn holds(case: &Case, lit: &Lit, assign: &[Option<Value>]) -> bool {
     };
     let tuple = |args: &[Arg]| args.iter().map(val).collect::<Vec<_>>();
     match lit {
+        Lit::Forall(group) => covers(case, group, 0, &mut assign.to_vec()),
         Lit::Pos(rel, args) => case.facts[*rel].contains(&tuple(args)),
         Lit::Neg(rel, args) => !case.facts[*rel].contains(&tuple(args)),
         Lit::Ne(x, y) => val(x) != val(y),
@@ -331,6 +442,26 @@ fn holds(case: &Case, lit: &Lit, assign: &[Option<Value>]) -> bool {
             _ => false,
         },
     }
+}
+
+/// Whether every assignment of the binders of `group` from `level` on,
+/// each over its domain's elements, satisfies the group's body. An atom
+/// has no elements (ELPS §5), so its subtree holds vacuously.
+fn covers(case: &Case, group: &Forall, level: usize, assign: &mut Vec<Option<Value>>) -> bool {
+    let Some((q, dom)) = group.binders.get(level) else {
+        return group.inner.iter().all(|lit| holds(case, lit, assign));
+    };
+    let dom = match dom {
+        Arg::Var(v) => assign[*v].clone().expect("domain assigned"),
+        Arg::Const(c) => c.clone(),
+    };
+    let Value::Set(elems) = dom else {
+        return true;
+    };
+    elems.into_iter().all(|e| {
+        assign[*q] = Some(e);
+        covers(case, group, level + 1, assign)
+    })
 }
 
 /// The engine's head relation for `case`, batch-evaluated.
@@ -356,18 +487,34 @@ fn engine(case: &Case, cost_planner: bool) -> BTreeSet<Vec<Value>> {
         Arg::Var(v) => Pattern::Var(VarId(*v as u32)),
         Arg::Const(c) => Pattern::Ground(c.intern(e.store_mut())),
     };
-    let mut outer = Vec::new();
-    for lit in &case.body {
-        outer.push(match lit {
-            Lit::Pos(rel, args) => {
-                BodyLit::Pos(rels[*rel], args.iter().map(&mut pattern).collect())
-            }
-            Lit::Neg(rel, args) => {
-                BodyLit::Neg(rels[*rel], args.iter().map(&mut pattern).collect())
-            }
+    fn lower(lit: &Lit, rels: &[PredId], pattern: &mut dyn FnMut(&Arg) -> Pattern) -> BodyLit {
+        match lit {
+            Lit::Pos(rel, args) => BodyLit::Pos(rels[*rel], args.iter().map(pattern).collect()),
+            Lit::Neg(rel, args) => BodyLit::Neg(rels[*rel], args.iter().map(pattern).collect()),
             Lit::Ne(x, y) => BodyLit::Builtin(Builtin::Ne, vec![pattern(x), pattern(y)]),
             Lit::In(x, s) => BodyLit::Builtin(Builtin::In, vec![pattern(x), pattern(s)]),
-        });
+            Lit::Forall(_) => unreachable!("a group is not an outer literal"),
+        }
+    }
+    let (mut outer, mut quant) = (Vec::new(), None);
+    for lit in &case.body {
+        match lit {
+            Lit::Forall(group) => {
+                quant = Some(QuantGroup {
+                    binders: group
+                        .binders
+                        .iter()
+                        .map(|(q, dom)| (VarId(*q as u32), pattern(dom)))
+                        .collect(),
+                    inner: group
+                        .inner
+                        .iter()
+                        .map(|lit| lower(lit, &rels, &mut pattern))
+                        .collect(),
+                });
+            }
+            _ => outer.push(lower(lit, &rels, &mut pattern)),
+        }
     }
     e.rule(Rule {
         head,
@@ -378,7 +525,7 @@ fn engine(case: &Case, cost_planner: bool) -> BTreeSet<Vec<Value>> {
             .collect(),
         group: None,
         outer,
-        quant: None,
+        quant,
         num_vars: VARS,
         var_names: (0..VARS).map(|v| format!("V{v}")).collect(),
         var_sorts: vec![],
@@ -404,16 +551,26 @@ proptest! {
     }
 }
 
-/// The generator reaches every literal kind, an existential tail among
-/// them, and rules with answers.
+/// The generator reaches every literal kind, an existential tail and
+/// each shape of `forall` group among them, and rules with answers.
 #[test]
 fn generator_covers_every_literal_kind() {
     let (mut neg, mut ne, mut check, mut bind, mut tail, mut repeat, mut answers) =
         (0, 0, 0, 0, 0, 0, 0);
+    let (mut bound_domain, mut dependent, mut group_only, mut group_answers) = (0, 0, 0, 0);
     for seed in 0..400 {
         let case = generate(seed);
+        let answered = !oracle(&case).is_empty();
         for lit in &case.body {
             match lit {
+                Lit::Forall(group) => {
+                    match group.binders.len() {
+                        1 => bound_domain += 1,
+                        _ => dependent += 1,
+                    }
+                    group_only += usize::from(lit.vars().contains(&GROUP_ONLY));
+                    group_answers += usize::from(answered);
+                }
                 Lit::Neg(..) => neg += 1,
                 Lit::Ne(..) => ne += 1,
                 Lit::In(Arg::Var(FRESH), _) => bind += 1,
@@ -426,7 +583,7 @@ fn generator_covers_every_literal_kind() {
                 }
             }
         }
-        answers += usize::from(!oracle(&case).is_empty());
+        answers += usize::from(answered);
     }
     for (kind, n) in [
         ("not", neg),
@@ -436,6 +593,10 @@ fn generator_covers_every_literal_kind() {
         ("exists", tail),
         ("repeated variable", repeat),
         ("nonempty answer", answers),
+        ("forall over a bound domain", bound_domain),
+        ("forall with dependent binders", dependent),
+        ("forall with a group-only variable", group_only),
+        ("forall with a nonempty answer", group_answers),
     ] {
         assert!(n >= 20, "{kind}: only {n} of 400 cases");
     }

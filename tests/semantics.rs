@@ -265,3 +265,50 @@ proptest! {
         prop_assert_eq!(run(SetUniverse::Reject), run(SetUniverse::ActiveSets));
     }
 }
+
+/// A `forall` group with dependent binders whose inner literal reads a
+/// variable only the group binds: `S` is `X`'s domain and no inner
+/// literal mentions it, so the coverage join binds `X` and `Y` and
+/// covers the product by `X` alone. `{{}}` holds vacuously.
+#[test]
+fn dependent_binders_with_a_group_only_variable() {
+    let (a, b) = (Value::atom("a"), Value::atom("b"));
+    let fam_ab = Value::set([Value::set([a.clone()]), Value::set([b])]);
+    let fam_ac = Value::set([Value::set([a]), Value::set([Value::atom("c")])]);
+    let fam_empty = Value::set([Value::empty_set()]);
+    let facts = format!(
+        "fam({fam_ab}). fam({fam_ac}). fam({fam_empty}). good(a, y). good(b, y). good(c, z)."
+    );
+    for strategy in [FixpointStrategy::Naive, FixpointStrategy::SemiNaive] {
+        let mut db = Database::with_config(
+            Dialect::Elps,
+            EvalConfig {
+                strategy,
+                ..EvalConfig::default()
+            },
+        );
+        db.load_str(&facts).unwrap();
+        db.load_str("all(F) :- fam(F), forall S in F: forall X in S: good(X, Y).")
+            .unwrap();
+        let all = db.evaluate().unwrap().extension_n("all", 1);
+        assert_eq!(all.len(), 2, "{all:?}");
+        assert!(all.contains(&vec![fam_ab.clone()]) && all.contains(&vec![fam_empty.clone()]));
+    }
+
+    // With the head reading `Y`, the group alone binds a head variable,
+    // which needs the active universe for the vacuous case.
+    let mut db = Database::with_config(
+        Dialect::Elps,
+        EvalConfig {
+            set_universe: SetUniverse::ActiveSets,
+            ..EvalConfig::default()
+        },
+    );
+    db.load_str(&format!(
+        "fam({fam_ab}). good(a, y). good(b, y). \
+         all(F, Y) :- fam(F), forall S in F: forall X in S: good(X, Y)."
+    ))
+    .unwrap();
+    let all = db.evaluate().unwrap().extension_n("all", 2);
+    assert_eq!(all, vec![vec![fam_ab, Value::atom("y")]]);
+}
